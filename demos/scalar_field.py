@@ -2,7 +2,7 @@
 
 Covers: building ring elements, the Euler-Lagrange expression, the Lepage
 form, testing a symmetry, deriving its conserved current and the
-weak-conservation coefficients.
+weak-conservation coefficients, read off the first variational formula.
 """
 
 from fractions import Fraction
@@ -11,7 +11,7 @@ from vnoether import (FieldSymbol, GeneralizedVectorField, GradedPoly,
                       Lagrangian, check_lepage, euler_lagrange,
                       expand_witness, first_variational_residual,
                       is_variational_symmetry, jet, lepage_equivalent,
-                      noether_current, poly_text, weak_conservation_witness)
+                      noether_current, poly_text, symmetry_witness)
 
 P = GradedPoly.variable
 
@@ -38,7 +38,8 @@ print("divergence witness sigma:", poly_text(sym.sigma.coefficient()))
 current = noether_current(shift, L, sym.sigma)
 print("Noether current J^0:", poly_text(current.component(0)))
 
-witness = weak_conservation_witness(current, el)
+# d_H J = u^A E_A: the symmetry components are the coefficients
+witness = symmetry_witness(shift, current, el)
 for (symbol, index), coeff in sorted(witness.table.items(),
                                      key=lambda it: it[0][0].name):
     print(f"div J = ... + ({poly_text(coeff)}) * d_{list(index)} E_{symbol.name}")

@@ -14,7 +14,7 @@ from .algebra import (DEFAULT_JET_CAP, EVEN, KIND_ANTIFIELD, KIND_FIELD,
 from .grassmann import GrassmannAlgebra, GrassmannElement
 from .forms import (ContactDerivation, GeneralizedVectorField, MixedForm,
                     UnsupportedDerivation, contract, is_nilpotent,
-                    lie_derivative, prolong, volume_form)
+                    lie_derivative, prolong)
 from .variational import (BOUND_EXHAUSTED, EXACT, NOT_EXACT, ConsistencyError,
                           Current, EulerLagrange, ExactnessResult, Lagrangian,
                           Superpotential, SymmetryResult, WitnessResult,
@@ -22,7 +22,7 @@ from .variational import (BOUND_EXHAUSTED, EXACT, NOT_EXACT, ConsistencyError,
                           expand_witness, first_variational_residual,
                           horizontal_antiderivative, is_variational_symmetry,
                           lepage_equivalent, noether_current,
-                          weak_conservation_witness)
+                          symmetry_witness, weak_conservation_witness)
 from .gauge import (GaugeError, GaugeSymmetryResult, NoetherOperator,
                     adjoint, adjoint_table, antifield, antifield_number,
                     check_noether_identity, extended_lagrangian, ghost_for,

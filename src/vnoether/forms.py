@@ -283,10 +283,6 @@ def _vertical_differential_poly(f: GradedPoly, dim: int) -> MixedForm:
 # ---------------------------------------------------------------------------
 # volume form helpers
 
-def volume_form(dim: int) -> MixedForm:
-    return MixedForm.density(GradedPoly.constant(1), dim)
-
-
 def omega_contracted(dim: int, mu: int):
     """omega_mu = del_mu | omega, as (horizontal subset, sign)."""
     horiz = tuple(i for i in range(dim) if i != mu)
@@ -322,12 +318,6 @@ class GeneralizedVectorField:
         horiz = tuple(sorted(((i, p) for i, p in (horizontal or {}).items()
                               if not p.is_zero())))
         return GeneralizedVectorField(vert, horiz)
-
-    def vertical_map(self) -> dict:
-        return dict(self.vertical)
-
-    def horizontal_map(self) -> dict:
-        return dict(self.horizontal)
 
     def component(self, sym: FieldSymbol) -> GradedPoly:
         for s, p in self.vertical:

@@ -340,9 +340,8 @@ def _by_parts_witness(op: NoetherOperator, ghost: FieldSymbol,
     return comps
 
 
-def gauge_symmetry(op: NoetherOperator, ghost: FieldSymbol, L: Lagrangian,
-                   coords: Sequence[FieldSymbol] = (),
-                   max_degree: Optional[int] = None) -> GaugeSymmetryResult:
+def gauge_symmetry(op: NoetherOperator, ghost: FieldSymbol,
+                   L: Lagrangian) -> GaugeSymmetryResult:
     """Second Noether theorem, constructively.
 
     Refuses when the identity fails.  The divergence witness sigma comes

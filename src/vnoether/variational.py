@@ -5,7 +5,9 @@ recursion, the first variational formula as an executable residual, an
 exactness decision procedure for horizontal forms (ansatz plus exact
 linear solve, with the Euler-Lagrange obstruction separating "provably
 not exact" from "ansatz too small"), variational-symmetry tests, Noether
-currents and weak-conservation witnesses.
+currents and weak-conservation witnesses (constructive from the first
+variational formula when the symmetry is known, by bounded ansatz search
+otherwise).
 """
 
 from __future__ import annotations
@@ -648,13 +650,10 @@ def noether_current(ups: GeneralizedVectorField, L: Lagrangian,
 class WitnessResult:
     status: str
     table: Optional[dict] = None  # (FieldSymbol, MultiIndex) -> GradedPoly
+    residual: Optional[GradedPoly] = None  # expansion minus div J, if nonzero
 
     def __bool__(self):
         return self.status == EXACT
-
-
-def _cls_dict(cls) -> dict:
-    return dict(cls)
 
 
 def _cls_key(d: Mapping) -> tuple:
@@ -688,7 +687,7 @@ def weak_conservation_witness(J: Current, el: EulerLagrange,
         base_order = comp.jet_order()
         for index in multi_indices_up_to(J.dim, max(0, order - base_order)):
             de = comp.total_derivative_multi(index, cap)
-            ecls = {_cls_key(_cls_dict(_class_vector(k, True)))
+            ecls = {_cls_key(dict(_class_vector(k, True)))
                     for k in de.terms}
             basis.append((sym, tuple(index), de, ecls))
     # provable obstruction: a divergence monomial no product can equal
@@ -696,7 +695,7 @@ def weak_conservation_witness(J: Current, el: EulerLagrange,
     for _, _, _, ecls in basis:
         all_ecls.update(ecls)
     for tk in target.terms:
-        tcls = _cls_dict(_class_vector(tk, True))
+        tcls = dict(_class_vector(tk, True))
         if not any(all(tcls.get(s, 0) >= v for s, v in ec) for ec in all_ecls):
             return WitnessResult(NOT_EXACT)
     # class closure for the candidate coefficients
@@ -704,16 +703,16 @@ def weak_conservation_witness(J: Current, el: EulerLagrange,
     frontier_cap = max((_cls_deg(_class_vector(k, True)) for k in target.terms),
                        default=0) + max((_cls_deg(ec) for ec in all_ecls),
                                         default=0)
-    frontier = {_cls_key(_cls_dict(_class_vector(k, True)))
+    frontier = {_cls_key(dict(_class_vector(k, True)))
                 for k in target.terms}
     chosen = set()  # (basis position, coefficient class)
     for _ in range(8):
         changed = False
         for bi, (_, _, _, ecls) in enumerate(basis):
             for fcls in sorted(frontier, key=str):
-                fdict = _cls_dict(fcls)
+                fdict = dict(fcls)
                 for ec in sorted(ecls, key=str):
-                    edict = _cls_dict(ec)
+                    edict = dict(ec)
                     if not all(fdict.get(s, 0) >= v for s, v in edict.items()):
                         continue
                     mdict = {s: fdict.get(s, 0) - edict.get(s, 0)
@@ -770,3 +769,24 @@ def expand_witness(table: Mapping, el: EulerLagrange,
     for (sym, index), w in table.items():
         out = out + w * el.component(sym).total_derivative_multi(index, cap)
     return out
+
+
+def symmetry_witness(ups: GeneralizedVectorField, J: Current,
+                     el: EulerLagrange,
+                     cap: int = DEFAULT_JET_CAP) -> WitnessResult:
+    """Weak-conservation witness of the Noether current of a vertical
+    symmetry, read off the first variational formula d_H J = u^A E_A.
+
+    The table {(A, ()): u^A} keeps u^A left of E_A, as ``expand_witness``
+    multiplies, so odd components keep their sign.  It is re-checked
+    exactly against div J: EXACT when the expansion matches, otherwise
+    NOT_EXACT with the nonzero difference as ``residual``.
+    """
+    if not ups.is_vertical():
+        raise UnsupportedDerivation("symmetry witness needs vertical input")
+    table = {(sym, ()): poly for sym, poly in ups.vertical
+             if not poly.is_zero()}
+    residual = expand_witness(table, el, cap) - J.divergence(cap)
+    if residual.is_zero():
+        return WitnessResult(EXACT, table)
+    return WitnessResult(NOT_EXACT, residual=residual)

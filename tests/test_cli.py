@@ -4,6 +4,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+from vnoether import (KIND_GHOST, ODD, Current, FieldSymbol, GaugeError,
+                      GradedPoly, cli, jet)
+
 ROOT = Path(__file__).resolve().parent.parent
 MODELS = ROOT / "models"
 
@@ -199,3 +202,84 @@ lagrangian (1/2)*d[0](d[0](d[0](phi)))^2
     assert res.returncode == 3
     ok = run_cli("verify", str(model), env_extra={"VNOETHER_JET_CAP": "8"})
     assert ok.returncode == 0
+
+
+def test_verify_scalar_qed_dim3(tmp_path):
+    # every step passes in well under a second: the weak-conservation
+    # witness is read off the first variational formula, not searched for
+    model = tmp_path / "sqed3.vln"
+    model.write_text("""
+dim 3
+field A[mu] even
+field phi even
+field chi even
+ghost c odd for gauge
+let F[mu,nu] = d[mu](A[nu]) - d[nu](A[mu])
+let D1[mu] = d[mu](phi) - A[mu]*chi
+let D2[mu] = d[mu](chi) + A[mu]*phi
+lagrangian (-1/4)*F[mu,nu]*F[mu,nu] + (1/2)*D1[mu]*D1[mu] + (1/2)*D2[mu]*D2[mu]
+identity gauge: 1*d[nu](EL(A[nu])) + phi*EL(chi) - chi*EL(phi)
+""")
+    res = run_cli("verify", str(model), "--format", "json")
+    assert res.returncode == 0, res.stderr
+    steps = json.loads(res.stdout)["steps"]
+    assert [s["name"] for s in steps] == [
+        "lepage", "euler-lagrange", "identity gauge",
+        "variational-formula gauge", "weak-conservation gauge",
+        "structural-equations gauge", "superpotential gauge"]
+    assert all(s["status"] == "pass" for s in steps)
+
+
+def _verify_in_process(capsys, model):
+    code = cli.main(["verify", str(model), "--format", "json"])
+    return code, json.loads(capsys.readouterr().out)
+
+
+def test_verify_weak_conservation_failure_reports_residual(monkeypatch,
+                                                           capsys):
+    # a current with a stray ghost term is not weakly conserved: the step
+    # fails and carries the residual of the exact re-check
+    real = cli.noether_current
+    ghost = GradedPoly.variable(jet(FieldSymbol("c", KIND_GHOST, ODD)))
+
+    def corrupted(ups, L, sigma):
+        J = real(ups, L, sigma)
+        return Current({**J.components, 0: J.component(0) + ghost}, J.dim)
+
+    monkeypatch.setattr(cli, "noether_current", corrupted)
+    code, report = _verify_in_process(capsys, MODELS / "scalar_shift.vln")
+    assert code == 1
+    step = {s["name"]: s for s in report["steps"]}["weak-conservation shift"]
+    assert step["status"] == "fail"
+    assert step["payload"]["residual"]["text"] == "-c_{,0}"
+
+
+def test_verify_keeps_bound_exhaustion_of_earlier_identity(tmp_path,
+                                                           monkeypatch,
+                                                           capsys):
+    # a later gauge failure must not clear the exhaustion an earlier
+    # identity recorded
+    model = tmp_path / "two.vln"
+    model.write_text("""
+dim 1
+field phi even
+field psi even
+ghost b odd for first
+ghost c odd for second
+let p = d[0](phi) - psi
+lagrangian (1/2)*p^2
+identity first: 1*EL(phi) - 1*d[0](EL(psi))
+identity second: 2*EL(phi) - 2*d[0](EL(psi))
+""")
+    reasons = iter(["ansatz bound exhausted", "ghost parity mismatch"])
+
+    def failing(op, ghost, L):
+        raise GaugeError(next(reasons))
+
+    monkeypatch.setattr(cli, "gauge_symmetry", failing)
+    code, report = _verify_in_process(capsys, model)
+    statuses = {s["name"]: s["status"] for s in report["steps"]}
+    assert statuses["gauge first"] == "error"
+    assert statuses["gauge second"] == "fail"
+    assert report["bound_exhausted"] is True
+    assert code == 1

@@ -1,14 +1,17 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from vnoether import (EVEN, ConsistencyError, Current, GeneralizedVectorField,
-                      GradedPoly, Lagrangian, MixedForm, UnsupportedDerivation,
+from vnoether import (EVEN, KIND_FIELD, KIND_GHOST, ODD, ConsistencyError,
+                      Current, FieldSymbol, GeneralizedVectorField, GradedPoly,
+                      Lagrangian, MixedForm, UnsupportedDerivation,
                       check_lepage, euler_lagrange, euler_lagrange_form,
                       expand_witness, first_variational_residual,
-                      horizontal_antiderivative, is_variational_symmetry, jet,
-                      lepage_equivalent, noether_current,
+                      gauge_symmetry, horizontal_antiderivative,
+                      is_variational_symmetry, jet, lepage_equivalent,
+                      load_model, noether_current, symmetry_witness,
                       weak_conservation_witness)
 from vnoether.variational import BOUND_EXHAUSTED, EXACT, NOT_EXACT, lepage_table
 
@@ -375,3 +378,86 @@ def test_translation_pipeline_random():
         assert expand_witness(wit.table, euler_lagrange(L, [PHI, PSI])) \
             == J.divergence()
         done += 1
+
+
+# ---------------------------------------------------------------------------
+# constructive weak-conservation witness on the model corpus
+
+MODELS = Path(__file__).resolve().parent.parent / "models"
+
+
+def _corpus_currents():
+    """(label, symmetry, current, Euler-Lagrange, cap, ghost) for every
+    identity (gauge route) and every declared symmetry of the corpus."""
+    cases = []
+    for path in sorted(MODELS.glob("*.vln")):
+        model = load_model(path.read_text())
+        L = model.lagrangian
+        el = euler_lagrange(L, model.fields)
+        for name, op in sorted(model.identities.items()):
+            ghost = model.ghost_of(name)
+            result = gauge_symmetry(op, ghost, L)
+            cases.append((f"{path.stem} {name}", result.symmetry,
+                          result.current, el, L.jet_cap, ghost))
+        for name, ups in sorted(model.symmetries.items()):
+            sym = is_variational_symmetry(ups, L)
+            assert sym.status == EXACT, (path.stem, name)
+            ghosts = sorted({v.symbol for _, poly in ups.vertical
+                             for v in poly.variables()
+                             if v.symbol.kind == KIND_GHOST},
+                            key=lambda s: s.sort_key)
+            cases.append((f"{path.stem} {name}", ups,
+                          noether_current(ups, L, sym.sigma), el, L.jet_cap,
+                          ghosts[0]))
+    return cases
+
+
+def test_symmetry_witness_corpus():
+    cases = _corpus_currents()
+    assert len(cases) == 12  # one identity and one symmetry per model
+    for label, u, J, el, cap, _ in cases:
+        res = symmetry_witness(u, J, el, cap)
+        assert res.status == EXACT, label
+        assert res.residual is None
+        assert res.table == {(sym, ()): poly for sym, poly in u.vertical}
+        assert expand_witness(res.table, el, cap) == J.divergence(cap), label
+
+
+def test_symmetry_witness_agrees_with_search_oracle():
+    # witnesses are not unique: compare the defining identity, not tables
+    for label, _, J, el, cap, _ in _corpus_currents():
+        oracle = weak_conservation_witness(J, el, cap)
+        assert oracle.status == EXACT, label
+        assert expand_witness(oracle.table, el, cap) == J.divergence(cap), \
+            label
+
+
+def test_symmetry_witness_rejects_corrupted_current():
+    for label, u, J, el, cap, ghost in _corpus_currents():
+        broken = dict(J.components)
+        broken[0] = J.component(0) + P(jet(ghost))
+        res = symmetry_witness(u, Current(broken, J.dim), el, cap)
+        assert res.status == NOT_EXACT, label
+        assert not res
+        assert res.residual == -P(jet(ghost, (0,))), label
+
+
+def test_symmetry_witness_odd_components_and_scope():
+    # odd fields: u^A and E_A are both odd, so u^A must stay left of E_A
+    t1 = FieldSymbol("t1", KIND_FIELD, ODD)
+    t2 = FieldSymbol("t2", KIND_FIELD, ODD)
+    L = Lagrangian(P(jet(t1, (0,))) * P(jet(t2, (0,))), 1)
+    el = euler_lagrange(L)
+    ups = GeneralizedVectorField.make({s: P(jet(s, (0,))) for s in (t1, t2)})
+    sym = is_variational_symmetry(ups, L)
+    assert sym.status == EXACT
+    J = noether_current(ups, L, sym.sigma)
+    res = symmetry_witness(ups, J, el, L.jet_cap)
+    assert res.status == EXACT
+    assert expand_witness(res.table, el) == J.divergence()
+    swapped = sum((el.component(s) * u for s, u in ups.vertical),
+                  GradedPoly.zero())
+    assert not J.divergence().is_zero() and swapped == -J.divergence()
+    with pytest.raises(UnsupportedDerivation):
+        symmetry_witness(GeneralizedVectorField.make({}, {0: P(jet(t1))}),
+                         J, el)
