@@ -10,6 +10,20 @@ polynomial".
 Base coordinates themselves may enter coefficients: a symbol carrying a
 ``coord`` index is an even order-0 generator whose total derivative is the
 Kronecker delta instead of a jet bump.
+
+The monomial-key layout is private to this module.  Other modules read a
+polynomial through three accessors and may hold what they return only as
+an opaque dictionary key:
+
+* ``GradedPoly.monomials`` -- each monomial as its coefficient and its
+  ordered ``(JetVariable, exponent)`` factors;
+* ``GradedPoly.degree_in`` -- the degree in the variables matching a
+  predicate;
+* ``GradedPoly.split_linear`` -- the unique matching variable of each
+  monomial factored out to the left or right end, with its graded sign.
+
+``accumulate`` is the one "add into a dict of polynomials, drop zeros"
+helper.
 """
 
 from __future__ import annotations
@@ -414,6 +428,57 @@ class GradedPoly:
     def constant_term(self) -> Fraction:
         return self.terms.get(_EMPTY_KEY, Fraction(0))
 
+    def monomials(self, ordered: bool = False):
+        """Yield ``(coefficient, factors)`` per monomial.  The factors are
+        ``(JetVariable, exponent)`` pairs in product order: the even
+        variables, then the odd ones (exponent 1), each block sorted by
+        ``var_key``; equal monomials give equal factor tuples.  ``ordered``
+        walks the canonical graded-lex order, otherwise storage order."""
+        for (even, odd), c in (self.sorted_terms() if ordered
+                               else self.terms.items()):
+            yield c, (even + tuple((v, 1) for v in odd) if odd else even)
+
+    def degree_in(self, match) -> int:
+        """Largest per-monomial degree in the variables satisfying match."""
+        best = 0
+        for even, odd in self.terms:
+            d = sum(e for v, e in even if match(v))
+            d += sum(1 for v in odd if match(v))
+            if d > best:
+                best = d
+        return best
+
+    def split_linear(self, match, side: str = "right"):
+        """Factor out the one variable v of each monomial satisfying match:
+        monomial = coefficient * v (side 'right') or v * coefficient (side
+        'left'), v moved past the odd factors with the graded sign.
+
+        Returns ({v: coefficient}, remainder of the monomials free of
+        matches); raises ValueError on a monomial of higher degree."""
+        table = {}
+        remainder = {}
+        for (even, odd), c in self.terms.items():
+            hits = [i for i, (v, _) in enumerate(even) if match(v)]
+            odd_hits = [i for i, v in enumerate(odd) if match(v)]
+            if not hits and not odd_hits:
+                remainder[(even, odd)] = c
+                continue
+            if len(hits) + len(odd_hits) > 1 or (hits and even[hits[0]][1] > 1):
+                raise ValueError("monomial is not linear in the matched variables")
+            if hits:
+                i = hits[0]
+                v = even[i][0]
+                rest, sign = (even[:i] + even[i + 1:], odd), 1
+            else:
+                i = odd_hits[0]
+                v = odd[i]
+                rest = (even, odd[:i] + odd[i + 1:])
+                moved = i if side == "left" else len(odd) - 1 - i
+                sign = -1 if moved % 2 else 1
+            table.setdefault(v, {})[rest] = c * sign
+        return ({v: GradedPoly(t) for v, t in table.items()},
+                GradedPoly(remainder))
+
     # -- derivations --------------------------------------------------------
 
     def partial(self, v: JetVariable) -> "GradedPoly":
@@ -508,6 +573,16 @@ class GradedPoly:
     def __repr__(self):
         from .render import poly_text
         return f"GradedPoly({poly_text(self)})"
+
+
+def accumulate(acc: dict, key, poly: GradedPoly) -> None:
+    """acc[key] += poly, dropping the entry when the sum is zero."""
+    cur = acc.get(key)
+    s = poly if cur is None else cur + poly
+    if s.is_zero():
+        acc.pop(key, None)
+    else:
+        acc[key] = s
 
 
 def _coerce(x) -> GradedPoly:

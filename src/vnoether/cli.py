@@ -24,8 +24,8 @@ from .algebra import GradedPoly, JetCapError, jet, poly_to_data
 from .gauge import GaugeError, check_noether_identity, gauge_symmetry
 from .model import ElaborationError, ParseError, load_model
 from .render import poly_text
-from .superpotential import (SuperpotentialError, extract, structural_checks,
-                             verify_split)
+from .superpotential import (SuperpotentialError, extract, ghosts_of,
+                             structural_checks, verify_split)
 from .variational import (BOUND_EXHAUSTED, EXACT, Current, check_lepage,
                           euler_lagrange, first_variational_residual,
                           is_variational_symmetry, noether_current,
@@ -187,30 +187,15 @@ class _Runner:
         else:
             raise _Usage(f"unknown identity or symmetry {name!r}")
         if self.args.debug_corrupt_current:
-            ghosts = sorted({v.symbol for _, poly in u.vertical
-                             for v in poly.variables()
-                             if v.symbol.kind == "ghost"},
-                            key=lambda s: s.sort_key)
+            ghosts = ghosts_of(u)
             if ghosts:
                 broken = dict(current.components)
                 broken[0] = current.component(0) \
                     + GradedPoly.variable(jet(ghosts[0]))
                 current = Current(broken, current.dim)
         self.add("current", "pass", _current_payload(current))
-        try:
-            split = extract(current, u, model.lagrangian,
-                            max_degree=self.args.ansatz_degree)
-        except SuperpotentialError as exc:
-            if "ansatz" in str(exc):
-                self.bound_exhausted = True
-                self.add("superpotential", "error", {"reason": str(exc)})
-            else:
-                self.add("superpotential", "fail",
-                         {"reason": str(exc), "equation": exc.tag})
-            return
-        ok, report = verify_split(current, split, el, model.jet_cap)
-        self.add("superpotential", "pass" if ok else "fail",
-                 dict(_split_payload(split, el), checks=report))
+        self._split("superpotential", current, u, model.lagrangian, el,
+                    summary=False)
 
     def cmd_verify(self):
         model = self.model()
@@ -231,10 +216,7 @@ class _Runner:
             try:
                 result = gauge_symmetry(op, ghost, L)
             except GaugeError as exc:
-                exhausted = "ansatz" in str(exc)
-                self.bound_exhausted |= exhausted
-                self.add(f"gauge {name}", "error" if exhausted else "fail",
-                         {"reason": str(exc)})
+                self.add(f"gauge {name}", "fail", {"reason": str(exc)})
                 continue
             u, current = result.symmetry, result.current
             residual_form = first_variational_residual(u, L)
@@ -246,21 +228,8 @@ class _Runner:
             self.add(f"structural-equations {name}",
                      "pass" if not bad else "fail",
                      {"failing": [c.tag for c in bad]} if bad else None)
-            try:
-                split = extract(current, u, L,
-                                max_degree=self.args.ansatz_degree)
-            except SuperpotentialError as exc:
-                self.add(f"superpotential {name}", "fail",
-                         {"reason": str(exc)})
-                continue
-            ok, report = verify_split(current, split, el, L.jet_cap)
-            dd = GradedPoly.zero()
-            for mu in range(L.dim):
-                dd = dd + split.superpotential.divergence(mu, L.jet_cap) \
-                    .total_derivative(mu, L.jet_cap)
-            self.add(f"superpotential {name}",
-                     "pass" if ok and dd.is_zero() else "fail",
-                     {"checks": report})
+            self._split(f"superpotential {name}", current, u, L, el,
+                        summary=True)
         for name, ups in sorted(model.symmetries.items()):
             residual_form = first_variational_residual(ups, L)
             self.add(f"variational-formula {name}",
@@ -277,6 +246,30 @@ class _Runner:
             if sym_result.status == EXACT:
                 current = noether_current(ups, L, sym_result.sigma)
                 self._weak_conservation(name, ups, current, el, L.jet_cap)
+
+    def _split(self, step, current, u, L, el, summary: bool):
+        """Split the current as W + div U, re-check the split exactly
+        (verify_split, and d_mu d_nu U^{nu mu} = 0) and record ``step``:
+        with the split and its checks, or with the checks only when
+        ``summary`` (verify).  An exhausted ansatz bound is an error, any
+        other SuperpotentialError a fail naming its equation."""
+        try:
+            split = extract(current, u, L, max_degree=self.args.ansatz_degree)
+        except SuperpotentialError as exc:
+            if exc.bound_exhausted:
+                self.bound_exhausted = True
+                self.add(step, "error", {"reason": str(exc)})
+            else:
+                self.add(step, "fail", {"reason": str(exc), "equation": exc.tag})
+            return
+        ok, report = verify_split(current, split, el, L.jet_cap)
+        dd = GradedPoly.zero()
+        for mu in range(L.dim):
+            dd = dd + split.superpotential.divergence(mu, L.jet_cap) \
+                .total_derivative(mu, L.jet_cap)
+        payload = ({"checks": report} if summary
+                   else dict(_split_payload(split, el), checks=report))
+        self.add(step, "pass" if ok and dd.is_zero() else "fail", payload)
 
     def _weak_conservation(self, name, u, current, el, cap):
         witness = symmetry_witness(u, current, el, cap)

@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Mapping, Optional
 
 from .algebra import (DEFAULT_JET_CAP, EVEN, ODD, FieldSymbol, GradedPoly,
-                      JetVariable, _bump, jet, var_key)
+                      JetVariable, _bump, accumulate, jet, var_key)
 
 
 class UnsupportedDerivation(ValueError):
@@ -71,15 +71,6 @@ def _sort_horiz(idxs):
 
 def _parity_sum(labels) -> int:
     return sum(l.parity for l in labels) % 2
-
-
-def _accumulate(acc: dict, key, poly: GradedPoly):
-    cur = acc.get(key)
-    s = poly if cur is None else cur + poly
-    if s.is_zero():
-        acc.pop(key, None)
-    else:
-        acc[key] = s
 
 
 class MixedForm:
@@ -129,7 +120,7 @@ class MixedForm:
             raise ValueError("dimension mismatch")
         out = dict(self.components)
         for key, poly in other.components.items():
-            _accumulate(out, key, poly)
+            accumulate(out, key, poly)
         return MixedForm(self.dim, out)
 
     def __neg__(self):
@@ -205,7 +196,7 @@ class MixedForm:
                     horiz, hsign = hs
                     coeff = (p * qpart) * Fraction(sign * csign * hsign)
                     if not coeff.is_zero():
-                        _accumulate(out, (contact, horiz), coeff)
+                        accumulate(out, (contact, horiz), coeff)
         return MixedForm(self.dim, out)
 
     # -- differentials ------------------------------------------------------
@@ -217,14 +208,14 @@ class MixedForm:
         for (contact, horiz), f in self.components.items():
             df = f.total_derivative(lam, cap)
             if not df.is_zero():
-                _accumulate(out, (contact, horiz), df)
+                accumulate(out, (contact, horiz), df)
             for i, lab in enumerate(contact):
                 bumped = _bump(lab, lam, cap)
                 cs = _sort_contact(contact[:i] + (bumped,) + contact[i + 1:])
                 if cs is None:
                     continue
                 newc, sign = cs
-                _accumulate(out, (newc, horiz), f * Fraction(sign))
+                accumulate(out, (newc, horiz), f * Fraction(sign))
         return MixedForm(self.dim, out)
 
     def horizontal_differential(self, cap: int = DEFAULT_JET_CAP) -> "MixedForm":
@@ -237,7 +228,7 @@ class MixedForm:
                     continue
                 newh, hsign = hs
                 sign = hsign * (-1 if len(contact) % 2 else 1)
-                _accumulate(out, (contact, newh), f * Fraction(sign))
+                accumulate(out, (contact, newh), f * Fraction(sign))
         return MixedForm(self.dim, out)
 
     def vertical_differential(self) -> "MixedForm":
@@ -276,7 +267,7 @@ def _vertical_differential_poly(f: GradedPoly, dim: int) -> MixedForm:
             if part.is_zero():
                 continue
             sign = -1 if (gp and v.parity) else 1
-            _accumulate(out, ((v,), ()), part * Fraction(sign))
+            accumulate(out, ((v,), ()), part * Fraction(sign))
     return MixedForm(dim, out)
 
 
@@ -446,8 +437,8 @@ def contract(deriv: ContactDerivation, form: MixedForm) -> MixedForm:
                         sign = -sign
                     value = (fpart * coeff) * Fraction(sign)
                     if not value.is_zero():
-                        _accumulate(out, (contact[:i] + contact[i + 1:], horiz),
-                                    value)
+                        accumulate(out, (contact[:i] + contact[i + 1:], horiz),
+                                   value)
                 labels_par = (labels_par + lab.parity) % 2
             for j, lam in enumerate(horiz):
                 coeff = deriv.dx_coefficient(lam)
@@ -462,7 +453,7 @@ def contract(deriv: ContactDerivation, form: MixedForm) -> MixedForm:
                     sign = -sign
                 value = (fpart * coeff) * Fraction(sign)
                 if not value.is_zero():
-                    _accumulate(out, (contact, horiz[:j] + horiz[j + 1:]), value)
+                    accumulate(out, (contact, horiz[:j] + horiz[j + 1:]), value)
     return MixedForm(form.dim, out)
 
 

@@ -9,19 +9,20 @@ recovers the operator (the involution is an executable test).
 
 Sign conventions: the Koszul-Tate differential is an odd right derivation,
     kt(x y) = x kt(y) + (-1)^[y] kt(x) y,
-which on a canonical monomial inserts the replacement at the position of
-the antifield with the parity sign of the factors to its right.
+so kt(p) is the sum over antifield jets a of the right partial of p by a
+times kt(a).  The right partial is the left one times (-1)^([a]([p]+1)).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Optional, Sequence, Tuple
+from itertools import combinations
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
-from .algebra import (DEFAULT_JET_CAP, KIND_ANTIFIELD, KIND_GHOST, ODD,
-                      FieldSymbol, GradedPoly, jet, mi_binomial,
-                      mi_subtract)
+from .algebra import (DEFAULT_JET_CAP, EVEN, KIND_ANTIFIELD, KIND_GHOST, ODD,
+                      FieldSymbol, GradedPoly, accumulate, jet, mi_binomial,
+                      mi_subtract, var_key)
 from .forms import (GeneralizedVectorField, MixedForm, contract,
                     lie_derivative, prolong)
 from .variational import (Current, EulerLagrange, Lagrangian, euler_lagrange,
@@ -40,14 +41,13 @@ def antifield(sym: FieldSymbol) -> FieldSymbol:
                        base=sym)
 
 
+def _is_antifield(v) -> bool:
+    return v.symbol.kind == KIND_ANTIFIELD
+
+
 def antifield_number(p: GradedPoly) -> int:
     """Largest per-monomial count of antifield factors."""
-    best = 0
-    for even, odd in p.terms:
-        count = sum(e for v, e in even if v.symbol.kind == KIND_ANTIFIELD)
-        count += sum(1 for v in odd if v.symbol.kind == KIND_ANTIFIELD)
-        best = max(best, count)
-    return best
+    return p.degree_in(_is_antifield)
 
 
 def koszul_tate(p: GradedPoly, el: EulerLagrange,
@@ -55,34 +55,17 @@ def koszul_tate(p: GradedPoly, el: EulerLagrange,
     """Right derivation replacing each antifield jet by the prolonged
     Euler-Lagrange expression of its base field."""
     out = GradedPoly.zero()
-    for (even, odd), coeff in p.terms.items():
-        # even antifield occurrences sit left of the whole odd block: the
-        # derivation sign counts every odd factor, and the replacement is
-        # inserted in place (before the odd block)
-        odd_parity = len(odd) % 2
-        for i, (v, e) in enumerate(even):
-            if v.symbol.kind != KIND_ANTIFIELD:
-                continue
-            repl = el.component(v.symbol.base).total_derivative_multi(v.index, cap)
-            if repl.is_zero():
-                continue
-            rest = even[:i] + (((v, e - 1),) if e > 1 else ()) + even[i + 1:]
-            sign = -1 if odd_parity else 1
-            left = GradedPoly({(rest, ()): coeff * e * sign})
-            right = GradedPoly({((), odd): Fraction(1)})
-            out = out + left * repl * right
-        # odd antifield occurrences at position i: the derivation sign counts
-        # the factors strictly to the right, the replacement stays in place
-        for i, v in enumerate(odd):
-            if v.symbol.kind != KIND_ANTIFIELD:
-                continue
-            repl = el.component(v.symbol.base).total_derivative_multi(v.index, cap)
-            if repl.is_zero():
-                continue
-            sign = -1 if (len(odd) - 1 - i) % 2 else 1
-            left = GradedPoly({(even, odd[:i]): coeff * sign})
-            right = GradedPoly({((), odd[i + 1:]): Fraction(1)})
-            out = out + left * repl * right
+    parts = [(par, p.parity_part(par)) for par in (EVEN, ODD)]
+    for a in sorted(filter(_is_antifield, p.variables()), key=var_key):
+        repl = el.component(a.symbol.base).total_derivative_multi(a.index, cap)
+        if repl.is_zero():
+            continue
+        for par, part in parts:
+            # right partial = left partial * (-1)^([a]([p]+1))
+            right_partial = part.partial(a)
+            if a.parity == ODD and par == EVEN:
+                right_partial = -right_partial
+            out = out + right_partial * repl
     return out
 
 
@@ -141,29 +124,14 @@ class NoetherOperator:
 
 def noether_operator_from_density(p: GradedPoly, name: str = "") -> NoetherOperator:
     """Read the coefficient family off an antifield-linear density."""
-    coeffs: Dict[tuple, GradedPoly] = {}
-    for (even, odd), c in p.terms.items():
-        anti_even = [(i, v, e) for i, (v, e) in enumerate(even)
-                     if v.symbol.kind == KIND_ANTIFIELD]
-        anti_odd = [(i, v) for i, v in enumerate(odd)
-                    if v.symbol.kind == KIND_ANTIFIELD]
-        count = sum(e for _, _, e in anti_even) + len(anti_odd)
-        if count != 1:
-            raise GaugeError("density is not antifield-linear")
-        # factor the monomial as coefficient * antifield with the antifield
-        # moved to the right end; an even antifield moves freely
-        if anti_even:
-            i, v, _ = anti_even[0]
-            rest = (even[:i] + even[i + 1:], odd)
-            sign = 1
-        else:
-            i, v = anti_odd[0]
-            rest = (even, odd[:i] + odd[i + 1:])
-            sign = -1 if (len(odd) - 1 - i) % 2 else 1
-        key = (v.symbol.base, v.index)
-        cur = coeffs.get(key, GradedPoly.zero())
-        coeffs[key] = cur + GradedPoly({rest: c * sign})
-    return NoetherOperator(name, coeffs)
+    try:
+        table, free = p.split_linear(_is_antifield, side="right")
+    except ValueError:  # a monomial with two antifield factors
+        free = p
+    if not free.is_zero():
+        raise GaugeError("density is not antifield-linear")
+    return NoetherOperator(name, {(v.symbol.base, v.index): coeff
+                                  for v, coeff in table.items()})
 
 
 def check_noether_identity(op: NoetherOperator, el: EulerLagrange,
@@ -187,28 +155,22 @@ def adjoint_table(op: NoetherOperator, dim: int,
         eta^{A,S} = sum over I containing S of
                     (-1)^|I| binom(I,S) d_{I-S} Delta^{A,I}.
     """
+    return _transfer(op.coefficients.items(), cap)
+
+
+def _transfer(items: Iterable, cap: int) -> dict:
+    """Move every total derivative off the slot of each ((A, I), c):
+    ((A, S), (-1)^|I| binom(I,S) d_{I-S} c) for each sub-multi-index S of
+    I, accumulated over all items."""
     out: Dict[tuple, GradedPoly] = {}
-    for (sym, index), poly in op.coefficients.items():
+    for (sym, index), poly in items:
         sign = -1 if len(index) % 2 else 1
         for k in range(len(index) + 1):
-            for sub in {tuple(sorted(s)) for s in _subindices(index, k)}:
-                coeff = (poly.total_derivative_multi(mi_subtract(index, sub), cap)
-                         * Fraction(sign * mi_binomial(index, sub)))
-                if coeff.is_zero():
-                    continue
-                key = (sym, sub)
-                cur = out.get(key, GradedPoly.zero())
-                s = cur + coeff
-                if s.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = s
+            for sub in {tuple(sorted(s)) for s in combinations(index, k)}:
+                accumulate(out, (sym, sub),
+                           poly.total_derivative_multi(mi_subtract(index, sub), cap)
+                           * Fraction(sign * mi_binomial(index, sub)))
     return out
-
-
-def _subindices(index, k):
-    from itertools import combinations
-    return combinations(index, k)
 
 
 def adjoint(op: NoetherOperator, ghost: FieldSymbol, dim: int,
@@ -221,20 +183,13 @@ def adjoint(op: NoetherOperator, ghost: FieldSymbol, dim: int,
     gvar = GradedPoly.variable(jet(ghost))
     for (sym, index), poly in op.coefficients.items():
         term = (gvar * poly).total_derivative_multi(index, cap)
-        if len(index) % 2:
-            term = -term
-        cur = comps.get(sym, GradedPoly.zero())
-        comps[sym] = cur + term
+        accumulate(comps, sym, -term if len(index) % 2 else term)
     eta = adjoint_table(op, dim, cap)
     recomposed: Dict[FieldSymbol, GradedPoly] = {}
     for (sym, sub), coeff in eta.items():
-        cur = recomposed.get(sym, GradedPoly.zero())
-        recomposed[sym] = cur + GradedPoly.variable(jet(ghost, sub)) * coeff
-    for sym in set(comps) | set(recomposed):
-        a = comps.get(sym, GradedPoly.zero())
-        b = recomposed.get(sym, GradedPoly.zero())
-        if a != b:
-            raise AssertionError("adjoint expansions disagree")
+        accumulate(recomposed, sym, GradedPoly.variable(jet(ghost, sub)) * coeff)
+    if comps != recomposed:
+        raise AssertionError("adjoint expansions disagree")
     return GeneralizedVectorField.make(comps)
 
 
@@ -244,33 +199,11 @@ def collect_ghost_linear(p: GradedPoly, ghost: FieldSymbol,
     ghost is moved to the right end; side='left': to the front).  Returns
     ({multi-index: coefficient}, ghost-free remainder); monomials of ghost
     degree above one are rejected."""
-    table: Dict[tuple, GradedPoly] = {}
-    remainder = GradedPoly.zero()
-    for (even, odd), c in p.terms.items():
-        hits_even = [(i, v, e) for i, (v, e) in enumerate(even) if v.symbol == ghost]
-        hits_odd = [(i, v) for i, v in enumerate(odd) if v.symbol == ghost]
-        degree = sum(e for _, _, e in hits_even) + len(hits_odd)
-        if degree == 0:
-            remainder = remainder + GradedPoly({(even, odd): c})
-            continue
-        if degree != 1:
-            raise GaugeError("expression is not ghost-linear")
-        if hits_even:
-            i, v, _ = hits_even[0]
-            rest = (even[:i] + even[i + 1:], odd)
-            sign = 1
-        else:
-            i, v = hits_odd[0]
-            rest = (even, odd[:i] + odd[i + 1:])
-            moved = i if side == "left" else (len(odd) - 1 - i)
-            sign = -1 if moved % 2 else 1
-        cur = table.get(v.index, GradedPoly.zero())
-        s = cur + GradedPoly({rest: c * sign})
-        if s.is_zero():
-            table.pop(v.index, None)
-        else:
-            table[v.index] = s
-    return table, remainder
+    try:
+        table, remainder = p.split_linear(lambda v: v.symbol == ghost, side)
+    except ValueError:
+        raise GaugeError("expression is not ghost-linear") from None
+    return {v.index: coeff for v, coeff in table.items()}, remainder
 
 
 def recover_identity(u: GeneralizedVectorField, ghost: FieldSymbol,
@@ -278,28 +211,15 @@ def recover_identity(u: GeneralizedVectorField, ghost: FieldSymbol,
     """Invert the adjoint: collect the ghost-jet coefficients of u and move
     the total derivatives back; the involution returns the original
     operator coefficients."""
-    coeffs: Dict[tuple, GradedPoly] = {}
-    for sym, poly in u.vertical:
-        table, remainder = collect_ghost_linear(poly, ghost, side="left")
-        if not remainder.is_zero():
-            raise GaugeError("symmetry components must be ghost-linear")
-        for index, eta in table.items():
-            sign = -1 if len(index) % 2 else 1
-            for k in range(len(index) + 1):
-                for sub in {tuple(sorted(s)) for s in _subindices(index, k)}:
-                    coeff = (eta.total_derivative_multi(
-                        mi_subtract(index, sub), L.jet_cap)
-                        * Fraction(sign * mi_binomial(index, sub)))
-                    if coeff.is_zero():
-                        continue
-                    key = (sym, sub)
-                    cur = coeffs.get(key, GradedPoly.zero())
-                    s = cur + coeff
-                    if s.is_zero():
-                        coeffs.pop(key, None)
-                    else:
-                        coeffs[key] = s
-    return NoetherOperator(name, coeffs)
+    def ghost_coefficients():
+        for sym, poly in u.vertical:
+            table, remainder = collect_ghost_linear(poly, ghost, side="left")
+            if not remainder.is_zero():
+                raise GaugeError("symmetry components must be ghost-linear")
+            for index, eta in table.items():
+                yield (sym, index), eta
+
+    return NoetherOperator(name, _transfer(ghost_coefficients(), L.jet_cap))
 
 
 @dataclass

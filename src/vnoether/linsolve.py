@@ -1,9 +1,12 @@
 """Sparse Gaussian elimination over the rationals.
 
-Used by the witness searches: unknowns are ansatz coefficients, equations
+Its one caller is ``variational._solve_columns``, the row builder of the
+ansatz searches (``horizontal_antiderivative`` and
+``weak_conservation_witness``): unknowns are ansatz coefficients, equations
 match monomial coefficients.  Elimination is deterministic: columns are
-processed in increasing index order and free variables are set to zero, so
-the particular solution depends only on the column ordering.
+processed in increasing index order, pivot ties go to the lowest row index
+and free variables are set to zero, so the particular solution depends on
+the row and column order the caller hands in.
 """
 
 from __future__ import annotations

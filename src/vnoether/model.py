@@ -36,7 +36,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import (DEFAULT_JET_CAP, EVEN, KIND_GHOST, ODD, FieldSymbol,
-                      GradedPoly, jet, multi_index)
+                      GradedPoly, accumulate, jet, multi_index)
 from .forms import GeneralizedVectorField
 from .gauge import NoetherOperator
 from .variational import Lagrangian
@@ -774,16 +774,6 @@ class _Elaborator:
 
     def _eval_identity(self, name: str, terms) -> NoetherOperator:
         coeffs: Dict[tuple, GradedPoly] = {}
-
-        def bump(sym, index, poly):
-            key = (sym, index)
-            cur = coeffs.get(key, GradedPoly.zero())
-            s = cur + poly
-            if s.is_zero():
-                coeffs.pop(key, None)
-            else:
-                coeffs[key] = s
-
         for (coeff_expr, dlist, fname, slots) in terms:
             coeff_expr = _expand_lets(coeff_expr, self.lets, self.fresh)
             own = list(_free(coeff_expr))
@@ -817,7 +807,8 @@ class _Elaborator:
                     return
                 values = [self._idx_value(i, binding) for i in slots]
                 index = multi_index(self._idx_value(i, binding) for i in dlist)
-                bump(self._family_symbol(fname, values), index, poly)
+                accumulate(coeffs, (self._family_symbol(fname, values), index),
+                           poly)
 
             emit({}, 1, sorted(counts))
         return NoetherOperator(name, coeffs)
@@ -846,9 +837,7 @@ class _Elaborator:
                 if not ok:
                     continue
                 sym = self._family_symbol(target, concrete)
-                poly = self.eval_expr(expr, binding)
-                cur = comps.get(sym, GradedPoly.zero())
-                comps[sym] = cur + poly
+                accumulate(comps, sym, self.eval_expr(expr, binding))
         return GeneralizedVectorField.make(comps)
 
 
@@ -868,13 +857,10 @@ def _poly_to_dsl(p: GradedPoly) -> str:
     if p.is_zero():
         return "0"
     parts = []
-    for (even, odd), c in p.sorted_terms():
-        factors = []
-        for v, e in even:
-            factors.append(_var_to_dsl(v) + (f"^{e}" if e > 1 else ""))
-        factors.extend(_var_to_dsl(v) for v in odd)
-        coeff = f"({coeff_text(c)})"
-        parts.append("*".join([coeff] + factors) if factors else coeff)
+    for c, factors in p.monomials(ordered=True):
+        parts.append("*".join([f"({coeff_text(c)})"]
+                              + [_var_to_dsl(v) + (f"^{e}" if e > 1 else "")
+                                 for v, e in factors]))
     return " + ".join(parts)
 
 

@@ -30,12 +30,9 @@ def poly_text(p: GradedPoly) -> str:
     if p.is_zero():
         return "0"
     parts = []
-    for (even, odd), c in p.sorted_terms():
-        factors = []
-        for v, e in even:
-            factors.append(var_text(v) + (f"^{e}" if e > 1 else ""))
-        factors.extend(var_text(v) for v in odd)
-        mono = "*".join(factors)
+    for c, factors in p.monomials(ordered=True):
+        mono = "*".join(var_text(v) + (f"^{e}" if e > 1 else "")
+                        for v, e in factors)
         if not mono:
             text = coeff_text(c)
         elif c == 1:

@@ -23,13 +23,13 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import (DEFAULT_JET_CAP, KIND_GHOST, FieldSymbol, GradedPoly,
-                      jet, mi_add, mi_permutations, mi_remove, multi_indices)
-from .forms import GeneralizedVectorField, MixedForm
+                      accumulate, jet, mi_add, mi_permutations, mi_remove,
+                      multi_indices)
+from .forms import GeneralizedVectorField, MixedForm, omega_pair_contracted
 from .gauge import GaugeError, collect_ghost_linear
 from .variational import (BOUND_EXHAUSTED, NOT_EXACT, Current,
                           EulerLagrange, Lagrangian, Superpotential,
                           euler_lagrange, horizontal_antiderivative)
-from .forms import omega_pair_contracted
 
 # structural equation labels, ordered from the top ghost-jet level down
 TAG_TOP = "top-symmetric"             # top level: symmetrized part vanishes
@@ -44,19 +44,15 @@ STRUCTURAL_TAGS = (TAG_TOP, TAG_DESCENT, TAG_SYM_SOURCE, TAG_LEAD_SOURCE,
 
 
 class SuperpotentialError(ValueError):
-    """The input current fails a structural requirement."""
+    """The input current fails a structural requirement, or (with
+    ``bound_exhausted`` set) its ghost-free remainder is out of reach of
+    the ansatz bound."""
+
+    bound_exhausted = False
 
     def __init__(self, message: str, tag: Optional[str] = None):
         super().__init__(message)
         self.tag = tag
-
-
-def ghost_degree(key, ghosts) -> int:
-    even, odd = key
-    ghosts = set(ghosts)
-    deg = sum(e for v, e in even if v.symbol in ghosts)
-    deg += sum(1 for v in odd if v.symbol in ghosts)
-    return deg
 
 
 def ghosts_of(u: GeneralizedVectorField) -> list:
@@ -90,20 +86,17 @@ class GhostExpansion:
     def reconstruct(self) -> Current:
         comps: Dict[int, GradedPoly] = {}
         for (ghost, mu, tail), coeff in self.entries.items():
-            term = coeff * GradedPoly.variable(jet(ghost, tail))
-            comps[mu] = comps.get(mu, GradedPoly.zero()) + term
+            accumulate(comps, mu, coeff * GradedPoly.variable(jet(ghost, tail)))
         for mu, poly in self.remainder.items():
-            comps[mu] = comps.get(mu, GradedPoly.zero()) + poly
-        return Current({m: p for m, p in comps.items() if not p.is_zero()},
-                       self.dim)
+            accumulate(comps, mu, poly)
+        return Current(comps, self.dim)
 
 
 def expand_current(J: Current, ghosts: Sequence[FieldSymbol]) -> GhostExpansion:
     """Collect a ghost-linear current on independent ghost jets."""
-    for mu, poly in J.components.items():
-        for key in poly.terms:
-            if ghost_degree(key, ghosts) > 1:
-                raise GaugeError("current is not ghost-linear")
+    for poly in J.components.values():
+        if poly.degree_in(lambda v: v.symbol in ghosts) > 1:
+            raise GaugeError("current is not ghost-linear")
     entries: Dict[tuple, GradedPoly] = {}
     remainder: Dict[int, GradedPoly] = {}
     for mu in range(J.dim):
@@ -289,35 +282,19 @@ def extract(J: Current, u: GeneralizedVectorField, L: Lagrangian,
             return
         if nu > mu:
             nu, mu, poly = mu, nu, -poly
-        cur = pair_table.get((nu, mu), GradedPoly.zero())
-        s = cur + poly
-        if s.is_zero():
-            pair_table.pop((nu, mu), None)
-        else:
-            pair_table[(nu, mu)] = s
+        accumulate(pair_table, (nu, mu), poly)
 
     def apply_w_increment(increments, subtract_from_working):
         """Record increments in the W table/polys and keep the source
         representation synchronized (the source loses their divergence)."""
         for (sym, index, mu), w in increments.items():
-            if w.is_zero():
-                continue
-            cur = w_table.get((sym, index, mu), GradedPoly.zero())
-            s = cur + w
-            if s.is_zero():
-                w_table.pop((sym, index, mu), None)
-            else:
-                w_table[(sym, index, mu)] = s
+            accumulate(w_table, (sym, index, mu), w)
             expanded = w * el.component(sym).total_derivative_multi(index, cap)
             w_polys[mu] = w_polys[mu] + expanded
             if subtract_from_working:
                 working[mu] = working[mu] - expanded
-            dw = w.total_derivative(mu, cap)
-            cur = s_table.get((sym, index), GradedPoly.zero())
-            s_table[(sym, index)] = cur - dw
-            key2 = (sym, mi_add(index, mu))
-            cur2 = s_table.get(key2, GradedPoly.zero())
-            s_table[key2] = cur2 - w
+            accumulate(s_table, (sym, index), -w.total_derivative(mu, cap))
+            accumulate(s_table, (sym, mi_add(index, mu)), -w)
 
     def collect_source(ghost, sigma) -> Dict[tuple, GradedPoly]:
         """Right-collected coefficient of one ghost jet in every entry of
@@ -387,11 +364,9 @@ def extract(J: Current, u: GeneralizedVectorField, L: Lagrangian,
                 for mu in range(n):
                     sigma = mi_add(lam_tail, mu)
                     factor = Fraction(perm_tail, mi_permutations(sigma))
-                    for key, a in collect_source(ghost, sigma).items():
-                        inc = factor * (a * ghost_tail)
-                        wkey = (key[0], key[1], mu)
-                        cur = w_increments.get(wkey, GradedPoly.zero())
-                        w_increments[wkey] = cur + inc
+                    for (sym, index), a in collect_source(ghost, sigma).items():
+                        accumulate(w_increments, (sym, index, mu),
+                                   factor * (a * ghost_tail))
             # remove the whole level-s block of this ghost
             for mu in range(n):
                 for tail, coeff in per_ghost[mu].items():
@@ -411,10 +386,8 @@ def extract(J: Current, u: GeneralizedVectorField, L: Lagrangian,
     for ghost in ghosts:
         ghost0 = GradedPoly.variable(jet(ghost))
         for mu in range(n):
-            for key, a in collect_source(ghost, (mu,)).items():
-                wkey = (key[0], key[1], mu)
-                cur = w_increments.get(wkey, GradedPoly.zero())
-                w_increments[wkey] = cur + a * ghost0
+            for (sym, index), a in collect_source(ghost, (mu,)).items():
+                accumulate(w_increments, (sym, index, mu), a * ghost0)
     apply_w_increment(w_increments, subtract_from_working=True)
 
     for ghost in ghosts:
@@ -432,9 +405,11 @@ def extract(J: Current, u: GeneralizedVectorField, L: Lagrangian,
         res = horizontal_antiderivative(remainder.form(), coords, cap,
                                         max_degree)
         if res.status == BOUND_EXHAUSTED:
-            raise SuperpotentialError(
+            exc = SuperpotentialError(
                 "ghost-free remainder not resolvable at the ansatz bound",
                 TAG_GHOST_FREE)
+            exc.bound_exhausted = True
+            raise exc
         if res.status == NOT_EXACT:
             raise SuperpotentialError(
                 "ghost-free remainder is closed but not exact", TAG_GHOST_FREE)

@@ -18,7 +18,7 @@ from itertools import combinations, combinations_with_replacement
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .algebra import (DEFAULT_JET_CAP, EVEN, ODD, FieldSymbol, GradedPoly,
-                      jet, mi_add, mi_permutations, mi_remove,
+                      accumulate, jet, mi_add, mi_permutations, mi_remove,
                       multi_indices, multi_indices_up_to, var_key)
 from .forms import (GeneralizedVectorField, MixedForm,
                     UnsupportedDerivation, contract, lie_derivative,
@@ -81,15 +81,8 @@ class Current:
     def form(self) -> MixedForm:
         out = {}
         for mu, poly in self.components.items():
-            if poly.is_zero():
-                continue
             horiz, sign = omega_contracted(self.dim, mu)
-            cur = out.get(((), horiz), GradedPoly.zero())
-            s = cur + poly * Fraction(sign)
-            if s.is_zero():
-                out.pop(((), horiz), None)
-            else:
-                out[((), horiz)] = s
+            accumulate(out, ((), horiz), poly * Fraction(sign))
         return MixedForm(self.dim, out)
 
     def divergence(self, cap: int = DEFAULT_JET_CAP) -> GradedPoly:
@@ -142,16 +135,9 @@ class Superpotential:
         out = {}
         for nu in range(self.dim):
             for mu in range(nu + 1, self.dim):
-                poly = self.component(nu, mu)
-                if poly.is_zero():
-                    continue
                 horiz, sign = omega_pair_contracted(self.dim, nu, mu)
-                cur = out.get(((), horiz), GradedPoly.zero())
-                s = cur + poly * Fraction(sign)
-                if not s.is_zero():
-                    out[((), horiz)] = s
-                elif ((), horiz) in out:
-                    del out[((), horiz)]
+                accumulate(out, ((), horiz),
+                           self.component(nu, mu) * Fraction(sign))
         return MixedForm(self.dim, out)
 
     def divergence(self, mu: int, cap: int = DEFAULT_JET_CAP) -> GradedPoly:
@@ -272,29 +258,29 @@ def first_variational_residual(ups: GeneralizedVectorField,
 # ---------------------------------------------------------------------------
 # monomial ansatz machinery
 
-def _class_vector(key, include_coords: bool):
-    even, odd = key
+def _is_coord(v) -> bool:
+    return v.symbol.coord is not None
+
+
+def _class_vector(factors, include_coords: bool):
+    """Per-symbol degree vector of a monomial, sorted by symbol."""
     counts: Dict[FieldSymbol, int] = {}
-    for v, e in even:
-        if v.symbol.coord is None or include_coords:
+    for v, e in factors:
+        if include_coords or v.symbol.coord is None:
             counts[v.symbol] = counts.get(v.symbol, 0) + e
-    for v in odd:
-        counts[v.symbol] = counts.get(v.symbol, 0) + 1
     return tuple(sorted(counts.items(), key=lambda it: it[0].sort_key))
 
 
-def _split_by_class(poly: GradedPoly, include_coords: bool) -> dict:
+def _split_by_class(poly: GradedPoly) -> dict:
+    """Partition a polynomial by the degree vector of its field symbols."""
     out: Dict[tuple, GradedPoly] = {}
-    for key, c in poly.terms.items():
-        cls = _class_vector(key, include_coords)
-        cur = out.get(cls, GradedPoly.zero())
-        out[cls] = cur + GradedPoly({key: c})
+    for c, factors in poly.monomials():
+        term = GradedPoly.constant(c)
+        for v, e in factors:
+            term = term * GradedPoly.variable(v) ** e
+        cls = _class_vector(factors, include_coords=False)
+        out[cls] = out.get(cls, GradedPoly.zero()) + term
     return out
-
-
-def _x_degree(key) -> int:
-    even, _ = key
-    return sum(e for v, e in even if v.symbol.coord is not None)
 
 
 def _symbol_monomials(sym: FieldSymbol, degree: int, dim: int, max_order: int):
@@ -338,27 +324,19 @@ def _class_monomials(cls, dim: int, order_caps: Mapping[FieldSymbol, int],
         sym_monos = _symbol_monomials(sym, degree, dim, cap)
         parts = [p * m for p in parts for m in sym_monos]
     xparts = _coordinate_monomials(coords, x_degree)
-    out = [p * x for p in parts for x in xparts]
-    # dedupe while keeping deterministic order
-    seen = set()
-    uniq = []
-    for p in out:
-        if p.is_zero():
-            continue
-        key = next(iter(p.terms))
-        if key in seen:
-            continue
-        seen.add(key)
-        uniq.append(p)
-    uniq.sort(key=lambda p: _mono_sort(p))
-    return uniq
+    # dedupe by monomial, keeping the first occurrence
+    uniq = {}
+    for p in parts:
+        for x in xparts:
+            m = p * x
+            for _, factors in m.monomials():
+                uniq.setdefault(factors, m)
+    return [uniq[f] for f in sorted(uniq, key=_mono_sort)]
 
 
-def _mono_sort(p: GradedPoly):
-    key = next(iter(p.terms))
-    even, odd = key
-    seq = [(var_key(v), e) for v, e in even] + [(var_key(v), 1) for v in odd]
-    seq.sort()
+def _mono_sort(factors):
+    """Graded-lex order of a monomial: degree, then its sorted factors."""
+    seq = sorted((var_key(v), e) for v, e in factors)
     return (sum(e for _, e in seq), tuple(seq))
 
 
@@ -371,11 +349,13 @@ class ExactnessResult:
         return self.status == EXACT
 
 
-def _linear_witness(unknown_exprs: List[Tuple[object, GradedPoly]],
-                    target: GradedPoly):
-    """Solve sum(c_i * expr_i) = target; returns {slot: poly} built from the
-    slot labels of the unknowns, or None."""
-    cols = len(unknown_exprs)
+def _solve_columns(columns: List[Mapping], targets: Mapping):
+    """Exact solve of  sum_i c_i * columns[i][label] = targets[label]  for
+    every component label; returns the c_i or None.
+
+    Rows are keyed by (label, monomial) in first-seen order, columns before
+    targets.  ``solve_sparse`` breaks pivot ties by row index, so this order
+    (and the column order) fixes the particular solution."""
     row_index: Dict[tuple, int] = {}
     rows: List[Dict[int, Fraction]] = []
     rhs: List[Fraction] = []
@@ -383,21 +363,20 @@ def _linear_witness(unknown_exprs: List[Tuple[object, GradedPoly]],
     def row_for(key):
         ri = row_index.get(key)
         if ri is None:
-            ri = len(rows)
-            row_index[key] = ri
+            ri = row_index[key] = len(rows)
             rows.append({})
             rhs.append(Fraction(0))
         return ri
 
-    for ci, (_, expr) in enumerate(unknown_exprs):
-        for key, c in expr.terms.items():
-            rows[row_for(key)][ci] = rows[row_for(key)].get(ci, Fraction(0)) + c
-    for key, c in target.terms.items():
-        rhs[row_for(key)] = c
-    sol = solve_sparse(rows, rhs, cols)
-    if sol is None:
-        return None
-    return sol
+    for ci, column in enumerate(columns):
+        for label, poly in column.items():
+            for c, mono in poly.monomials():
+                row = rows[row_for((label, mono))]
+                row[ci] = row.get(ci, 0) + c
+    for label, poly in targets.items():
+        for c, mono in poly.monomials():
+            rhs[row_for((label, mono))] = c
+    return solve_sparse(rows, rhs, len(columns))
 
 
 def _order_caps_for(poly: GradedPoly, shift: int, floor: int = 0) -> dict:
@@ -432,20 +411,82 @@ def horizontal_antiderivative(rho: MixedForm,
         raise ValueError("input must have homogeneous horizontal degree")
     degree = degrees.pop()
     if degree == n:
-        return _antiderivative_density(rho, coords, cap, max_degree)
-    if degree == n - 1:
-        return _antiderivative_boundary(rho, coords, cap, max_degree)
-    raise ValueError("only degrees n and n-1 are supported")
+        # a density d_mu sigma^mu: its Euler-Lagrange expressions vanish
+        density = rho.coefficient(horiz=tuple(range(n)))
+        symbols = sorted({v.symbol for v in density.variables()
+                          if v.symbol.coord is None}, key=lambda s: s.sort_key)
+        parity = density.parity if density.parity is not None else EVEN
+        if not euler_lagrange(Lagrangian(density, n, parity=parity, jet_cap=cap),
+                              symbols).is_zero():
+            return ExactnessResult(NOT_EXACT)
+        classes = {cls: {None: part}
+                   for cls, part in _split_by_class(density).items()}
+        slots = list(range(n))
+
+        def column(mu, m):
+            return {None: m.total_derivative(mu, cap)}
+
+        def build(table):
+            return Current(table, n).form()
+    elif degree == n - 1:
+        # a current d_nu U^{nu mu}: closed, and a 0-form has no antiderivative
+        if n == 1 or not rho.horizontal_differential(cap).is_zero():
+            return ExactnessResult(NOT_EXACT)
+        current = Current.from_form(rho)
+        classes = {}
+        for mu in range(n):
+            for cls, part in _split_by_class(current.component(mu)).items():
+                classes.setdefault(cls, {})[mu] = part
+        slots = [(nu, mu) for nu in range(n) for mu in range(nu + 1, n)]
+
+        def column(slot, m):
+            # the slot value enters component mu with +d_nu and component nu
+            # with -d_mu (antisymmetry folded in)
+            nu, mu = slot
+            return {mu: m.total_derivative(nu, cap),
+                    nu: -m.total_derivative(mu, cap)}
+
+        def build(table):
+            return Superpotential(table, n).form()
+    else:
+        raise ValueError("only degrees n and n-1 are supported")
+    table = {slot: GradedPoly.zero() for slot in slots}
+    for cls in sorted(classes, key=str):
+        targets = classes[cls]
+        if not cls and not coords:
+            # constant coefficients with no base coordinates in the ring:
+            # total derivatives never produce constants
+            return ExactnessResult(NOT_EXACT)
+        if max_degree is not None and sum(d for _, d in cls) > max_degree:
+            return ExactnessResult(BOUND_EXHAUSTED)
+        union = GradedPoly.zero()
+        for part in targets.values():
+            union = union + part
+        for caps_map, xdeg in _ansatz_rungs(union, coords):
+            monos = _class_monomials(cls, n, caps_map, coords, xdeg)
+            if max_degree is not None:
+                monos = [m for m in monos if m.degree() <= max_degree]
+            unknowns = [(slot, m) for slot in slots for m in monos]
+            sol = _solve_columns([column(slot, m) for slot, m in unknowns],
+                                 targets)
+            if sol is not None:
+                for (slot, m), c in zip(unknowns, sol):
+                    if c:
+                        table[slot] = table[slot] + m * c
+                break
+        else:
+            return ExactnessResult(BOUND_EXHAUSTED)
+    witness = build(table)
+    if not (witness.horizontal_differential(cap) - rho).is_zero():
+        raise AssertionError("antiderivative failed its own re-check")
+    return ExactnessResult(EXACT, witness)
 
 
-def _ansatz_rungs(target_polys: List[GradedPoly], coords, max_degree):
+def _ansatz_rungs(union: GradedPoly, coords):
     """Escalating (order caps, x degree) configurations up to the documented
     bound: jet order of the target, polynomial degree of the target."""
-    union = GradedPoly.zero()
-    for p in target_polys:
-        union = union + p
     global_order = union.jet_order()
-    xdeg = max((_x_degree(k) for k in union.terms), default=0)
+    xdeg = union.degree_in(_is_coord)
     if coords:
         xdeg += 1
     rungs = []
@@ -462,148 +503,6 @@ def _ansatz_rungs(target_polys: List[GradedPoly], coords, max_degree):
             seen.add(key)
             out.append((caps, x))
     return out
-
-
-def _antiderivative_density(rho: MixedForm, coords, cap, max_degree):
-    n = rho.dim
-    density = rho.coefficient(horiz=tuple(range(n)))
-    if density.is_zero():
-        return ExactnessResult(EXACT, MixedForm.zero(n))
-    symbols = sorted({v.symbol for v in density.variables() if v.symbol.coord is None},
-                     key=lambda s: s.sort_key)
-    obstruction = euler_lagrange(Lagrangian(density, n, parity=density.parity
-                                            if density.parity is not None else EVEN,
-                                            jet_cap=cap), symbols)
-    if not obstruction.is_zero():
-        return ExactnessResult(NOT_EXACT)
-    classes = _split_by_class(density, include_coords=False)
-    sigma: Dict[int, GradedPoly] = {mu: GradedPoly.zero() for mu in range(n)}
-    for cls in sorted(classes, key=str):
-        target = classes[cls]
-        if not cls and not coords:
-            # constant-coefficient density with no base coordinates in the
-            # ring: total derivatives never produce constants
-            return ExactnessResult(NOT_EXACT)
-        if max_degree is not None and _max_class_degree(cls) > max_degree:
-            return ExactnessResult(BOUND_EXHAUSTED)
-        solved = False
-        for caps_map, xdeg in _ansatz_rungs([target], coords, max_degree):
-            monos = _class_monomials(cls, n, caps_map, coords, xdeg)
-            if max_degree is not None:
-                monos = [m for m in monos if m.degree() <= max_degree]
-            unknowns = []
-            for mu in range(n):
-                for m in monos:
-                    unknowns.append(((mu, m), m.total_derivative(mu, cap)))
-            sol = _linear_witness(unknowns, target)
-            if sol is not None:
-                for ((mu, m), _), c in zip(unknowns, sol):
-                    if c:
-                        sigma[mu] = sigma[mu] + m * c
-                solved = True
-                break
-        if not solved:
-            return ExactnessResult(BOUND_EXHAUSTED)
-    witness = Current(sigma, n).form()
-    check = witness.horizontal_differential(cap) - rho
-    if not check.is_zero():
-        raise AssertionError("antiderivative failed its own re-check")
-    return ExactnessResult(EXACT, witness)
-
-
-def _max_class_degree(cls) -> int:
-    return sum(d for _, d in cls)
-
-
-def _antiderivative_boundary(rho: MixedForm, coords, cap, max_degree):
-    n = rho.dim
-    if n == 1:
-        # a 0-form has no horizontal antiderivative; only zero is exact
-        if rho.is_zero():
-            return ExactnessResult(EXACT, MixedForm.zero(n))
-        return ExactnessResult(NOT_EXACT)
-    closed = rho.horizontal_differential(cap)
-    if not closed.is_zero():
-        return ExactnessResult(NOT_EXACT)
-    current = Current.from_form(rho)
-    combined = GradedPoly.zero()
-    for mu in range(n):
-        combined = combined + current.component(mu)
-    classes: Dict[tuple, Dict[int, GradedPoly]] = {}
-    for mu in range(n):
-        for cls, part in _split_by_class(current.component(mu),
-                                         include_coords=False).items():
-            classes.setdefault(cls, {})[mu] = part
-    pairs = [(nu, mu) for nu in range(n) for mu in range(nu + 1, n)]
-    table: Dict[Tuple[int, int], GradedPoly] = {p: GradedPoly.zero() for p in pairs}
-    for cls in sorted(classes, key=str):
-        targets = classes[cls]
-        if not cls and not coords:
-            return ExactnessResult(NOT_EXACT)
-        union = GradedPoly.zero()
-        for part in targets.values():
-            union = union + part
-        solved = False
-        for caps_map, xdeg in _ansatz_rungs([union], coords, max_degree):
-            monos = _class_monomials(cls, n, caps_map, coords, xdeg)
-            if max_degree is not None:
-                monos = [m for m in monos if m.degree() <= max_degree]
-            unknowns = []
-            for (nu, mu) in pairs:
-                for m in monos:
-                    # slot value enters component mu with +d_nu and component
-                    # nu with -d_mu (antisymmetry folded in)
-                    unknowns.append((((nu, mu), m), None))
-            exprs = []
-            for ((nu, mu), m), _ in unknowns:
-                contrib = {}
-                contrib[mu] = m.total_derivative(nu, cap)
-                contrib[nu] = -m.total_derivative(mu, cap)
-                exprs.append(contrib)
-            sol = _solve_component_system(exprs, targets, n)
-            if sol is not None:
-                for (((nu, mu), m), _), c in zip(unknowns, sol):
-                    if c:
-                        table[(nu, mu)] = table[(nu, mu)] + m * c
-                solved = True
-                break
-        if not solved:
-            return ExactnessResult(BOUND_EXHAUSTED)
-    sup = Superpotential({p: v for p, v in table.items()}, n)
-    witness = sup.form()
-    check = witness.horizontal_differential(cap) - rho
-    if not check.is_zero():
-        raise AssertionError("antiderivative failed its own re-check")
-    return ExactnessResult(EXACT, witness)
-
-
-def _solve_component_system(exprs: List[Dict[int, GradedPoly]],
-                            targets: Dict[int, GradedPoly], n: int):
-    """Linear solve where each unknown contributes polynomials to several
-    labeled components."""
-    cols = len(exprs)
-    row_index: Dict[tuple, int] = {}
-    rows: List[Dict[int, Fraction]] = []
-    rhs: List[Fraction] = []
-
-    def row_for(comp, key):
-        ri = row_index.get((comp, key))
-        if ri is None:
-            ri = len(rows)
-            row_index[(comp, key)] = ri
-            rows.append({})
-            rhs.append(Fraction(0))
-        return ri
-
-    for ci, contrib in enumerate(exprs):
-        for comp, poly in contrib.items():
-            for key, c in poly.terms.items():
-                ri = row_for(comp, key)
-                rows[ri][ci] = rows[ri].get(ci, Fraction(0)) + c
-    for comp, poly in targets.items():
-        for key, c in poly.terms.items():
-            rhs[row_for(comp, key)] = c
-    return solve_sparse(rows, rhs, cols)
 
 
 # ---------------------------------------------------------------------------
@@ -687,24 +586,22 @@ def weak_conservation_witness(J: Current, el: EulerLagrange,
         base_order = comp.jet_order()
         for index in multi_indices_up_to(J.dim, max(0, order - base_order)):
             de = comp.total_derivative_multi(index, cap)
-            ecls = {_cls_key(dict(_class_vector(k, True)))
-                    for k in de.terms}
+            ecls = {_class_vector(f, True) for _, f in de.monomials()}
             basis.append((sym, tuple(index), de, ecls))
     # provable obstruction: a divergence monomial no product can equal
     all_ecls = set()
     for _, _, _, ecls in basis:
         all_ecls.update(ecls)
-    for tk in target.terms:
-        tcls = dict(_class_vector(tk, True))
-        if not any(all(tcls.get(s, 0) >= v for s, v in ec) for ec in all_ecls):
+    target_cls = [_class_vector(f, True) for _, f in target.monomials()]
+    for tcls in target_cls:
+        tdict = dict(tcls)
+        if not any(all(tdict.get(s, 0) >= v for s, v in ec) for ec in all_ecls):
             return WitnessResult(NOT_EXACT)
     # class closure for the candidate coefficients
     deg_cap = max_degree if max_degree is not None else target.degree()
-    frontier_cap = max((_cls_deg(_class_vector(k, True)) for k in target.terms),
-                       default=0) + max((_cls_deg(ec) for ec in all_ecls),
-                                        default=0)
-    frontier = {_cls_key(dict(_class_vector(k, True)))
-                for k in target.terms}
+    frontier_cap = max((_cls_deg(t) for t in target_cls), default=0) \
+        + max((_cls_deg(ec) for ec in all_ecls), default=0)
+    frontier = set(target_cls)
     chosen = set()  # (basis position, coefficient class)
     for _ in range(8):
         changed = False
@@ -746,20 +643,18 @@ def weak_conservation_witness(J: Current, el: EulerLagrange,
             jet_cls = tuple((s, v) for s, v in mcls if s.coord is None)
             xdeg = sum(v for s, v in mcls if s.coord is not None)
             for m in _class_monomials(jet_cls, J.dim, caps_map, coords, xdeg):
-                if _x_degree(next(iter(m.terms))) != xdeg:
-                    continue
-                unknowns.append(((sym, index, m), m * de))
+                if m.degree_in(_is_coord) == xdeg:
+                    unknowns.append((sym, index, m, de))
     if not unknowns:
         return WitnessResult(BOUND_EXHAUSTED)
-    sol = _linear_witness(unknowns, target)
+    sol = _solve_columns([{None: m * de} for _, _, m, de in unknowns],
+                         {None: target})
     if sol is None:
         return WitnessResult(BOUND_EXHAUSTED)
     table: Dict[tuple, GradedPoly] = {}
-    for ((sym, index, m), _), c in zip(unknowns, sol):
+    for (sym, index, m, _), c in zip(unknowns, sol):
         if c:
-            key = (sym, index)
-            table[key] = table.get(key, GradedPoly.zero()) + m * c
-    table = {k: v for k, v in table.items() if not v.is_zero()}
+            accumulate(table, (sym, index), m * c)
     return WitnessResult(EXACT, table)
 
 

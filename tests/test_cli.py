@@ -4,8 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-from vnoether import (KIND_GHOST, ODD, Current, FieldSymbol, GaugeError,
-                      GradedPoly, cli, jet)
+from vnoether import (KIND_GHOST, ODD, Current, FieldSymbol, GradedPoly,
+                      cli, jet)
 
 ROOT = Path(__file__).resolve().parent.parent
 MODELS = ROOT / "models"
@@ -230,8 +230,8 @@ identity gauge: 1*d[nu](EL(A[nu])) + phi*EL(chi) - chi*EL(phi)
     assert all(s["status"] == "pass" for s in steps)
 
 
-def _verify_in_process(capsys, model):
-    code = cli.main(["verify", str(model), "--format", "json"])
+def _verify_in_process(capsys, model, *options):
+    code = cli.main(["verify", str(model), "--format", "json", *options])
     return code, json.loads(capsys.readouterr().out)
 
 
@@ -254,32 +254,20 @@ def test_verify_weak_conservation_failure_reports_residual(monkeypatch,
     assert step["payload"]["residual"]["text"] == "-c_{,0}"
 
 
-def test_verify_keeps_bound_exhaustion_of_earlier_identity(tmp_path,
-                                                           monkeypatch,
-                                                           capsys):
-    # a later gauge failure must not clear the exhaustion an earlier
-    # identity recorded
+def test_verify_keeps_bound_exhaustion_of_earlier_symmetry(tmp_path, capsys):
+    # 'translate' exhausts the degree-1 ansatz; the later 'wrong' is no
+    # symmetry and fails, which must not clear the exhaustion flag
     model = tmp_path / "two.vln"
     model.write_text("""
 dim 1
 field phi even
-field psi even
-ghost b odd for first
-ghost c odd for second
-let p = d[0](phi) - psi
-lagrangian (1/2)*p^2
-identity first: 1*EL(phi) - 1*d[0](EL(psi))
-identity second: 2*EL(phi) - 2*d[0](EL(psi))
+lagrangian (1/2)*d[0](phi)^2
+symmetry translate: phi <- d[0](phi)
+symmetry wrong: phi <- phi
 """)
-    reasons = iter(["ansatz bound exhausted", "ghost parity mismatch"])
-
-    def failing(op, ghost, L):
-        raise GaugeError(next(reasons))
-
-    monkeypatch.setattr(cli, "gauge_symmetry", failing)
-    code, report = _verify_in_process(capsys, model)
+    code, report = _verify_in_process(capsys, model, "--ansatz-degree", "1")
     statuses = {s["name"]: s["status"] for s in report["steps"]}
-    assert statuses["gauge first"] == "error"
-    assert statuses["gauge second"] == "fail"
+    assert statuses["symmetry translate"] == "error"
+    assert statuses["symmetry wrong"] == "fail"
     assert report["bound_exhausted"] is True
     assert code == 1

@@ -1,0 +1,33 @@
+"""The monomial-key layout is private to ``algebra.py``.
+
+Every other module reads a polynomial through ``monomials``, ``degree_in``
+and ``split_linear``; none may reach into ``GradedPoly.terms`` or its
+canonical ``sorted_terms()``.  ``grassmann.py`` is exempt: its ``.terms``
+belong to its own ``GrassmannElement``.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "vnoether"
+EXEMPT = {"algebra.py", "grassmann.py"}
+PRIVATE = {"terms", "sorted_terms"}
+
+
+def _key_reads(path: Path) -> list:
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return [f"{path.name}:{node.lineno} .{node.attr}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr in PRIVATE]
+
+
+def test_only_algebra_reads_monomial_keys():
+    checked = sorted(p for p in SRC.glob("*.py") if p.name not in EXEMPT)
+    assert len(checked) >= 8
+    offenders = [hit for path in checked for hit in _key_reads(path)]
+    assert not offenders, offenders
+
+
+def test_the_check_sees_key_reads():
+    # the exempt ring module itself reads keys, so the scan is not vacuous
+    assert _key_reads(SRC / "algebra.py")
