@@ -1,0 +1,76 @@
+"""Golden digests of the CLI's ``--format json`` reports on the model corpus.
+
+For every command over ``models/*.vln`` -- ``el`` and ``verify`` per model,
+``check-identity``, ``gauge-symmetry`` and ``superpotential`` per identity,
+``superpotential`` per symmetry -- ``data/corpus_digests.json`` holds the
+SHA-256 of the stdout and the exit code.  The test re-runs each command
+in-process and compares, so a change that must not alter any output is
+checked byte for byte.  A change that alters a report on purpose re-records
+the file with ``python3 tests/test_corpus_digests.py`` (from the repository
+root, with ``src`` on ``PYTHONPATH``) and says so.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+from pathlib import Path
+
+from vnoether import cli
+from vnoether.model import parse
+
+ROOT = Path(__file__).resolve().parent.parent
+DIGESTS = Path(__file__).resolve().parent / "data" / "corpus_digests.json"
+
+
+def corpus_commands():
+    """Every command of the corpus sweep, as argv lists with paths
+    relative to the repository root (the report echoes the model path)."""
+    out = []
+    for path in sorted((ROOT / "models").glob("*.vln")):
+        model = f"models/{path.name}"
+        declared = parse(path.read_text())
+        out.append(["el", model])
+        out.append(["verify", model])
+        for name in sorted(declared.identities):
+            for command in ("check-identity", "gauge-symmetry",
+                            "superpotential"):
+                out.append([command, model, name])
+        for name in sorted(declared.symmetries):
+            out.append(["superpotential", model, name])
+    return out
+
+
+def run_command(argv):
+    """Run one command in-process from the repository root; returns the
+    SHA-256 of its JSON stdout and its exit code."""
+    stdout = io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(ROOT)
+    try:
+        with contextlib.redirect_stdout(stdout), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main([*argv, "--format", "json"])
+    finally:
+        os.chdir(cwd)
+    digest = hashlib.sha256(stdout.getvalue().encode()).hexdigest()
+    return {"sha256": digest, "exit": code}
+
+
+def test_corpus_reports_match_golden_digests():
+    golden = json.loads(DIGESTS.read_text())
+    commands = corpus_commands()
+    assert sorted(" ".join(argv) for argv in commands) == sorted(golden)
+    mismatched = [" ".join(argv) for argv in commands
+                  if run_command(argv) != golden[" ".join(argv)]]
+    assert not mismatched
+
+
+if __name__ == "__main__":
+    table = {" ".join(argv): run_command(argv) for argv in corpus_commands()}
+    DIGESTS.parent.mkdir(exist_ok=True)
+    DIGESTS.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
+    print(f"{len(table)} digests written to {DIGESTS.relative_to(ROOT)}",
+          file=sys.stderr)
