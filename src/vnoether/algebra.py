@@ -3,9 +3,9 @@
 The ring is generated by jet variables: formal partial derivatives of
 declared field symbols, indexed by symmetric multi-indices over the base
 coordinates ``0..n-1``.  Even variables commute; odd variables anticommute
-and square to zero.  Coefficients are arbitrary-precision rationals, so
-every identity check in the package reduces to "normalizes to the zero
-polynomial".
+and square to zero.  Coefficients are exact rationals, stored as ``int`` when
+integral, else ``Fraction``, so every identity check in the package reduces
+to "normalizes to the zero polynomial".
 
 Base coordinates themselves may enter coefficients: a symbol carrying a
 ``coord`` index is an even order-0 generator whose total derivative is the
@@ -22,6 +22,8 @@ an opaque dictionary key:
 * ``GradedPoly.split_linear`` -- the unique matching variable of each
   monomial factored out to the left or right end, with its graded sign.
 
+``GradedPoly.partial`` takes the left graded partial by one variable,
+``GradedPoly.gradient`` the partials by every variable in one pass.
 ``accumulate`` is the one "add into a dict of polynomials, drop zeros"
 helper.
 """
@@ -142,6 +144,9 @@ class FieldSymbol:
     coord: Optional[int] = None
 
     def __post_init__(self):
+        # the generated frozen-dataclass hash rebuilds a field tuple per call
+        object.__setattr__(self, "_hash", hash(
+            (self.name, self.kind, self.parity, self.base, self.coord)))
         if self.kind not in _KIND_RANK:
             raise DeclarationError(f"unknown symbol kind {self.kind!r}")
         if self.parity not in (EVEN, ODD):
@@ -156,6 +161,18 @@ class FieldSymbol:
             raise DeclarationError(f"{self.kind} {self.name!r} cannot carry a base link")
         if self.coord is not None and (self.kind != KIND_FIELD or self.parity != EVEN):
             raise DeclarationError("coordinate symbols are even and of kind 'field'")
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not FieldSymbol:
+            return NotImplemented
+        return (self._hash == other._hash and self.name == other.name
+                and self.kind == other.kind and self.parity == other.parity
+                and self.base == other.base and self.coord == other.coord)
 
     @property
     def sort_key(self):
@@ -289,6 +306,24 @@ def _key_sort(key):
 _EMPTY_KEY = ((), ())
 
 
+def _canon(c):
+    """The coefficient invariant: ``int`` when integral, else ``Fraction``."""
+    if c.__class__ is Fraction and c.denominator == 1:
+        return c.numerator
+    return c
+
+
+def _put(out: dict, key, c) -> None:
+    """out[key] += c for a nonzero c, keeping the invariant, dropping zeros."""
+    s = out.get(key, 0) + c
+    if not s:
+        del out[key]
+    elif s.__class__ is Fraction and s.denominator == 1:
+        out[key] = s.numerator
+    else:
+        out[key] = s
+
+
 class GradedPoly:
     """Canonical-form polynomial: mapping from monomial keys to rationals."""
 
@@ -296,7 +331,7 @@ class GradedPoly:
 
     def __init__(self, terms: Optional[Mapping] = None):
         if terms:
-            self.terms = {k: c for k, c in terms.items() if c != 0}
+            self.terms = {k: _canon(c) for k, c in terms.items() if c != 0}
         else:
             self.terms = {}
 
@@ -308,32 +343,33 @@ class GradedPoly:
 
     @staticmethod
     def constant(c) -> "GradedPoly":
-        c = Fraction(c)
-        return GradedPoly({_EMPTY_KEY: c}) if c else GradedPoly()
+        if c.__class__ is not int:
+            c = _canon(Fraction(c))
+        return _poly({_EMPTY_KEY: c}) if c else GradedPoly()
 
     @staticmethod
     def variable(v: JetVariable) -> "GradedPoly":
         if v.parity == ODD:
-            return GradedPoly({((), (v,)): Fraction(1)})
-        return GradedPoly({(((v, 1),), ()): Fraction(1)})
+            return _poly({((), (v,)): 1})
+        return _poly({(((v, 1),), ()): 1})
 
     # -- ring structure -----------------------------------------------------
 
     def __add__(self, other):
         other = _coerce(other)
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
         out = dict(self.terms)
         for k, c in other.terms.items():
-            s = out.get(k, 0) + c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return GradedPoly(out) if out else GradedPoly()
+            _put(out, k, c)
+        return _poly(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GradedPoly({k: -c for k, c in self.terms.items()})
+        return _poly({k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-_coerce(other))
@@ -343,9 +379,13 @@ class GradedPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
+            if other == 1:
+                return self
+            if other == -1:
+                return -self
             if other == 0:
                 return GradedPoly()
-            return GradedPoly({k: c * other for k, c in self.terms.items()})
+            return _poly({k: _canon(c * other) for k, c in self.terms.items()})
         other = _coerce(other)
         out = {}
         for (e1, o1), c1 in self.terms.items():
@@ -354,13 +394,9 @@ class GradedPoly:
                 if merged is None:
                     continue
                 odd, sign = merged
-                key = (_merge_even(e1, e2), odd)
-                s = out.get(key, 0) + sign * c1 * c2
-                if s:
-                    out[key] = s
-                else:
-                    del out[key]
-        return GradedPoly(out)
+                _put(out, (_merge_even(e1, e2), odd),
+                     c1 * c2 if sign == 1 else -c1 * c2)
+        return _poly(out)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -404,7 +440,7 @@ class GradedPoly:
         return None
 
     def parity_part(self, p: int) -> "GradedPoly":
-        return GradedPoly({k: c for k, c in self.terms.items() if _key_parity(k) == p})
+        return _poly({k: c for k, c in self.terms.items() if _key_parity(k) == p})
 
     def jet_order(self) -> int:
         return max((_key_order(k) for k in self.terms), default=0)
@@ -425,8 +461,8 @@ class GradedPoly:
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda it: _key_sort(it[0]))
 
-    def constant_term(self) -> Fraction:
-        return self.terms.get(_EMPTY_KEY, Fraction(0))
+    def constant_term(self) -> int | Fraction:
+        return self.terms.get(_EMPTY_KEY, 0)
 
     def monomials(self, ordered: bool = False):
         """Yield ``(coefficient, factors)`` per monomial.  The factors are
@@ -476,70 +512,53 @@ class GradedPoly:
                 moved = i if side == "left" else len(odd) - 1 - i
                 sign = -1 if moved % 2 else 1
             table.setdefault(v, {})[rest] = c * sign
-        return ({v: GradedPoly(t) for v, t in table.items()},
-                GradedPoly(remainder))
+        return ({v: _poly(t) for v, t in table.items()}, _poly(remainder))
 
     # -- derivations --------------------------------------------------------
 
     def partial(self, v: JetVariable) -> "GradedPoly":
         """Left graded partial derivative with respect to a jet variable."""
-        out = {}
-        if v.parity == EVEN:
-            for (even, odd), c in self.terms.items():
-                for i, (w, e) in enumerate(even):
-                    if w == v:
-                        if e == 1:
-                            key = (even[:i] + even[i + 1:], odd)
-                        else:
-                            key = (even[:i] + ((w, e - 1),) + even[i + 1:], odd)
-                        s = out.get(key, 0) + c * e
-                        if s:
-                            out[key] = s
-                        else:
-                            del out[key]
-                        break
-        else:
-            for (even, odd), c in self.terms.items():
-                for i, w in enumerate(odd):
-                    if w == v:
-                        key = (even, odd[:i] + odd[i + 1:])
-                        sign = -1 if i % 2 else 1
-                        s = out.get(key, 0) + sign * c
-                        if s:
-                            out[key] = s
-                        else:
-                            del out[key]
-                        break
-        return GradedPoly(out)
+        return self._partials(v).get(v) or GradedPoly()
+
+    def gradient(self) -> dict:
+        """``{v: self.partial(v)}`` for every variable v, in one pass."""
+        return self._partials(None)
+
+    def _partials(self, only: Optional[JetVariable]) -> dict:
+        # Removing one factor v is injective on the monomials that hold v,
+        # so the keys of one partial never collide and need no collecting.
+        table = {}
+        for (even, odd), c in self.terms.items():
+            for i, (w, e) in enumerate(even):
+                if only is None or w == only:
+                    rest = even[:i] + (((w, e - 1),) if e > 1 else ()) + even[i + 1:]
+                    table.setdefault(w, {})[(rest, odd)] = _canon(c * e)
+            for i, w in enumerate(odd):
+                if only is None or w == only:
+                    rest = odd[:i] + odd[i + 1:]
+                    table.setdefault(w, {})[(even, rest)] = -c if i % 2 else c
+        return {w: _poly(out) for w, out in table.items()}
 
     def total_derivative(self, lam: int, cap: int = DEFAULT_JET_CAP) -> "GradedPoly":
         """Total derivative d_lam: jets are bumped, coordinates give deltas."""
         out = {}
-
-        def put(key, c):
-            s = out.get(key, 0) + c
-            if s:
-                out[key] = s
-            else:
-                del out[key]
-
         for (even, odd), c in self.terms.items():
             for i, (v, e) in enumerate(even):
                 rest = even[:i] + (((v, e - 1),) if e > 1 else ()) + even[i + 1:]
                 if v.symbol.coord is not None:
                     if v.symbol.coord == lam:
-                        put((rest, odd), c * e)
+                        _put(out, (rest, odd), c * e)
                     continue
                 bumped = _bump(v, lam, cap)
-                put((_merge_even(rest, ((bumped, 1),)), odd), c * e)
+                _put(out, (_merge_even(rest, ((bumped, 1),)), odd), c * e)
             for i, v in enumerate(odd):
                 bumped = _bump(v, lam, cap)
                 ins = _sort_odd(odd[:i] + (bumped,) + odd[i + 1:])
                 if ins is None:
                     continue
                 new_odd, sign = ins
-                put((even, new_odd), c * sign)
-        return GradedPoly(out)
+                _put(out, (even, new_odd), c * sign)
+        return _poly(out)
 
     def total_derivative_multi(self, index: MultiIndex,
                                cap: int = DEFAULT_JET_CAP) -> "GradedPoly":
@@ -573,6 +592,17 @@ class GradedPoly:
     def __repr__(self):
         from .render import poly_text
         return f"GradedPoly({poly_text(self)})"
+
+
+_new = object.__new__
+
+
+def _poly(terms: dict) -> GradedPoly:
+    """Wrap a term dict that already holds no zero and keeps the coefficient
+    invariant; the public constructor re-filters."""
+    p = _new(GradedPoly)
+    p.terms = terms
+    return p
 
 
 def accumulate(acc: dict, key, poly: GradedPoly) -> None:

@@ -194,7 +194,7 @@ class MixedForm:
                     if hs is None:
                         continue
                     horiz, hsign = hs
-                    coeff = (p * qpart) * Fraction(sign * csign * hsign)
+                    coeff = (p * qpart) * (sign * csign * hsign)
                     if not coeff.is_zero():
                         accumulate(out, (contact, horiz), coeff)
         return MixedForm(self.dim, out)
@@ -215,7 +215,7 @@ class MixedForm:
                 if cs is None:
                     continue
                 newc, sign = cs
-                accumulate(out, (newc, horiz), f * Fraction(sign))
+                accumulate(out, (newc, horiz), f * sign)
         return MixedForm(self.dim, out)
 
     def horizontal_differential(self, cap: int = DEFAULT_JET_CAP) -> "MixedForm":
@@ -228,7 +228,7 @@ class MixedForm:
                     continue
                 newh, hsign = hs
                 sign = hsign * (-1 if len(contact) % 2 else 1)
-                accumulate(out, (contact, newh), f * Fraction(sign))
+                accumulate(out, (contact, newh), f * sign)
         return MixedForm(self.dim, out)
 
     def vertical_differential(self) -> "MixedForm":
@@ -256,18 +256,17 @@ def _vertical_differential_poly(f: GradedPoly, dim: int) -> MixedForm:
     """d_V of a degree-0 coefficient: sum of th^A_I * (left partial), with
     the partial moved left of the contact slot."""
     out = {}
-    for v in sorted(f.variables(), key=var_key):
+    gradient = f.gradient()
+    for v in sorted(gradient, key=var_key):
         if v.symbol.coord is not None:
             continue
-        g = f.partial(v)
-        if g.is_zero():
-            continue
+        g = gradient[v]
         for gp in (EVEN, ODD):
             part = g.parity_part(gp)
             if part.is_zero():
                 continue
             sign = -1 if (gp and v.parity) else 1
-            accumulate(out, ((v,), ()), part * Fraction(sign))
+            accumulate(out, ((v,), ()), part * sign)
     return MixedForm(dim, out)
 
 
@@ -400,13 +399,13 @@ class ContactDerivation:
         out = GradedPoly.zero()
         for lam, up in self._dx.items():
             out = out + up * f.total_derivative(lam, self.cap)
-        for v in f.variables():
+        for v, g in f.gradient().items():
             if v.symbol.coord is not None:
                 continue
             coeff = self.theta_coefficient(v)
             if coeff.is_zero():
                 continue
-            out = out + coeff * f.partial(v)
+            out = out + coeff * g
         return out
 
 
@@ -435,7 +434,7 @@ def contract(deriv: ContactDerivation, form: MixedForm) -> MixedForm:
                     cpar = (deriv.parity + lab.parity) % 2
                     if cpar and labels_par:
                         sign = -sign
-                    value = (fpart * coeff) * Fraction(sign)
+                    value = (fpart * coeff) * sign
                     if not value.is_zero():
                         accumulate(out, (contact[:i] + contact[i + 1:], horiz),
                                    value)
@@ -451,7 +450,7 @@ def contract(deriv: ContactDerivation, form: MixedForm) -> MixedForm:
                     sign = -sign
                 if deriv.parity and labels_par:
                     sign = -sign
-                value = (fpart * coeff) * Fraction(sign)
+                value = (fpart * coeff) * sign
                 if not value.is_zero():
                     accumulate(out, (contact, horiz[:j] + horiz[j + 1:]), value)
     return MixedForm(form.dim, out)

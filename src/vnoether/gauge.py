@@ -16,7 +16,6 @@ times kt(a).  The right partial is the left one times (-1)^([a]([p]+1)).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
@@ -55,14 +54,16 @@ def koszul_tate(p: GradedPoly, el: EulerLagrange,
     """Right derivation replacing each antifield jet by the prolonged
     Euler-Lagrange expression of its base field."""
     out = GradedPoly.zero()
-    parts = [(par, p.parity_part(par)) for par in (EVEN, ODD)]
+    parts = [(par, p.parity_part(par).gradient()) for par in (EVEN, ODD)]
     for a in sorted(filter(_is_antifield, p.variables()), key=var_key):
         repl = el.component(a.symbol.base).total_derivative_multi(a.index, cap)
         if repl.is_zero():
             continue
-        for par, part in parts:
+        for par, gradient in parts:
             # right partial = left partial * (-1)^([a]([p]+1))
-            right_partial = part.partial(a)
+            right_partial = gradient.get(a)
+            if right_partial is None:
+                continue
             if a.parity == ODD and par == EVEN:
                 right_partial = -right_partial
             out = out + right_partial * repl
@@ -169,7 +170,7 @@ def _transfer(items: Iterable, cap: int) -> dict:
             for sub in {tuple(sorted(s)) for s in combinations(index, k)}:
                 accumulate(out, (sym, sub),
                            poly.total_derivative_multi(mi_subtract(index, sub), cap)
-                           * Fraction(sign * mi_binomial(index, sub)))
+                           * (sign * mi_binomial(index, sub)))
     return out
 
 
@@ -253,7 +254,7 @@ def _by_parts_witness(op: NoetherOperator, ghost: FieldSymbol,
             lam = tail[-1]
             rest = tail[:-1]
             term = q * e_comp.total_derivative_multi(rest, cap)
-            comps[lam] = comps[lam] + term * Fraction(sign)
+            comps[lam] = comps[lam] + term * sign
             q = q.total_derivative(lam, cap)
             sign = -sign
             tail = rest

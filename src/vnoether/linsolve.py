@@ -19,11 +19,13 @@ def solve_sparse(rows: List[Dict[int, Fraction]], rhs: List[Fraction],
                  ncols: int) -> Optional[List[Fraction]]:
     """Solve A x = b for one particular solution, or None if inconsistent.
 
-    ``rows`` holds sparse rows mapping column index to coefficient; rows and
-    rhs are consumed destructively (pass copies to keep them).
+    ``rows`` holds sparse rows mapping column index to coefficient.  Row and
+    rhs entries may be ``int`` or ``Fraction``: both are copied into
+    ``Fraction``s on entry (the inputs are left untouched), so every
+    division is exact, and the solution is a list of ``Fraction``s.
     """
-    rows = [dict(r) for r in rows]
-    rhs = list(rhs)
+    rows = [{col: Fraction(c) for col, c in r.items()} for r in rows]
+    rhs = [Fraction(b) for b in rhs]
     nrows = len(rows)
     col_rows: Dict[int, set] = {}
     for ri, row in enumerate(rows):

@@ -339,7 +339,7 @@ class _Parser:
                 return None
             dlist, fname, slots = got
             if not items:
-                coeff = ("num", Fraction(1))
+                coeff = ("num", 1)
             elif len(items) == 1:
                 coeff = items[0]
             else:
@@ -349,7 +349,7 @@ class _Parser:
         if got is None:
             return None
         dlist, fname, slots = got
-        return (("num", Fraction(1)), dlist, fname, slots)
+        return (("num", 1), dlist, fname, slots)
 
     def _el_factor(self, expr):
         if expr[0] == "el":
@@ -400,7 +400,7 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "INT":
             self.next()
-            return ("num", Fraction(int(tok.text)))
+            return ("num", int(tok.text))
         if self.accept("PUNCT", "("):
             inner = self.parse_expr()
             self.expect("PUNCT", ")")
@@ -726,7 +726,7 @@ class _Elaborator:
                 sub = dict(binding)
                 sub[letter] = value
                 factor = self.signs[value] if same_variance else 1
-                out = out + self.eval_expr(expr, sub) * Fraction(factor)
+                out = out + self.eval_expr(expr, sub) * factor
             return out
         return self._eval_atom(expr, binding)
 
@@ -802,7 +802,7 @@ class _Elaborator:
                         f2 = factor * (self.signs[value] if same else 1)
                         emit(sub, f2, remaining[1:])
                     return
-                poly = self.eval_expr(coeff_expr, binding) * Fraction(factor)
+                poly = self.eval_expr(coeff_expr, binding) * factor
                 if poly.is_zero():
                     return
                 values = [self._idx_value(i, binding) for i in slots]

@@ -237,7 +237,7 @@ def _superpotential_from_form(form: MixedForm) -> Superpotential:
             raise ValueError("not a horizontal (n-2)-form")
         nu, mu = [i for i in range(n) if i not in horiz]
         _, sign = omega_pair_contracted(n, nu, mu)
-        table[(nu, mu)] = poly * Fraction(sign)
+        table[(nu, mu)] = poly * sign
     return Superpotential(table, n)
 
 
@@ -338,7 +338,7 @@ def extract(J: Current, u: GeneralizedVectorField, L: Lagrangian,
             # pair-antisymmetrized top coefficients
             for t in multi_indices(n, s - 1):
                 t = tuple(t)
-                perm = Fraction(mi_permutations(t))
+                perm = mi_permutations(t)
                 ghost_t = GradedPoly.variable(jet(ghost, t))
                 for nu in range(n):
                     for mu in range(nu + 1, n):

@@ -82,7 +82,7 @@ class Current:
         out = {}
         for mu, poly in self.components.items():
             horiz, sign = omega_contracted(self.dim, mu)
-            accumulate(out, ((), horiz), poly * Fraction(sign))
+            accumulate(out, ((), horiz), poly * sign)
         return MixedForm(self.dim, out)
 
     def divergence(self, cap: int = DEFAULT_JET_CAP) -> GradedPoly:
@@ -100,7 +100,7 @@ class Current:
             missing = [i for i in range(form.dim) if i not in horiz]
             mu = missing[0]
             _, sign = omega_contracted(form.dim, mu)
-            comps[mu] = poly * Fraction(sign)
+            comps[mu] = poly * sign
         return Current(comps, form.dim)
 
 
@@ -137,7 +137,7 @@ class Superpotential:
             for mu in range(nu + 1, self.dim):
                 horiz, sign = omega_pair_contracted(self.dim, nu, mu)
                 accumulate(out, ((), horiz),
-                           self.component(nu, mu) * Fraction(sign))
+                           self.component(nu, mu) * sign)
         return MixedForm(self.dim, out)
 
     def divergence(self, mu: int, cap: int = DEFAULT_JET_CAP) -> GradedPoly:
@@ -158,13 +158,14 @@ def euler_lagrange(L: Lagrangian,
     """E_A = sum over multi-indices of (-d)_I applied to the left partial."""
     if symbols is None:
         symbols = L.field_symbols()
+    gradient = L.density.gradient()
     comps = {}
     for sym in symbols:
         out = GradedPoly.zero()
-        for v in L.density.variables():
+        for v, g in gradient.items():
             if v.symbol != sym:
                 continue
-            term = L.density.partial(v).total_derivative_multi(v.index, L.jet_cap)
+            term = g.total_derivative_multi(v.index, L.jet_cap)
             out = out + (term if len(v.index) % 2 == 0 else -term)
         comps[sym] = out
     return EulerLagrange(comps)
@@ -194,13 +195,14 @@ def lepage_table(L: Lagrangian) -> dict:
     partial derivative into the symmetric tensor component."""
     density = L.density
     order = density.jet_order()
+    gradient = density.gradient()
     syms = L.field_symbols()
     table: Dict[Tuple[FieldSymbol, tuple], GradedPoly] = {}
     for k in range(order, 0, -1):
         for sym in syms:
             for mi in multi_indices(L.dim, k):
                 mi = tuple(mi)
-                val = density.partial(jet(sym, mi)) \
+                val = gradient.get(jet(sym, mi), GradedPoly.zero()) \
                     * Fraction(1, mi_permutations(mi))
                 for lam in range(L.dim):
                     upper = table.get((sym, mi_add(mi, lam)))
@@ -221,7 +223,7 @@ def lepage_equivalent(L: Lagrangian, table: Optional[dict] = None) -> MixedForm:
         val = table[(sym, sigma)]
         for lam in sorted(set(sigma)):
             tail = mi_remove(sigma, lam)
-            weight = Fraction(mi_permutations(tail))
+            weight = mi_permutations(tail)
             horiz, sign = omega_contracted(L.dim, lam)
             omega_lam = MixedForm(L.dim,
                                   {((), horiz): val * (weight * sign)})

@@ -85,3 +85,11 @@ def rand_lagrangian(rng, fields=(PHI, PSI), dim=1, max_order=1, max_degree=3,
             term = term * P(jet(rng.choice(fields), rng.choice(indices)))
         out = out + term
     return Lagrangian(out, dim, jet_cap=cap)
+
+
+def assert_canonical(p):
+    """The ring's coefficient invariant: int when integral, else a Fraction
+    with denominator > 1; never a float or a zero."""
+    for c, _ in p.monomials():
+        assert c != 0
+        assert type(c) is int or (type(c) is Fraction and c.denominator > 1), c

@@ -3,13 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from vnoether import (EVEN, KIND_GHOST, ODD, DeclarationError, EvaluationError,
-                      FieldSymbol, GradedPoly, GrassmannAlgebra, JetCapError,
+from vnoether import (EVEN, KIND_FIELD, KIND_GHOST, ODD, DeclarationError,
+                      EvaluationError, FieldSymbol, GradedPoly,
+                      GrassmannAlgebra, JetCapError, antifield,
                       coordinate_symbol, jet, normalize, poly_from_data,
                       poly_to_data)
 from vnoether.algebra import mi_binomial, mi_permutations, multi_index
 
-from helpers import CH2 as C, PHI, PSI, rand_poly
+from helpers import CH2 as C, PHI, PSI, assert_canonical, rand_poly
 
 P = GradedPoly.variable
 
@@ -219,3 +220,81 @@ def test_antifield_parity_invariant():
     assert antifield(PHI).parity == ODD
     assert antifield(C).parity == EVEN
     assert antifield(PHI).base is PHI
+
+
+# ---------------------------------------------------------------------------
+# ring invariants
+
+def test_coefficients_stay_canonical_random():
+    rng = random.Random(11)
+    for _ in range(150):
+        p, q = rand_poly(rng, max_terms=4), rand_poly(rng, max_terms=4)
+        results = [p + q, p * q, p - q, -p, p * Fraction(3, 1),
+                   p * Fraction(1, 2), p * -1, Fraction(2) * p,
+                   p.total_derivative(0)]
+        results.extend(p.partial(v) for v in p.variables())
+        for r in results:
+            assert_canonical(r)
+
+
+def test_integral_fraction_results_are_stored_as_int():
+    phi = P(jet(PHI))
+    half = Fraction(1, 2)
+    assert type(GradedPoly.constant(Fraction(4, 2)).constant_term()) is int
+    assert type((phi * half * 2).partial(jet(PHI)).constant_term()) is int
+    assert type((half * phi ** 2).partial(jet(PHI)).partial(jet(PHI))
+                .constant_term()) is int
+    assert type((half * phi + half * phi).partial(jet(PHI))
+                .constant_term()) is int
+    assert type((half * phi * (2 * phi)).partial(jet(PHI)).partial(jet(PHI))
+                .constant_term()) is int
+    assert GradedPoly.zero().constant_term() == 0
+    assert type(GradedPoly.zero().constant_term()) is int
+
+
+def test_scalar_multiplication_by_one_and_minus_one():
+    p = rand_poly(random.Random(3), max_terms=4)
+    assert p * 1 is p
+    assert p * -1 == -p
+    assert (p * 0).is_zero()
+
+
+def test_gradient_matches_partials_random():
+    rng = random.Random(12)
+    for _ in range(150):
+        p = rand_poly(rng, dim=2, max_terms=4)
+        grad = p.gradient()
+        assert grad == {v: p.partial(v) for v in p.variables()}
+        assert all(not g.is_zero() for g in grad.values())
+        for g in grad.values():
+            assert_canonical(g)
+    assert GradedPoly.zero().gradient() == {}
+
+
+def test_equal_symbols_built_apart_are_equal_and_hash_equal():
+    a, b = antifield(PHI), antifield(PHI)
+    assert a is not b
+    assert a == b and hash(a) == hash(b)
+    assert jet(a, (0,)) == jet(b, (0,))
+    assert hash(jet(a, (0,))) == hash(jet(b, (0,)))
+    assert coordinate_symbol(1) == coordinate_symbol(1)
+    assert hash(coordinate_symbol(1)) == hash(coordinate_symbol(1))
+    assert P(jet(a)) + P(jet(b)) == 2 * P(jet(a))
+
+
+def test_symbols_differing_in_one_field_are_unequal():
+    assert FieldSymbol("c", KIND_FIELD) != FieldSymbol("c", KIND_GHOST)
+    assert FieldSymbol("c", KIND_GHOST, EVEN) != FieldSymbol("c", KIND_GHOST, ODD)
+    assert antifield(PHI) != antifield(FieldSymbol("phi", KIND_GHOST))
+    assert coordinate_symbol(0, "x") != coordinate_symbol(1, "x")
+    assert coordinate_symbol(0, "phi") != PHI
+    assert PHI != "phi"
+
+
+def test_public_constructor_drops_zeros():
+    k = next(iter(P(jet(PHI)).terms))
+    k2 = next(iter(P(jet(PSI)).terms))
+    p = GradedPoly({k: 0, k2: 1})
+    assert p == P(jet(PSI))
+    assert list(p.terms) == [k2]
+    assert type(GradedPoly({k: Fraction(6, 3)}).terms[k]) is int

@@ -13,9 +13,11 @@ from vnoether import (EVEN, KIND_FIELD, KIND_GHOST, ODD, ConsistencyError,
                       is_variational_symmetry, jet, lepage_equivalent,
                       load_model, noether_current, symmetry_witness,
                       weak_conservation_witness)
+from vnoether.linsolve import solve_sparse
 from vnoether.variational import BOUND_EXHAUSTED, EXACT, NOT_EXACT, lepage_table
 
-from helpers import CH2 as C, PHI, PSI, rand_lagrangian, rand_poly, rand_vertical
+from helpers import (CH2 as C, PHI, PSI, assert_canonical, rand_lagrangian,
+                     rand_poly, rand_vertical)
 
 P = GradedPoly.variable
 
@@ -461,3 +463,36 @@ def test_symmetry_witness_odd_components_and_scope():
     with pytest.raises(UnsupportedDerivation):
         symmetry_witness(GeneralizedVectorField.make({}, {0: P(jet(t1))}),
                          J, el)
+
+
+# ---------------------------------------------------------------------------
+# ring invariants at the variational layer
+
+def test_solve_sparse_divides_int_inputs_exactly():
+    sol = solve_sparse([{0: 2}], [1], 1)
+    assert sol == [Fraction(1, 2)]
+    assert all(type(x) is Fraction for x in sol)
+    sol = solve_sparse([{0: 2, 1: 1}, {1: 3}], [1, 2], 2)
+    assert sol == [Fraction(1, 6), Fraction(2, 3)]
+    assert all(type(x) is Fraction for x in sol)
+    rows, rhs = [{0: 1}, {0: 2}], [1, 3]
+    assert solve_sparse(rows, rhs, 1) is None
+    assert rows == [{0: 1}, {0: 2}] and rhs == [1, 3]
+
+
+def test_euler_lagrange_matches_per_variable_partials_random():
+    rng = random.Random(43)
+    for _ in range(40):
+        L = rand_lagrangian(rng, dim=2, max_order=2)
+        el = euler_lagrange(L)
+        for sym in L.field_symbols():
+            ref = GradedPoly.zero()
+            for v in L.density.variables():
+                if v.symbol == sym:
+                    term = L.density.partial(v).total_derivative_multi(
+                        v.index, L.jet_cap)
+                    ref = ref + (-term if len(v.index) % 2 else term)
+            assert el.component(sym) == ref
+            assert_canonical(el.component(sym))
+        for val in lepage_table(L).values():
+            assert_canonical(val)
