@@ -161,6 +161,11 @@ class FieldSymbol:
             raise DeclarationError(f"{self.kind} {self.name!r} cannot carry a base link")
         if self.coord is not None and (self.kind != KIND_FIELD or self.parity != EVEN):
             raise DeclarationError("coordinate symbols are even and of kind 'field'")
+        # orders distinct symbols that share kind and name (see var_key)
+        object.__setattr__(self, "_tie", (
+            -1 if self.coord is None else self.coord, self.parity,
+            () if self.base is None else
+            (_KIND_RANK[self.base.kind], self.base.name, self.base._tie)))
 
     def __hash__(self):
         return self._hash
@@ -204,8 +209,11 @@ def coordinate_symbol(i: int, name: Optional[str] = None) -> FieldSymbol:
 
 
 def var_key(v: JetVariable):
-    """Global variable order: (kind, name, multi-index lexicographic)."""
-    return (_KIND_RANK[v.symbol.kind], v.symbol.name, v.index)
+    """Global variable order: (kind, name, multi-index lexicographic), then
+    coordinate index (none first), parity and base, so that distinct
+    variables never share a key."""
+    s = v.symbol
+    return (_KIND_RANK[s.kind], s.name, v.index, s._tie)
 
 
 def _bump(v: JetVariable, lam: int, cap: int) -> JetVariable:

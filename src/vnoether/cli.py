@@ -4,12 +4,14 @@ Commands run the pipeline on a model file and emit a deterministic report:
 ``--format json`` produces byte-identical output for identical inputs
 (timing goes to stderr in text mode and is omitted from the structured
 report).  Exit codes: 0 all checks passed, 1 mathematical failure,
-2 usage or parse error, 3 resource or ansatz-bound exhaustion.
+2 usage or parse error, 3 a jet variable above ``--jet-cap``.
 
-``verify`` builds each weak-conservation witness from the first variational
-formula, d_H J = u^A E_A, and re-checks it exactly; ``--ansatz-degree``
-bounds only the searches that remain, for the divergence witness of a
-declared symmetry and for the superpotential remainder.
+No command searches.  ``verify`` builds each weak-conservation witness from
+the first variational formula, d_H J = u^A E_A; the divergence witness of a
+declared symmetry and the antiderivative of the superpotential remainder
+come from the homotopy operator.  Each is re-checked exactly.  The report's
+``bound_exhausted`` key is always false under ``format_version`` 1; it
+stays so that reports keep their bytes.
 """
 
 from __future__ import annotations
@@ -26,12 +28,9 @@ from .model import ElaborationError, ParseError, load_model
 from .render import poly_text
 from .superpotential import (SuperpotentialError, extract, ghosts_of,
                              structural_checks, verify_split)
-from .variational import (BOUND_EXHAUSTED, EXACT, Current, check_lepage,
-                          euler_lagrange, first_variational_residual,
-                          is_variational_symmetry, noether_current,
-                          symmetry_witness)
-
-DEFAULT_ANSATZ_DEGREE = 4
+from .variational import (EXACT, Current, check_lepage, euler_lagrange,
+                          first_variational_residual, is_variational_symmetry,
+                          noether_current, symmetry_witness)
 
 EXIT_OK = 0
 EXIT_MATH = 1
@@ -87,7 +86,6 @@ class _Runner:
     def __init__(self, args):
         self.args = args
         self.steps = []
-        self.bound_exhausted = False
 
     def add(self, name: str, status: str, payload=None):
         step = {"name": name, "status": status}
@@ -103,8 +101,6 @@ class _Runner:
     def exit_code(self) -> int:
         if any(s["status"] == "fail" for s in self.steps):
             return EXIT_MATH
-        if self.bound_exhausted:
-            return EXIT_RESOURCE
         return EXIT_OK
 
     # -- commands ------------------------------------------------------------
@@ -172,13 +168,7 @@ class _Runner:
             u, current = result.symmetry, result.current
         elif name in model.symmetries:
             u = model.symmetries[name]
-            sym_result = is_variational_symmetry(
-                u, model.lagrangian, max_degree=self.args.ansatz_degree)
-            if sym_result.status == BOUND_EXHAUSTED:
-                self.bound_exhausted = True
-                self.add(f"symmetry {name}", "error",
-                         {"reason": "witness search exhausted its bound"})
-                return
+            sym_result = is_variational_symmetry(u, model.lagrangian)
             if sym_result.status != EXACT:
                 self.add(f"symmetry {name}", "fail",
                          {"reason": "not a variational symmetry"})
@@ -234,13 +224,7 @@ class _Runner:
             residual_form = first_variational_residual(ups, L)
             self.add(f"variational-formula {name}",
                      "pass" if residual_form.is_zero() else "fail")
-            sym_result = is_variational_symmetry(
-                ups, L, max_degree=self.args.ansatz_degree)
-            if sym_result.status == BOUND_EXHAUSTED:
-                self.bound_exhausted = True
-                self.add(f"symmetry {name}", "error",
-                         {"reason": "witness search exhausted its bound"})
-                continue
+            sym_result = is_variational_symmetry(ups, L)
             self.add(f"symmetry {name}",
                      "pass" if sym_result.status == EXACT else "fail")
             if sym_result.status == EXACT:
@@ -251,16 +235,12 @@ class _Runner:
         """Split the current as W + div U, re-check the split exactly
         (verify_split, and d_mu d_nu U^{nu mu} = 0) and record ``step``:
         with the split and its checks, or with the checks only when
-        ``summary`` (verify).  An exhausted ansatz bound is an error, any
-        other SuperpotentialError a fail naming its equation."""
+        ``summary`` (verify).  A SuperpotentialError is a fail naming its
+        equation."""
         try:
-            split = extract(current, u, L, max_degree=self.args.ansatz_degree)
+            split = extract(current, u, L)
         except SuperpotentialError as exc:
-            if exc.bound_exhausted:
-                self.bound_exhausted = True
-                self.add(step, "error", {"reason": str(exc)})
-            else:
-                self.add(step, "fail", {"reason": str(exc), "equation": exc.tag})
+            self.add(step, "fail", {"reason": str(exc), "equation": exc.tag})
             return
         ok, report = verify_split(current, split, el, L.jet_cap)
         dd = GradedPoly.zero()
@@ -289,8 +269,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("text", "json"), default="text")
     common.add_argument("--jet-cap", type=int,
                         default=int(os.environ.get("VNOETHER_JET_CAP", "6")))
-    common.add_argument("--ansatz-degree", type=int,
-                        default=DEFAULT_ANSATZ_DEGREE)
     sub = parser.add_subparsers(dest="command", required=True)
     p_el = sub.add_parser("el", parents=[common],
                           help="Euler-Lagrange expressions per field")
@@ -335,7 +313,7 @@ def main(argv=None) -> int:
         "model": args.model,
         "format_version": 1,
         "steps": runner.steps,
-        "bound_exhausted": runner.bound_exhausted,
+        "bound_exhausted": False,
     }
     if args.format == "json":
         sys.stdout.write(json.dumps(report, sort_keys=True, indent=2) + "\n")

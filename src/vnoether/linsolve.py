@@ -1,12 +1,12 @@
 """Sparse Gaussian elimination over the rationals.
 
 Its one caller is ``variational._solve_columns``, the row builder of the
-ansatz searches (``horizontal_antiderivative`` and
-``weak_conservation_witness``): unknowns are ansatz coefficients, equations
-match monomial coefficients.  Elimination is deterministic: columns are
-processed in increasing index order, pivot ties go to the lowest row index
-and free variables are set to zero, so the particular solution depends on
-the row and column order the caller hands in.
+ansatz search of ``weak_conservation_witness``, a library function and test
+oracle that no CLI command runs: unknowns are ansatz coefficients,
+equations match monomial coefficients.  Elimination is deterministic:
+columns are processed in increasing index order, pivot ties go to the
+lowest row index and free variables are set to zero, so the particular
+solution depends on the row and column order the caller hands in.
 """
 
 from __future__ import annotations

@@ -13,7 +13,10 @@ lower-order residual, with the exact invariant
 
 asserted after every level.  Tensor-normalized coefficients (multiset
 coefficient divided by the number of index orderings) make the pair
-symmetrizations exact at any index multiplicity.
+symmetrizations exact at any index multiplicity.  The ghost-free remainder
+left at the end must be closed; the homotopy operator of
+``variational.horizontal_antiderivative`` then decides whether it is exact
+and adds its antiderivative to the superpotential.  No step searches.
 """
 
 from __future__ import annotations
@@ -27,9 +30,9 @@ from .algebra import (DEFAULT_JET_CAP, KIND_GHOST, FieldSymbol, GradedPoly,
                       multi_indices)
 from .forms import GeneralizedVectorField, MixedForm, omega_pair_contracted
 from .gauge import GaugeError, collect_ghost_linear
-from .variational import (BOUND_EXHAUSTED, NOT_EXACT, Current,
-                          EulerLagrange, Lagrangian, Superpotential,
-                          euler_lagrange, horizontal_antiderivative)
+from .variational import (NOT_EXACT, Current, EulerLagrange, Lagrangian,
+                          Superpotential, euler_lagrange,
+                          horizontal_antiderivative)
 
 # structural equation labels, ordered from the top ghost-jet level down
 TAG_TOP = "top-symmetric"             # top level: symmetrized part vanishes
@@ -44,11 +47,8 @@ STRUCTURAL_TAGS = (TAG_TOP, TAG_DESCENT, TAG_SYM_SOURCE, TAG_LEAD_SOURCE,
 
 
 class SuperpotentialError(ValueError):
-    """The input current fails a structural requirement, or (with
-    ``bound_exhausted`` set) its ghost-free remainder is out of reach of
-    the ansatz bound."""
-
-    bound_exhausted = False
+    """The input current fails a structural requirement: a structural
+    equation, or a ghost-free remainder that is not closed or not exact."""
 
     def __init__(self, message: str, tag: Optional[str] = None):
         super().__init__(message)
@@ -241,15 +241,15 @@ def _superpotential_from_form(form: MixedForm) -> Superpotential:
     return Superpotential(table, n)
 
 
-def extract(J: Current, u: GeneralizedVectorField, L: Lagrangian,
-            coords: Sequence[FieldSymbol] = (),
-            max_degree: Optional[int] = None) -> SuperpotentialSplit:
+def extract(J: Current, u: GeneralizedVectorField,
+            L: Lagrangian) -> SuperpotentialSplit:
     """Run the constructive decomposition.
 
     Precondition: J is the Noether current of the ghost-linear symmetry u.
     The structural equations are checked first and a failure raises with
-    the failing equation tag; an unresolvable ghost-free remainder raises
-    with the exactness status.  The returned split is re-verified exactly.
+    the failing equation tag, as does a ghost-free remainder that is not
+    closed or closed but not exact.  The returned split is re-verified
+    exactly.
     """
     el = euler_lagrange(L)
     cap = L.jet_cap
@@ -402,14 +402,7 @@ def extract(J: Current, u: GeneralizedVectorField, L: Lagrangian,
                                   TAG_GHOST_FREE)
     witness = MixedForm.zero(n)
     if any(not p.is_zero() for p in remainder.components.values()):
-        res = horizontal_antiderivative(remainder.form(), coords, cap,
-                                        max_degree)
-        if res.status == BOUND_EXHAUSTED:
-            exc = SuperpotentialError(
-                "ghost-free remainder not resolvable at the ansatz bound",
-                TAG_GHOST_FREE)
-            exc.bound_exhausted = True
-            raise exc
+        res = horizontal_antiderivative(remainder.form(), cap=cap)
         if res.status == NOT_EXACT:
             raise SuperpotentialError(
                 "ghost-free remainder is closed but not exact", TAG_GHOST_FREE)

@@ -2,12 +2,13 @@
 
 Euler-Lagrange expressions, the Lepage equivalent with its coefficient
 recursion, the first variational formula as an executable residual, an
-exactness decision procedure for horizontal forms (ansatz plus exact
-linear solve, with the Euler-Lagrange obstruction separating "provably
-not exact" from "ansatz too small"), variational-symmetry tests, Noether
-currents and weak-conservation witnesses (constructive from the first
-variational formula when the symmetry is known, by bounded ansatz search
-otherwise).
+exactness decision procedure for horizontal forms (the Euler-Lagrange and
+closedness obstructions decide "not exact", the homotopy operator of the
+variational bicomplex builds the antiderivative otherwise), tests of
+variational symmetries, Noether currents and weak-conservation witnesses
+(constructive from the first variational formula when the symmetry is
+known; ``weak_conservation_witness`` keeps a bounded ansatz search for a
+bare current, and is the one producer of BOUND_EXHAUSTED).
 """
 
 from __future__ import annotations
@@ -18,8 +19,9 @@ from itertools import combinations, combinations_with_replacement
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .algebra import (DEFAULT_JET_CAP, EVEN, ODD, FieldSymbol, GradedPoly,
-                      accumulate, jet, mi_add, mi_permutations, mi_remove,
-                      multi_indices, multi_indices_up_to, var_key)
+                      accumulate, jet, mi_add, mi_binomial, mi_permutations,
+                      mi_remove, mi_subtract, multi_indices,
+                      multi_indices_up_to, var_key)
 from .forms import (GeneralizedVectorField, MixedForm,
                     UnsupportedDerivation, contract, lie_derivative,
                     omega_contracted, omega_pair_contracted, prolong)
@@ -273,18 +275,6 @@ def _class_vector(factors, include_coords: bool):
     return tuple(sorted(counts.items(), key=lambda it: it[0].sort_key))
 
 
-def _split_by_class(poly: GradedPoly) -> dict:
-    """Partition a polynomial by the degree vector of its field symbols."""
-    out: Dict[tuple, GradedPoly] = {}
-    for c, factors in poly.monomials():
-        term = GradedPoly.constant(c)
-        for v, e in factors:
-            term = term * GradedPoly.variable(v) ** e
-        cls = _class_vector(factors, include_coords=False)
-        out[cls] = out.get(cls, GradedPoly.zero()) + term
-    return out
-
-
 def _symbol_monomials(sym: FieldSymbol, degree: int, dim: int, max_order: int):
     """All degree-d monomials in the jets of one symbol, as polynomials."""
     variables = [jet(sym, mi) for mi in multi_indices_up_to(dim, max_order)]
@@ -381,27 +371,80 @@ def _solve_columns(columns: List[Mapping], targets: Mapping):
     return solve_sparse(rows, rhs, len(columns))
 
 
-def _order_caps_for(poly: GradedPoly, shift: int, floor: int = 0) -> dict:
-    caps: Dict[FieldSymbol, int] = {}
-    for v in poly.variables():
-        if v.symbol.coord is not None:
+# ---------------------------------------------------------------------------
+# horizontal exactness: the homotopy operator of the variational bicomplex
+
+def _monomial(c, factors) -> GradedPoly:
+    term = GradedPoly.constant(c)
+    for v, e in factors:
+        term = term * GradedPoly.variable(v) ** e
+    return term
+
+
+def _weighted(poly: GradedPoly):
+    """(P-hat, free monomials): each monomial of field degree k >= 1 weighted
+    by 1/k, and the ``(coefficient, factors)`` of field degree 0.  Field and
+    ghost jets count toward k, base coordinates do not."""
+    hat, free = GradedPoly.zero(), []
+    for c, factors in poly.monomials():
+        k = sum(e for v, e in factors if not _is_coord(v))
+        if k:
+            hat = hat + _monomial(Fraction(c, k), factors)
+        else:
+            free.append((c, factors))
+    return hat, free
+
+
+def _higher_euler(poly: GradedPoly, cap: int) -> dict:
+    """{(A, K): u^A E_A^K(poly)} over nonempty multi-indices K, where
+    E_A^K(P) = sum over M containing K of binom(M, K) (-d)_{M-K} dP/du^A_M
+    and u^A stands to the left."""
+    out: Dict[tuple, GradedPoly] = {}
+    for v, g in poly.gradient().items():
+        if _is_coord(v):
             continue
-        caps[v.symbol] = max(caps.get(v.symbol, 0), len(v.index))
-    return {s: max(o + shift, floor) for s, o in caps.items()}
+        index = v.index
+        for sub in {s for r in range(1, len(index) + 1)
+                    for s in combinations(index, r)}:
+            rest = mi_subtract(index, sub)
+            term = g.total_derivative_multi(rest, cap) * mi_binomial(index, sub)
+            accumulate(out, (v.symbol, sub), -term if len(rest) % 2 else term)
+    return {(sym, sub): GradedPoly.variable(jet(sym)) * e
+            for (sym, sub), e in out.items()}
+
+
+def _homotopy(euler: Mapping, j: int, c: int, cap: int) -> GradedPoly:
+    """h_j^c = sum over A and K containing j of
+    k_j / (|K| + c) * d_{K-j}(u^A E_A^K), from ``_higher_euler``."""
+    out = GradedPoly.zero()
+    for (_, sub), term in euler.items():
+        if j in sub:
+            out = out + term.total_derivative_multi(mi_remove(sub, j), cap) \
+                * Fraction(sub.count(j), len(sub) + c)
+    return out
 
 
 def horizontal_antiderivative(rho: MixedForm,
                               coords: Sequence[FieldSymbol] = (),
-                              cap: int = DEFAULT_JET_CAP,
-                              max_degree: Optional[int] = None) -> ExactnessResult:
+                              cap: int = DEFAULT_JET_CAP) -> ExactnessResult:
     """Decide d_H-exactness of a horizontal form of degree n or n-1 and
     produce an antiderivative.
 
-    The search solves an exact linear system over a monomial ansatz of jet
-    order at most the order of the input (tried in escalating rungs) and
-    matching polynomial degree per symbol.  Failure is split into a provable
-    obstruction (Euler-Lagrange expressions or non-closedness) and ansatz
-    exhaustion.
+    The obstructions decide NOT_EXACT: nonzero Euler-Lagrange expressions
+    for a density, n = 1 or a nonzero d_H for an (n-1)-form.  Otherwise the
+    homotopy operator of the variational bicomplex (Anderson, *The
+    Variational Bicomplex*, ch. 4-5; Hereman et al., "Continuous and
+    discrete homotopy operators", 2005) builds the witness from P-hat, the
+    input with each monomial of field degree k divided by k:
+    sigma^j = h_j^0(rho-hat) for a density, and
+    U^{nu mu} = h_nu^1(J-hat^mu) - h_mu^1(J-hat^nu) for a current.  The
+    field-free part of a density is integrated along the lowest-index base
+    coordinate in ``coords`` or the input; without one it is a nonzero
+    constant and not exact.  The witness is re-checked exactly.
+
+    The operator differentiates to jet order 2k - 1 for an input of order
+    k: one less than the Euler-Lagrange check of a density already needs,
+    and past the default cap of 6 for a current of order 4 or more.
     """
     if not rho.is_horizontal():
         raise ValueError("input must be horizontal")
@@ -412,6 +455,11 @@ def horizontal_antiderivative(rho: MixedForm,
     if len(degrees) > 1:
         raise ValueError("input must have homogeneous horizontal degree")
     degree = degrees.pop()
+    xs = set(coords)
+    for poly in rho.components.values():
+        xs.update(poly.symbols())
+    xs = sorted((s for s in xs if s.coord is not None and s.coord < n),
+                key=lambda s: (s.coord, s.name))
     if degree == n:
         # a density d_mu sigma^mu: its Euler-Lagrange expressions vanish
         density = rho.coefficient(horiz=tuple(range(n)))
@@ -421,90 +469,41 @@ def horizontal_antiderivative(rho: MixedForm,
         if not euler_lagrange(Lagrangian(density, n, parity=parity, jet_cap=cap),
                               symbols).is_zero():
             return ExactnessResult(NOT_EXACT)
-        classes = {cls: {None: part}
-                   for cls, part in _split_by_class(density).items()}
-        slots = list(range(n))
-
-        def column(mu, m):
-            return {None: m.total_derivative(mu, cap)}
-
-        def build(table):
-            return Current(table, n).form()
+        hat, free = _weighted(density)
+        euler = _higher_euler(hat, cap)
+        table = {j: _homotopy(euler, j, 0, cap) for j in range(n)}
+        if free:
+            if not xs:
+                return ExactnessResult(NOT_EXACT)
+            x = jet(xs[0])
+            for c, factors in free:
+                e = dict(factors).get(x, 0)
+                table[x.symbol.coord] += _monomial(Fraction(c, e + 1), factors) \
+                    * GradedPoly.variable(x)
+        witness = Current(table, n).form()
     elif degree == n - 1:
         # a current d_nu U^{nu mu}: closed, and a 0-form has no antiderivative
         if n == 1 or not rho.horizontal_differential(cap).is_zero():
             return ExactnessResult(NOT_EXACT)
         current = Current.from_form(rho)
-        classes = {}
+        euler = {}
         for mu in range(n):
-            for cls, part in _split_by_class(current.component(mu)).items():
-                classes.setdefault(cls, {})[mu] = part
-        slots = [(nu, mu) for nu in range(n) for mu in range(nu + 1, n)]
-
-        def column(slot, m):
-            # the slot value enters component mu with +d_nu and component nu
-            # with -d_mu (antisymmetry folded in)
-            nu, mu = slot
-            return {mu: m.total_derivative(nu, cap),
-                    nu: -m.total_derivative(mu, cap)}
-
-        def build(table):
-            return Superpotential(table, n).form()
+            hat, free = _weighted(current.component(mu))
+            if free:
+                if xs:
+                    raise ValueError("a field-free current with base "
+                                     "coordinates is not supported")
+                return ExactnessResult(NOT_EXACT)
+            euler[mu] = _higher_euler(hat, cap)
+        witness = Superpotential(
+            {(nu, mu): _homotopy(euler[mu], nu, 1, cap)
+             - _homotopy(euler[nu], mu, 1, cap)
+             for nu in range(n) for mu in range(nu + 1, n)}, n).form()
     else:
         raise ValueError("only degrees n and n-1 are supported")
-    table = {slot: GradedPoly.zero() for slot in slots}
-    for cls in sorted(classes, key=str):
-        targets = classes[cls]
-        if not cls and not coords:
-            # constant coefficients with no base coordinates in the ring:
-            # total derivatives never produce constants
-            return ExactnessResult(NOT_EXACT)
-        if max_degree is not None and sum(d for _, d in cls) > max_degree:
-            return ExactnessResult(BOUND_EXHAUSTED)
-        union = GradedPoly.zero()
-        for part in targets.values():
-            union = union + part
-        for caps_map, xdeg in _ansatz_rungs(union, coords):
-            monos = _class_monomials(cls, n, caps_map, coords, xdeg)
-            if max_degree is not None:
-                monos = [m for m in monos if m.degree() <= max_degree]
-            unknowns = [(slot, m) for slot in slots for m in monos]
-            sol = _solve_columns([column(slot, m) for slot, m in unknowns],
-                                 targets)
-            if sol is not None:
-                for (slot, m), c in zip(unknowns, sol):
-                    if c:
-                        table[slot] = table[slot] + m * c
-                break
-        else:
-            return ExactnessResult(BOUND_EXHAUSTED)
-    witness = build(table)
     if not (witness.horizontal_differential(cap) - rho).is_zero():
         raise AssertionError("antiderivative failed its own re-check")
     return ExactnessResult(EXACT, witness)
-
-
-def _ansatz_rungs(union: GradedPoly, coords):
-    """Escalating (order caps, x degree) configurations up to the documented
-    bound: jet order of the target, polynomial degree of the target."""
-    global_order = union.jet_order()
-    xdeg = union.degree_in(_is_coord)
-    if coords:
-        xdeg += 1
-    rungs = []
-    for shift in (-1, 0):
-        caps = _order_caps_for(union, shift)
-        rungs.append((caps, xdeg))
-    syms = {v.symbol for v in union.variables() if v.symbol.coord is None}
-    rungs.append(({s: global_order for s in syms}, xdeg))
-    seen = set()
-    out = []
-    for caps, x in rungs:
-        key = (tuple(sorted(((s.name, o) for s, o in caps.items()))), x)
-        if key not in seen:
-            seen.add(key)
-            out.append((caps, x))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -520,8 +519,7 @@ class SymmetryResult:
 
 
 def is_variational_symmetry(ups: GeneralizedVectorField, L: Lagrangian,
-                            coords: Sequence[FieldSymbol] = (),
-                            max_degree: Optional[int] = None) -> SymmetryResult:
+                            coords: Sequence[FieldSymbol] = ()) -> SymmetryResult:
     """A vertical derivation is a variational symmetry iff its Lie
     derivative of the Lagrangian is a total divergence; returns the witness."""
     if not ups.is_vertical():
@@ -530,7 +528,7 @@ def is_variational_symmetry(ups: GeneralizedVectorField, L: Lagrangian,
     rho = lie_derivative(deriv, L.form(), L.jet_cap)
     if not rho.is_horizontal():
         rho = rho.horizontal_part()
-    result = horizontal_antiderivative(rho, coords, L.jet_cap, max_degree)
+    result = horizontal_antiderivative(rho, coords, L.jet_cap)
     return SymmetryResult(result.status, result.witness)
 
 

@@ -289,6 +289,14 @@ def test_symbols_differing_in_one_field_are_unequal():
     assert coordinate_symbol(0, "x") != coordinate_symbol(1, "x")
     assert coordinate_symbol(0, "phi") != PHI
     assert PHI != "phi"
+    # distinct symbols sharing kind and name keep distinct variable keys:
+    # their even product commutes, their odd product anticommutes
+    x0 = P(jet(coordinate_symbol(0, "x")))
+    x1 = P(jet(coordinate_symbol(1, "x")))
+    assert x0 * x1 == x1 * x0
+    a = P(jet(antifield(PHI)))
+    b = P(jet(antifield(FieldSymbol("phi", KIND_GHOST))))
+    assert not (a * b).is_zero() and a * b == -(b * a)
 
 
 def test_public_constructor_drops_zeros():

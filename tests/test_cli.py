@@ -155,8 +155,8 @@ def test_verify_json_determinism():
 
 
 def test_bound_exhaustion_exit_code(tmp_path):
-    # a genuine symmetry whose witness needs degree 2 is out of reach at
-    # ansatz degree 1
+    # exactness decisions take no bound and the CLI has no option for
+    # one: --ansatz-degree is a usage error
     model = tmp_path / "m.vln"
     model.write_text("""
 dim 1
@@ -166,7 +166,7 @@ symmetry translate: phi <- d[0](phi)
 """)
     res = run_cli("superpotential", str(model), "translate",
                   "--ansatz-degree", "1")
-    assert res.returncode == 3
+    assert res.returncode == 2
     ok = run_cli("superpotential", str(model), "translate")
     assert ok.returncode in (0, 1)
 
@@ -254,9 +254,9 @@ def test_verify_weak_conservation_failure_reports_residual(monkeypatch,
     assert step["payload"]["residual"]["text"] == "-c_{,0}"
 
 
-def test_verify_keeps_bound_exhaustion_of_earlier_symmetry(tmp_path, capsys):
-    # 'translate' exhausts the degree-1 ansatz; the later 'wrong' is no
-    # symmetry and fails, which must not clear the exhaustion flag
+def test_verify_decides_each_symmetry_without_bound(tmp_path, capsys):
+    # 'translate' needs a degree-2 witness and passes; the later 'wrong' is
+    # no symmetry and fails; no step is left undecided
     model = tmp_path / "two.vln"
     model.write_text("""
 dim 1
@@ -265,9 +265,24 @@ lagrangian (1/2)*d[0](phi)^2
 symmetry translate: phi <- d[0](phi)
 symmetry wrong: phi <- phi
 """)
-    code, report = _verify_in_process(capsys, model, "--ansatz-degree", "1")
+    code, report = _verify_in_process(capsys, model)
     statuses = {s["name"]: s["status"] for s in report["steps"]}
-    assert statuses["symmetry translate"] == "error"
+    assert statuses["symmetry translate"] == "pass"
     assert statuses["symmetry wrong"] == "fail"
-    assert report["bound_exhausted"] is True
+    assert report["bound_exhausted"] is False
     assert code == 1
+
+
+def test_verify_quintic_translation_needs_no_degree_bound(tmp_path):
+    # the divergence witness of the translation has degree 5: exactness
+    # decisions take no degree bound
+    model = tmp_path / "quintic.vln"
+    model.write_text("""
+dim 2
+field phi even
+lagrangian (1/2)*d[mu](phi)*d[mu](phi) + (1/5)*phi^5
+symmetry translate: phi <- d[0](phi)
+""")
+    res = run_cli("verify", str(model))
+    assert res.returncode == 0, (res.stdout, res.stderr)
+    assert "symmetry translate: pass" in res.stdout.splitlines()

@@ -129,14 +129,17 @@ def test_extract_maxwell3():
 def test_boundary_antiderivative_three_dims():
     import random as _random
     from vnoether import horizontal_antiderivative
-    from helpers import rand_poly
+    from helpers import DEFAULT_SYMBOLS, rand_poly
     rng = _random.Random(77)
-    for _ in range(8):
-        table = {}
-        for pair in ((0, 1), (0, 2), (1, 2)):
-            table[pair] = rand_poly(rng, (PHI, PSI), dim=3, max_order=1)
-        sup = Superpotential(table, 3)
-        rho = Current({mu: sup.divergence(mu) for mu in range(3)}, 3)
+    # 8 inputs in dim 3 at jet order 1 over even fields, then 12 in dims 2-4
+    # at order 2 with the odd ghosts
+    for i in range(20):
+        dim, symbols, order = ((3, (PHI, PSI), 1) if i < 8
+                               else (rng.choice([2, 3, 4]), DEFAULT_SYMBOLS, 2))
+        table = {(nu, mu): rand_poly(rng, symbols, dim=dim, max_order=order)
+                 for nu in range(dim) for mu in range(nu + 1, dim)}
+        sup = Superpotential(table, dim)
+        rho = Current({mu: sup.divergence(mu) for mu in range(dim)}, dim)
         res = horizontal_antiderivative(rho.form())
         assert res.status == "exact"
         assert (res.witness.horizontal_differential() - rho.form()).is_zero()
@@ -243,22 +246,20 @@ def test_unresolvable_remainder_is_reported():
 
 def test_remainder_bound_exhaustion_is_typed():
     # a closed ghost-free term d_nu U^{nu mu} of degree 3 added to the
-    # Maxwell current is exact, but out of reach of a degree-2 ansatz
+    # Maxwell current is exact, and the homotopy operator resolves it
     A, F, L, ghost, result = _maxwell(2)
+    el = euler_lagrange(L)
     J = result.current
     f = P(jet(A[0])) * P(jet(A[1])) ** 2
     closed = Current({0: J.component(0) + f.total_derivative(1),
                       1: J.component(1) - f.total_derivative(0)}, 2)
-    assert not extract(closed, result.symmetry, L).remainder_witness.is_zero()
-    with pytest.raises(SuperpotentialError) as err:
-        extract(closed, result.symmetry, L, max_degree=2)
-    assert err.value.bound_exhausted is True
-    assert err.value.tag == TAG_GHOST_FREE
-    # a term that is not closed is a mathematical failure at any bound
+    split = extract(closed, result.symmetry, L)
+    assert not split.remainder_witness.is_zero()
+    assert verify_split(closed, split, el)[0]
+    # a term that is not closed is a mathematical failure
     broken = Current({0: J.component(0) + f, 1: J.component(1)}, 2)
     with pytest.raises(SuperpotentialError) as err:
-        extract(broken, result.symmetry, L, max_degree=2)
-    assert err.value.bound_exhausted is False
+        extract(broken, result.symmetry, L)
     assert err.value.tag == TAG_GHOST_FREE
 
 
