@@ -24,6 +24,10 @@ def test_parse_minimal_scalar():
     model = load_model("dim 1\nfield phi even\nlagrangian (1/2)*d[x](phi)^2\n")
     phi = model.symbols["phi"]
     assert model.lagrangian.density == Fraction(1, 2) * P(jet(phi, (0,))) ** 2
+    # the copies of a power contract
+    model = load_model("dim 2\nfield a[m] even\nlagrangian a[mu]^2\n")
+    a0, a1 = model.symbols["a0"], model.symbols["a1"]
+    assert model.lagrangian.density == P(jet(a0)) ** 2 + P(jet(a1)) ** 2
 
 
 def test_parse_maxwell():
@@ -55,6 +59,11 @@ def test_elaborate_maxwell_minkowski_signs():
     assert model.lagrangian.density == Fraction(1, 2) * f01 * f01
     el = euler_lagrange(model.lagrangian)
     assert check_noether_identity(model.identities["gauge"], el)
+    # the trace of a two-slot family takes the metric signs
+    model = load_model("dim 2\nmetric minkowski +-\nfield h[m,n] even\n"
+                       "lagrangian h[mu,mu]\n")
+    h00, h11 = model.symbols["h00"], model.symbols["h11"]
+    assert model.lagrangian.density == P(jet(h00)) - P(jet(h11))
 
 
 def test_metric_flip_preserves_monomial_support():
@@ -73,16 +82,62 @@ def test_metric_flip_preserves_monomial_support():
 def test_dim1_family_collapses():
     model = load_model("dim 1\nfield B[mu] even\nlagrangian B[0]^2\n")
     assert set(model.symbols) == {"B0"}
+    with pytest.raises(ElaborationError, match="index 1 out of range"):
+        load_model("dim 1\nfield B[mu] even\nlagrangian B[1]^2\n")
 
 
 def test_summation_arity_error():
-    with pytest.raises(ElaborationError, match="3 times"):
-        load_model("dim 2\nfield a[m] even\nlagrangian a[mu]*a[mu]*a[mu]\n")
+    for source in ("dim 2\nfield a[m] even\nlagrangian a[mu]*a[mu]*a[mu]\n",
+                   "dim 2\nfield a[m] even\nlagrangian a[mu]^3\n"):
+        with pytest.raises(ElaborationError, match="3 times"):
+            load_model(source)
 
 
 def test_unbound_index_error():
     with pytest.raises(ElaborationError, match="appears once"):
         load_model("dim 2\nfield a[m] even\nlagrangian a[mu]\n")
+    with pytest.raises(ElaborationError,
+                       match="summands expose different free indices"):
+        load_model("dim 2\nfield a[m] even\nlagrangian a[mu]*(a[mu] + a[0])\n")
+
+
+def test_nested_dummy_sums_inside_parentheses():
+    # the parenthesized pair is summed inside the factor, not tied to the
+    # outer pair of the same letter
+    model = load_model("dim 2\nfield phi even\n"
+                       "lagrangian d[mu](phi)*d[mu](phi)*(d[mu](phi)*d[mu](phi))\n")
+    phi = model.symbols["phi"]
+    square = P(jet(phi, (0,))) ** 2 + P(jet(phi, (1,))) ** 2
+    assert model.lagrangian.density == square * square
+
+
+def test_nested_dummy_in_identity_coefficient():
+    # the coefficient's own pair is summed before the coefficient meets the
+    # d[nu](EL(A[nu])) pair of the term
+    model = load_model("dim 2\nfield a[m] even\nfield b[m] even\n"
+                       "field A[m] even\n"
+                       "identity g: a[nu]*b[nu]*d[nu](EL(A[nu]))\n")
+    a0, a1, b0, b1 = (model.symbols[n] for n in ("a0", "a1", "b0", "b1"))
+    dot = P(jet(a0)) * P(jet(b0)) + P(jet(a1)) * P(jet(b1))
+    coeffs = model.identities["g"].coefficients
+    assert coeffs == {(model.symbols["A0"], (0,)): dot,
+                      (model.symbols["A1"], (1,)): dot}
+
+
+def test_symmetry_left_side_letters_are_fixed():
+    # a letter bound by the left side takes the component's value on the
+    # right side and is never summed there
+    model = load_model("dim 2\nfield A[m] even\nfield a[m] even\n"
+                       "field b[m] even\nghost c odd for g\n"
+                       "identity g: 0*EL(A[0])\n"
+                       "symmetry s: A[mu] <- a[mu]*b[mu]\n"
+                       "symmetry t: A[mu] <- 1 - d[mu](c)\n")
+    sym = model.symbols
+    s, t = model.symmetries["s"], model.symmetries["t"]
+    for v in range(2):
+        target = sym[f"A{v}"]
+        assert s.component(target) == P(jet(sym[f"a{v}"])) * P(jet(sym[f"b{v}"]))
+        assert t.component(target) == 1 - P(jet(sym["c"], (v,)))
 
 
 def test_parse_error_position():
