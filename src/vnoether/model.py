@@ -2,13 +2,23 @@
 
 A model file declares the base dimension and metric, field and ghost
 families with index slots, macro bindings, a Lagrangian, named identities
-between Euler-Lagrange expressions and named symmetries.  An index letter
-repeated twice at one product level is summed over ``0..n-1``, picking up
-the metric sign once per contracted pair when both occurrences are
-covariant; slot indices of ``EL(...)`` count as contravariant, so pairing
-them against a derivative index sums plainly.  Families are expanded to
-flat per-component symbols (``A[mu]`` with ``dim 2`` becomes ``A0``,
-``A1``).
+between Euler-Lagrange expressions and named symmetries.  Families are
+expanded to flat per-component symbols (``A[mu]`` with ``dim 2`` becomes
+``A0``, ``A1``).
+
+Index rules.  A product level is a symbol's slots, ``d[..]`` with its
+operand, the copies of a power, a product of factors, and an identity
+term's coefficient against its ``d[..](EL(..))`` indices.  Elaboration
+visits each node once, bottom-up, and at every product level applies one
+rule to the letters met there: a letter seen once stays open for the
+enclosing level, a letter seen twice is summed over ``0..n-1`` at this,
+its innermost, level, and three or more occurrences are an error.  A
+summed pair picks up the metric sign when both occurrences have the same
+variance; slot indices of ``EL(...)`` count as contravariant, so pairing
+them against a derivative index sums plainly.  The summands of a sum must
+leave the same letters open.  A symmetry's left-side letters take each
+component's values and enter the right side as literal indices, so they
+are never summed there.
 
 Grammar sketch (``#`` starts a comment, files use extension ``.vln``)::
 
@@ -31,6 +41,7 @@ Grammar sketch (``#`` starts a comment, files use extension ``.vln``)::
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -451,124 +462,32 @@ def parse(text: str) -> ModelSource:
 
 
 # ---------------------------------------------------------------------------
-# macro expansion
+# tree rebuild: macro expansion and index substitution
 
-def _expand_lets(expr, lets: dict, counter: list):
+def _rebuild(expr, letter, call=None):
+    """Copy ``expr`` with every index letter replaced by the index
+    ``letter(name)``; when ``call`` is given, every symbol node is replaced
+    by ``call(node)`` instead."""
+    def idxs(items):
+        return tuple(letter(i[1]) if i[0] == "letter" else i for i in items)
     tag = expr[0]
-    if tag == "sym" and expr[1] in lets:
-        params, body = lets[expr[1]]
-        slots = expr[2]
-        if len(slots) != len(params):
-            raise ElaborationError(
-                f"macro {expr[1]!r} expects {len(params)} indices, got {len(slots)}")
-        mapping = dict(zip(params, slots))
-        bound = _letters_of(body) - set(params)
-        for letter in sorted(bound):
-            counter[0] += 1
-            mapping[letter] = ("letter", f"{letter}_{counter[0]}_")
-        return _substitute(body, mapping)
-    if tag in ("num", "el", "sym"):
-        return expr
-    if tag == "neg":
-        return ("neg", _expand_lets(expr[1], lets, counter))
-    if tag == "inv":
-        return ("inv", _expand_lets(expr[1], lets, counter))
-    if tag == "pow":
-        return ("pow", _expand_lets(expr[1], lets, counter), expr[2])
-    if tag == "d":
-        return ("d", expr[1], _expand_lets(expr[2], lets, counter))
-    if tag in ("add", "mul"):
-        return (tag, tuple(_expand_lets(e, lets, counter) for e in expr[1]))
-    raise AssertionError(tag)
-
-
-def _substitute(expr, mapping):
-    tag = expr[0]
-    if tag == "num":
-        return expr
+    if tag == "sym" and call is not None:
+        return call(expr)
     if tag in ("sym", "el"):
-        return (tag, expr[1], tuple(mapping.get(i[1], i) if i[0] == "letter"
-                                    else i for i in expr[2]))
-    if tag == "neg":
-        return ("neg", _substitute(expr[1], mapping))
-    if tag == "inv":
-        return ("inv", _substitute(expr[1], mapping))
+        return (tag, expr[1], idxs(expr[2]))
+    if tag == "d":
+        return ("d", idxs(expr[1]), _rebuild(expr[2], letter, call))
     if tag == "pow":
-        return ("pow", _substitute(expr[1], mapping), expr[2])
-    if tag == "d":
-        idxs = tuple(mapping.get(i[1], i) if i[0] == "letter" else i
-                     for i in expr[1])
-        return ("d", idxs, _substitute(expr[2], mapping))
-    if tag in ("add", "mul"):
-        return (tag, tuple(_substitute(e, mapping) for e in expr[1]))
-    raise AssertionError(tag)
-
-
-def _letters_of(expr) -> set:
-    tag = expr[0]
-    out = set()
-    if tag in ("sym", "el"):
-        out.update(i[1] for i in expr[2] if i[0] == "letter")
-    elif tag == "d":
-        out.update(i[1] for i in expr[1] if i[0] == "letter")
-        out |= _letters_of(expr[2])
-    elif tag in ("neg", "inv"):
-        out |= _letters_of(expr[1])
-    elif tag == "pow":
-        out |= _letters_of(expr[1])
-    elif tag in ("add", "mul"):
-        for e in expr[1]:
-            out |= _letters_of(e)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# index exposure
-#
-# own(expr): (letter, covariant) occurrences to be contracted at this node.
-# free(expr): what propagates upward: the singles of own(expr); contracted
-# pairs are dropped, three or more occurrences are an arity error.
-
-def _own(expr):
-    tag = expr[0]
-    if tag == "num":
-        return []
-    if tag == "sym":
-        return [(i[1], True) for i in expr[2] if i[0] == "letter"]
-    if tag == "el":
-        return [(i[1], False) for i in expr[2] if i[0] == "letter"]
-    if tag == "d":
-        return ([(i[1], True) for i in expr[1] if i[0] == "letter"]
-                + _free(expr[2]))
+        return ("pow", _rebuild(expr[1], letter, call), expr[2])
     if tag in ("neg", "inv"):
-        return _free(expr[1])
-    if tag == "pow":
-        return _free(expr[1]) * expr[2]
-    if tag == "mul":
-        out = []
-        for e in expr[1]:
-            out.extend(_free(e))
-        return out
-    if tag == "add":
-        frees = [sorted(_free(e)) for e in expr[1]]
-        for other in frees[1:]:
-            if other != frees[0]:
-                raise ElaborationError(
-                    "summands expose different free indices")
-        return list(frees[0])
-    raise AssertionError(tag)
+        return (tag, _rebuild(expr[1], letter, call))
+    if tag in ("add", "mul"):
+        return (tag, tuple(_rebuild(e, letter, call) for e in expr[1]))
+    return expr
 
 
-def _free(expr):
-    own = _own(expr)
-    counts: Dict[str, int] = {}
-    for letter, _ in own:
-        counts[letter] = counts.get(letter, 0) + 1
-    for letter, count in counts.items():
-        if count > 2:
-            raise ElaborationError(
-                f"index {letter!r} appears {count} times in one term")
-    return [(l, cov) for (l, cov) in own if counts[l] == 1]
+def _occurrences(idxs, covariant: bool):
+    return [(i[1], covariant) for i in idxs if i[0] == "letter"]
 
 
 # ---------------------------------------------------------------------------
@@ -600,13 +519,6 @@ def _flat_name(name: str, values: Sequence[int]) -> str:
     return name + "".join(str(v) for v in values)
 
 
-def _index_tuples(dim: int, arity: int):
-    out = [()]
-    for _ in range(arity):
-        out = [t + (v,) for t in out for v in range(dim)]
-    return out
-
-
 class _Elaborator:
     def __init__(self, src: ModelSource, jet_cap: int):
         self.src = src
@@ -625,7 +537,7 @@ class _Elaborator:
         self.fields: List[FieldSymbol] = []
         self.ghost_info: Dict[str, tuple] = {}
         self.lets: Dict[str, tuple] = {}
-        self.fresh = [0]
+        self.fresh = 0
 
     def run(self) -> ElaboratedModel:
         src = self.src
@@ -640,12 +552,10 @@ class _Elaborator:
             self._declare(name, arity, parity, KIND_GHOST)
             self.ghost_info[name] = (self.symbols[name], target)
         for (name, params, body) in src.lets:
-            self.lets[name] = (params, _expand_lets(body, self.lets, self.fresh))
+            self.lets[name] = (params, self._expand(body))
         lag_poly = GradedPoly.zero()
         if src.lagrangian is not None:
-            expr = _expand_lets(src.lagrangian, self.lets, self.fresh)
-            self._check_closed(expr, "lagrangian")
-            lag_poly = self.eval_expr(expr, {})
+            lag_poly = self._closed(self._expand(src.lagrangian), "lagrangian")
         parity = lag_poly.parity
         lagrangian = Lagrangian(lag_poly, self.dim,
                                 parity if parity is not None else EVEN,
@@ -670,7 +580,7 @@ class _Elaborator:
 
     def _declare(self, name, arity, parity, kind):
         flats = []
-        for values in _index_tuples(self.dim, arity):
+        for values in itertools.product(range(self.dim), repeat=arity):
             flat = _flat_name(name, values)
             if flat in self.symbols:
                 raise ElaborationError(f"symbol collision on {flat!r}")
@@ -690,155 +600,186 @@ class _Elaborator:
                 f"{name!r} expects {arity} indices, got {len(values)}")
         return self.symbols[_flat_name(name, values)]
 
-    def _check_closed(self, expr, where: str):
-        free = _free(expr)
-        if free:
+    # -- macros --------------------------------------------------------------
+
+    def _expand(self, expr):
+        return _rebuild(expr, lambda name: ("letter", name), self._call)
+
+    def _call(self, node):
+        """Expand one use of a ``let``: parameters take the use's indices,
+        the body's other letters get fresh names so they capture nothing."""
+        if node[1] not in self.lets:
+            return node
+        params, body = self.lets[node[1]]
+        if len(node[2]) != len(params):
             raise ElaborationError(
-                f"{where}: index {free[0][0]!r} appears once and is unbound")
+                f"macro {node[1]!r} expects {len(params)} indices, "
+                f"got {len(node[2])}")
+        mapping = dict(zip(params, node[2]))
+
+        def rename(name):
+            if name not in mapping:
+                self.fresh += 1
+                mapping[name] = ("letter", f"{name}_{self.fresh}_")
+            return mapping[name]
+        return _rebuild(body, rename)
 
     # -- evaluation ----------------------------------------------------------
 
-    def eval_expr(self, expr, binding: dict) -> GradedPoly:
-        tag = expr[0]
-        if tag == "add":
-            out = GradedPoly.zero()
-            for e in expr[1]:
-                out = out + self.eval_expr(e, binding)
-            return out
-        if tag == "neg":
-            return -self.eval_expr(expr[1], binding)
-        own = _own(expr)
-        counts: Dict[str, int] = {}
-        for letter, _ in own:
-            if letter not in binding:
-                counts[letter] = counts.get(letter, 0) + 1
-        singles = [l for l, c in counts.items() if c == 1]
-        if singles:
-            raise ElaborationError(
-                f"index {singles[0]!r} appears once and is unbound")
-        pairs = sorted(l for l, c in counts.items() if c == 2)
-        if pairs:
-            letter = pairs[0]
-            occ = [cov for (l, cov) in own if l == letter]
-            same_variance = occ[0] == occ[1]
-            out = GradedPoly.zero()
-            for value in range(self.dim):
-                sub = dict(binding)
-                sub[letter] = value
-                factor = self.signs[value] if same_variance else 1
-                out = out + self.eval_expr(expr, sub) * factor
-            return out
-        return self._eval_atom(expr, binding)
+    def _level(self, own, factors):
+        """The contraction rule of one product level.
 
-    def _eval_atom(self, expr, binding: dict) -> GradedPoly:
+        ``own`` are the node's own (letter, covariant) occurrences and
+        ``factors`` the evaluated children, each ``(open, table)``.  A letter
+        seen once among all of them stays open, twice is summed over
+        ``0..n-1`` with the metric sign when both occurrences have the same
+        variance, three or more times is an error.  Returns the open
+        occurrences sorted by letter and one row per assignment:
+        ``(open values, letter -> value, sign, factor values)``."""
+        seen: Dict[str, list] = {}
+        for letter, cov in own + [o for occ, _ in factors for o in occ]:
+            seen.setdefault(letter, []).append(cov)
+        for letter, covs in seen.items():
+            if len(covs) > 2:
+                raise ElaborationError(
+                    f"index {letter!r} appears {len(covs)} times in one term")
+        open_ = tuple(sorted((l, covs[0]) for l, covs in seen.items()
+                             if len(covs) == 1))
+        pairs = sorted((l, covs[0] == covs[1]) for l, covs in seen.items()
+                       if len(covs) == 2)
+        letters = [l for l, _ in open_] + [l for l, _ in pairs]
+        rows = []
+        for values in itertools.product(range(self.dim), repeat=len(letters)):
+            env = dict(zip(letters, values))
+            sign = 1
+            for (_, same), v in zip(pairs, values[len(open_):]):
+                if same:
+                    sign *= self.signs[v]
+            vals = [table[tuple(env[l] for l, _ in occ)]
+                    for occ, table in factors]
+            rows.append((values[:len(open_)], env, sign, vals))
+        return open_, rows
+
+    def _eval(self, expr):
+        """Evaluate ``expr`` bottom-up, visiting each node once.  Returns its
+        open occurrences (sorted by letter) and its value at every assignment
+        of their letters, keyed by the tuple of values."""
         tag = expr[0]
         if tag == "num":
-            return GradedPoly.constant(expr[1])
-        if tag == "sym":
-            values = [self._idx_value(i, binding) for i in expr[2]]
-            return GradedPoly.variable(jet(self._family_symbol(expr[1], values)))
+            return (), {(): GradedPoly.constant(expr[1])}
         if tag == "el":
             raise ElaborationError("EL(...) is only allowed inside identities")
-        if tag == "d":
-            inner = self.eval_expr(expr[2], binding)
-            for i in expr[1]:
-                inner = inner.total_derivative(self._idx_value(i, binding),
-                                               self.cap)
-            return inner
-        if tag == "inv":
-            denom = self.eval_expr(expr[1], binding)
-            const = denom.constant_term()
-            if denom != GradedPoly.constant(const) or const == 0:
-                raise ElaborationError("division is only by nonzero constants")
-            return GradedPoly.constant(Fraction(1) / const)
-        if tag == "pow":
-            return self.eval_expr(expr[1], binding) ** expr[2]
-        if tag == "mul":
-            out = GradedPoly.constant(1)
-            for e in expr[1]:
-                out = out * self.eval_expr(e, binding)
-            return out
-        raise AssertionError(tag)
+        if tag in ("neg", "inv"):
+            occ, table = self._eval(expr[1])
+            op = GradedPoly.__neg__ if tag == "neg" else _reciprocal
+            return occ, {k: op(v) for k, v in table.items()}
+        if tag == "add":
+            parts = [self._eval(e) for e in expr[1]]
+            occ, table = parts[0]
+            table = dict(table)
+            for other, more in parts[1:]:
+                if other != occ:
+                    raise ElaborationError(
+                        "summands expose different free indices")
+                for k, v in more.items():
+                    table[k] = table[k] + v
+            return occ, table
+        if tag == "sym":
+            own, factors = _occurrences(expr[2], True), []
+        elif tag == "d":
+            own, factors = _occurrences(expr[1], True), [self._eval(expr[2])]
+        elif tag == "pow":
+            own, factors = [], [self._eval(expr[1])] * expr[2]
+        else:
+            own, factors = [], [self._eval(e) for e in expr[1]]
+        open_, rows = self._level(own, factors)
+        table: Dict[tuple, GradedPoly] = {}
+        for key, env, sign, vals in rows:
+            if tag == "sym":
+                values = [self._idx_value(i, env) for i in expr[2]]
+                value = GradedPoly.variable(
+                    jet(self._family_symbol(expr[1], values)))
+            elif tag == "d":
+                value = vals[0]
+                for i in expr[1]:
+                    value = value.total_derivative(self._idx_value(i, env),
+                                                   self.cap)
+            else:
+                value = GradedPoly.constant(1)
+                for v in vals:
+                    value = value * v
+            value = value * sign
+            table[key] = table[key] + value if key in table else value
+        return open_, table
 
-    def _idx_value(self, idx: Idx, binding: dict) -> int:
+    def _closed(self, expr, where: str) -> GradedPoly:
+        occ, table = self._eval(expr)
+        if occ:
+            raise ElaborationError(
+                f"{where}: index {occ[0][0]!r} appears once and is unbound")
+        return table[()]
+
+    def _idx_value(self, idx: Idx, env: dict) -> int:
         kind, val = idx
-        if kind == "lit":
-            if not 0 <= val < self.dim:
-                raise ElaborationError(f"index {val} out of range")
-            return val
-        if val not in binding:
-            raise ElaborationError(f"unbound index {val!r}")
-        return binding[val]
+        if kind == "letter":
+            return env[val]
+        if not 0 <= val < self.dim:
+            raise ElaborationError(f"index {val} out of range")
+        return val
 
     # -- identities and symmetries -------------------------------------------
 
     def _eval_identity(self, name: str, terms) -> NoetherOperator:
+        """Each term is one product level: the coefficient's open letters
+        against the ``d[..]`` indices (covariant) and the ``EL`` slots
+        (contravariant); every letter must pair there."""
         coeffs: Dict[tuple, GradedPoly] = {}
         for (coeff_expr, dlist, fname, slots) in terms:
-            coeff_expr = _expand_lets(coeff_expr, self.lets, self.fresh)
-            own = list(_free(coeff_expr))
-            own += [(i[1], True) for i in dlist if i[0] == "letter"]
-            own += [(i[1], False) for i in slots if i[0] == "letter"]
-            counts: Dict[str, int] = {}
-            for letter, _ in own:
-                counts[letter] = counts.get(letter, 0) + 1
-            for letter, count in counts.items():
-                if count == 1:
-                    raise ElaborationError(
-                        f"identity {name!r}: index {letter!r} appears once")
-                if count > 2:
-                    raise ElaborationError(
-                        f"identity {name!r}: index {letter!r} appears "
-                        f"{count} times")
-
-            def emit(binding, factor, remaining):
-                if remaining:
-                    letter = remaining[0]
-                    occ = [cov for (l, cov) in own if l == letter]
-                    same = occ[0] == occ[1]
-                    for value in range(self.dim):
-                        sub = dict(binding)
-                        sub[letter] = value
-                        f2 = factor * (self.signs[value] if same else 1)
-                        emit(sub, f2, remaining[1:])
-                    return
-                poly = self.eval_expr(coeff_expr, binding) * factor
+            coeff = self._eval(self._expand(coeff_expr))
+            own = _occurrences(dlist, True) + _occurrences(slots, False)
+            open_, rows = self._level(own, [coeff])
+            if open_:
+                raise ElaborationError(
+                    f"identity {name!r}: index {open_[0][0]!r} appears once")
+            for _, env, sign, (poly,) in rows:
+                poly = poly * sign
                 if poly.is_zero():
-                    return
-                values = [self._idx_value(i, binding) for i in slots]
-                index = multi_index(self._idx_value(i, binding) for i in dlist)
+                    continue
+                values = [self._idx_value(i, env) for i in slots]
+                index = multi_index(self._idx_value(i, env) for i in dlist)
                 accumulate(coeffs, (self._family_symbol(fname, values), index),
                            poly)
-
-            emit({}, 1, sorted(counts))
         return NoetherOperator(name, coeffs)
 
     def _eval_symmetry(self, name: str, assigns) -> GeneralizedVectorField:
+        """The left side's letters take each component's values and enter
+        the right side as literal indices, so they are never summed there."""
         comps: Dict[FieldSymbol, GradedPoly] = {}
         for (target, slots, expr) in assigns:
-            expr = _expand_lets(expr, self.lets, self.fresh)
+            expr = self._expand(expr)
             letters = [i[1] for i in slots if i[0] == "letter"]
             if len(set(letters)) != len(letters):
                 raise ElaborationError(
                     f"symmetry {name!r}: repeated index on the left side")
-            for values in _index_tuples(self.dim, len(slots)):
-                binding = {}
-                concrete = []
-                ok = True
-                for idx, value in zip(slots, values):
-                    if idx[0] == "lit":
-                        if idx[1] != value:
-                            ok = False
-                            break
-                        concrete.append(idx[1])
-                    else:
-                        binding[idx[1]] = value
-                        concrete.append(value)
-                if not ok:
+            for values in itertools.product(range(self.dim),
+                                            repeat=len(slots)):
+                if any(i[0] == "lit" and i[1] != v
+                       for i, v in zip(slots, values)):
                     continue
-                sym = self._family_symbol(target, concrete)
-                accumulate(comps, sym, self.eval_expr(expr, binding))
+                fixed = {i[1]: ("lit", v) for i, v in zip(slots, values)
+                         if i[0] == "letter"}
+                right = _rebuild(expr, lambda l: fixed.get(l, ("letter", l)))
+                sym = self._family_symbol(target, values)
+                accumulate(comps, sym,
+                           self._closed(right, f"symmetry {name!r}"))
         return GeneralizedVectorField.make(comps)
+
+
+def _reciprocal(denom: GradedPoly) -> GradedPoly:
+    const = denom.constant_term()
+    if denom != GradedPoly.constant(const) or const == 0:
+        raise ElaborationError("division is only by nonzero constants")
+    return GradedPoly.constant(Fraction(1) / const)
 
 
 def elaborate(src: ModelSource, jet_cap: int = DEFAULT_JET_CAP) -> ElaboratedModel:
