@@ -80,17 +80,9 @@ def mi_add(index: MultiIndex, lam: int) -> MultiIndex:
     return tuple(sorted(index + (lam,)))
 
 
-def mi_multiplicity(index: MultiIndex, lam: int) -> int:
-    return index.count(lam)
-
-
 def mi_remove(index: MultiIndex, lam: int) -> MultiIndex:
     pos = index.index(lam)
     return index[:pos] + index[pos + 1:]
-
-
-def mi_contains(big: MultiIndex, small: MultiIndex) -> bool:
-    return all(big.count(i) >= small.count(i) for i in set(small))
 
 
 def mi_subtract(big: MultiIndex, small: MultiIndex) -> MultiIndex:

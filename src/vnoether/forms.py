@@ -155,9 +155,6 @@ class MixedForm:
                     tuple(var_key(v) for v in contact), horiz)
         return sorted(self.components.items(), key=key)
 
-    def contact_degrees(self) -> set:
-        return {len(k[0]) for k in self.components}
-
     def horizontal_degrees(self) -> set:
         return {len(k[1]) for k in self.components}
 

@@ -143,9 +143,6 @@ class GrassmannElement:
             return None
         return parities.pop() if len(parities) == 1 else None
 
-    def scalar_part(self) -> Fraction:
-        return self.terms.get((), Fraction(0))
-
     def __repr__(self):
         if not self.terms:
             return "GrassmannElement(0)"
