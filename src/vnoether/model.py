@@ -607,7 +607,8 @@ class _Elaborator:
 
     def _call(self, node):
         """Expand one use of a ``let``: parameters take the use's indices,
-        the body's other letters get fresh names so they capture nothing."""
+        the body's other letters get fresh names so they capture nothing (a
+        quote cannot occur in a source letter)."""
         if node[1] not in self.lets:
             return node
         params, body = self.lets[node[1]]
@@ -620,7 +621,7 @@ class _Elaborator:
         def rename(name):
             if name not in mapping:
                 self.fresh += 1
-                mapping[name] = ("letter", f"{name}_{self.fresh}_")
+                mapping[name] = ("letter", f"{name}'{self.fresh}")
             return mapping[name]
         return _rebuild(body, rename)
 

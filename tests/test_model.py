@@ -176,6 +176,11 @@ lagrangian T[nu]*a[nu]
             t = t + P(jet((a0, a1)[inner])) * P(jet(b, (inner,)))
         expect = expect + t * P(jet((a0, a1)[nu]))
     assert model.lagrangian.density == expect
+    # nor a caller's letter spelled like a generated name
+    source = "dim 2\nfield a[m] even\nlet T[mu] = a[mu]*a[nu]*a[nu]\n"
+    want = load_model(source + "lagrangian T[x]*a[x]\n").lagrangian.density
+    got = load_model(source + "lagrangian T[nu_1_]*a[nu_1_]\n")
+    assert got.lagrangian.density == want
 
 
 def test_ghost_parity_validation():
