@@ -22,7 +22,8 @@ from .variational import (BOUND_EXHAUSTED, EXACT, NOT_EXACT, ConsistencyError,
                           expand_witness, first_variational_residual,
                           horizontal_antiderivative, is_variational_symmetry,
                           lepage_equivalent, noether_current,
-                          symmetry_witness, weak_conservation_witness)
+                          prolonged_variation, symmetry_witness,
+                          weak_conservation_witness)
 from .gauge import (GaugeError, GaugeSymmetryResult, NoetherOperator,
                     adjoint, adjoint_table, antifield, antifield_number,
                     check_noether_identity, extended_lagrangian, ghost_for,

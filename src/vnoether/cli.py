@@ -23,6 +23,7 @@ import sys
 import time
 
 from .algebra import GradedPoly, JetCapError, jet, poly_to_data
+from .forms import prolong
 from .gauge import GaugeError, check_noether_identity, gauge_symmetry
 from .model import ElaborationError, ParseError, load_model
 from .render import poly_text
@@ -30,7 +31,8 @@ from .superpotential import (SuperpotentialError, extract, ghosts_of,
                              structural_checks, verify_split)
 from .variational import (EXACT, Current, check_lepage, euler_lagrange,
                           first_variational_residual, is_variational_symmetry,
-                          noether_current, symmetry_witness)
+                          lepage_equivalent, noether_current,
+                          symmetry_witness)
 
 EXIT_OK = 0
 EXIT_MATH = 1
@@ -129,12 +131,12 @@ class _Runner:
             self.add(f"identity {name}", "fail",
                      {"residual": _poly_payload(residual)})
 
-    def _gauge(self, model, name):
+    def _gauge(self, model, name, el):
         op = model.identities[name]
         ghost = model.ghost_of(name)
         if ghost is None:
             raise _Usage(f"identity {name!r} has no declared ghost")
-        return gauge_symmetry(op, ghost, model.lagrangian)
+        return gauge_symmetry(op, ghost, model.lagrangian, el)
 
     def cmd_gauge_symmetry(self):
         model = self.model()
@@ -148,7 +150,7 @@ class _Runner:
                      {"reason": "identity does not hold; refusing"})
             return
         self.add(f"identity {name}", "pass")
-        result = self._gauge(model, name)
+        result = self._gauge(model, name, el)
         sigma = Current.from_form(result.sigma)
         self.add("gauge-symmetry", "pass",
                  {"components": _symmetry_payload(result.symmetry),
@@ -164,16 +166,18 @@ class _Runner:
                 self.add(f"identity {name}", "fail",
                          {"reason": "identity does not hold; refusing"})
                 return
-            result = self._gauge(model, name)
+            result = self._gauge(model, name, el)
             u, current = result.symmetry, result.current
         elif name in model.symmetries:
             u = model.symmetries[name]
-            sym_result = is_variational_symmetry(u, model.lagrangian)
+            L = model.lagrangian
+            deriv = prolong(u, L.dim, L.jet_cap)
+            sym_result = is_variational_symmetry(u, L, deriv=deriv)
             if sym_result.status != EXACT:
                 self.add(f"symmetry {name}", "fail",
                          {"reason": "not a variational symmetry"})
                 return
-            current = noether_current(u, model.lagrangian, sym_result.sigma)
+            current = noether_current(u, L, sym_result.sigma, deriv=deriv)
         else:
             raise _Usage(f"unknown identity or symmetry {name!r}")
         if self.args.debug_corrupt_current:
@@ -188,10 +192,13 @@ class _Runner:
                     summary=False)
 
     def cmd_verify(self):
+        """Builds the Euler-Lagrange expressions and the Lepage equivalent
+        once, and each symmetry's prolongation once, for every step."""
         model = self.model()
         L = model.lagrangian
         el = euler_lagrange(L, model.fields)
-        self.add("lepage", "pass" if check_lepage(L) else "fail")
+        xi = lepage_equivalent(L)
+        self.add("lepage", "pass" if check_lepage(L, el, xi) else "fail")
         self.add("euler-lagrange", "pass", _el_payload(el))
         for name, op in sorted(model.identities.items()):
             residual = op.contraction(el, model.jet_cap)
@@ -204,12 +211,13 @@ class _Runner:
             if ghost is None:
                 continue
             try:
-                result = gauge_symmetry(op, ghost, L)
+                result = gauge_symmetry(op, ghost, L, el, xi)
             except GaugeError as exc:
                 self.add(f"gauge {name}", "fail", {"reason": str(exc)})
                 continue
             u, current = result.symmetry, result.current
-            residual_form = first_variational_residual(u, L)
+            residual_form = first_variational_residual(u, L, el, xi,
+                                                       result.prolongation)
             self.add(f"variational-formula {name}",
                      "pass" if residual_form.is_zero() else "fail")
             self._weak_conservation(name, u, current, el, L.jet_cap)
@@ -221,14 +229,15 @@ class _Runner:
             self._split(f"superpotential {name}", current, u, L, el,
                         summary=True)
         for name, ups in sorted(model.symmetries.items()):
-            residual_form = first_variational_residual(ups, L)
+            deriv = prolong(ups, L.dim, L.jet_cap)
+            residual_form = first_variational_residual(ups, L, el, xi, deriv)
             self.add(f"variational-formula {name}",
                      "pass" if residual_form.is_zero() else "fail")
-            sym_result = is_variational_symmetry(ups, L)
+            sym_result = is_variational_symmetry(ups, L, deriv=deriv)
             self.add(f"symmetry {name}",
                      "pass" if sym_result.status == EXACT else "fail")
             if sym_result.status == EXACT:
-                current = noether_current(ups, L, sym_result.sigma)
+                current = noether_current(ups, L, sym_result.sigma, xi, deriv)
                 self._weak_conservation(name, ups, current, el, L.jet_cap)
 
     def _split(self, step, current, u, L, el, summary: bool):
@@ -238,7 +247,7 @@ class _Runner:
         ``summary`` (verify).  A SuperpotentialError is a fail naming its
         equation."""
         try:
-            split = extract(current, u, L)
+            split = extract(current, u, L, el)
         except SuperpotentialError as exc:
             self.add(step, "fail", {"reason": str(exc), "equation": exc.tag})
             return

@@ -216,14 +216,16 @@ class MixedForm:
         return MixedForm(self.dim, out)
 
     def horizontal_differential(self, cap: int = DEFAULT_JET_CAP) -> "MixedForm":
+        """dx^lam ^ d_lam, with d_lam applied only to the components whose
+        horizontal index lacks lam: dx^lam ^ dx^lam = 0 kills the rest."""
         out = {}
         for lam in range(self.dim):
-            dform = self.total_derivative(lam, cap)
-            for (contact, horiz), f in dform.components.items():
-                hs = _sort_horiz((lam,) + horiz)
-                if hs is None:
-                    continue
-                newh, hsign = hs
+            live = MixedForm(self.dim, {key: f for key, f
+                                        in self.components.items()
+                                        if lam not in key[1]})
+            for (contact, horiz), f in live.total_derivative(
+                    lam, cap).components.items():
+                newh, hsign = _sort_horiz((lam,) + horiz)
                 sign = hsign * (-1 if len(contact) % 2 else 1)
                 accumulate(out, (contact, newh), f * sign)
         return MixedForm(self.dim, out)

@@ -22,10 +22,11 @@ from typing import Dict, Iterable, Optional, Sequence, Tuple
 from .algebra import (DEFAULT_JET_CAP, EVEN, KIND_ANTIFIELD, KIND_GHOST, ODD,
                       FieldSymbol, GradedPoly, accumulate, jet, mi_binomial,
                       mi_subtract, var_key)
-from .forms import (GeneralizedVectorField, MixedForm, contract,
-                    lie_derivative, prolong)
+from .forms import (ContactDerivation, GeneralizedVectorField, MixedForm,
+                    contract, prolong)
 from .variational import (Current, EulerLagrange, Lagrangian, euler_lagrange,
-                          lepage_equivalent, noether_current)
+                          lepage_equivalent, noether_current,
+                          prolonged_variation)
 
 
 class GaugeError(ValueError):
@@ -228,6 +229,7 @@ class GaugeSymmetryResult:
     symmetry: GeneralizedVectorField
     sigma: MixedForm          # horizontal (n-1)-form with d_H sigma = u^A E_A omega
     current: Current
+    prolongation: ContactDerivation  # prolong(symmetry), for reuse
 
 
 def _by_parts_witness(op: NoetherOperator, ghost: FieldSymbol,
@@ -261,21 +263,27 @@ def _by_parts_witness(op: NoetherOperator, ghost: FieldSymbol,
     return comps
 
 
-def gauge_symmetry(op: NoetherOperator, ghost: FieldSymbol,
-                   L: Lagrangian) -> GaugeSymmetryResult:
+def gauge_symmetry(op: NoetherOperator, ghost: FieldSymbol, L: Lagrangian,
+                   el: Optional[EulerLagrange] = None,
+                   xi: Optional[MixedForm] = None) -> GaugeSymmetryResult:
     """Second Noether theorem, constructively.
 
     Refuses when the identity fails.  The divergence witness sigma comes
     from exact integration by parts of the contracted source (zero for
-    exact symmetries); it is re-verified before the current is formed.
+    exact symmetries); it is re-verified against pr u(L) and against the
+    contracted source before the current is formed.  ``el`` and the Lepage
+    equivalent ``xi`` are built here unless passed in.
     """
-    el = euler_lagrange(L)
+    if el is None:
+        el = euler_lagrange(L)
     if not check_noether_identity(op, el, L.jet_cap):
         raise GaugeError(f"identity {op.name!r} does not hold")
     u = adjoint(op, ghost, L.dim, L.jet_cap)
     deriv = prolong(u, L.dim, L.jet_cap)
-    lie = lie_derivative(deriv, L.form(), L.jet_cap)
-    boundary = contract(deriv, lepage_equivalent(L)).horizontal_part()
+    lie = prolonged_variation(deriv, L)
+    if xi is None:
+        xi = lepage_equivalent(L)
+    boundary = contract(deriv, xi).horizontal_part()
     if lie.is_zero():
         witness = MixedForm.zero(L.dim)
     else:
@@ -293,8 +301,8 @@ def gauge_symmetry(op: NoetherOperator, ghost: FieldSymbol,
         source, L.dim)
     if not check.is_zero():
         raise AssertionError("gauge witness failed its re-check")
-    current = noether_current(u, L, witness)
-    return GaugeSymmetryResult(u, sigma, current)
+    current = noether_current(u, L, witness, xi, deriv)
+    return GaugeSymmetryResult(u, sigma, current, deriv)
 
 
 def extended_lagrangian(L: Lagrangian,

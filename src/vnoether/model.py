@@ -150,6 +150,7 @@ class ModelSource:
     ghosts: List[tuple] = field(default_factory=list)   # (name, arity, parity, for)
     lets: List[tuple] = field(default_factory=list)     # (name, params, body)
     lagrangian: Optional[tuple] = None
+    lagrangian_line: int = 0
     identities: Dict[str, list] = field(default_factory=dict)
     symmetries: Dict[str, list] = field(default_factory=dict)
 
@@ -239,6 +240,7 @@ class _Parser:
                 if src.lagrangian is not None:
                     self.error("duplicate lagrangian", tok)
                 src.lagrangian = self.parse_expr()
+                src.lagrangian_line = tok.line
             elif tok.text == "identity":
                 self.next()
                 name = self.expect("NAME").text
@@ -557,6 +559,10 @@ class _Elaborator:
         if src.lagrangian is not None:
             lag_poly = self._closed(self._expand(src.lagrangian), "lagrangian")
         parity = lag_poly.parity
+        if parity is None and not lag_poly.is_zero():
+            raise ElaborationError(
+                f"lagrangian (line {src.lagrangian_line}): terms of mixed "
+                "parity")
         lagrangian = Lagrangian(lag_poly, self.dim,
                                 parity if parity is not None else EVEN,
                                 self.cap)

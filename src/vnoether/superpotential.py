@@ -241,17 +241,18 @@ def _superpotential_from_form(form: MixedForm) -> Superpotential:
     return Superpotential(table, n)
 
 
-def extract(J: Current, u: GeneralizedVectorField,
-            L: Lagrangian) -> SuperpotentialSplit:
+def extract(J: Current, u: GeneralizedVectorField, L: Lagrangian,
+            el: Optional[EulerLagrange] = None) -> SuperpotentialSplit:
     """Run the constructive decomposition.
 
     Precondition: J is the Noether current of the ghost-linear symmetry u.
     The structural equations are checked first and a failure raises with
     the failing equation tag, as does a ghost-free remainder that is not
     closed or closed but not exact.  The returned split is re-verified
-    exactly.
+    exactly.  ``el`` is built here unless passed in.
     """
-    el = euler_lagrange(L)
+    if el is None:
+        el = euler_lagrange(L)
     cap = L.jet_cap
     n = J.dim
     checks = structural_checks(J, u, L, el)

@@ -9,6 +9,14 @@ variational symmetries, Noether currents and weak-conservation witnesses
 (constructive from the first variational formula when the symmetry is
 known; ``weak_conservation_witness`` keeps a bounded ansatz search for a
 bare current, and is the one producer of BOUND_EXHAUSTED).
+
+The Lie derivative of L vol along a vertical prolonged derivation is
+pr u(L) vol (``prolonged_variation``); the symmetry test and the Noether
+current use it.  ``first_variational_residual`` keeps the Cartan formula,
+so the identity that justifies the shortcut stays independent of it.
+Functions that need the Euler-Lagrange expressions, the Lepage equivalent
+or a prolongation take them as optional arguments, so a caller running
+several steps builds each once.
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ from .algebra import (DEFAULT_JET_CAP, EVEN, ODD, FieldSymbol, GradedPoly,
                       accumulate, jet, mi_add, mi_binomial, mi_permutations,
                       mi_remove, mi_subtract, multi_indices,
                       multi_indices_up_to, var_key)
-from .forms import (GeneralizedVectorField, MixedForm,
+from .forms import (ContactDerivation, GeneralizedVectorField, MixedForm,
                     UnsupportedDerivation, contract, lie_derivative,
                     omega_contracted, omega_pair_contracted, prolong)
 from .linsolve import solve_sparse
@@ -233,11 +241,14 @@ def lepage_equivalent(L: Lagrangian, table: Optional[dict] = None) -> MixedForm:
     return out
 
 
-def check_lepage(L: Lagrangian) -> bool:
-    """dL + d_H Xi - (source form) must normalize to zero exactly."""
-    xi = lepage_equivalent(L)
+def check_lepage(L: Lagrangian, el: Optional[EulerLagrange] = None,
+                 xi: Optional[MixedForm] = None) -> bool:
+    """dL + d_H Xi - (source form) must normalize to zero exactly.  ``el``
+    and the Lepage equivalent ``xi`` are built here unless passed in."""
+    if xi is None:
+        xi = lepage_equivalent(L)
     lhs = (L.form().exterior_differential(L.jet_cap)
-           - euler_lagrange_form(L)
+           - euler_lagrange_form(L, el)
            + xi.horizontal_differential(L.jet_cap))
     return lhs.is_zero()
 
@@ -245,18 +256,40 @@ def check_lepage(L: Lagrangian) -> bool:
 # ---------------------------------------------------------------------------
 # first variational formula
 
-def first_variational_residual(ups: GeneralizedVectorField,
-                               L: Lagrangian) -> MixedForm:
+def first_variational_residual(ups: GeneralizedVectorField, L: Lagrangian,
+                               el: Optional[EulerLagrange] = None,
+                               xi: Optional[MixedForm] = None,
+                               deriv: Optional[ContactDerivation] = None
+                               ) -> MixedForm:
     """Difference of the two sides of the first variational formula for a
-    vertical derivation; identically zero when the conventions cohere."""
+    vertical derivation; identically zero when the conventions cohere.
+
+    The left side is the Cartan formula, not ``prolonged_variation``: this
+    is the executable identity that justifies that shortcut, so it must not
+    use it.  ``el``, the Lepage equivalent ``xi`` and the prolongation
+    ``deriv`` of ``ups`` are built here unless passed in."""
     if not ups.is_vertical():
         raise UnsupportedDerivation(
             "the horizontal term of the variational formula is out of scope")
-    deriv = prolong(ups, L.dim, L.jet_cap)
+    if deriv is None:
+        deriv = prolong(ups, L.dim, L.jet_cap)
+    if xi is None:
+        xi = lepage_equivalent(L)
     lhs = lie_derivative(deriv, L.form(), L.jet_cap)
-    source = contract(deriv, euler_lagrange_form(L))
-    boundary = contract(deriv, lepage_equivalent(L)).horizontal_part()
+    source = contract(deriv, euler_lagrange_form(L, el))
+    boundary = contract(deriv, xi).horizontal_part()
     return lhs - source - boundary.horizontal_differential(L.jet_cap)
+
+
+def prolonged_variation(deriv: ContactDerivation, L: Lagrangian) -> MixedForm:
+    """pr u(L) vol: the Lie derivative of the top form L vol along a
+    vertical prolonged derivation.  It has no dx component and the top form
+    no contact slot, so the Cartan formula reduces to the derivation
+    applied to the density (Olver, *Applications of Lie Groups to
+    Differential Equations*, ch. 5)."""
+    if not deriv.is_vertical():
+        raise UnsupportedDerivation("pr u(L) needs a vertical derivation")
+    return MixedForm.density(deriv.apply_to_poly(L.density), L.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -519,29 +552,37 @@ class SymmetryResult:
 
 
 def is_variational_symmetry(ups: GeneralizedVectorField, L: Lagrangian,
-                            coords: Sequence[FieldSymbol] = ()) -> SymmetryResult:
-    """A vertical derivation is a variational symmetry iff its Lie
-    derivative of the Lagrangian is a total divergence; returns the witness."""
+                            coords: Sequence[FieldSymbol] = (),
+                            deriv: Optional[ContactDerivation] = None
+                            ) -> SymmetryResult:
+    """A vertical derivation is a variational symmetry iff pr u(L) is a
+    total divergence; returns the witness.  ``deriv`` is the prolongation
+    of ``ups``, built here unless passed in."""
     if not ups.is_vertical():
         raise UnsupportedDerivation("variational-symmetry test needs vertical input")
-    deriv = prolong(ups, L.dim, L.jet_cap)
-    rho = lie_derivative(deriv, L.form(), L.jet_cap)
-    if not rho.is_horizontal():
-        rho = rho.horizontal_part()
-    result = horizontal_antiderivative(rho, coords, L.jet_cap)
+    if deriv is None:
+        deriv = prolong(ups, L.dim, L.jet_cap)
+    result = horizontal_antiderivative(prolonged_variation(deriv, L), coords,
+                                       L.jet_cap)
     return SymmetryResult(result.status, result.witness)
 
 
 def noether_current(ups: GeneralizedVectorField, L: Lagrangian,
-                    sigma: MixedForm) -> Current:
+                    sigma: MixedForm, xi: Optional[MixedForm] = None,
+                    deriv: Optional[ContactDerivation] = None) -> Current:
     """Current of a variational symmetry: the witness minus the horizontal
     projection of the contracted Lepage equivalent.  The witness is
-    re-validated; a bad one raises ConsistencyError."""
-    deriv = prolong(ups, L.dim, L.jet_cap)
-    lhs = lie_derivative(deriv, L.form(), L.jet_cap)
+    re-validated against pr u(L); a bad one raises ConsistencyError.  The
+    Lepage equivalent ``xi`` and the prolongation ``deriv`` of ``ups`` are
+    built here unless passed in."""
+    if deriv is None:
+        deriv = prolong(ups, L.dim, L.jet_cap)
+    lhs = prolonged_variation(deriv, L)
     if not (sigma.horizontal_differential(L.jet_cap) - lhs).is_zero():
         raise ConsistencyError("sigma does not witness the symmetry condition")
-    boundary = contract(deriv, lepage_equivalent(L)).horizontal_part()
+    if xi is None:
+        xi = lepage_equivalent(L)
+    boundary = contract(deriv, xi).horizontal_part()
     return Current.from_form(sigma - boundary)
 
 

@@ -242,8 +242,8 @@ def test_verify_weak_conservation_failure_reports_residual(monkeypatch,
     real = cli.noether_current
     ghost = GradedPoly.variable(jet(FieldSymbol("c", KIND_GHOST, ODD)))
 
-    def corrupted(ups, L, sigma):
-        J = real(ups, L, sigma)
+    def corrupted(ups, L, sigma, *shared):
+        J = real(ups, L, sigma, *shared)
         return Current({**J.components, 0: J.component(0) + ghost}, J.dim)
 
     monkeypatch.setattr(cli, "noether_current", corrupted)
@@ -286,3 +286,49 @@ symmetry translate: phi <- d[0](phi)
     res = run_cli("verify", str(model))
     assert res.returncode == 0, (res.stdout, res.stderr)
     assert "symmetry translate: pass" in res.stdout.splitlines()
+
+
+def _count_builds(patch):
+    """Count calls of the builders in every module that binds them."""
+    from vnoether import forms, gauge, superpotential, variational
+    counts = {}
+    for name in ("euler_lagrange", "lepage_table", "lie_derivative",
+                 "prolong"):
+        counts[name] = 0
+        real = getattr(variational, name)
+
+        def counted(*args, _name=name, _real=real, **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+
+        for module in (cli, forms, gauge, superpotential, variational):
+            if getattr(module, name, None) is real:
+                patch.setattr(module, name, counted)
+    return counts
+
+
+def test_each_command_builds_derived_objects_once(monkeypatch, capsys):
+    # one Euler-Lagrange and one Lepage build per command and one
+    # prolongation per symmetry; the gauge route and the symmetry current
+    # use pr u(L), so the Cartan Lie derivative runs only in the first
+    # variational formula
+    model = str(MODELS / "maxwell4.vln")
+    for argv in (["gauge-symmetry", model, "gauge"],
+                 ["superpotential", model, "gauge"],
+                 ["superpotential", model, "gauge_sym"]):
+        with monkeypatch.context() as patch:
+            counts = _count_builds(patch)
+            assert cli.main([*argv, "--format", "json"]) == 0
+        capsys.readouterr()
+        assert counts == {"euler_lagrange": 1, "lepage_table": 1,
+                          "lie_derivative": 0, "prolong": 1}, argv
+    with monkeypatch.context() as patch:
+        counts = _count_builds(patch)
+        code, report = _verify_in_process(capsys, model)
+    assert code == 0
+    formula_steps = [s for s in report["steps"]
+                     if s["name"].startswith("variational-formula ")]
+    assert len(formula_steps) == 2
+    assert counts == {"euler_lagrange": 1, "lepage_table": 1,
+                      "lie_derivative": len(formula_steps),
+                      "prolong": len(formula_steps)}

@@ -3,12 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from vnoether import (EVEN, ODD, GeneralizedVectorField, GradedPoly, MixedForm,
-                      UnsupportedDerivation, contract, is_nilpotent, jet,
-                      lie_derivative, prolong)
+from vnoether import (EVEN, ODD, GeneralizedVectorField, GradedPoly,
+                      Lagrangian, MixedForm, UnsupportedDerivation, contract,
+                      is_nilpotent, jet, lie_derivative, prolong,
+                      prolonged_variation)
 from vnoether.variational import EXACT, horizontal_antiderivative
 
-from helpers import CH2 as C, PHI, PSI, rand_form, rand_poly, rand_vertical
+from helpers import (CH2 as C, DEFAULT_SYMBOLS, PHI, PSI, rand_form,
+                     rand_poly, rand_vertical)
 
 P = GradedPoly.variable
 
@@ -165,6 +167,53 @@ def test_cartan_identity_against_direct_derivation():
         assert lhs0.horizontal_part() == MixedForm.from_poly(
             deriv.apply_to_poly(f), dim)
         done += 1
+
+
+def test_prolonged_variation_equals_cartan_formula():
+    # pr u(L) vol against the Cartan formula on graded Lagrangians of both
+    # parities, with odd fields in L and odd or even derivations
+    rng = random.Random(28)
+    done = 0
+    odd_seen = set()
+    while done < 120:
+        dim = rng.choice([1, 2, 3])
+        parity = rng.randint(0, 1)
+        density = rand_poly(rng, DEFAULT_SYMBOLS, dim=dim, max_order=2,
+                            parity=parity)
+        ups = rand_vertical(rng, DEFAULT_SYMBOLS, dim=dim,
+                            parity=rng.randint(0, 1))
+        if density.is_zero() or not ups.vertical:
+            continue
+        L = Lagrangian(density, dim, parity=parity)
+        deriv = prolong(ups, dim)
+        assert prolonged_variation(deriv, L) \
+            == lie_derivative(deriv, L.form(), L.jet_cap)
+        odd_seen.add((parity, deriv.parity))
+        done += 1
+    assert odd_seen == {(0, 0), (0, 1), (1, 0), (1, 1)}
+    horizontal = prolong(GeneralizedVectorField.make(
+        {PHI: P(jet(PHI))}, {0: GradedPoly.constant(1)}), 1)
+    with pytest.raises(UnsupportedDerivation):
+        prolonged_variation(horizontal, Lagrangian(P(jet(PHI)), 1))
+
+
+def _horizontal_differential_unpruned(form, cap):
+    """dx^lam ^ d_lam over every lam; the wedge drops a repeated index."""
+    out = MixedForm.zero(form.dim)
+    for lam in range(form.dim):
+        out = out + MixedForm.dx(lam, form.dim).wedge(
+            form.total_derivative(lam, cap))
+    return out
+
+
+def test_horizontal_differential_matches_unpruned_reference():
+    rng = random.Random(29)
+    for _ in range(150):
+        dim = rng.choice([1, 2, 3])
+        form = rand_form(rng, dim=dim, max_terms=4)
+        for cap in (4, 6):
+            assert form.horizontal_differential(cap) \
+                == _horizontal_differential_unpruned(form, cap)
 
 
 def test_lie_leibniz_random():

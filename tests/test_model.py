@@ -2,8 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from vnoether import (GradedPoly, check_noether_identity, euler_lagrange, jet,
-                      load_model, poly_to_data, print_elaborated)
+from vnoether import (EVEN, ODD, GradedPoly, check_noether_identity,
+                      euler_lagrange, jet, load_model, poly_to_data,
+                      print_elaborated)
+from vnoether.cli import EXIT_USAGE, main
 from vnoether.model import ElaborationError, ParseError, parse
 
 P = GradedPoly.variable
@@ -187,6 +189,24 @@ def test_ghost_parity_validation():
     bad = MAXWELL.replace("ghost c odd for gauge", "ghost c even for gauge")
     with pytest.raises(ElaborationError, match="parity"):
         load_model(bad)
+
+
+def test_mixed_parity_lagrangian_rejected(tmp_path, capsys):
+    # an even and an odd term cannot share one Lagrangian
+    source = ("dim 1\nfield phi even\nfield psi odd\n"
+              "lagrangian (1/2)*d[0](phi)^2 + psi*d[0](psi) + psi\n")
+    with pytest.raises(ElaborationError,
+                       match=r"lagrangian \(line 4\): terms of mixed parity"):
+        load_model(source)
+    path = tmp_path / "mixed.vln"
+    path.write_text(source)
+    assert main(["el", str(path)]) == EXIT_USAGE
+    assert "line 4" in capsys.readouterr().err
+    # each parity on its own elaborates
+    assert load_model(source.replace(" + psi\n", "\n")).lagrangian.parity \
+        == EVEN
+    assert load_model("dim 1\nfield psi odd\nlagrangian psi\n") \
+        .lagrangian.parity == ODD
 
 
 def test_empty_model_defaults():
