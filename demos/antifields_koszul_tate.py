@@ -40,7 +40,7 @@ op = NoetherOperator("stueck", {(phi, ()): GradedPoly.constant(1),
                                 (psi, (0,)): GradedPoly.constant(-1)})
 print("declared identity verifies:", check_noether_identity(op, el))
 ghost = ghost_for(op, "c")
-u = adjoint(op, ghost, dim=1)
+u = adjoint(op, ghost)
 for sym, poly in u.vertical:
     print(f"u[{sym.name}] =", poly_text(poly))
 

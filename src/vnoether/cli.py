@@ -4,7 +4,13 @@ Commands run the pipeline on a model file and emit a deterministic report:
 ``--format json`` produces byte-identical output for identical inputs
 (timing goes to stderr in text mode and is omitted from the structured
 report).  Exit codes: 0 all checks passed, 1 mathematical failure,
-2 usage or parse error, 3 a jet variable above ``--jet-cap``.
+2 usage or parse error (a ``--jet-cap`` or ``VNOETHER_JET_CAP`` that is
+not a non-negative integer too), 3 a jet variable above ``--jet-cap``.
+
+Each exact check runs once per command, in the function that builds the
+object it checks, and the CLI reports the results that come back:
+``GaugeError.residual``, ``SuperpotentialSplit.checks`` and ``.report``,
+``SuperpotentialError.checks``.
 
 No command searches.  ``verify`` builds each weak-conservation witness from
 the first variational formula, d_H J = u^A E_A; the divergence witness of a
@@ -24,11 +30,10 @@ import time
 
 from .algebra import GradedPoly, JetCapError, jet, poly_to_data
 from .forms import prolong
-from .gauge import GaugeError, check_noether_identity, gauge_symmetry
+from .gauge import GaugeError, gauge_symmetry
 from .model import ElaborationError, ParseError, load_model
 from .render import poly_text
-from .superpotential import (SuperpotentialError, extract, ghosts_of,
-                             structural_checks, verify_split)
+from .superpotential import SuperpotentialError, extract, ghosts_of
 from .variational import (EXACT, Current, check_lepage, euler_lagrange,
                           first_variational_residual, is_variational_symmetry,
                           lepage_equivalent, noether_current,
@@ -44,23 +49,26 @@ class _Usage(Exception):
     pass
 
 
+def _jet_cap(text: str) -> int:
+    """argparse type of ``--jet-cap``: a non-negative integer."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"jet cap must be a non-negative integer, not {text!r}")
+    return int(text)
+
+
 def _poly_payload(p: GradedPoly) -> dict:
     return {"text": poly_text(p), "monomials": poly_to_data(p)}
 
 
-def _el_payload(el) -> list:
+def _field_payload(items) -> list:
     return [{"field": sym.name, "expression": _poly_payload(poly)}
-            for sym, poly in el.sorted_items()]
+            for sym, poly in items]
 
 
 def _current_payload(J: Current) -> list:
     return [{"mu": mu, "expression": _poly_payload(J.component(mu))}
             for mu in range(J.dim)]
-
-
-def _symmetry_payload(u) -> list:
-    return [{"field": sym.name, "expression": _poly_payload(poly)}
-            for sym, poly in u.vertical]
 
 
 def _split_payload(split, el) -> dict:
@@ -115,16 +123,19 @@ class _Runner:
                 raise _Usage(f"unknown field {self.args.field!r}")
             sym = model.symbols[self.args.field]
             el.components = {sym: el.component(sym)}
-        self.add("euler-lagrange", "pass", _el_payload(el))
+        self.add("euler-lagrange", "pass", _field_payload(el.sorted_items()))
 
     def cmd_check_identity(self):
         model = self.model()
         name = self.args.name
         if name not in model.identities:
             raise _Usage(f"unknown identity {name!r}")
-        op = model.identities[name]
         el = euler_lagrange(model.lagrangian, model.fields)
-        residual = op.contraction(el, model.jet_cap)
+        self._identity(name, model.identities[name].contraction(
+            el, model.jet_cap))
+
+    def _identity(self, name, residual):
+        """Record identity ``name`` from the residual of its evaluation."""
         if residual.is_zero():
             self.add(f"identity {name}", "pass")
         else:
@@ -132,11 +143,22 @@ class _Runner:
                      {"residual": _poly_payload(residual)})
 
     def _gauge(self, model, name, el):
-        op = model.identities[name]
-        ghost = model.ghost_of(name)
-        if ghost is None:
+        """gauge_symmetry on identity ``name``, which evaluates the identity
+        once (op.contraction does for a ghost-less one).  A failing identity
+        records a refusal and gives None; a ghost-less identity that holds
+        is a usage error."""
+        op, ghost = model.identities[name], model.ghost_of(name)
+        if ghost is not None:
+            try:
+                return gauge_symmetry(op, ghost, model.lagrangian, el)
+            except GaugeError as exc:
+                if exc.residual is None:
+                    raise
+        elif op.contraction(el, model.jet_cap).is_zero():
             raise _Usage(f"identity {name!r} has no declared ghost")
-        return gauge_symmetry(op, ghost, model.lagrangian, el)
+        self.add(f"identity {name}", "fail",
+                 {"reason": "identity does not hold; refusing"})
+        return None
 
     def cmd_gauge_symmetry(self):
         model = self.model()
@@ -144,29 +166,22 @@ class _Runner:
         if name not in model.identities:
             raise _Usage(f"unknown identity {name!r}")
         el = euler_lagrange(model.lagrangian, model.fields)
-        if not check_noether_identity(model.identities[name], el,
-                                      model.jet_cap):
-            self.add(f"identity {name}", "fail",
-                     {"reason": "identity does not hold; refusing"})
+        result = self._gauge(model, name, el)
+        if result is None:
             return
         self.add(f"identity {name}", "pass")
-        result = self._gauge(model, name, el)
-        sigma = Current.from_form(result.sigma)
         self.add("gauge-symmetry", "pass",
-                 {"components": _symmetry_payload(result.symmetry),
-                  "sigma": _current_payload(sigma)})
+                 {"components": _field_payload(result.symmetry.vertical),
+                  "sigma": _current_payload(result.current)})
 
     def cmd_superpotential(self):
         model = self.model()
         name = self.args.name
         el = euler_lagrange(model.lagrangian, model.fields)
         if name in model.identities:
-            if not check_noether_identity(model.identities[name], el,
-                                          model.jet_cap):
-                self.add(f"identity {name}", "fail",
-                         {"reason": "identity does not hold; refusing"})
-                return
             result = self._gauge(model, name, el)
+            if result is None:
+                return
             u, current = result.symmetry, result.current
         elif name in model.symmetries:
             u = model.symmetries[name]
@@ -188,8 +203,7 @@ class _Runner:
                     + GradedPoly.variable(jet(ghosts[0]))
                 current = Current(broken, current.dim)
         self.add("current", "pass", _current_payload(current))
-        self._split("superpotential", current, u, model.lagrangian, el,
-                    summary=False)
+        self._split(current, u, model.lagrangian, el)
 
     def cmd_verify(self):
         """Builds the Euler-Lagrange expressions and the Lepage equivalent
@@ -199,35 +213,29 @@ class _Runner:
         el = euler_lagrange(L, model.fields)
         xi = lepage_equivalent(L)
         self.add("lepage", "pass" if check_lepage(L, el, xi) else "fail")
-        self.add("euler-lagrange", "pass", _el_payload(el))
+        self.add("euler-lagrange", "pass", _field_payload(el.sorted_items()))
         for name, op in sorted(model.identities.items()):
-            residual = op.contraction(el, model.jet_cap)
-            if not residual.is_zero():
-                self.add(f"identity {name}", "fail",
-                         {"residual": _poly_payload(residual)})
-                continue
-            self.add(f"identity {name}", "pass")
             ghost = model.ghost_of(name)
             if ghost is None:
+                self._identity(name, op.contraction(el, model.jet_cap))
                 continue
             try:
                 result = gauge_symmetry(op, ghost, L, el, xi)
             except GaugeError as exc:
+                if exc.residual is not None:
+                    self._identity(name, exc.residual)
+                    continue
+                self.add(f"identity {name}", "pass")
                 self.add(f"gauge {name}", "fail", {"reason": str(exc)})
                 continue
+            self.add(f"identity {name}", "pass")
             u, current = result.symmetry, result.current
             residual_form = first_variational_residual(u, L, el, xi,
                                                        result.prolongation)
             self.add(f"variational-formula {name}",
                      "pass" if residual_form.is_zero() else "fail")
             self._weak_conservation(name, u, current, el, L.jet_cap)
-            checks = structural_checks(current, u, L, el)
-            bad = [c for c in checks if not c.ok]
-            self.add(f"structural-equations {name}",
-                     "pass" if not bad else "fail",
-                     {"failing": [c.tag for c in bad]} if bad else None)
-            self._split(f"superpotential {name}", current, u, L, el,
-                        summary=True)
+            self._split(current, u, L, el, name)
         for name, ups in sorted(model.symmetries.items()):
             deriv = prolong(ups, L.dim, L.jet_cap)
             residual_form = first_variational_residual(ups, L, el, xi, deriv)
@@ -240,25 +248,35 @@ class _Runner:
                 current = noether_current(ups, L, sym_result.sigma, xi, deriv)
                 self._weak_conservation(name, ups, current, el, L.jet_cap)
 
-    def _split(self, step, current, u, L, el, summary: bool):
-        """Split the current as W + div U, re-check the split exactly
-        (verify_split, and d_mu d_nu U^{nu mu} = 0) and record ``step``:
-        with the split and its checks, or with the checks only when
-        ``summary`` (verify).  A SuperpotentialError is a fail naming its
-        equation."""
+    def _split(self, current, u, L, el, name=None):
+        """Split the current as W + div U and record the checks extract ran
+        (structural equations, verify_split) and d_mu d_nu U^{nu mu} = 0.
+        Under verify (``name`` given) the structural equations get a step
+        of their own and the split step carries only the checks.  A
+        SuperpotentialError is a fail naming its equation."""
         try:
             split = extract(current, u, L, el)
         except SuperpotentialError as exc:
-            self.add(step, "fail", {"reason": str(exc), "equation": exc.tag})
+            split, checks = None, exc.checks
+            failure = {"reason": str(exc), "equation": exc.tag}
+        else:
+            checks = split.checks
+        step = "superpotential"
+        if name is not None:
+            step = f"superpotential {name}"
+            bad = [c.tag for c in checks if not c.ok]
+            self.add(f"structural-equations {name}",
+                     "fail" if bad else "pass",
+                     {"failing": bad} if bad else None)
+        if split is None:
+            self.add(step, "fail", failure)
             return
-        ok, report = verify_split(current, split, el, L.jet_cap)
-        dd = GradedPoly.zero()
-        for mu in range(L.dim):
-            dd = dd + split.superpotential.divergence(mu, L.jet_cap) \
-                .total_derivative(mu, L.jet_cap)
-        payload = ({"checks": report} if summary
-                   else dict(_split_payload(split, el), checks=report))
-        self.add(step, "pass" if ok and dd.is_zero() else "fail", payload)
+        dd = Current({mu: split.superpotential.divergence(mu, L.jet_cap)
+                      for mu in range(L.dim)}, L.dim).divergence(L.jet_cap)
+        ok = all(split.report.values()) and dd.is_zero()
+        payload = ({"checks": split.report} if name is not None
+                   else dict(_split_payload(split, el), checks=split.report))
+        self.add(step, "pass" if ok else "fail", payload)
 
     def _weak_conservation(self, name, u, current, el, cap):
         witness = symmetry_witness(u, current, el, cap)
@@ -276,8 +294,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("model", help="model file (.vln)")
     common.add_argument("--format", choices=("text", "json"), default="text")
-    common.add_argument("--jet-cap", type=int,
-                        default=int(os.environ.get("VNOETHER_JET_CAP", "6")))
+    common.add_argument("--jet-cap", type=_jet_cap,
+                        default=os.environ.get("VNOETHER_JET_CAP", "6"))
     sub = parser.add_subparsers(dest="command", required=True)
     p_el = sub.add_parser("el", parents=[common],
                           help="Euler-Lagrange expressions per field")
@@ -304,14 +322,11 @@ def main(argv=None) -> int:
     start = time.monotonic()
     try:
         getattr(runner, "cmd_" + args.command.replace("-", "_"))()
-    except _Usage as exc:
+    except (_Usage, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ParseError, ElaborationError) as exc:
         print(f"error: {args.model}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except JetCapError as exc:
         print(f"error: {exc}", file=sys.stderr)

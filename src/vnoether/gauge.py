@@ -25,12 +25,17 @@ from .algebra import (DEFAULT_JET_CAP, EVEN, KIND_ANTIFIELD, KIND_GHOST, ODD,
 from .forms import (ContactDerivation, GeneralizedVectorField, MixedForm,
                     contract, prolong)
 from .variational import (Current, EulerLagrange, Lagrangian, euler_lagrange,
-                          lepage_equivalent, noether_current,
+                          expand_witness, lepage_equivalent,
                           prolonged_variation)
 
 
 class GaugeError(ValueError):
-    """A declared identity or ghost fails its consistency requirements."""
+    """A declared identity or ghost fails its consistency requirements.
+    A failing identity carries its nonzero contraction as ``residual``."""
+
+    def __init__(self, message: str, residual: Optional[GradedPoly] = None):
+        super().__init__(message)
+        self.residual = residual
 
 
 def antifield(sym: FieldSymbol) -> FieldSymbol:
@@ -115,10 +120,7 @@ class NoetherOperator:
 
     def contraction(self, el: EulerLagrange,
                     cap: int = DEFAULT_JET_CAP) -> GradedPoly:
-        out = GradedPoly.zero()
-        for (sym, index), poly in self.sorted_items():
-            out = out + poly * el.component(sym).total_derivative_multi(index, cap)
-        return out
+        return expand_witness(self.coefficients, el, cap)
 
     def is_zero(self) -> bool:
         return not self.coefficients
@@ -149,8 +151,7 @@ def ghost_for(op: NoetherOperator, name: str) -> FieldSymbol:
 # ---------------------------------------------------------------------------
 # formal adjoint and the gauge symmetry
 
-def adjoint_table(op: NoetherOperator, dim: int,
-                  cap: int = DEFAULT_JET_CAP) -> dict:
+def adjoint_table(op: NoetherOperator, cap: int = DEFAULT_JET_CAP) -> dict:
     """Coefficients of the formal adjoint: all total derivatives moved off
     the Euler-Lagrange factor onto the parameter slot,
 
@@ -175,7 +176,7 @@ def _transfer(items: Iterable, cap: int) -> dict:
     return out
 
 
-def adjoint(op: NoetherOperator, ghost: FieldSymbol, dim: int,
+def adjoint(op: NoetherOperator, ghost: FieldSymbol,
             cap: int = DEFAULT_JET_CAP) -> GeneralizedVectorField:
     """The gauge-symmetry components u^A = sum (-d)_I (ghost Delta^{A,I});
     the eta-coefficient expansion is computed independently and checked."""
@@ -186,7 +187,7 @@ def adjoint(op: NoetherOperator, ghost: FieldSymbol, dim: int,
     for (sym, index), poly in op.coefficients.items():
         term = (gvar * poly).total_derivative_multi(index, cap)
         accumulate(comps, sym, -term if len(index) % 2 else term)
-    eta = adjoint_table(op, dim, cap)
+    eta = adjoint_table(op, cap)
     recomposed: Dict[FieldSymbol, GradedPoly] = {}
     for (sym, sub), coeff in eta.items():
         accumulate(recomposed, sym, GradedPoly.variable(jet(ghost, sub)) * coeff)
@@ -268,17 +269,20 @@ def gauge_symmetry(op: NoetherOperator, ghost: FieldSymbol, L: Lagrangian,
                    xi: Optional[MixedForm] = None) -> GaugeSymmetryResult:
     """Second Noether theorem, constructively.
 
-    Refuses when the identity fails.  The divergence witness sigma comes
-    from exact integration by parts of the contracted source (zero for
-    exact symmetries); it is re-verified against pr u(L) and against the
-    contracted source before the current is formed.  ``el`` and the Lepage
+    Evaluates the identity once and refuses when it fails: the GaugeError
+    carries the nonzero contraction as ``residual``.  The divergence
+    witness comes from exact integration by parts of the contracted source
+    (zero for exact symmetries) and is re-verified against pr u(L); the
+    current sigma, the witness minus the contracted Lepage boundary, is
+    re-verified against the contracted source.  ``el`` and the Lepage
     equivalent ``xi`` are built here unless passed in.
     """
     if el is None:
         el = euler_lagrange(L)
-    if not check_noether_identity(op, el, L.jet_cap):
-        raise GaugeError(f"identity {op.name!r} does not hold")
-    u = adjoint(op, ghost, L.dim, L.jet_cap)
+    residual = op.contraction(el, L.jet_cap)
+    if not residual.is_zero():
+        raise GaugeError(f"identity {op.name!r} does not hold", residual)
+    u = adjoint(op, ghost, L.jet_cap)
     deriv = prolong(u, L.dim, L.jet_cap)
     lie = prolonged_variation(deriv, L)
     if xi is None:
@@ -294,24 +298,20 @@ def gauge_symmetry(op: NoetherOperator, ghost: FieldSymbol, L: Lagrangian,
             raise AssertionError("gauge witness failed its re-check")
     sigma = witness - boundary
     # sigma must be an antiderivative of the contracted source term
-    source = GradedPoly.zero()
-    for sym, poly in u.vertical:
-        source = source + poly * el.component(sym)
+    source = expand_witness({(sym, ()): poly for sym, poly in u.vertical},
+                            el, L.jet_cap)
     check = sigma.horizontal_differential(L.jet_cap) - MixedForm.density(
         source, L.dim)
     if not check.is_zero():
         raise AssertionError("gauge witness failed its re-check")
-    current = noether_current(u, L, witness, xi, deriv)
-    return GaugeSymmetryResult(u, sigma, current, deriv)
+    return GaugeSymmetryResult(u, sigma, Current.from_form(sigma), deriv)
 
 
 def extended_lagrangian(L: Lagrangian,
                         identities: Sequence[Tuple[NoetherOperator, FieldSymbol]],
-                        validate: bool = True,
-                        cap: Optional[int] = None) -> GradedPoly:
+                        validate: bool = True) -> GradedPoly:
     """Original density plus ghost times the antifield contraction of each
     identity; the Koszul-Tate variation of the result must vanish."""
-    cap = cap if cap is not None else L.jet_cap
     out = L.density
     for op, ghost in identities:
         if ghost.parity != op.parity:
@@ -319,7 +319,7 @@ def extended_lagrangian(L: Lagrangian,
         out = out + GradedPoly.variable(jet(ghost)) * op.density()
     if validate:
         el = euler_lagrange(L)
-        residual = koszul_tate(out, el, cap)
+        residual = koszul_tate(out, el, L.jet_cap)
         if not residual.is_zero():
             raise GaugeError("Koszul-Tate variation of the extended "
                              "Lagrangian is nonzero: identities do not hold")

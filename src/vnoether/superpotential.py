@@ -21,7 +21,7 @@ and adds its antiderivative to the superpotential.  No step searches.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -31,7 +31,7 @@ from .algebra import (DEFAULT_JET_CAP, KIND_GHOST, FieldSymbol, GradedPoly,
 from .forms import GeneralizedVectorField, MixedForm, omega_pair_contracted
 from .gauge import GaugeError, collect_ghost_linear
 from .variational import (NOT_EXACT, Current, EulerLagrange, Lagrangian,
-                          Superpotential, euler_lagrange,
+                          Superpotential, euler_lagrange, expand_witness,
                           horizontal_antiderivative)
 
 # structural equation labels, ordered from the top ghost-jet level down
@@ -48,11 +48,14 @@ STRUCTURAL_TAGS = (TAG_TOP, TAG_DESCENT, TAG_SYM_SOURCE, TAG_LEAD_SOURCE,
 
 class SuperpotentialError(ValueError):
     """The input current fails a structural requirement: a structural
-    equation, or a ghost-free remainder that is not closed or not exact."""
+    equation, or a ghost-free remainder that is not closed or not exact.
+    ``checks`` holds the structural checks ``extract`` ran before raising."""
 
-    def __init__(self, message: str, tag: Optional[str] = None):
+    def __init__(self, message: str, tag: Optional[str] = None,
+                 checks: Optional[list] = None):
         super().__init__(message)
         self.tag = tag
+        self.checks = checks
 
 
 def ghosts_of(u: GeneralizedVectorField) -> list:
@@ -127,13 +130,6 @@ class StructuralCheck:
     residual: GradedPoly
 
 
-def _source_poly(u: GeneralizedVectorField, el: EulerLagrange) -> GradedPoly:
-    out = GradedPoly.zero()
-    for sym, poly in u.vertical:
-        out = out + poly * el.component(sym)
-    return out
-
-
 def _symmetry_order(u: GeneralizedVectorField, ghost: FieldSymbol) -> int:
     best = 0
     for _, poly in u.vertical:
@@ -159,7 +155,8 @@ def structural_checks(J: Current, u: GeneralizedVectorField, L: Lagrangian,
         el = euler_lagrange(L)
     ghosts = ghosts_of(u)
     exp = expand_current(J, ghosts)
-    source = _source_poly(u, el)
+    source = expand_witness({(sym, ()): poly for sym, poly in u.vertical},
+                            el, L.jet_cap)
     checks: List[StructuralCheck] = []
     cap = L.jet_cap
     for ghost in ghosts:
@@ -170,10 +167,8 @@ def structural_checks(J: Current, u: GeneralizedVectorField, L: Lagrangian,
             for sigma in multi_indices(J.dim, level):
                 sigma = tuple(sigma)
                 lhs = source_table.get(sigma, GradedPoly.zero())
-                rhs = GradedPoly.zero()
-                for nu in range(J.dim):
-                    rhs = rhs + exp.coefficient(ghost, nu, sigma) \
-                        .total_derivative(nu, cap)
+                rhs = Current({nu: exp.coefficient(ghost, nu, sigma)
+                               for nu in range(J.dim)}, J.dim).divergence(cap)
                 for lam in set(sigma):
                     rhs = rhs + exp.coefficient(ghost, lam,
                                                 mi_remove(sigma, lam))
@@ -190,10 +185,7 @@ def structural_checks(J: Current, u: GeneralizedVectorField, L: Lagrangian,
                     tag = TAG_DIV_SOURCE
                 checks.append(StructuralCheck(tag, ghost.name, level,
                                               residual.is_zero(), residual))
-    ghost_free = GradedPoly.zero()
-    for mu in range(J.dim):
-        ghost_free = ghost_free + exp.remainder.get(mu, GradedPoly.zero()) \
-            .total_derivative(mu, cap)
+    ghost_free = Current(exp.remainder, J.dim).divergence(cap)
     checks.append(StructuralCheck(TAG_GHOST_FREE, None, 0,
                                   ghost_free.is_zero(), ghost_free))
     return checks
@@ -205,27 +197,25 @@ def structural_checks(J: Current, u: GeneralizedVectorField, L: Lagrangian,
 @dataclass
 class SuperpotentialSplit:
     """W as an explicit Euler-Lagrange combination, the antisymmetric
-    superpotential, and the exactness witness for the ghost-free part."""
+    superpotential, and the exactness witness for the ghost-free part.
+    ``extract`` also hands back the results of the checks it ran: the
+    structural ``checks`` and the ``verify_split`` ``report``."""
 
     w_table: dict                 # (FieldSymbol, multi-index, mu) -> GradedPoly
     w_polys: dict                 # mu -> GradedPoly (the claimed W^mu)
     superpotential: Superpotential
     remainder_witness: MixedForm  # (n-2)-form absorbing the ghost-free part
     dim: int
+    checks: list = field(default_factory=list)   # StructuralCheck, in order
+    report: dict = field(default_factory=dict)   # verify_split's report
 
     def w_component(self, mu: int) -> GradedPoly:
         return self.w_polys.get(mu, GradedPoly.zero())
 
     def expand_w_table(self, mu: int, el: EulerLagrange,
                        cap: int = DEFAULT_JET_CAP) -> GradedPoly:
-        out = GradedPoly.zero()
-        for (sym, index, m), w in sorted(
-                self.w_table.items(),
-                key=lambda it: (it[0][0].sort_key, it[0][1], it[0][2])):
-            if m != mu:
-                continue
-            out = out + w * el.component(sym).total_derivative_multi(index, cap)
-        return out
+        return expand_witness({(sym, index): w for (sym, index, m), w
+                               in self.w_table.items() if m == mu}, el, cap)
 
 
 def _superpotential_from_form(form: MixedForm) -> Superpotential:
@@ -248,8 +238,10 @@ def extract(J: Current, u: GeneralizedVectorField, L: Lagrangian,
     Precondition: J is the Noether current of the ghost-linear symmetry u.
     The structural equations are checked first and a failure raises with
     the failing equation tag, as does a ghost-free remainder that is not
-    closed or closed but not exact.  The returned split is re-verified
-    exactly.  ``el`` is built here unless passed in.
+    closed or closed but not exact; the error carries the checks.  The
+    returned split is re-verified exactly by ``verify_split`` and carries
+    the checks and that report, so no caller needs to run them again.
+    ``el`` is built here unless passed in.
     """
     if el is None:
         el = euler_lagrange(L)
@@ -260,7 +252,7 @@ def extract(J: Current, u: GeneralizedVectorField, L: Lagrangian,
     if failing:
         raise SuperpotentialError(
             "input is not the Noether current of the symmetry "
-            f"(failing equation: {failing[0].tag})", failing[0].tag)
+            f"(failing equation: {failing[0].tag})", failing[0].tag, checks)
     ghosts = ghosts_of(u)
 
     working: Dict[int, GradedPoly] = {mu: J.component(mu) for mu in range(n)}
@@ -268,15 +260,8 @@ def extract(J: Current, u: GeneralizedVectorField, L: Lagrangian,
     w_polys: Dict[int, GradedPoly] = {mu: GradedPoly.zero() for mu in range(n)}
     pair_table: Dict[Tuple[int, int], GradedPoly] = {}
     # explicit Euler-Lagrange representation of the conservation source
-    s_table: Dict[tuple, GradedPoly] = {}
-    for sym, poly in u.vertical:
-        s_table[(sym, ())] = poly
-
-    def s_expand() -> GradedPoly:
-        out = GradedPoly.zero()
-        for (sym, index), w in s_table.items():
-            out = out + w * el.component(sym).total_derivative_multi(index, cap)
-        return out
+    s_table: Dict[tuple, GradedPoly] = {(sym, ()): poly
+                                        for sym, poly in u.vertical}
 
     def bump_pair(nu, mu, poly):
         if nu == mu or poly.is_zero():
@@ -376,10 +361,8 @@ def extract(J: Current, u: GeneralizedVectorField, L: Lagrangian,
                             - coeff * GradedPoly.variable(jet(ghost, tail))
             apply_w_increment(w_increments, subtract_from_working=False)
         # exact invariant: div(working) equals the updated source
-        div = GradedPoly.zero()
-        for mu in range(n):
-            div = div + working[mu].total_derivative(mu, cap)
-        if div != s_expand():
+        if Current(working, n).divergence(cap) \
+                != expand_witness(s_table, el, cap):
             raise AssertionError("reduction lost the conservation invariant")
 
     # ghost-linear order-0 terms are source coefficients directly
@@ -400,24 +383,24 @@ def extract(J: Current, u: GeneralizedVectorField, L: Lagrangian,
                          if not working[mu].is_zero()}, n)
     if not remainder.divergence(cap).is_zero():
         raise SuperpotentialError("ghost-free remainder is not closed",
-                                  TAG_GHOST_FREE)
+                                  TAG_GHOST_FREE, checks)
     witness = MixedForm.zero(n)
     if any(not p.is_zero() for p in remainder.components.values()):
         res = horizontal_antiderivative(remainder.form(), cap=cap)
         if res.status == NOT_EXACT:
             raise SuperpotentialError(
-                "ghost-free remainder is closed but not exact", TAG_GHOST_FREE)
+                "ghost-free remainder is closed but not exact", TAG_GHOST_FREE,
+                checks)
         witness = res.witness
         for (nu, mu), poly in _superpotential_from_form(witness).components.items():
             bump_pair(nu, mu, poly)
 
-    split = SuperpotentialSplit(dict(w_table),
-                                {mu: p for mu, p in w_polys.items()},
-                                Superpotential(dict(pair_table), n),
-                                witness, n)
-    ok, report = verify_split(J, split, el, cap)
+    split = SuperpotentialSplit(w_table, w_polys, Superpotential(pair_table, n),
+                                witness, n, checks)
+    ok, split.report = verify_split(J, split, el, cap)
     if not ok:
-        raise AssertionError(f"split failed its own verification: {report}")
+        raise AssertionError(
+            f"split failed its own verification: {split.report}")
     return split
 
 

@@ -701,6 +701,7 @@ def weak_conservation_witness(J: Current, el: EulerLagrange,
 
 def expand_witness(table: Mapping, el: EulerLagrange,
                    cap: int = DEFAULT_JET_CAP) -> GradedPoly:
+    """Sum of w^{A,I} d_I E_A over a table {(A, I): w}, w on the left."""
     out = GradedPoly.zero()
     for (sym, index), w in table.items():
         out = out + w * el.component(sym).total_derivative_multi(index, cap)

@@ -195,7 +195,7 @@ def test_criterion_5_adjoint_involution():
         if op.is_zero():
             continue
         ghost = ghost_for(op, "cg")
-        u = adjoint(op, ghost, 1)
+        u = adjoint(op, ghost)
         assert recover_identity(u, ghost, L).coefficients == op.coefficients
         done += 1
     elapsed = time.monotonic() - started

@@ -202,6 +202,14 @@ lagrangian (1/2)*d[0](d[0](d[0](phi)))^2
     assert res.returncode == 3
     ok = run_cli("verify", str(model), env_extra={"VNOETHER_JET_CAP": "8"})
     assert ok.returncode == 0
+    # a cap that is not a non-negative integer is a usage error, from the
+    # environment or from the option
+    for bad in (run_cli("el", str(model),
+                        env_extra={"VNOETHER_JET_CAP": "abc"}),
+                run_cli("el", str(model), "--jet-cap", "-1")):
+        assert bad.returncode == 2, bad.stderr
+        assert "non-negative integer" in bad.stderr
+        assert "Traceback" not in bad.stderr
 
 
 def test_verify_scalar_qed_dim3(tmp_path):
@@ -288,23 +296,29 @@ symmetry translate: phi <- d[0](phi)
     assert "symmetry translate: pass" in res.stdout.splitlines()
 
 
-def _count_builds(patch):
-    """Count calls of the builders in every module that binds them."""
+def _count_calls(patch, source, names):
+    """Count calls of the functions ``names`` of ``source`` (a module or a
+    class) in ``source`` and in every module that binds them."""
     from vnoether import forms, gauge, superpotential, variational
     counts = {}
-    for name in ("euler_lagrange", "lepage_table", "lie_derivative",
-                 "prolong"):
+    for name in names:
         counts[name] = 0
-        real = getattr(variational, name)
+        real = getattr(source, name)
 
         def counted(*args, _name=name, _real=real, **kwargs):
             counts[_name] += 1
             return _real(*args, **kwargs)
 
-        for module in (cli, forms, gauge, superpotential, variational):
-            if getattr(module, name, None) is real:
-                patch.setattr(module, name, counted)
+        for owner in (source, cli, forms, gauge, superpotential, variational):
+            if getattr(owner, name, None) is real:
+                patch.setattr(owner, name, counted)
     return counts
+
+
+def _count_builds(patch):
+    from vnoether import variational
+    return _count_calls(patch, variational, ("euler_lagrange", "lepage_table",
+                                             "lie_derivative", "prolong"))
 
 
 def test_each_command_builds_derived_objects_once(monkeypatch, capsys):
@@ -332,3 +346,28 @@ def test_each_command_builds_derived_objects_once(monkeypatch, capsys):
     assert counts == {"euler_lagrange": 1, "lepage_table": 1,
                       "lie_derivative": len(formula_steps),
                       "prolong": len(formula_steps)}
+
+
+def test_each_identity_is_evaluated_once(monkeypatch, capsys):
+    # the function that builds an object runs its checks once and the CLI
+    # reports their results: one contraction per identity, one
+    # structural_checks and one verify_split per split, and the gauge route
+    # builds its current without noether_current (verify's one call is the
+    # current of the declared symmetry gauge_sym)
+    from vnoether import NoetherOperator, superpotential, variational
+    model = str(MODELS / "maxwell4.vln")
+    for argv, splits, currents in ((["gauge-symmetry", model, "gauge"], 0, 0),
+                                   (["superpotential", model, "gauge"], 1, 0),
+                                   (["verify", model], 1, 1)):
+        with monkeypatch.context() as patch:
+            counted = [
+                _count_calls(patch, NoetherOperator, ("contraction",)),
+                _count_calls(patch, superpotential,
+                             ("structural_checks", "verify_split")),
+                _count_calls(patch, variational, ("noether_current",))]
+            assert cli.main([*argv, "--format", "json"]) == 0
+        capsys.readouterr()
+        counts = {k: v for c in counted for k, v in c.items()}
+        assert counts == {"contraction": 1, "structural_checks": splits,
+                          "verify_split": splits,
+                          "noether_current": currents}, argv

@@ -145,20 +145,20 @@ def test_adjoint_examples():
     op1 = NoetherOperator("t1", {(PSI, ()): f})
     c1 = ghost_for(op1, "c1")
     assert c1.parity == ODD
-    u1 = adjoint(op1, c1, 1)
+    u1 = adjoint(op1, c1)
     assert u1.component(PSI) == P(jet(c1)) * f
     op2 = NoetherOperator("t2", {(PSI, (0,)): GradedPoly.constant(1)})
     c2 = ghost_for(op2, "c2")
-    u2 = adjoint(op2, c2, 1)
+    u2 = adjoint(op2, c2)
     assert u2.component(PSI) == -P(jet(c2, (0,)))
     op3 = NoetherOperator("t3", {(PSI, (0, 0)): P(jet(PHI))})
     c3 = ghost_for(op3, "c3")
-    u3 = adjoint(op3, c3, 1)
+    u3 = adjoint(op3, c3)
     expect = (P(jet(c3, (0, 0))) * P(jet(PHI))
               + 2 * P(jet(c3, (0,))) * P(jet(PHI, (0,)))
               + P(jet(c3)) * P(jet(PHI, (0, 0))))
     assert u3.component(PSI) == expect
-    eta = adjoint_table(op3, 1)
+    eta = adjoint_table(op3)
     assert eta[(PSI, ())] == P(jet(PHI, (0, 0)))
     assert eta[(PSI, (0,))] == 2 * P(jet(PHI, (0,)))
     assert eta[(PSI, (0, 0))] == P(jet(PHI))
@@ -167,7 +167,7 @@ def test_adjoint_examples():
 def test_adjoint_parity_mismatch():
     op = NoetherOperator("p", {(PSI, ()): P(jet(PHI))})
     with pytest.raises(GaugeError):
-        adjoint(op, FieldSymbol("c", "ghost", EVEN), 1)
+        adjoint(op, FieldSymbol("c", "ghost", EVEN))
 
 
 def test_adjoint_involution_random():
@@ -187,7 +187,7 @@ def test_adjoint_involution_random():
         if op.is_zero():
             continue
         ghost = ghost_for(op, "cg")
-        u = adjoint(op, ghost, 1)
+        u = adjoint(op, ghost)
         recovered = recover_identity(u, ghost, L, "rec")
         assert recovered.coefficients == op.coefficients
         done += 1
@@ -196,7 +196,7 @@ def test_adjoint_involution_random():
 def test_recover_identity_examples():
     A, F01, LM, op = _maxwell2()
     ghost = ghost_for(op, "c")
-    u = adjoint(op, ghost, 2)
+    u = adjoint(op, ghost)
     recovered = recover_identity(u, ghost, LM, "rec")
     assert recovered.coefficients == op.coefficients
     zero = recover_identity(GeneralizedVectorField.make({}), ghost, LM)
@@ -228,8 +228,11 @@ def test_gauge_symmetry_maxwell():
 def test_gauge_symmetry_refuses_bad_identity():
     L, el = _scalar_model()
     bad = NoetherOperator("bad", {(PHI, ()): GradedPoly.constant(1)})
-    with pytest.raises(GaugeError):
+    with pytest.raises(GaugeError) as info:
         gauge_symmetry(bad, ghost_for(bad, "c"), L)
+    # the refusal carries the one evaluation of the identity
+    assert info.value.residual == bad.contraction(euler_lagrange(L))
+    assert not info.value.residual.is_zero()
 
 
 def test_gauge_symmetry_trivial():

@@ -80,6 +80,9 @@ def test_structural_checks_name_failures():
     with pytest.raises(SuperpotentialError) as err:
         extract(broken, result.symmetry, L)
     assert err.value.tag in STRUCTURAL_TAGS
+    # the refusal hands back the checks extract ran
+    assert [(c.tag, c.level, c.ok) for c in err.value.checks] \
+        == [(c.tag, c.level, c.ok) for c in checks]
 
 
 def test_extract_maxwell2():
@@ -96,6 +99,12 @@ def test_extract_maxwell2():
     ok, report = verify_split(result.current, split, el)
     assert ok, report
     assert split.remainder_witness.is_zero()
+    # the split hands back the checks extract ran
+    assert split.report == report
+    assert [(c.tag, c.level) for c in split.checks] == [
+        (c.tag, c.level) for c in structural_checks(result.current,
+                                                    result.symmetry, L, el)]
+    assert all(c.ok for c in split.checks)
 
 
 def test_extract_maxwell4():
