@@ -11,6 +11,9 @@ Base coordinates themselves may enter coefficients: a symbol carrying a
 ``coord`` index is an even order-0 generator whose total derivative is the
 Kronecker delta instead of a jet bump.
 
+Jet variables are interned: ``jet`` returns one object per symbol and
+multi-index, and variables hash and compare by identity.
+
 The monomial-key layout is private to this module.  Other modules read a
 polynomial through three accessors and may hold what they return only as
 an opaque dictionary key:
@@ -34,7 +37,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 EVEN = 0
 ODD = 1
@@ -176,13 +179,42 @@ class FieldSymbol:
         return (_KIND_RANK[self.kind], self.name)
 
 
-class JetVariable(NamedTuple):
-    symbol: FieldSymbol
-    index: MultiIndex
+class JetVariable:
+    """The jet variable ``symbol`` differentiated by ``index``.
 
-    @property
-    def parity(self) -> int:
-        return self.symbol.parity
+    Variables are interned (hash-consed): equal ``(symbol, index)`` pairs
+    give one object, so hashing and equality are by identity.  ``key`` is
+    the ``var_key`` tuple, built once; ``_next`` maps a base coordinate to
+    the variable one derivative higher (see ``_bump``).  Instances are
+    immutable; build them with ``jet``.  The table lives as long as the
+    process: one entry per distinct symbol and multi-index built, so it is
+    bounded by the symbols times their multi-indices up to the jet cap."""
+
+    __slots__ = ("symbol", "index", "parity", "key", "_next")
+    _table: dict = {}
+
+    def __new__(cls, symbol: FieldSymbol, index: MultiIndex):
+        v = cls._table.get((symbol, index))
+        if v is None:
+            v = object.__new__(cls)
+            init = object.__setattr__
+            init(v, "symbol", symbol)
+            init(v, "index", index)
+            init(v, "parity", symbol.parity)
+            init(v, "key", (_KIND_RANK[symbol.kind], symbol.name, index,
+                            symbol._tie))
+            init(v, "_next", {})
+            cls._table[(symbol, index)] = v
+        return v
+
+    def __setattr__(self, name, value):
+        raise AttributeError("JetVariable is immutable")
+
+    def __reduce__(self):
+        return JetVariable, (self.symbol, self.index)
+
+    def __repr__(self):
+        return f"JetVariable(symbol={self.symbol!r}, index={self.index!r})"
 
     @property
     def order(self) -> int:
@@ -204,14 +236,18 @@ def var_key(v: JetVariable):
     """Global variable order: (kind, name, multi-index lexicographic), then
     coordinate index (none first), parity and base, so that distinct
     variables never share a key."""
-    s = v.symbol
-    return (_KIND_RANK[s.kind], s.name, v.index, s._tie)
+    return v.key
 
 
 def _bump(v: JetVariable, lam: int, cap: int) -> JetVariable:
-    if len(v.index) + 1 > cap:
+    """d_lam of v.  The cap is checked before the successor memo, so a
+    successor built under a higher cap is not returned under a lower one."""
+    if len(v.index) >= cap:
         raise JetCapError(len(v.index) + 1, cap)
-    return JetVariable(v.symbol, mi_add(v.index, lam))
+    out = v._next.get(lam)
+    if out is None:
+        out = v._next[lam] = JetVariable(v.symbol, mi_add(v.index, lam))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -223,16 +259,31 @@ def _bump(v: JetVariable, lam: int, cap: int) -> JetVariable:
 # The monomial value is coeff * prod(even factors) * prod(odd factors).
 
 def _merge_even(a, b):
+    """Merge two sorted even tuples, adding the exponents of a shared
+    variable."""
     if not a:
         return b
     if not b:
         return a
-    exps = {}
-    for v, e in a:
-        exps[v] = exps.get(v, 0) + e
-    for v, e in b:
-        exps[v] = exps.get(v, 0) + e
-    return tuple(sorted(exps.items(), key=lambda it: var_key(it[0])))
+    out = []
+    i = j = 0
+    na, nb = len(a), len(b)
+    while i < na and j < nb:
+        va, ea = a[i]
+        vb, eb = b[j]
+        if va is vb:
+            out.append((va, ea + eb))
+            i += 1
+            j += 1
+        elif va.key < vb.key:
+            out.append(a[i])
+            i += 1
+        else:
+            out.append(b[j])
+            j += 1
+    out.extend(a[i:])
+    out.extend(b[j:])
+    return tuple(out)
 
 
 def _merge_odd(a, b):
@@ -247,16 +298,16 @@ def _merge_odd(a, b):
     i = j = 0
     na = len(a)
     while i < na and j < len(b):
-        ka, kb = var_key(a[i]), var_key(b[j])
-        if ka == kb:
+        va, vb = a[i], b[j]
+        if va is vb:
             return None
-        if ka < kb:
-            out.append(a[i])
+        if va.key < vb.key:
+            out.append(va)
             i += 1
         else:
             if (na - i) % 2:
                 sign = -sign
-            out.append(b[j])
+            out.append(vb)
             j += 1
     out.extend(a[i:])
     out.extend(b[j:])
@@ -270,12 +321,12 @@ def _sort_odd(seq):
     sign = 1
     for i in range(1, len(seq)):
         j = i
-        while j > 0 and var_key(seq[j - 1]) > var_key(seq[j]):
+        while j > 0 and seq[j - 1].key > seq[j].key:
             sign = -sign
             seq[j - 1], seq[j] = seq[j], seq[j - 1]
             j -= 1
     for a, b in zip(seq, seq[1:]):
-        if a == b:
+        if a is b:
             return None
     return tuple(seq), sign
 
@@ -298,7 +349,7 @@ def _key_order(key) -> int:
 def _key_sort(key):
     """Graded-lexicographic monomial order (degree, then variable sequence)."""
     even, odd = key
-    seq = [(var_key(v), e) for v, e in even] + [(var_key(v), 1) for v in odd]
+    seq = [(v.key, e) for v, e in even] + [(v.key, 1) for v in odd]
     seq.sort()
     return (_key_degree(key), tuple(seq))
 
@@ -307,10 +358,13 @@ _EMPTY_KEY = ((), ())
 
 
 def _canon(c):
-    """The coefficient invariant: ``int`` when integral, else ``Fraction``."""
-    if c.__class__ is Fraction and c.denominator == 1:
-        return c.numerator
-    return c
+    """The coefficient invariant: ``int`` when integral, else ``Fraction``.
+    Takes any rational; ``grassmann.py`` keeps the same rule through it."""
+    if c.__class__ is Fraction:
+        return c.numerator if c.denominator == 1 else c
+    if c.__class__ is int:
+        return c
+    return _canon(Fraction(c))
 
 
 def _put(out: dict, key, c) -> None:
@@ -343,8 +397,7 @@ class GradedPoly:
 
     @staticmethod
     def constant(c) -> "GradedPoly":
-        if c.__class__ is not int:
-            c = _canon(Fraction(c))
+        c = _canon(c)
         return _poly({_EMPTY_KEY: c}) if c else GradedPoly()
 
     @staticmethod
@@ -378,7 +431,8 @@ class GradedPoly:
         return _coerce(other) + (-self)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if (other.__class__ is not GradedPoly
+                and isinstance(other, (int, Fraction))):
             if other == 1:
                 return self
             if other == -1:

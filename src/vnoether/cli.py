@@ -192,7 +192,7 @@ class _Runner:
                 self.add(f"symmetry {name}", "fail",
                          {"reason": "not a variational symmetry"})
                 return
-            current = noether_current(u, L, sym_result.sigma, deriv=deriv)
+            current = noether_current(u, L, sym_result, deriv=deriv)
         else:
             raise _Usage(f"unknown identity or symmetry {name!r}")
         if self.args.debug_corrupt_current:
@@ -245,7 +245,7 @@ class _Runner:
             self.add(f"symmetry {name}",
                      "pass" if sym_result.status == EXACT else "fail")
             if sym_result.status == EXACT:
-                current = noether_current(ups, L, sym_result.sigma, xi, deriv)
+                current = noether_current(ups, L, sym_result, xi, deriv)
                 self._weak_conservation(name, ups, current, el, L.jet_cap)
 
     def _split(self, current, u, L, el, name=None):

@@ -345,7 +345,7 @@ class GeneralizedVectorField:
 
 class ContactDerivation:
     """Jet prolongation of a generalized vector field.  Pairings with the
-    contact basis are memoized per (symbol, multi-index)."""
+    contact basis are memoized per jet variable."""
 
     def __init__(self, source: GeneralizedVectorField, dim: int,
                  cap: int = DEFAULT_JET_CAP):
@@ -375,16 +375,15 @@ class ContactDerivation:
             return GradedPoly.zero()
         if self.source.component(sym).is_zero() and not self._dx:
             return GradedPoly.zero()
-        key = (sym, v.index)
-        cached = self._memo.get(key)
+        cached = self._memo.get(v)
         if cached is not None:
             return cached
         if not v.index:
             out = self._base_coefficient(sym)
         else:
-            prev = self.theta_coefficient(JetVariable(sym, v.index[:-1]))
+            prev = self.theta_coefficient(jet(sym, v.index[:-1]))
             out = prev.total_derivative(v.index[-1], self.cap)
-        self._memo[key] = out
+        self._memo[v] = out
         return out
 
     def dx_coefficient(self, lam: int) -> GradedPoly:

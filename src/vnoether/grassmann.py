@@ -2,13 +2,16 @@
 
 Used as the target of numeric cross-checks: even jets are assigned
 rationals, odd jets distinct generators, and symbolic identities are
-re-evaluated exactly.
+re-evaluated exactly.  Coefficients follow the ring's rule: ``int`` when
+integral, else ``Fraction``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import Mapping, Optional
+
+from .algebra import _canon, _put
 
 
 class GrassmannAlgebra:
@@ -26,13 +29,13 @@ class GrassmannAlgebra:
         return self.scalar(1)
 
     def scalar(self, c) -> "GrassmannElement":
-        c = Fraction(c)
+        c = _canon(c)
         return GrassmannElement(self, {(): c} if c else {})
 
     def generator(self, i: int) -> "GrassmannElement":
         if not 0 <= i < self.ngen:
             raise ValueError(f"generator index {i} out of range")
-        return GrassmannElement(self, {(i,): Fraction(1)})
+        return GrassmannElement(self, {(i,): 1})
 
     def lift(self, x) -> "GrassmannElement":
         if isinstance(x, GrassmannElement):
@@ -69,23 +72,19 @@ class GrassmannElement:
 
     def __init__(self, algebra: GrassmannAlgebra, terms: Mapping):
         self.algebra = algebra
-        self.terms = {k: c for k, c in terms.items() if c != 0}
+        self.terms = {k: _canon(c) for k, c in terms.items() if c != 0}
 
     def __add__(self, other):
         other = self.algebra.lift(other)
         out = dict(self.terms)
         for k, c in other.terms.items():
-            s = out.get(k, 0) + c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return GrassmannElement(self.algebra, out)
+            _put(out, k, c)
+        return _element(self.algebra, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GrassmannElement(self.algebra, {k: -c for k, c in self.terms.items()})
+        return _element(self.algebra, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-self.algebra.lift(other))
@@ -94,7 +93,8 @@ class GrassmannElement:
         return self.algebra.lift(other) + (-self)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if (other.__class__ is not GrassmannElement
+                and isinstance(other, (int, Fraction))):
             return GrassmannElement(self.algebra,
                                     {k: c * other for k, c in self.terms.items()})
         other = self.algebra.lift(other)
@@ -105,12 +105,8 @@ class GrassmannElement:
                 if merged is None:
                     continue
                 key, sign = merged
-                s = out.get(key, 0) + sign * c1 * c2
-                if s:
-                    out[key] = s
-                else:
-                    del out[key]
-        return GrassmannElement(self.algebra, out)
+                _put(out, key, c1 * c2 if sign == 1 else -c1 * c2)
+        return _element(self.algebra, out)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -152,3 +148,15 @@ class GrassmannElement:
             mono = "*".join(f"e{i}" for i in k) or "1"
             bits.append(f"{c}*{mono}")
         return f"GrassmannElement({' + '.join(bits)})"
+
+
+_new = object.__new__
+
+
+def _element(algebra: GrassmannAlgebra, terms: dict) -> GrassmannElement:
+    """Wrap a term dict that already holds no zero and keeps the coefficient
+    rule; the public constructor re-filters."""
+    e = _new(GrassmannElement)
+    e.algebra = algebra
+    e.terms = terms
+    return e

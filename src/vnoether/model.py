@@ -49,7 +49,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .algebra import (DEFAULT_JET_CAP, EVEN, KIND_GHOST, ODD, FieldSymbol,
                       GradedPoly, accumulate, jet, multi_index)
 from .forms import GeneralizedVectorField
-from .gauge import NoetherOperator
+from .gauge import GaugeError, NoetherOperator
 from .variational import Lagrangian
 
 _KEYWORDS = {"dim", "metric", "field", "ghost", "let", "lagrangian",
@@ -152,6 +152,7 @@ class ModelSource:
     lagrangian: Optional[tuple] = None
     lagrangian_line: int = 0
     identities: Dict[str, list] = field(default_factory=dict)
+    identity_lines: Dict[str, int] = field(default_factory=dict)
     symmetries: Dict[str, list] = field(default_factory=dict)
 
 
@@ -256,6 +257,7 @@ class _Parser:
                     else:
                         break
                 src.identities[name] = terms
+                src.identity_lines[name] = tok.line
             elif tok.text == "symmetry":
                 self.next()
                 name = self.expect("NAME").text
@@ -570,10 +572,15 @@ class _Elaborator:
         for name, terms in src.identities.items():
             identities[name] = self._eval_identity(name, terms)
         for gname, (sym, target) in self.ghost_info.items():
-            op = identities[target]
-            if not op.is_zero() and op.parity != sym.parity:
+            where = f"identity {target!r} (line {src.identity_lines[target]})"
+            try:
+                parity = identities[target].parity
+            except GaugeError:
                 raise ElaborationError(
-                    f"ghost {gname!r} parity does not match identity {target!r}")
+                    f"{where}: terms of mixed parity") from None
+            if parity != sym.parity:
+                raise ElaborationError(
+                    f"ghost {gname!r} parity does not match {where}")
         symmetries = {}
         for name, assigns in src.symmetries.items():
             symmetries[name] = self._eval_symmetry(name, assigns)

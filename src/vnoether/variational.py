@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .algebra import (DEFAULT_JET_CAP, EVEN, ODD, FieldSymbol, GradedPoly,
                       accumulate, jet, mi_add, mi_binomial, mi_permutations,
@@ -568,18 +568,28 @@ def is_variational_symmetry(ups: GeneralizedVectorField, L: Lagrangian,
 
 
 def noether_current(ups: GeneralizedVectorField, L: Lagrangian,
-                    sigma: MixedForm, xi: Optional[MixedForm] = None,
+                    sigma: Union[MixedForm, SymmetryResult],
+                    xi: Optional[MixedForm] = None,
                     deriv: Optional[ContactDerivation] = None) -> Current:
     """Current of a variational symmetry: the witness minus the horizontal
-    projection of the contracted Lepage equivalent.  The witness is
-    re-validated against pr u(L); a bad one raises ConsistencyError.  The
-    Lepage equivalent ``xi`` and the prolongation ``deriv`` of ``ups`` are
-    built here unless passed in."""
+    projection of the contracted Lepage equivalent.  A bare witness form
+    ``sigma`` is re-validated against pr u(L); a bad one raises
+    ConsistencyError.  The ``SymmetryResult`` of
+    ``is_variational_symmetry(ups, L)`` is not re-validated: that function
+    has checked its witness against pr u(L) already (a NOT_EXACT result
+    raises ConsistencyError).  The Lepage equivalent ``xi`` and
+    the prolongation ``deriv`` of ``ups`` are built here unless passed in."""
     if deriv is None:
         deriv = prolong(ups, L.dim, L.jet_cap)
-    lhs = prolonged_variation(deriv, L)
-    if not (sigma.horizontal_differential(L.jet_cap) - lhs).is_zero():
-        raise ConsistencyError("sigma does not witness the symmetry condition")
+    if isinstance(sigma, SymmetryResult):
+        if sigma.status != EXACT:
+            raise ConsistencyError("not a variational symmetry")
+        sigma = sigma.sigma
+    else:
+        lhs = prolonged_variation(deriv, L)
+        if not (sigma.horizontal_differential(L.jet_cap) - lhs).is_zero():
+            raise ConsistencyError(
+                "sigma does not witness the symmetry condition")
     if xi is None:
         xi = lepage_equivalent(L)
     boundary = contract(deriv, xi).horizontal_part()

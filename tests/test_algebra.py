@@ -1,14 +1,16 @@
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
 
-from vnoether import (EVEN, KIND_FIELD, KIND_GHOST, ODD, DeclarationError,
-                      EvaluationError, FieldSymbol, GradedPoly,
-                      GrassmannAlgebra, JetCapError, antifield,
+from vnoether import (EVEN, KIND_ANTIFIELD, KIND_FIELD, KIND_GHOST, ODD,
+                      DeclarationError, EvaluationError, FieldSymbol,
+                      GradedPoly, GrassmannAlgebra, JetCapError, antifield,
                       coordinate_symbol, jet, normalize, poly_from_data,
                       poly_to_data)
-from vnoether.algebra import mi_binomial, mi_permutations, multi_index
+from vnoether.algebra import (_bump, mi_binomial, mi_permutations,
+                              multi_index, var_key)
 
 from helpers import CH2 as C, PHI, PSI, assert_canonical, rand_poly
 
@@ -306,3 +308,44 @@ def test_public_constructor_drops_zeros():
     assert p == P(jet(PSI))
     assert list(p.terms) == [k2]
     assert type(GradedPoly({k: Fraction(6, 3)}).terms[k]) is int
+
+
+def test_jet_variables_are_interned():
+    assert jet(PHI, (1, 0)) is jet(PHI, (0, 1))
+    a, b = antifield(PHI), antifield(PHI)
+    assert a is not b and jet(a, (0,)) is jet(b, (0,))
+    assert jet(coordinate_symbol(0)) is jet(coordinate_symbol(0))
+    assert jet(PHI) is not jet(PSI) and jet(PHI) is not jet(PHI, (0,))
+    v = jet(C, (2,))
+    assert pickle.loads(pickle.dumps(v)) is v
+    with pytest.raises(AttributeError):
+        v.index = (3,)
+
+
+def test_memoized_successor_still_meets_the_cap():
+    # d_1 of phi_{,0} is memoized under cap 6; cap 1 must still refuse it
+    v = jet(PHI, (0,))
+    assert _bump(v, 1, 6) is jet(PHI, (0, 1))
+    with pytest.raises(JetCapError):
+        _bump(v, 1, 1)
+    with pytest.raises(JetCapError):
+        P(v).total_derivative(1, cap=1)
+
+
+def test_stored_key_sorts_like_the_built_key():
+    syms = [PHI, PSI, C, antifield(PHI), antifield(C),
+            antifield(FieldSymbol("phi", KIND_GHOST)),
+            coordinate_symbol(0, "x"), coordinate_symbol(1, "x"),
+            FieldSymbol("x"), FieldSymbol("c", KIND_GHOST, EVEN)]
+    variables = [jet(s, i) for s in syms
+                 for i in ((), (0,), (1,), (0, 1), (1, 1))
+                 if s.coord is None or not i]
+    random.Random(7).shuffle(variables)
+    rank = {KIND_FIELD: 0, KIND_GHOST: 1, KIND_ANTIFIELD: 2}
+
+    def built(v):
+        s = v.symbol
+        return (rank[s.kind], s.name, v.index, s._tie)
+
+    assert sorted(variables, key=var_key) == sorted(variables, key=built)
+    assert len({var_key(v) for v in variables}) == len(variables)

@@ -144,9 +144,13 @@ def test_verify_all_models():
 
 
 def test_verify_json_determinism():
+    # two processes under different hash seeds: jet variables hash by
+    # identity, so a set of them iterates in memory order, and every output
+    # must be sorted
     for model in sorted(MODELS.glob("*.vln")):
-        first = run_cli("verify", str(model), "--format", "json")
-        second = run_cli("verify", str(model), "--format", "json")
+        first, second = (run_cli("verify", str(model), "--format", "json",
+                                 env_extra={"PYTHONHASHSEED": seed})
+                         for seed in ("1", "4242"))
         assert first.returncode == 0
         assert first.stdout == second.stdout
         report = json.loads(first.stdout)
@@ -371,3 +375,42 @@ def test_each_identity_is_evaluated_once(monkeypatch, capsys):
         assert counts == {"contraction": 1, "structural_checks": splits,
                           "verify_split": splits,
                           "noether_current": currents}, argv
+
+
+def test_symmetry_route_builds_pr_u_l_once(monkeypatch, capsys):
+    # is_variational_symmetry checks its witness against pr u(L), and
+    # noether_current takes that result without checking it again: one
+    # prolonged_variation per symmetry (verify on scalar_shift has two, the
+    # gauge symmetry of 'stueck' and the declared 'shift')
+    from vnoether import variational
+    model = str(MODELS / "scalar_shift.vln")
+    for argv, symmetries in ((["superpotential", model, "shift"], 1),
+                             (["verify", model], 2)):
+        with monkeypatch.context() as patch:
+            counts = _count_calls(patch, variational, ("prolonged_variation",))
+            assert cli.main([*argv, "--format", "json"]) == 0
+        capsys.readouterr()
+        assert counts == {"prolonged_variation": symmetries}, argv
+
+
+def test_identity_parity_errors_exit_2(tmp_path):
+    # an identity of mixed parity, or a zero identity (odd by convention)
+    # with an even ghost, is an elaboration error naming the identity's line
+    mixed = tmp_path / "mixed.vln"
+    mixed.write_text("dim 1\nfield phi even\nfield psi odd\n"
+                     "ghost c odd for g\nlagrangian (1/2)*d[0](phi)^2\n"
+                     "identity g: 1*EL(phi) + psi*EL(phi)\n")
+    zero = tmp_path / "zero.vln"
+    zero.write_text("dim 1\nfield phi even\nghost c even for g\n"
+                    "lagrangian (1/2)*d[0](phi)^2\nidentity g: 0*EL(phi)\n")
+    runs = [(mixed, args, "identity 'g' (line 6): terms of mixed parity")
+            for args in (["el"], ["gauge-symmetry", "g"],
+                         ["superpotential", "g"], ["verify"])]
+    runs += [(zero, args, "ghost 'c' parity does not match identity 'g' "
+                          "(line 5)")
+             for args in (["gauge-symmetry", "g"], ["superpotential", "g"])]
+    for model, args, message in runs:
+        res = run_cli(args[0], str(model), *args[1:])
+        assert res.returncode == 2, (model.name, args, res.stderr)
+        assert "Traceback" not in res.stderr
+        assert message in res.stderr

@@ -33,3 +33,22 @@ def test_range_check():
     alg = GrassmannAlgebra(2)
     with pytest.raises(ValueError):
         alg.generator(2)
+
+
+def test_integral_coefficients_are_ints():
+    alg = GrassmannAlgebra(2)
+    e0, e1 = alg.generator(0), alg.generator(1)
+    x = alg.scalar(Fraction(4, 2)) + e0 * Fraction(3, 2) * 2
+    y = (x * Fraction(1, 2)) * (e1 * Fraction(4, 3) * 3)  # 4 e1 + 6 e0 e1
+    for elem in (e0, x, y, x - e0 * Fraction(6, 2)):
+        assert all(type(c) is int for c in elem.terms.values()), elem
+    assert type((e0 * Fraction(1, 2)).terms[(0,)]) is Fraction
+
+
+def test_int_and_integral_fraction_build_equal_elements():
+    alg = GrassmannAlgebra(2)
+    a, b = alg.scalar(2), alg.scalar(Fraction(2))
+    assert a == b and hash(a) == hash(b)
+    ga, gb = alg.generator(1) * 2, alg.generator(1) * Fraction(2)
+    assert ga == gb and hash(ga) == hash(gb)
+    assert a.terms == {(): 2} and type(b.terms[()]) is int

@@ -1,9 +1,12 @@
-"""The monomial-key layout is private to ``algebra.py``.
+"""The monomial-key layout and jet-variable construction are private to
+``algebra.py``.
 
 Every other module reads a polynomial through ``monomials``, ``degree_in``
 and ``split_linear``; none may reach into ``GradedPoly.terms`` or its
 canonical ``sorted_terms()``.  ``grassmann.py`` is exempt: its ``.terms``
-belong to its own ``GrassmannElement``.
+belong to its own ``GrassmannElement``.  Every other module builds a jet
+variable through ``jet()``, which validates the multi-index, never by
+calling ``JetVariable(...)``.
 """
 
 import ast
@@ -14,11 +17,22 @@ EXEMPT = {"algebra.py", "grassmann.py"}
 PRIVATE = {"terms", "sorted_terms"}
 
 
+def _tree(path: Path):
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
 def _key_reads(path: Path) -> list:
-    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     return [f"{path.name}:{node.lineno} .{node.attr}"
-            for node in ast.walk(tree)
+            for node in ast.walk(_tree(path))
             if isinstance(node, ast.Attribute) and node.attr in PRIVATE]
+
+
+def _variable_builds(path: Path) -> list:
+    return [f"{path.name}:{node.lineno} JetVariable(...)"
+            for node in ast.walk(_tree(path))
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None))
+            == "JetVariable"]
 
 
 def test_only_algebra_reads_monomial_keys():
@@ -28,6 +42,17 @@ def test_only_algebra_reads_monomial_keys():
     assert not offenders, offenders
 
 
+def test_only_algebra_builds_jet_variables():
+    checked = sorted(p for p in SRC.glob("*.py") if p.name != "algebra.py")
+    assert len(checked) >= 9
+    offenders = [hit for path in checked for hit in _variable_builds(path)]
+    assert not offenders, offenders
+
+
 def test_the_check_sees_key_reads():
     # the exempt ring module itself reads keys, so the scan is not vacuous
     assert _key_reads(SRC / "algebra.py")
+
+
+def test_the_check_sees_variable_builds():
+    assert _variable_builds(SRC / "algebra.py")

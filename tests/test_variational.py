@@ -331,6 +331,12 @@ def test_noether_current_examples():
     # invalid witness is rejected
     with pytest.raises(ConsistencyError):
         noether_current(shift, L, MixedForm.from_poly(P(jet(PHI)), 1))
+    # the result of is_variational_symmetry is taken as checked
+    checked = noether_current(shift, L, is_variational_symmetry(shift, L))
+    assert checked.component(0) == J.component(0)
+    scale = GeneralizedVectorField.make({PHI: P(jet(PHI))})
+    with pytest.raises(ConsistencyError):
+        noether_current(scale, L, is_variational_symmetry(scale, L))
     A, F, LM = _maxwell(2)
     u = GeneralizedVectorField.make({A[v]: -P(jet(C, (v,))) for v in range(2)})
     JM = noether_current(u, LM, MixedForm.zero(2))
