@@ -3,13 +3,22 @@
 Commands run the pipeline on a model file and emit a deterministic report:
 ``--format json`` produces byte-identical output for identical inputs
 (timing goes to stderr in text mode and is omitted from the structured
-report).  Exit codes: 0 all checks passed, 1 mathematical failure,
-2 usage or parse error (a ``--jet-cap`` or ``VNOETHER_JET_CAP`` that is
-not a non-negative integer too), 3 a jet variable above ``--jet-cap``.
+report).  Exit codes: 0 all checks passed (or ``--help``), 1 mathematical
+failure, 2 usage or parse error (a ``--jet-cap`` or ``VNOETHER_JET_CAP``
+that is not a non-negative integer too), 3 a jet variable above
+``--jet-cap``.
+
+``getopt.gnu_getopt`` reads the command line against one table of
+commands (no argparse); a usage error writes ``USAGE`` and the error to
+stderr and returns 2.  ``_json`` writes the report byte for byte as
+``json.dumps(report, sort_keys=True, indent=2)`` would for dicts with str
+keys, lists, tuples, str, int, bool and None; any other value is a
+TypeError.
 
 Each exact check runs once per command, in the function that builds the
 object it checks, and the CLI reports the results that come back:
-``GaugeError.residual``, ``SuperpotentialSplit.checks`` and ``.report``,
+``GaugeError.residual``, ``GaugeSymmetryResult.conservation``,
+``SuperpotentialSplit.checks`` and ``.report``,
 ``SuperpotentialError.checks``.
 
 No command searches.  ``verify`` builds each weak-conservation witness from
@@ -22,11 +31,12 @@ stays so that reports keep their bytes.
 
 from __future__ import annotations
 
-import argparse
-import json
+import getopt
 import os
 import sys
 import time
+from json.encoder import encode_basestring_ascii as _quote
+from types import SimpleNamespace
 
 from .algebra import GradedPoly, JetCapError, jet, poly_to_data
 from .forms import prolong
@@ -45,16 +55,84 @@ EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
 
+USAGE = """\
+usage: vnoether COMMAND MODEL [NAME] [OPTIONS]
+
+commands:
+  el MODEL                    Euler-Lagrange expressions per field
+  check-identity MODEL NAME   verify a declared identity
+  gauge-symmetry MODEL NAME   construct the gauge symmetry of an identity
+  superpotential MODEL NAME   split the current of an identity or symmetry
+  verify MODEL                run the full check suite on a model
+
+options:
+  --format text|json          report format (default text)
+  --jet-cap N                 highest jet order, a non-negative integer
+                              (default 6, or VNOETHER_JET_CAP)
+  --field NAME                el only: report this field alone
+  --debug-corrupt-current     superpotential only: inject a broken term
+                              to exercise the checks
+  -h, --help                  show this text
+"""
+
+# command -> (whether NAME follows MODEL, the options only it accepts)
+_COMMANDS = {
+    "el": (False, ("--field",)),
+    "check-identity": (True, ()),
+    "gauge-symmetry": (True, ()),
+    "superpotential": (True, ("--debug-corrupt-current",)),
+    "verify": (False, ()),
+}
+_OWN_OPTIONS = {opt for _, own in _COMMANDS.values() for opt in own}
+
+
 class _Usage(Exception):
     pass
 
 
 def _jet_cap(text: str) -> int:
-    """argparse type of ``--jet-cap``: a non-negative integer."""
+    """``--jet-cap`` or ``VNOETHER_JET_CAP``: a non-negative integer."""
     if not text.isdecimal():
-        raise argparse.ArgumentTypeError(
-            f"jet cap must be a non-negative integer, not {text!r}")
+        raise _Usage(f"jet cap must be a non-negative integer, not {text!r}")
     return int(text)
+
+
+def _parse(argv):
+    """The command line as a namespace, or None for ``--help``; _Usage on
+    an unknown command or option, a wrong number of positionals, an
+    option of another command or a bad value."""
+    try:
+        opts, words = getopt.gnu_getopt(
+            argv, "h", ["help", "format=", "jet-cap=", "field=",
+                        "debug-corrupt-current"])
+    except getopt.GetoptError as exc:
+        raise _Usage(exc.msg) from None
+    given = dict(opts)
+    if "-h" in given or "--help" in given:
+        return None
+    if not words:
+        raise _Usage("no command given")
+    command, *positionals = words
+    if command not in _COMMANDS:
+        raise _Usage(f"unknown command {command!r}")
+    takes_name, own = _COMMANDS[command]
+    if len(positionals) != 1 + takes_name:
+        raise _Usage(f"{command} takes MODEL{' NAME' if takes_name else ''}; "
+                     f"{len(positionals)} given")
+    for opt, _ in opts:
+        if opt in _OWN_OPTIONS and opt not in own:
+            raise _Usage(f"option {opt} does not apply to {command}")
+    fmt = given.get("--format", "text")
+    if fmt not in ("text", "json"):
+        raise _Usage(f"--format must be text or json, not {fmt!r}")
+    cap = given.get("--jet-cap")
+    if cap is None:
+        cap = os.environ.get("VNOETHER_JET_CAP", "6")
+    return SimpleNamespace(
+        command=command, model=positionals[0],
+        name=positionals[1] if takes_name else None, format=fmt,
+        jet_cap=_jet_cap(cap), field=given.get("--field"),
+        debug_corrupt_current="--debug-corrupt-current" in given)
 
 
 def _poly_payload(p: GradedPoly) -> dict:
@@ -234,7 +312,7 @@ class _Runner:
                                                        result.prolongation)
             self.add(f"variational-formula {name}",
                      "pass" if residual_form.is_zero() else "fail")
-            self._weak_conservation(name, u, current, el, L.jet_cap)
+            self._weak_conservation(name, result.conservation)
             self._split(current, u, L, el, name)
         for name, ups in sorted(model.symmetries.items()):
             deriv = prolong(ups, L.dim, L.jet_cap)
@@ -246,7 +324,8 @@ class _Runner:
                      "pass" if sym_result.status == EXACT else "fail")
             if sym_result.status == EXACT:
                 current = noether_current(ups, L, sym_result, xi, deriv)
-                self._weak_conservation(name, ups, current, el, L.jet_cap)
+                self._weak_conservation(name, symmetry_witness(
+                    ups, current, el, L.jet_cap))
 
     def _split(self, current, u, L, el, name=None):
         """Split the current as W + div U and record the checks extract ran
@@ -278,8 +357,10 @@ class _Runner:
                    else dict(_split_payload(split, el), checks=split.report))
         self.add(step, "pass" if ok else "fail", payload)
 
-    def _weak_conservation(self, name, u, current, el, cap):
-        witness = symmetry_witness(u, current, el, cap)
+    def _weak_conservation(self, name, witness):
+        """Record the re-check of div J = u^A E_A that built ``witness``:
+        gauge_symmetry's on the gauge route, symmetry_witness's for a
+        declared symmetry."""
         if witness.status == EXACT:
             self.add(f"weak-conservation {name}", "pass")
         else:
@@ -287,37 +368,15 @@ class _Runner:
                      {"residual": _poly_payload(witness.residual)})
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="vnoether",
-        description="symbolic Noether analysis of graded Lagrangian models")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("model", help="model file (.vln)")
-    common.add_argument("--format", choices=("text", "json"), default="text")
-    common.add_argument("--jet-cap", type=_jet_cap,
-                        default=os.environ.get("VNOETHER_JET_CAP", "6"))
-    sub = parser.add_subparsers(dest="command", required=True)
-    p_el = sub.add_parser("el", parents=[common],
-                          help="Euler-Lagrange expressions per field")
-    p_el.add_argument("--field", default=None)
-    p_ci = sub.add_parser("check-identity", parents=[common],
-                          help="verify a declared identity")
-    p_ci.add_argument("name")
-    p_gs = sub.add_parser("gauge-symmetry", parents=[common],
-                          help="construct the gauge symmetry of an identity")
-    p_gs.add_argument("name")
-    p_sp = sub.add_parser("superpotential", parents=[common],
-                          help="split the gauge current")
-    p_sp.add_argument("name")
-    p_sp.add_argument("--debug-corrupt-current", action="store_true",
-                      help="inject a broken term to exercise the checks")
-    sub.add_parser("verify", parents=[common],
-                   help="run the full check suite on a model")
-    return parser
-
-
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _parse(sys.argv[1:] if argv is None else argv)
+    except _Usage as exc:
+        sys.stderr.write(f"{USAGE}\nerror: {exc}\n")
+        return EXIT_USAGE
+    if args is None:
+        sys.stdout.write(USAGE)
+        return EXIT_OK
     runner = _Runner(args)
     start = time.monotonic()
     try:
@@ -340,7 +399,10 @@ def main(argv=None) -> int:
         "bound_exhausted": False,
     }
     if args.format == "json":
-        sys.stdout.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
+        chunks = []
+        _json(report, chunks)
+        chunks.append("\n")
+        sys.stdout.write("".join(chunks))
     else:
         for step in runner.steps:
             line = f"{step['name']}: {step['status']}"
@@ -351,6 +413,43 @@ def main(argv=None) -> int:
                     sys.stdout.write("  " + text + "\n")
         print(f"elapsed: {elapsed:.3f}s", file=sys.stderr)
     return runner.exit_code()
+
+
+def _json(value, out, indent="\n"):
+    """Append the text of ``json.dumps(value, sort_keys=True, indent=2)``
+    to the list ``out``, nested at ``indent``.  Only dicts with str keys,
+    lists, tuples, str, int, True, False and None are written; any other
+    value raises TypeError."""
+    if isinstance(value, str):
+        out.append(_quote(value))
+    elif isinstance(value, dict):
+        inner = indent + "  "
+        sep = "{" + inner
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError(f"report key {key!r} is not a str")
+            out.append(f"{sep}{_quote(key)}: ")
+            _json(value[key], out, inner)
+            sep = "," + inner
+        out.append(indent + "}" if value else "{}")
+    elif isinstance(value, (list, tuple)):
+        inner = indent + "  "
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _json(item, out, inner)
+            sep = "," + inner
+        out.append(indent + "]" if value else "[]")
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    else:
+        raise TypeError(f"{type(value).__name__} is not a report value")
 
 
 def _payload_lines(payload, prefix=""):

@@ -24,9 +24,9 @@ from .algebra import (DEFAULT_JET_CAP, EVEN, KIND_ANTIFIELD, KIND_GHOST, ODD,
                       mi_subtract, var_key)
 from .forms import (ContactDerivation, GeneralizedVectorField, MixedForm,
                     contract, prolong)
-from .variational import (Current, EulerLagrange, Lagrangian, euler_lagrange,
-                          expand_witness, lepage_equivalent,
-                          prolonged_variation)
+from .variational import (EXACT, Current, EulerLagrange, Lagrangian,
+                          WitnessResult, euler_lagrange, expand_witness,
+                          lepage_equivalent, prolonged_variation)
 
 
 class GaugeError(ValueError):
@@ -231,6 +231,7 @@ class GaugeSymmetryResult:
     sigma: MixedForm          # horizontal (n-1)-form with d_H sigma = u^A E_A omega
     current: Current
     prolongation: ContactDerivation  # prolong(symmetry), for reuse
+    conservation: WitnessResult  # {(A, ()): u^A}, checked: div J = u^A E_A
 
 
 def _by_parts_witness(op: NoetherOperator, ghost: FieldSymbol,
@@ -274,8 +275,10 @@ def gauge_symmetry(op: NoetherOperator, ghost: FieldSymbol, L: Lagrangian,
     witness comes from exact integration by parts of the contracted source
     (zero for exact symmetries) and is re-verified against pr u(L); the
     current sigma, the witness minus the contracted Lepage boundary, is
-    re-verified against the contracted source.  ``el`` and the Lepage
-    equivalent ``xi`` are built here unless passed in.
+    re-verified against the contracted source.  That check is the weak
+    conservation div J = u^A E_A of its current J, and the result carries
+    it as ``conservation``, the witness {(A, ()): u^A}.  ``el`` and the
+    Lepage equivalent ``xi`` are built here unless passed in.
     """
     if el is None:
         el = euler_lagrange(L)
@@ -298,13 +301,15 @@ def gauge_symmetry(op: NoetherOperator, ghost: FieldSymbol, L: Lagrangian,
             raise AssertionError("gauge witness failed its re-check")
     sigma = witness - boundary
     # sigma must be an antiderivative of the contracted source term
-    source = expand_witness({(sym, ()): poly for sym, poly in u.vertical},
-                            el, L.jet_cap)
+    table = {(sym, ()): poly for sym, poly in u.vertical
+             if not poly.is_zero()}
+    source = expand_witness(table, el, L.jet_cap)
     check = sigma.horizontal_differential(L.jet_cap) - MixedForm.density(
         source, L.dim)
     if not check.is_zero():
         raise AssertionError("gauge witness failed its re-check")
-    return GaugeSymmetryResult(u, sigma, Current.from_form(sigma), deriv)
+    return GaugeSymmetryResult(u, sigma, Current.from_form(sigma), deriv,
+                               WitnessResult(EXACT, table))
 
 
 def extended_lagrangian(L: Lagrangian,

@@ -414,3 +414,92 @@ def test_identity_parity_errors_exit_2(tmp_path):
         assert res.returncode == 2, (model.name, args, res.stderr)
         assert "Traceback" not in res.stderr
         assert message in res.stderr
+
+
+def test_weak_conservation_is_checked_once_per_current(monkeypatch, capsys):
+    # gauge_symmetry checks d_H sigma = u^A E_A vol, which is div J = u^A E_A
+    # for its current J, and verify records that check; symmetry_witness
+    # runs only for the current of a declared symmetry
+    from vnoether import variational
+    model = str(MODELS / "maxwell4.vln")
+    for argv, witnesses in ((["gauge-symmetry", model, "gauge"], 0),
+                            (["superpotential", model, "gauge"], 0),
+                            (["verify", model], 1)):
+        with monkeypatch.context() as patch:
+            counts = _count_calls(patch, variational, ("symmetry_witness",))
+            assert cli.main([*argv, "--format", "json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert counts == {"symmetry_witness": witnesses}, argv
+    statuses = {s["name"]: s["status"] for s in report["steps"]}
+    assert statuses["weak-conservation gauge"] == "pass"
+    assert statuses["weak-conservation gauge_sym"] == "pass"
+
+
+def _written(value):
+    out = []
+    cli._json(value, out)
+    return "".join(out)
+
+
+def test_json_writer_matches_json_dumps():
+    cases = [
+        {}, [], (), {"a": {}}, {"a": []}, [[], {}, [[]]], {"a": {"b": {}}},
+        ("x", (1, 2), [()]), True, False, None, 0, -7, 10 ** 40, -(10 ** 40),
+        'quote " and backslash \\', "control \x00\x01\t\n\r\x1f\x7f",
+        "non-ASCII é中 ", "astral \U0001d49c", "",
+        {"b": 1, "a": [True, None, {"d": "x", "c": -1}], "é": 0, "A": 2},
+        {"steps": [{"name": "el", "status": "pass", "payload": [
+            {"coeff": "-1/2", "even": [["A0", [0, 1], 2]], "odd": []}]}]},
+    ]
+    for value in cases:
+        assert _written(value) == json.dumps(value, sort_keys=True,
+                                             indent=2), value
+
+
+def test_json_writer_refuses_other_types():
+    from fractions import Fraction
+    for value in (1.5, Fraction(1, 2), {1, 2}, {1: "a"}, [{"a": 0.0}],
+                  {"a": 1, 2: "b"}):
+        try:
+            _written(value)
+        except TypeError:
+            continue
+        raise AssertionError(f"{value!r} was written")
+
+
+def test_usage_errors_exit_2():
+    model = str(MODELS / "maxwell2.vln")
+    for args in ([], ["bogus", model], ["el"], ["check-identity", model],
+                 ["el", model, "extra"], ["gauge-symmetry", model, "g", "x"],
+                 ["el", model, "--bogus"], ["el", model, "--format", "xml"],
+                 ["verify", model, "--field", "A0"],
+                 ["el", model, "--debug-corrupt-current"]):
+        res = run_cli(*args)
+        assert res.returncode == 2, (args, res.stderr)
+        assert res.stderr.startswith("usage:"), args
+        assert "error: " in res.stderr and "Traceback" not in res.stderr
+        assert res.stdout == ""
+
+
+def test_help_and_option_placement():
+    res = run_cli("--help")
+    assert res.returncode == 0
+    assert res.stdout == cli.USAGE
+    model = str(MODELS / "maxwell2.vln")
+    plain = run_cli("el", model, "--format", "json")
+    assert plain.returncode == 0
+    for args in (["el", model, "--format=json", "--jet-cap=8"],
+                 ["el", "--format", "json", model]):
+        res = run_cli(*args)
+        assert (res.returncode, res.stdout) == (0, plain.stdout), args
+
+
+def test_main_returns_2_on_usage_error(capsys):
+    assert cli.main(["el"]) == 2
+    assert cli.main(["verify", "m.vln", "--field", "A0"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("usage:") == 2
+
+
+def test_readme_shows_usage():
+    assert cli.USAGE in (ROOT / "README.md").read_text(encoding="utf-8")
