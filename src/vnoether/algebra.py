@@ -27,6 +27,9 @@ an opaque dictionary key:
 
 ``GradedPoly.partial`` takes the left graded partial by one variable,
 ``GradedPoly.gradient`` the partials by every variable in one pass.
+``GradedPoly.involution`` is the grade involution, the one Koszul sign
+rule: when an odd object moves past a coefficient, the coefficient's odd
+part is negated.
 ``accumulate`` is the one "add into a dict of polynomials, drop zeros"
 helper.
 """
@@ -495,6 +498,12 @@ class GradedPoly:
 
     def parity_part(self, p: int) -> "GradedPoly":
         return _poly({k: c for k, c in self.terms.items() if _key_parity(k) == p})
+
+    def involution(self) -> "GradedPoly":
+        """The grade involution: odd monomials negated, even ones kept.  An
+        odd object moved past this polynomial leaves it as its involution."""
+        return _poly({k: -c if len(k[1]) % 2 else c
+                      for k, c in self.terms.items()})
 
     def jet_order(self) -> int:
         return max((_key_order(k) for k in self.terms), default=0)

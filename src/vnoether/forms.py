@@ -15,8 +15,10 @@ Sign conventions, all derived from the bigraded commutation rule
 * two contact slots swap with -1 unless both carry odd parity (then +1,
   so an odd contact slot may repeat);
 * dx factors anticommute with each other and with every contact slot;
-* a degree-0 coefficient g commutes with dx and picks up (-1)^([g][th])
-  when moved past a contact slot.
+* a degree-0 coefficient g commutes with dx; moved past an odd object (an
+  odd contact slot or block, an odd derivation) it becomes its grade
+  involution ``GradedPoly.involution``, its odd part negated.  ``wedge``,
+  ``contract`` and ``d_V`` take their coefficient signs from that one rule.
 """
 
 from __future__ import annotations
@@ -172,28 +174,21 @@ class MixedForm:
             raise ValueError("dimension mismatch")
         out = {}
         for (i1, j1), p in self.components.items():
-            pi1 = _parity_sum(i1)
+            odd_i1 = _parity_sum(i1)
             for (i2, j2), q in other.components.items():
-                for qp in (EVEN, ODD):
-                    qpart = q.parity_part(qp)
-                    if qpart.is_zero():
-                        continue
-                    sign = 1
-                    if qp and pi1:
-                        sign = -sign          # q past the contact block of self
-                    if (len(j1) * len(i2)) % 2:
-                        sign = -sign          # contact block of other past dx block
-                    cs = _sort_contact(i1 + i2)
-                    if cs is None:
-                        continue
-                    contact, csign = cs
-                    hs = _sort_horiz(j1 + j2)
-                    if hs is None:
-                        continue
-                    horiz, hsign = hs
-                    coeff = (p * qpart) * (sign * csign * hsign)
-                    if not coeff.is_zero():
-                        accumulate(out, (contact, horiz), coeff)
+                cs = _sort_contact(i1 + i2)
+                if cs is None:
+                    continue
+                contact, csign = cs
+                hs = _sort_horiz(j1 + j2)
+                if hs is None:
+                    continue
+                horiz, hsign = hs
+                # q moves past the contact block of self, the contact block
+                # of other past the dx block of self
+                sign = csign * hsign * (-1 if len(j1) * len(i2) % 2 else 1)
+                accumulate(out, (contact, horiz),
+                           p * (q.involution() if odd_i1 else q) * sign)
         return MixedForm(self.dim, out)
 
     # -- differentials ------------------------------------------------------
@@ -253,19 +248,14 @@ class MixedForm:
 
 def _vertical_differential_poly(f: GradedPoly, dim: int) -> MixedForm:
     """d_V of a degree-0 coefficient: sum of th^A_I * (left partial), with
-    the partial moved left of the contact slot."""
+    the partial moved left of the contact slot: its involution for odd v."""
     out = {}
     gradient = f.gradient()
     for v in sorted(gradient, key=var_key):
         if v.symbol.coord is not None:
             continue
         g = gradient[v]
-        for gp in (EVEN, ODD):
-            part = g.parity_part(gp)
-            if part.is_zero():
-                continue
-            sign = -1 if (gp and v.parity) else 1
-            accumulate(out, ((v,), ()), part * sign)
+        accumulate(out, ((v,), ()), g.involution() if v.parity else g)
     return MixedForm(dim, out)
 
 
@@ -417,40 +407,25 @@ def contract(deriv: ContactDerivation, form: MixedForm) -> MixedForm:
     the derivation with the basis one-forms."""
     out = {}
     for (contact, horiz), f in form.components.items():
-        for fp in (EVEN, ODD):
-            fpart = f.parity_part(fp)
-            if fpart.is_zero():
-                continue
-            labels_par = 0  # parity of contact labels strictly before slot i
-            for i, lab in enumerate(contact):
-                coeff = deriv.theta_coefficient(lab)
-                if not coeff.is_zero():
-                    prefix_par = (fp + labels_par) % 2
-                    sign = -1 if i % 2 else 1
-                    if prefix_par and deriv.parity:
-                        sign = -sign
-                    cpar = (deriv.parity + lab.parity) % 2
-                    if cpar and labels_par:
-                        sign = -sign
-                    value = (fpart * coeff) * sign
-                    if not value.is_zero():
-                        accumulate(out, (contact[:i] + contact[i + 1:], horiz),
-                                   value)
-                labels_par = (labels_par + lab.parity) % 2
-            for j, lam in enumerate(horiz):
-                coeff = deriv.dx_coefficient(lam)
-                if coeff.is_zero():
-                    continue
-                deg = len(contact) + j
-                prefix_par = (fp + labels_par) % 2
-                sign = -1 if deg % 2 else 1
-                if prefix_par and deriv.parity:
-                    sign = -sign
-                if deriv.parity and labels_par:
-                    sign = -sign
-                value = (fpart * coeff) * sign
-                if not value.is_zero():
-                    accumulate(out, (contact, horiz[:j] + horiz[j + 1:]), value)
+        # an odd derivation passes f; moving it to a slot and its
+        # coefficient back to the left cancels its parity against the
+        # labels before the slot
+        if deriv.parity:
+            f = f.involution()
+        labels_par = 0  # parity of contact labels strictly before slot i
+        for i, lab in enumerate(contact):
+            coeff = deriv.theta_coefficient(lab)
+            if not coeff.is_zero():
+                sign = -1 if (i + labels_par * lab.parity) % 2 else 1
+                accumulate(out, (contact[:i] + contact[i + 1:], horiz),
+                           f * coeff * sign)
+            labels_par ^= lab.parity
+        for j, lam in enumerate(horiz):
+            coeff = deriv.dx_coefficient(lam)
+            if not coeff.is_zero():
+                sign = -1 if (len(contact) + j) % 2 else 1
+                accumulate(out, (contact, horiz[:j] + horiz[j + 1:]),
+                           f * coeff * sign)
     return MixedForm(form.dim, out)
 
 

@@ -10,23 +10,23 @@ recovers the operator (the involution is an executable test).
 Sign conventions: the Koszul-Tate differential is an odd right derivation,
     kt(x y) = x kt(y) + (-1)^[y] kt(x) y,
 so kt(p) is the sum over antifield jets a of the right partial of p by a
-times kt(a).  The right partial is the left one times (-1)^([a]([p]+1)).
+times kt(a).  The right partial is the left one for even a and the
+involution of the left partial (``GradedPoly.involution``) for odd a.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
-from .algebra import (DEFAULT_JET_CAP, EVEN, KIND_ANTIFIELD, KIND_GHOST, ODD,
-                      FieldSymbol, GradedPoly, accumulate, jet, mi_binomial,
-                      mi_subtract, var_key)
+from .algebra import (DEFAULT_JET_CAP, KIND_ANTIFIELD, KIND_GHOST, ODD,
+                      FieldSymbol, GradedPoly, accumulate, jet, var_key)
 from .forms import (ContactDerivation, GeneralizedVectorField, MixedForm,
                     contract, prolong)
 from .variational import (EXACT, Current, EulerLagrange, Lagrangian,
                           WitnessResult, euler_lagrange, expand_witness,
-                          lepage_equivalent, prolonged_variation)
+                          lepage_equivalent, prolonged_variation,
+                          transfer_derivatives)
 
 
 class GaugeError(ValueError):
@@ -60,19 +60,13 @@ def koszul_tate(p: GradedPoly, el: EulerLagrange,
     """Right derivation replacing each antifield jet by the prolonged
     Euler-Lagrange expression of its base field."""
     out = GradedPoly.zero()
-    parts = [(par, p.parity_part(par).gradient()) for par in (EVEN, ODD)]
-    for a in sorted(filter(_is_antifield, p.variables()), key=var_key):
+    gradient = p.gradient()
+    for a in sorted(filter(_is_antifield, gradient), key=var_key):
         repl = el.component(a.symbol.base).total_derivative_multi(a.index, cap)
         if repl.is_zero():
             continue
-        for par, gradient in parts:
-            # right partial = left partial * (-1)^([a]([p]+1))
-            right_partial = gradient.get(a)
-            if right_partial is None:
-                continue
-            if a.parity == ODD and par == EVEN:
-                right_partial = -right_partial
-            out = out + right_partial * repl
+        left = gradient[a]
+        out = out + (left.involution() if a.parity else left) * repl
     return out
 
 
@@ -158,22 +152,7 @@ def adjoint_table(op: NoetherOperator, cap: int = DEFAULT_JET_CAP) -> dict:
         eta^{A,S} = sum over I containing S of
                     (-1)^|I| binom(I,S) d_{I-S} Delta^{A,I}.
     """
-    return _transfer(op.coefficients.items(), cap)
-
-
-def _transfer(items: Iterable, cap: int) -> dict:
-    """Move every total derivative off the slot of each ((A, I), c):
-    ((A, S), (-1)^|I| binom(I,S) d_{I-S} c) for each sub-multi-index S of
-    I, accumulated over all items."""
-    out: Dict[tuple, GradedPoly] = {}
-    for (sym, index), poly in items:
-        sign = -1 if len(index) % 2 else 1
-        for k in range(len(index) + 1):
-            for sub in {tuple(sorted(s)) for s in combinations(index, k)}:
-                accumulate(out, (sym, sub),
-                           poly.total_derivative_multi(mi_subtract(index, sub), cap)
-                           * (sign * mi_binomial(index, sub)))
-    return out
+    return transfer_derivatives(op.coefficients.items(), cap)
 
 
 def adjoint(op: NoetherOperator, ghost: FieldSymbol,
@@ -222,7 +201,8 @@ def recover_identity(u: GeneralizedVectorField, ghost: FieldSymbol,
             for index, eta in table.items():
                 yield (sym, index), eta
 
-    return NoetherOperator(name, _transfer(ghost_coefficients(), L.jet_cap))
+    return NoetherOperator(name, transfer_derivatives(ghost_coefficients(),
+                                                      L.jet_cap))
 
 
 @dataclass

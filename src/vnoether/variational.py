@@ -428,22 +428,32 @@ def _weighted(poly: GradedPoly):
     return hat, free
 
 
+def transfer_derivatives(items, cap: int, skip_empty: bool = False) -> dict:
+    """Move every total derivative off the slot of each ((A, I), c):
+    ((A, S), (-1)^|I| binom(I,S) d_{I-S} c) for each sub-multi-index S of
+    I, accumulated over all items.  ``skip_empty`` leaves out S = (), the
+    full d_I c: the homotopy operator does not use it, and on a current it
+    can pass the jet cap."""
+    out: Dict[tuple, GradedPoly] = {}
+    for (sym, index), poly in items:
+        sign = -1 if len(index) % 2 else 1
+        for k in range(1 if skip_empty else 0, len(index) + 1):
+            for sub in {tuple(sorted(s)) for s in combinations(index, k)}:
+                rest = mi_subtract(index, sub)
+                accumulate(out, (sym, sub), poly.total_derivative_multi(
+                    rest, cap) * (sign * mi_binomial(index, sub)))
+    return out
+
+
 def _higher_euler(poly: GradedPoly, cap: int) -> dict:
     """{(A, K): u^A E_A^K(poly)} over nonempty multi-indices K, where
     E_A^K(P) = sum over M containing K of binom(M, K) (-d)_{M-K} dP/du^A_M
-    and u^A stands to the left."""
-    out: Dict[tuple, GradedPoly] = {}
-    for v, g in poly.gradient().items():
-        if _is_coord(v):
-            continue
-        index = v.index
-        for sub in {s for r in range(1, len(index) + 1)
-                    for s in combinations(index, r)}:
-            rest = mi_subtract(index, sub)
-            term = g.total_derivative_multi(rest, cap) * mi_binomial(index, sub)
-            accumulate(out, (v.symbol, sub), -term if len(rest) % 2 else term)
-    return {(sym, sub): GradedPoly.variable(jet(sym)) * e
-            for (sym, sub), e in out.items()}
+    and u^A stands to the left: (-1)^|K| times the transferred partials."""
+    table = transfer_derivatives(
+        (((v.symbol, v.index), g) for v, g in poly.gradient().items()
+         if not _is_coord(v)), cap, skip_empty=True)
+    return {(sym, sub): GradedPoly.variable(jet(sym))
+            * (-e if len(sub) % 2 else e) for (sym, sub), e in table.items()}
 
 
 def _homotopy(euler: Mapping, j: int, c: int, cap: int) -> GradedPoly:

@@ -7,6 +7,9 @@ from vnoether import (EVEN, ODD, GeneralizedVectorField, GradedPoly,
                       Lagrangian, MixedForm, UnsupportedDerivation, contract,
                       is_nilpotent, jet, lie_derivative, prolong,
                       prolonged_variation)
+from vnoether.algebra import accumulate, var_key
+from vnoether.forms import (_parity_sum, _sort_contact, _sort_horiz,
+                            _vertical_differential_poly)
 from vnoether.variational import EXACT, horizontal_antiderivative
 
 from helpers import (CH2 as C, DEFAULT_SYMBOLS, PHI, PSI, rand_form,
@@ -212,6 +215,155 @@ def test_horizontal_differential_matches_unpruned_reference():
         form = rand_form(rng, dim=rng.choice([1, 2, 3]), max_terms=4)
         assert form.horizontal_differential() \
             == _horizontal_differential_unpruned(form)
+
+
+# The per-parity sign bookkeeping that GradedPoly.involution replaced, kept
+# as references: each splits a coefficient into its even and odd parts and
+# signs them apart.
+
+def _wedge_per_parity(a, b):
+    out = {}
+    for (i1, j1), p in a.components.items():
+        pi1 = _parity_sum(i1)
+        for (i2, j2), q in b.components.items():
+            for qp in (EVEN, ODD):
+                qpart = q.parity_part(qp)
+                if qpart.is_zero():
+                    continue
+                sign = 1
+                if qp and pi1:
+                    sign = -sign
+                if (len(j1) * len(i2)) % 2:
+                    sign = -sign
+                cs = _sort_contact(i1 + i2)
+                if cs is None:
+                    continue
+                contact, csign = cs
+                hs = _sort_horiz(j1 + j2)
+                if hs is None:
+                    continue
+                horiz, hsign = hs
+                coeff = (p * qpart) * (sign * csign * hsign)
+                if not coeff.is_zero():
+                    accumulate(out, (contact, horiz), coeff)
+    return MixedForm(a.dim, out)
+
+
+def _vertical_differential_poly_per_parity(f, dim):
+    out = {}
+    gradient = f.gradient()
+    for v in sorted(gradient, key=var_key):
+        if v.symbol.coord is not None:
+            continue
+        g = gradient[v]
+        for gp in (EVEN, ODD):
+            part = g.parity_part(gp)
+            if part.is_zero():
+                continue
+            sign = -1 if (gp and v.parity) else 1
+            accumulate(out, ((v,), ()), part * sign)
+    return MixedForm(dim, out)
+
+
+def _contract_per_parity(deriv, form):
+    out = {}
+    for (contact, horiz), f in form.components.items():
+        for fp in (EVEN, ODD):
+            fpart = f.parity_part(fp)
+            if fpart.is_zero():
+                continue
+            labels_par = 0
+            for i, lab in enumerate(contact):
+                coeff = deriv.theta_coefficient(lab)
+                if not coeff.is_zero():
+                    prefix_par = (fp + labels_par) % 2
+                    sign = -1 if i % 2 else 1
+                    if prefix_par and deriv.parity:
+                        sign = -sign
+                    cpar = (deriv.parity + lab.parity) % 2
+                    if cpar and labels_par:
+                        sign = -sign
+                    value = (fpart * coeff) * sign
+                    if not value.is_zero():
+                        accumulate(out, (contact[:i] + contact[i + 1:], horiz),
+                                   value)
+                labels_par = (labels_par + lab.parity) % 2
+            for j, lam in enumerate(horiz):
+                coeff = deriv.dx_coefficient(lam)
+                if coeff.is_zero():
+                    continue
+                deg = len(contact) + j
+                prefix_par = (fp + labels_par) % 2
+                sign = -1 if deg % 2 else 1
+                if prefix_par and deriv.parity:
+                    sign = -sign
+                if deriv.parity and labels_par:
+                    sign = -sign
+                value = (fpart * coeff) * sign
+                if not value.is_zero():
+                    accumulate(out, (contact, horiz[:j] + horiz[j + 1:]), value)
+    return MixedForm(form.dim, out)
+
+
+def _mixed(form):
+    return any(p.parity is None for p in form.components.values())
+
+
+def test_wedge_matches_per_parity_reference():
+    rng = random.Random(30)
+    mixed = 0
+    for _ in range(200):
+        dim = rng.choice([1, 2, 3])
+        a = rand_form(rng, dim=dim, max_terms=2)
+        b = rand_form(rng, dim=dim, max_terms=2)
+        mixed += _mixed(b)
+        assert a.wedge(b) == _wedge_per_parity(a, b)
+    assert mixed >= 40
+
+
+def test_vertical_differential_matches_per_parity_reference():
+    rng = random.Random(31)
+    for _ in range(200):
+        dim = rng.choice([1, 2])
+        f = rand_poly(rng, dim=dim, max_order=2, max_terms=4)
+        assert _vertical_differential_poly(f, dim) \
+            == _vertical_differential_poly_per_parity(f, dim)
+    for _ in range(50):
+        form = rand_form(rng, dim=2, max_terms=2)
+        reference = MixedForm.zero(2)
+        for key, f in form.components.items():
+            reference = reference + _wedge_per_parity(
+                _vertical_differential_poly_per_parity(f, 2),
+                MixedForm(2, {key: GradedPoly.constant(1)}))
+        assert form.vertical_differential() == reference
+
+
+def test_contract_matches_per_parity_reference():
+    # derivations of both parities, with and without a dx component, on
+    # forms whose coefficients mix parities
+    rng = random.Random(32)
+    seen = set()
+    mixed = 0
+    done = 0
+    while done < 240:
+        dim = rng.choice([1, 2])
+        parity = rng.randint(0, 1)
+        ups = rand_vertical(rng, DEFAULT_SYMBOLS, dim=dim, parity=parity)
+        horizontal = {}
+        if rng.random() < 0.5:
+            horizontal = {rng.randrange(dim): rand_poly(
+                rng, dim=dim, max_order=1, parity=parity)}
+        field = GeneralizedVectorField.make(dict(ups.vertical), horizontal)
+        if not field.vertical and not field.horizontal:
+            continue
+        deriv = prolong(field, dim)
+        form = rand_form(rng, dim=dim, max_terms=3)
+        assert contract(deriv, form) == _contract_per_parity(deriv, form)
+        seen.add((deriv.parity, deriv.is_vertical()))
+        mixed += _mixed(form)
+        done += 1
+    assert seen == {(0, True), (0, False), (1, True), (1, False)}
+    assert mixed >= 40
 
 
 def test_lie_leibniz_random():

@@ -11,6 +11,7 @@ from vnoether import (EVEN, ODD, FieldSymbol, GaugeError, GeneralizedVectorField
                       gauge_symmetry, ghost_for, is_variational_symmetry, jet,
                       koszul_tate, noether_operator_from_density,
                       recover_identity)
+from vnoether.algebra import var_key
 from vnoether.variational import EXACT
 
 from helpers import PHI, PSI, rand_coeff, rand_lagrangian, rand_poly
@@ -108,6 +109,52 @@ def test_koszul_tate_mixed_parity_nilpotency():
     result = gauge_symmetry(op, ghost, L)
     assert recover_identity(result.symmetry, ghost, L).coefficients \
         == op.coefficients
+
+
+def _koszul_tate_per_parity(p, el, cap=6):
+    # the even/odd split the involution replaced: right partial = left
+    # partial * (-1)^([a]([p]+1)) on each parity part of p
+    out = GradedPoly.zero()
+    parts = [(par, p.parity_part(par).gradient()) for par in (EVEN, ODD)]
+    for a in sorted(filter(lambda v: v.symbol.kind == "antifield",
+                           p.variables()), key=var_key):
+        repl = el.component(a.symbol.base).total_derivative_multi(a.index, cap)
+        if repl.is_zero():
+            continue
+        for par, gradient in parts:
+            right_partial = gradient.get(a)
+            if right_partial is None:
+                continue
+            if a.parity == ODD and par == EVEN:
+                right_partial = -right_partial
+            out = out + right_partial * repl
+    return out
+
+
+def test_koszul_tate_matches_per_parity_reference():
+    # mixed-parity polynomials in odd (phi~) and even (theta~) antifields
+    rng = random.Random(66)
+    theta = FieldSymbol("theta", parity=ODD)
+    ghost = FieldSymbol("c", "ghost", ODD)
+    L = Lagrangian(Fraction(1, 2) * P(jet(PHI, (0,))) ** 2
+                   + P(jet(theta)) * P(jet(theta, (0,))), 1)
+    el = euler_lagrange(L)
+    pool = [jet(s, idx)
+            for s in (PHI, theta, ghost, antifield(PHI), antifield(theta))
+            for idx in ((), (0,), (0, 0))]
+    seen = set()
+    for _ in range(200):
+        poly = GradedPoly.zero()
+        for _ in range(rng.randint(1, 4)):
+            term = GradedPoly.constant(rand_coeff(rng))
+            for _ in range(rng.randint(1, 4)):
+                term = term * P(rng.choice(pool))
+            poly = poly + term
+        assert koszul_tate(poly, el) == _koszul_tate_per_parity(poly, el)
+        seen |= {(v.parity, poly.parity) for v in poly.variables()
+                 if v.symbol.kind == "antifield"}
+    assert seen == {(EVEN, EVEN), (EVEN, ODD), (EVEN, None),
+                    (ODD, EVEN), (ODD, ODD), (ODD, None)}
 
 
 def test_check_noether_identity_examples():

@@ -6,7 +6,9 @@ and ``split_linear``; none may reach into ``GradedPoly.terms`` or its
 canonical ``sorted_terms()``.  ``grassmann.py`` is exempt: its ``.terms``
 belong to its own ``GrassmannElement``.  Every other module builds a jet
 variable through ``jet()``, which validates the multi-index, never by
-calling ``JetVariable(...)``.
+calling ``JetVariable(...)``.  No module but ``algebra.py`` splits a
+polynomial with ``parity_part``: graded signs go through
+``GradedPoly.involution``.
 """
 
 import ast
@@ -35,6 +37,13 @@ def _variable_builds(path: Path) -> list:
             == "JetVariable"]
 
 
+def _parity_splits(path: Path) -> list:
+    return [f"{path.name}:{node.lineno} .parity_part(...)"
+            for node in ast.walk(_tree(path))
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "attr", None) == "parity_part"]
+
+
 def test_only_algebra_reads_monomial_keys():
     checked = sorted(p for p in SRC.glob("*.py") if p.name not in EXEMPT)
     assert len(checked) >= 8
@@ -49,6 +58,13 @@ def test_only_algebra_builds_jet_variables():
     assert not offenders, offenders
 
 
+def test_only_algebra_splits_by_parity():
+    checked = sorted(p for p in SRC.glob("*.py") if p.name != "algebra.py")
+    assert len(checked) >= 9
+    offenders = [hit for path in checked for hit in _parity_splits(path)]
+    assert not offenders, offenders
+
+
 def test_the_check_sees_key_reads():
     # the exempt ring module itself reads keys, so the scan is not vacuous
     assert _key_reads(SRC / "algebra.py")
@@ -56,3 +72,8 @@ def test_the_check_sees_key_reads():
 
 def test_the_check_sees_variable_builds():
     assert _variable_builds(SRC / "algebra.py")
+
+
+def test_the_check_sees_parity_splits():
+    # the random generators of the tests project with parity_part
+    assert _parity_splits(Path(__file__).resolve().parent / "helpers.py")
