@@ -31,7 +31,7 @@ for sym, poly in result.symmetry.vertical:
 for mu in range(model.dim):
     print(f"J^{mu} =", poly_text(result.current.component(mu)))
 
-checks = structural_checks(result.current, result.symmetry, L, el)
+checks = structural_checks(result.current, result.symmetry, L)
 print("structural equations:",
       "all hold" if all(c.ok for c in checks) else "FAILED")
 

@@ -4,9 +4,9 @@ Commands run the pipeline on a model file and emit a deterministic report:
 ``--format json`` produces byte-identical output for identical inputs
 (timing goes to stderr in text mode and is omitted from the structured
 report).  Exit codes: 0 all checks passed (or ``--help``), 1 mathematical
-failure, 2 usage or parse error (a ``--jet-cap`` or ``VNOETHER_JET_CAP``
-that is not a non-negative integer too), 3 a jet variable above
-``--jet-cap``.
+failure, 2 usage, parse or model error (a ``--jet-cap`` or
+``VNOETHER_JET_CAP`` that is not a non-negative integer, or a declared
+symmetry of mixed parity, too), 3 a jet variable above ``--jet-cap``.
 
 ``getopt.gnu_getopt`` reads the command line against one table of
 commands (no argparse); a usage error writes ``USAGE`` and the error to
@@ -39,15 +39,14 @@ from json.encoder import encode_basestring_ascii as _quote
 from types import SimpleNamespace
 
 from .algebra import GradedPoly, JetCapError, jet, poly_to_data
-from .forms import prolong
+from .forms import UnsupportedDerivation
 from .gauge import GaugeError, gauge_symmetry
 from .model import ElaborationError, ParseError, load_model
 from .render import poly_text
 from .superpotential import SuperpotentialError, extract, ghosts_of
-from .variational import (EXACT, Current, check_lepage, euler_lagrange,
+from .variational import (EXACT, Current, check_lepage,
                           first_variational_residual, is_variational_symmetry,
-                          lepage_equivalent, noether_current,
-                          symmetry_witness)
+                          noether_current, symmetry_witness)
 
 EXIT_OK = 0
 EXIT_MATH = 1
@@ -144,12 +143,18 @@ def _field_payload(items) -> list:
             for sym, poly in items]
 
 
+def _el_payload(L, symbols) -> list:
+    """E_A of each of ``symbols`` in symbol order, 0 if absent from L."""
+    return _field_payload((sym, L.el.component(sym))
+                          for sym in sorted(symbols, key=lambda s: s.sort_key))
+
+
 def _current_payload(J: Current) -> list:
     return [{"mu": mu, "expression": _poly_payload(J.component(mu))}
             for mu in range(J.dim)]
 
 
-def _split_payload(split, el) -> dict:
+def _split_payload(split) -> dict:
     w_rows = []
     for (sym, index, mu), w in sorted(
             split.w_table.items(),
@@ -168,6 +173,17 @@ def _split_payload(split, el) -> dict:
                               "expression": _poly_payload(split.w_component(mu))}
                              for mu in range(split.dim)],
             "remainder_witness": witness_rows}
+
+
+def _symmetry(model, name):
+    """Declared symmetry ``name``; one of mixed parity has no prolongation
+    and is a model error naming it."""
+    ups = model.symmetries[name]
+    try:
+        ups.parity
+    except UnsupportedDerivation as exc:
+        raise ElaborationError(f"symmetry {name!r}: {exc}") from None
+    return ups
 
 
 class _Runner:
@@ -195,22 +211,21 @@ class _Runner:
 
     def cmd_el(self):
         model = self.model()
-        el = euler_lagrange(model.lagrangian, model.fields)
+        symbols = model.fields
         if self.args.field is not None:
             if self.args.field not in model.symbols:
                 raise _Usage(f"unknown field {self.args.field!r}")
-            sym = model.symbols[self.args.field]
-            el.components = {sym: el.component(sym)}
-        self.add("euler-lagrange", "pass", _field_payload(el.sorted_items()))
+            symbols = [model.symbols[self.args.field]]
+        self.add("euler-lagrange", "pass",
+                 _el_payload(model.lagrangian, symbols))
 
     def cmd_check_identity(self):
         model = self.model()
         name = self.args.name
         if name not in model.identities:
             raise _Usage(f"unknown identity {name!r}")
-        el = euler_lagrange(model.lagrangian, model.fields)
         self._identity(name, model.identities[name].contraction(
-            el, model.jet_cap))
+            model.lagrangian.el, model.jet_cap))
 
     def _identity(self, name, residual):
         """Record identity ``name`` from the residual of its evaluation."""
@@ -220,7 +235,7 @@ class _Runner:
             self.add(f"identity {name}", "fail",
                      {"residual": _poly_payload(residual)})
 
-    def _gauge(self, model, name, el):
+    def _gauge(self, model, name):
         """gauge_symmetry on identity ``name``, which evaluates the identity
         once (op.contraction does for a ghost-less one).  A failing identity
         records a refusal and gives None; a ghost-less identity that holds
@@ -228,11 +243,11 @@ class _Runner:
         op, ghost = model.identities[name], model.ghost_of(name)
         if ghost is not None:
             try:
-                return gauge_symmetry(op, ghost, model.lagrangian, el)
+                return gauge_symmetry(op, ghost, model.lagrangian)
             except GaugeError as exc:
                 if exc.residual is None:
                     raise
-        elif op.contraction(el, model.jet_cap).is_zero():
+        elif op.contraction(model.lagrangian.el, model.jet_cap).is_zero():
             raise _Usage(f"identity {name!r} has no declared ghost")
         self.add(f"identity {name}", "fail",
                  {"reason": "identity does not hold; refusing"})
@@ -243,8 +258,7 @@ class _Runner:
         name = self.args.name
         if name not in model.identities:
             raise _Usage(f"unknown identity {name!r}")
-        el = euler_lagrange(model.lagrangian, model.fields)
-        result = self._gauge(model, name, el)
+        result = self._gauge(model, name)
         if result is None:
             return
         self.add(f"identity {name}", "pass")
@@ -255,22 +269,20 @@ class _Runner:
     def cmd_superpotential(self):
         model = self.model()
         name = self.args.name
-        el = euler_lagrange(model.lagrangian, model.fields)
+        L = model.lagrangian
         if name in model.identities:
-            result = self._gauge(model, name, el)
+            result = self._gauge(model, name)
             if result is None:
                 return
             u, current = result.symmetry, result.current
         elif name in model.symmetries:
-            u = model.symmetries[name]
-            L = model.lagrangian
-            deriv = prolong(u, L.dim, L.jet_cap)
-            sym_result = is_variational_symmetry(u, L, deriv=deriv)
+            u = _symmetry(model, name)
+            sym_result = is_variational_symmetry(u, L)
             if sym_result.status != EXACT:
                 self.add(f"symmetry {name}", "fail",
                          {"reason": "not a variational symmetry"})
                 return
-            current = noether_current(u, L, sym_result, deriv=deriv)
+            current = noether_current(u, L, sym_result)
         else:
             raise _Usage(f"unknown identity or symmetry {name!r}")
         if self.args.debug_corrupt_current:
@@ -281,24 +293,20 @@ class _Runner:
                     + GradedPoly.variable(jet(ghosts[0]))
                 current = Current(broken, current.dim)
         self.add("current", "pass", _current_payload(current))
-        self._split(current, u, model.lagrangian, el)
+        self._split(current, u, L)
 
     def cmd_verify(self):
-        """Builds the Euler-Lagrange expressions and the Lepage equivalent
-        once, and each symmetry's prolongation once, for every step."""
         model = self.model()
         L = model.lagrangian
-        el = euler_lagrange(L, model.fields)
-        xi = lepage_equivalent(L)
-        self.add("lepage", "pass" if check_lepage(L, el, xi) else "fail")
-        self.add("euler-lagrange", "pass", _field_payload(el.sorted_items()))
+        self.add("lepage", "pass" if check_lepage(L) else "fail")
+        self.add("euler-lagrange", "pass", _el_payload(L, model.fields))
         for name, op in sorted(model.identities.items()):
             ghost = model.ghost_of(name)
             if ghost is None:
-                self._identity(name, op.contraction(el, model.jet_cap))
+                self._identity(name, op.contraction(L.el, model.jet_cap))
                 continue
             try:
-                result = gauge_symmetry(op, ghost, L, el, xi)
+                result = gauge_symmetry(op, ghost, L)
             except GaugeError as exc:
                 if exc.residual is not None:
                     self._identity(name, exc.residual)
@@ -308,33 +316,32 @@ class _Runner:
                 continue
             self.add(f"identity {name}", "pass")
             u, current = result.symmetry, result.current
-            residual_form = first_variational_residual(u, L, el, xi,
-                                                       result.prolongation)
+            residual_form = first_variational_residual(u, L)
             self.add(f"variational-formula {name}",
                      "pass" if residual_form.is_zero() else "fail")
             self._weak_conservation(name, result.conservation)
-            self._split(current, u, L, el, name)
-        for name, ups in sorted(model.symmetries.items()):
-            deriv = prolong(ups, L.dim, L.jet_cap)
-            residual_form = first_variational_residual(ups, L, el, xi, deriv)
+            self._split(current, u, L, name)
+        for name in sorted(model.symmetries):
+            ups = _symmetry(model, name)
+            residual_form = first_variational_residual(ups, L)
             self.add(f"variational-formula {name}",
                      "pass" if residual_form.is_zero() else "fail")
-            sym_result = is_variational_symmetry(ups, L, deriv=deriv)
+            sym_result = is_variational_symmetry(ups, L)
             self.add(f"symmetry {name}",
                      "pass" if sym_result.status == EXACT else "fail")
             if sym_result.status == EXACT:
-                current = noether_current(ups, L, sym_result, xi, deriv)
+                current = noether_current(ups, L, sym_result)
                 self._weak_conservation(name, symmetry_witness(
-                    ups, current, el, L.jet_cap))
+                    ups, current, L.el, L.jet_cap))
 
-    def _split(self, current, u, L, el, name=None):
+    def _split(self, current, u, L, name=None):
         """Split the current as W + div U and record the checks extract ran
         (structural equations, verify_split) and d_mu d_nu U^{nu mu} = 0.
         Under verify (``name`` given) the structural equations get a step
         of their own and the split step carries only the checks.  A
         SuperpotentialError is a fail naming its equation."""
         try:
-            split = extract(current, u, L, el)
+            split = extract(current, u, L)
         except SuperpotentialError as exc:
             split, checks = None, exc.checks
             failure = {"reason": str(exc), "equation": exc.tag}
@@ -354,7 +361,7 @@ class _Runner:
                       for mu in range(L.dim)}, L.dim).divergence(L.jet_cap)
         ok = all(split.report.values()) and dd.is_zero()
         payload = ({"checks": split.report} if name is not None
-                   else dict(_split_payload(split, el), checks=split.report))
+                   else dict(_split_payload(split), checks=split.report))
         self.add(step, "pass" if ok else "fail", payload)
 
     def _weak_conservation(self, name, witness):

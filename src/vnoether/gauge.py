@@ -21,11 +21,9 @@ from typing import Dict, Optional, Sequence, Tuple
 
 from .algebra import (DEFAULT_JET_CAP, KIND_ANTIFIELD, KIND_GHOST, ODD,
                       FieldSymbol, GradedPoly, accumulate, jet, var_key)
-from .forms import (ContactDerivation, GeneralizedVectorField, MixedForm,
-                    contract, prolong)
+from .forms import GeneralizedVectorField, MixedForm, contract
 from .variational import (EXACT, Current, EulerLagrange, Lagrangian,
-                          WitnessResult, euler_lagrange, expand_witness,
-                          lepage_equivalent, prolonged_variation,
+                          WitnessResult, expand_witness, prolonged_variation,
                           transfer_derivatives)
 
 
@@ -210,7 +208,6 @@ class GaugeSymmetryResult:
     symmetry: GeneralizedVectorField
     sigma: MixedForm          # horizontal (n-1)-form with d_H sigma = u^A E_A omega
     current: Current
-    prolongation: ContactDerivation  # prolong(symmetry), for reuse
     conservation: WitnessResult  # {(A, ()): u^A}, checked: div J = u^A E_A
 
 
@@ -245,9 +242,8 @@ def _by_parts_witness(op: NoetherOperator, ghost: FieldSymbol,
     return comps
 
 
-def gauge_symmetry(op: NoetherOperator, ghost: FieldSymbol, L: Lagrangian,
-                   el: Optional[EulerLagrange] = None,
-                   xi: Optional[MixedForm] = None) -> GaugeSymmetryResult:
+def gauge_symmetry(op: NoetherOperator, ghost: FieldSymbol,
+                   L: Lagrangian) -> GaugeSymmetryResult:
     """Second Noether theorem, constructively.
 
     Evaluates the identity once and refuses when it fails: the GaugeError
@@ -257,20 +253,16 @@ def gauge_symmetry(op: NoetherOperator, ghost: FieldSymbol, L: Lagrangian,
     current sigma, the witness minus the contracted Lepage boundary, is
     re-verified against the contracted source.  That check is the weak
     conservation div J = u^A E_A of its current J, and the result carries
-    it as ``conservation``, the witness {(A, ()): u^A}.  ``el`` and the
-    Lepage equivalent ``xi`` are built here unless passed in.
+    it as ``conservation``, the witness {(A, ()): u^A}.
     """
-    if el is None:
-        el = euler_lagrange(L)
+    el = L.el
     residual = op.contraction(el, L.jet_cap)
     if not residual.is_zero():
         raise GaugeError(f"identity {op.name!r} does not hold", residual)
     u = adjoint(op, ghost, L.jet_cap)
-    deriv = prolong(u, L.dim, L.jet_cap)
+    deriv = L.prolongation(u)
     lie = prolonged_variation(deriv, L)
-    if xi is None:
-        xi = lepage_equivalent(L)
-    boundary = contract(deriv, xi).horizontal_part()
+    boundary = contract(deriv, L.lepage).horizontal_part()
     if lie.is_zero():
         witness = MixedForm.zero(L.dim)
     else:
@@ -288,7 +280,7 @@ def gauge_symmetry(op: NoetherOperator, ghost: FieldSymbol, L: Lagrangian,
         source, L.dim)
     if not check.is_zero():
         raise AssertionError("gauge witness failed its re-check")
-    return GaugeSymmetryResult(u, sigma, Current.from_form(sigma), deriv,
+    return GaugeSymmetryResult(u, sigma, Current.from_form(sigma),
                                WitnessResult(EXACT, table))
 
 
@@ -303,8 +295,7 @@ def extended_lagrangian(L: Lagrangian,
             raise GaugeError("ghost parity must match the identity parity")
         out = out + GradedPoly.variable(jet(ghost)) * op.density()
     if validate:
-        el = euler_lagrange(L)
-        residual = koszul_tate(out, el, L.jet_cap)
+        residual = koszul_tate(out, L.el, L.jet_cap)
         if not residual.is_zero():
             raise GaugeError("Koszul-Tate variation of the extended "
                              "Lagrangian is nonzero: identities do not hold")

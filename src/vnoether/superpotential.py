@@ -31,7 +31,7 @@ from .algebra import (DEFAULT_JET_CAP, KIND_GHOST, FieldSymbol, GradedPoly,
 from .forms import GeneralizedVectorField, MixedForm, omega_pair_contracted
 from .gauge import GaugeError, collect_ghost_linear
 from .variational import (NOT_EXACT, Current, EulerLagrange, Lagrangian,
-                          Superpotential, euler_lagrange, expand_witness,
+                          Superpotential, expand_witness,
                           horizontal_antiderivative)
 
 # structural equation labels, ordered from the top ghost-jet level down
@@ -139,8 +139,8 @@ def _symmetry_order(u: GeneralizedVectorField, ghost: FieldSymbol) -> int:
     return best
 
 
-def structural_checks(J: Current, u: GeneralizedVectorField, L: Lagrangian,
-                      el: Optional[EulerLagrange] = None) -> List[StructuralCheck]:
+def structural_checks(J: Current, u: GeneralizedVectorField,
+                      L: Lagrangian) -> List[StructuralCheck]:
     """Verify the per-level collected form of the conservation identity.
 
     Collecting  div J = u^A E_A  on the jets of one ghost gives, for each
@@ -151,12 +151,10 @@ def structural_checks(J: Current, u: GeneralizedVectorField, L: Lagrangian,
 
     whose named tag depends on where the level sits relative to the
     symmetry order N and the expansion order M."""
-    if el is None:
-        el = euler_lagrange(L)
     ghosts = ghosts_of(u)
     exp = expand_current(J, ghosts)
     source = expand_witness({(sym, ()): poly for sym, poly in u.vertical},
-                            el, L.jet_cap)
+                            L.el, L.jet_cap)
     checks: List[StructuralCheck] = []
     cap = L.jet_cap
     for ghost in ghosts:
@@ -231,8 +229,8 @@ def _superpotential_from_form(form: MixedForm) -> Superpotential:
     return Superpotential(table, n)
 
 
-def extract(J: Current, u: GeneralizedVectorField, L: Lagrangian,
-            el: Optional[EulerLagrange] = None) -> SuperpotentialSplit:
+def extract(J: Current, u: GeneralizedVectorField,
+            L: Lagrangian) -> SuperpotentialSplit:
     """Run the constructive decomposition.
 
     Precondition: J is the Noether current of the ghost-linear symmetry u.
@@ -241,13 +239,11 @@ def extract(J: Current, u: GeneralizedVectorField, L: Lagrangian,
     closed or closed but not exact; the error carries the checks.  The
     returned split is re-verified exactly by ``verify_split`` and carries
     the checks and that report, so no caller needs to run them again.
-    ``el`` is built here unless passed in.
     """
-    if el is None:
-        el = euler_lagrange(L)
+    el = L.el
     cap = L.jet_cap
     n = J.dim
-    checks = structural_checks(J, u, L, el)
+    checks = structural_checks(J, u, L)
     failing = [c for c in checks if not c.ok]
     if failing:
         raise SuperpotentialError(

@@ -14,14 +14,14 @@ The Lie derivative of L vol along a vertical prolonged derivation is
 pr u(L) vol (``prolonged_variation``); the symmetry test and the Noether
 current use it.  ``first_variational_residual`` keeps the Cartan formula,
 so the identity that justifies the shortcut stays independent of it.
-Functions that need the Euler-Lagrange expressions, the Lepage equivalent
-or a prolongation take them as optional arguments, so a caller running
-several steps builds each once.
+A ``Lagrangian`` builds its derived objects once, on first use, and keeps
+them (see the class); every function here reads them from it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
@@ -31,8 +31,8 @@ from .algebra import (DEFAULT_JET_CAP, EVEN, ODD, FieldSymbol, GradedPoly,
                       mi_remove, mi_subtract, multi_indices,
                       multi_indices_up_to, var_key)
 from .forms import (ContactDerivation, GeneralizedVectorField, MixedForm,
-                    UnsupportedDerivation, contract, lie_derivative,
-                    omega_contracted, omega_pair_contracted, prolong)
+                    UnsupportedDerivation, contract, omega_contracted,
+                    omega_pair_contracted, prolong)
 from .linsolve import solve_sparse
 
 EXACT = "exact"
@@ -46,6 +46,10 @@ class ConsistencyError(ValueError):
 
 @dataclass(frozen=True)
 class Lagrangian:
+    """The density of L vol.  Its derived objects (``el``, ``lepage``,
+    ``source_form``, ``d_form``, ``prolongation``) are built on first use
+    and kept on the instance, outside equality and hashing."""
+
     density: GradedPoly
     dim: int
     parity: int = EVEN
@@ -64,6 +68,35 @@ class Lagrangian:
     def field_symbols(self) -> list:
         return sorted((s for s in self.density.symbols() if s.coord is None),
                       key=lambda s: s.sort_key)
+
+    @cached_property
+    def el(self) -> EulerLagrange:
+        return euler_lagrange(self)
+
+    @cached_property
+    def lepage(self) -> MixedForm:
+        return lepage_equivalent(self)
+
+    @cached_property
+    def source_form(self) -> MixedForm:
+        return euler_lagrange_form(self)
+
+    @cached_property
+    def d_form(self) -> MixedForm:
+        """d(L vol); only its vertical part d_V(L vol) is nonzero."""
+        return self.form().exterior_differential(self.jet_cap)
+
+    @cached_property
+    def _prolongations(self) -> dict:
+        return {}
+
+    def prolongation(self, ups: GeneralizedVectorField) -> ContactDerivation:
+        """prolong(ups), once per vector field value."""
+        deriv = self._prolongations.get(ups)
+        if deriv is None:
+            deriv = self._prolongations[ups] = prolong(ups, self.dim,
+                                                       self.jet_cap)
+        return deriv
 
 
 @dataclass
@@ -181,13 +214,10 @@ def euler_lagrange(L: Lagrangian,
     return EulerLagrange(comps)
 
 
-def euler_lagrange_form(L: Lagrangian,
-                        el: Optional[EulerLagrange] = None) -> MixedForm:
+def euler_lagrange_form(L: Lagrangian) -> MixedForm:
     """The source form: contact slot against each Euler-Lagrange component."""
-    if el is None:
-        el = euler_lagrange(L)
     out = MixedForm.zero(L.dim)
-    for sym, poly in el.sorted_items():
+    for sym, poly in L.el.sorted_items():
         if poly.is_zero():
             continue
         out = out + MixedForm.contact(jet(sym), L.dim).wedge(
@@ -223,11 +253,10 @@ def lepage_table(L: Lagrangian) -> dict:
     return table
 
 
-def lepage_equivalent(L: Lagrangian, table: Optional[dict] = None) -> MixedForm:
+def lepage_equivalent(L: Lagrangian) -> MixedForm:
     """Lepage form: the contact slot at each tail multi-index pairs with the
     tensor coefficient times the number of orderings of the tail."""
-    if table is None:
-        table = lepage_table(L)
+    table = lepage_table(L)
     out = L.form()
     for (sym, sigma) in sorted(table, key=lambda k: (k[0].sort_key, k[1])):
         val = table[(sym, sigma)]
@@ -241,43 +270,31 @@ def lepage_equivalent(L: Lagrangian, table: Optional[dict] = None) -> MixedForm:
     return out
 
 
-def check_lepage(L: Lagrangian, el: Optional[EulerLagrange] = None,
-                 xi: Optional[MixedForm] = None) -> bool:
-    """dL + d_H Xi - (source form) must normalize to zero exactly.  ``el``
-    and the Lepage equivalent ``xi`` are built here unless passed in."""
-    if xi is None:
-        xi = lepage_equivalent(L)
-    lhs = (L.form().exterior_differential(L.jet_cap)
-           - euler_lagrange_form(L, el)
-           + xi.horizontal_differential(L.jet_cap))
-    return lhs.is_zero()
+def check_lepage(L: Lagrangian) -> bool:
+    """dL + d_H Xi - (source form) must normalize to zero exactly."""
+    return (L.d_form - L.source_form
+            + L.lepage.horizontal_differential(L.jet_cap)).is_zero()
 
 
 # ---------------------------------------------------------------------------
 # first variational formula
 
-def first_variational_residual(ups: GeneralizedVectorField, L: Lagrangian,
-                               el: Optional[EulerLagrange] = None,
-                               xi: Optional[MixedForm] = None,
-                               deriv: Optional[ContactDerivation] = None
-                               ) -> MixedForm:
+def first_variational_residual(ups: GeneralizedVectorField,
+                               L: Lagrangian) -> MixedForm:
     """Difference of the two sides of the first variational formula for a
     vertical derivation; identically zero when the conventions cohere.
 
-    The left side is the Cartan formula, not ``prolonged_variation``: this
-    is the executable identity that justifies that shortcut, so it must not
-    use it.  ``el``, the Lepage equivalent ``xi`` and the prolongation
-    ``deriv`` of ``ups`` are built here unless passed in."""
+    The left side is the Cartan formula i d(L vol) + d i(L vol), not
+    ``prolonged_variation``: this is the executable identity that
+    justifies that shortcut, so it must not use it."""
     if not ups.is_vertical():
         raise UnsupportedDerivation(
             "the horizontal term of the variational formula is out of scope")
-    if deriv is None:
-        deriv = prolong(ups, L.dim, L.jet_cap)
-    if xi is None:
-        xi = lepage_equivalent(L)
-    lhs = lie_derivative(deriv, L.form(), L.jet_cap)
-    source = contract(deriv, euler_lagrange_form(L, el))
-    boundary = contract(deriv, xi).horizontal_part()
+    deriv = L.prolongation(ups)
+    lhs = contract(deriv, L.d_form) \
+        + contract(deriv, L.form()).exterior_differential(L.jet_cap)
+    source = contract(deriv, L.source_form)
+    boundary = contract(deriv, L.lepage).horizontal_part()
     return lhs - source - boundary.horizontal_differential(L.jet_cap)
 
 
@@ -506,11 +523,8 @@ def horizontal_antiderivative(rho: MixedForm,
     if degree == n:
         # a density d_mu sigma^mu: its Euler-Lagrange expressions vanish
         density = rho.coefficient(horiz=tuple(range(n)))
-        symbols = sorted({v.symbol for v in density.variables()
-                          if v.symbol.coord is None}, key=lambda s: s.sort_key)
         parity = density.parity if density.parity is not None else EVEN
-        if not euler_lagrange(Lagrangian(density, n, parity=parity, jet_cap=cap),
-                              symbols).is_zero():
+        if not Lagrangian(density, n, parity, cap).el.is_zero():
             return ExactnessResult(NOT_EXACT)
         hat, free = _weighted(density)
         euler = _higher_euler(hat, cap)
@@ -562,35 +576,27 @@ class SymmetryResult:
 
 
 def is_variational_symmetry(ups: GeneralizedVectorField, L: Lagrangian,
-                            coords: Sequence[FieldSymbol] = (),
-                            deriv: Optional[ContactDerivation] = None
+                            coords: Sequence[FieldSymbol] = ()
                             ) -> SymmetryResult:
     """A vertical derivation is a variational symmetry iff pr u(L) is a
-    total divergence; returns the witness.  ``deriv`` is the prolongation
-    of ``ups``, built here unless passed in."""
+    total divergence; returns the witness."""
     if not ups.is_vertical():
         raise UnsupportedDerivation("variational-symmetry test needs vertical input")
-    if deriv is None:
-        deriv = prolong(ups, L.dim, L.jet_cap)
-    result = horizontal_antiderivative(prolonged_variation(deriv, L), coords,
-                                       L.jet_cap)
+    result = horizontal_antiderivative(
+        prolonged_variation(L.prolongation(ups), L), coords, L.jet_cap)
     return SymmetryResult(result.status, result.witness)
 
 
 def noether_current(ups: GeneralizedVectorField, L: Lagrangian,
-                    sigma: Union[MixedForm, SymmetryResult],
-                    xi: Optional[MixedForm] = None,
-                    deriv: Optional[ContactDerivation] = None) -> Current:
+                    sigma: Union[MixedForm, SymmetryResult]) -> Current:
     """Current of a variational symmetry: the witness minus the horizontal
     projection of the contracted Lepage equivalent.  A bare witness form
     ``sigma`` is re-validated against pr u(L); a bad one raises
     ConsistencyError.  The ``SymmetryResult`` of
     ``is_variational_symmetry(ups, L)`` is not re-validated: that function
     has checked its witness against pr u(L) already (a NOT_EXACT result
-    raises ConsistencyError).  The Lepage equivalent ``xi`` and
-    the prolongation ``deriv`` of ``ups`` are built here unless passed in."""
-    if deriv is None:
-        deriv = prolong(ups, L.dim, L.jet_cap)
+    raises ConsistencyError)."""
+    deriv = L.prolongation(ups)
     if isinstance(sigma, SymmetryResult):
         if sigma.status != EXACT:
             raise ConsistencyError("not a variational symmetry")
@@ -600,9 +606,7 @@ def noether_current(ups: GeneralizedVectorField, L: Lagrangian,
         if not (sigma.horizontal_differential(L.jet_cap) - lhs).is_zero():
             raise ConsistencyError(
                 "sigma does not witness the symmetry condition")
-    if xi is None:
-        xi = lepage_equivalent(L)
-    boundary = contract(deriv, xi).horizontal_part()
+    boundary = contract(deriv, L.lepage).horizontal_part()
     return Current.from_form(sigma - boundary)
 
 

@@ -243,7 +243,7 @@ def test_criterion_7_superpotential_pipeline_on_corpus():
             ghost = model.ghost_of(iname)
             result = gauge_symmetry(op, ghost, model.lagrangian)
             checks = structural_checks(result.current, result.symmetry,
-                                       model.lagrangian, el)
+                                       model.lagrangian)
             assert all(c.ok for c in checks), (name, iname)
             split = extract(result.current, result.symmetry, model.lagrangian)
             ok, rep = verify_split(result.current, split, el)

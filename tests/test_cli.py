@@ -320,16 +320,29 @@ def _count_calls(patch, source, names):
 
 
 def _count_builds(patch):
-    from vnoether import variational
-    return _count_calls(patch, variational, ("euler_lagrange", "lepage_table",
-                                             "lie_derivative", "prolong"))
+    from vnoether import Lagrangian, forms, variational
+    counts = _count_calls(patch, variational, ("euler_lagrange", "lepage_table",
+                                               "prolong"))
+    counts.update(_count_calls(patch, forms, ("lie_derivative",)))
+    # d(L vol) is the cached property Lagrangian.d_form
+    counts["d_form"] = 0
+    prop = Lagrangian.__dict__["d_form"]
+    real = prop.func
+
+    def counted(L):
+        counts["d_form"] += 1
+        return real(L)
+
+    patch.setattr(prop, "func", counted)
+    return counts
 
 
 def test_each_command_builds_derived_objects_once(monkeypatch, capsys):
-    # one Euler-Lagrange and one Lepage build per command and one
-    # prolongation per symmetry; the gauge route and the symmetry current
-    # use pr u(L), so the Cartan Lie derivative runs only in the first
-    # variational formula
+    # one Euler-Lagrange and one Lepage build per command, one prolongation
+    # per distinct vector field and d(L vol) once where the Lepage check and
+    # the first variational formula need it; the gauge route and the
+    # symmetry current use pr u(L), and the first variational formula
+    # writes out the Cartan formula, so lie_derivative never runs
     model = str(MODELS / "maxwell4.vln")
     for argv in (["gauge-symmetry", model, "gauge"],
                  ["superpotential", model, "gauge"],
@@ -339,7 +352,8 @@ def test_each_command_builds_derived_objects_once(monkeypatch, capsys):
             assert cli.main([*argv, "--format", "json"]) == 0
         capsys.readouterr()
         assert counts == {"euler_lagrange": 1, "lepage_table": 1,
-                          "lie_derivative": 0, "prolong": 1}, argv
+                          "lie_derivative": 0, "prolong": 1,
+                          "d_form": 0}, argv
     with monkeypatch.context() as patch:
         counts = _count_builds(patch)
         code, report = _verify_in_process(capsys, model)
@@ -347,9 +361,10 @@ def test_each_command_builds_derived_objects_once(monkeypatch, capsys):
     formula_steps = [s for s in report["steps"]
                      if s["name"].startswith("variational-formula ")]
     assert len(formula_steps) == 2
+    # the declared gauge_sym equals the gauge symmetry of 'gauge', so the
+    # two formula steps share one prolongation
     assert counts == {"euler_lagrange": 1, "lepage_table": 1,
-                      "lie_derivative": len(formula_steps),
-                      "prolong": len(formula_steps)}
+                      "lie_derivative": 0, "prolong": 1, "d_form": 1}
 
 
 def test_each_identity_is_evaluated_once(monkeypatch, capsys):
@@ -414,6 +429,43 @@ def test_identity_parity_errors_exit_2(tmp_path):
         assert res.returncode == 2, (model.name, args, res.stderr)
         assert "Traceback" not in res.stderr
         assert message in res.stderr
+
+
+def test_mixed_parity_symmetry_exits_2(tmp_path):
+    # elaboration keeps a symmetry whose components mix parities, but it
+    # has no prolongation: verify and superpotential stop with an error
+    # naming it instead of a traceback
+    for rhs, message in (("phi <- psi ; psi <- psi",
+                          "components of mixed total parity"),
+                         ("phi <- 1 + psi",
+                          "component for phi has mixed parity")):
+        model = tmp_path / "mixed.vln"
+        model.write_text("dim 1\nfield phi even\nfield psi odd\n"
+                         "lagrangian (1/2)*d[0](phi)^2\n"
+                         f"symmetry s: {rhs}\n")
+        for args in (["verify"], ["superpotential", "s"]):
+            res = run_cli(args[0], str(model), *args[1:])
+            assert res.returncode == 2, (rhs, args, res.stderr)
+            assert "Traceback" not in res.stderr
+            assert f"symmetry 's': {message}" in res.stderr
+
+
+def test_verify_ghost_in_lagrangian(tmp_path, capsys):
+    # the Lepage check and the reported Euler-Lagrange expressions come
+    # from one definition over the density's symbols, so a ghost in L
+    # does not fail the Lepage step; the report lists the declared fields
+    model = tmp_path / "ghost.vln"
+    model.write_text("dim 1\nfield phi even\nfield psi odd\n"
+                     "ghost c odd for g\n"
+                     "lagrangian (1/2)*d[0](phi)^2 + c*d[0](c)*phi\n"
+                     "identity g: 0*EL(phi)\n")
+    code, report = _verify_in_process(capsys, model)
+    steps = {s["name"]: s for s in report["steps"]}
+    assert steps["lepage"]["status"] == "pass"
+    assert [item["field"] for item in steps["euler-lagrange"]["payload"]] \
+        == ["phi", "psi"]
+    assert steps["euler-lagrange"]["payload"][1]["expression"]["text"] == "0"
+    assert code == 0, report
 
 
 def test_weak_conservation_is_checked_once_per_current(monkeypatch, capsys):

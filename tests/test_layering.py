@@ -8,7 +8,9 @@ belong to its own ``GrassmannElement``.  Every other module builds a jet
 variable through ``jet()``, which validates the multi-index, never by
 calling ``JetVariable(...)``.  No module but ``algebra.py`` splits a
 polynomial with ``parity_part``: graded signs go through
-``GradedPoly.involution``.
+``GradedPoly.involution``.  No module but ``variational.py`` builds the
+objects a ``Lagrangian`` keeps (Euler-Lagrange expressions, source form,
+Lepage equivalent, prolongations): the others read them from it.
 """
 
 import ast
@@ -44,6 +46,19 @@ def _parity_splits(path: Path) -> list:
             and getattr(node.func, "attr", None) == "parity_part"]
 
 
+BUILDERS = {"euler_lagrange", "euler_lagrange_form", "lepage_equivalent",
+            "prolong"}
+
+
+def _derived_builds(path: Path) -> list:
+    return [f"{path.name}:{node.lineno} {name}(...)"
+            for node in ast.walk(_tree(path))
+            if isinstance(node, ast.Call)
+            and (name := getattr(node.func, "id",
+                                 getattr(node.func, "attr", None)))
+            in BUILDERS]
+
+
 def test_only_algebra_reads_monomial_keys():
     checked = sorted(p for p in SRC.glob("*.py") if p.name not in EXEMPT)
     assert len(checked) >= 8
@@ -65,6 +80,13 @@ def test_only_algebra_splits_by_parity():
     assert not offenders, offenders
 
 
+def test_only_the_lagrangian_builds_derived_objects():
+    checked = sorted(p for p in SRC.glob("*.py") if p.name != "variational.py")
+    assert len(checked) >= 9
+    offenders = [hit for path in checked for hit in _derived_builds(path)]
+    assert not offenders, offenders
+
+
 def test_the_check_sees_key_reads():
     # the exempt ring module itself reads keys, so the scan is not vacuous
     assert _key_reads(SRC / "algebra.py")
@@ -77,3 +99,9 @@ def test_the_check_sees_variable_builds():
 def test_the_check_sees_parity_splits():
     # the random generators of the tests project with parity_part
     assert _parity_splits(Path(__file__).resolve().parent / "helpers.py")
+
+
+def test_the_check_sees_derived_builds():
+    # the Lagrangian's cached properties call each builder
+    assert {hit.split()[-1] for hit in _derived_builds(SRC / "variational.py")} \
+        >= {f"{name}(...)" for name in BUILDERS}

@@ -103,7 +103,7 @@ def test_extract_maxwell2():
     assert split.report == report
     assert [(c.tag, c.level) for c in split.checks] == [
         (c.tag, c.level) for c in structural_checks(result.current,
-                                                    result.symmetry, L, el)]
+                                                    result.symmetry, L)]
     assert all(c.ok for c in split.checks)
 
 
@@ -284,7 +284,7 @@ def test_extract_second_order_ghost_jets():
                        for mu in range(2)}, 2)
     exp = expand_current(shifted, [ghost])
     assert exp.order(ghost) == 2
-    checks = structural_checks(shifted, result.symmetry, L, el)
+    checks = structural_checks(shifted, result.symmetry, L)
     assert all(c.ok for c in checks)
     split = extract(shifted, result.symmetry, L)
     ok, report = verify_split(shifted, split, el)
@@ -365,7 +365,7 @@ def test_random_boundary_identity_pipeline():
         split = extract(result.current, result.symmetry, L)
         ok, report = verify_split(result.current, split, el)
         assert ok, report
-        checks = structural_checks(result.current, result.symmetry, L, el)
+        checks = structural_checks(result.current, result.symmetry, L)
         assert all(c.ok for c in checks)
         dd = GradedPoly.zero()
         for mu in range(dim):

@@ -189,6 +189,28 @@ def test_lepage_equivalent_examples():
     assert bottom == el.component(PHI)
 
 
+def test_lagrangian_keeps_its_derived_objects():
+    # each derived object is built once per instance; the kept objects do
+    # not enter equality or hashing, and a prolongation is shared by equal
+    # vector fields built apart
+    density = Fraction(1, 2) * P(jet(PHI, (0,))) ** 2 + P(jet(PSI)) * P(jet(PHI))
+    L, twin = Lagrangian(density, 1), Lagrangian(density, 1)
+    assert L.el is L.el
+    assert L.lepage is L.lepage
+    assert L.source_form is L.source_form
+    assert L.d_form is L.d_form
+    assert L.el.components == euler_lagrange(twin).components
+    assert L.lepage == lepage_equivalent(twin)
+    assert L.source_form == euler_lagrange_form(twin)
+    assert L.d_form == twin.form().exterior_differential()
+    assert L == twin and hash(L) == hash(twin)
+    assert {L: 1}[twin] == 1
+    shift = GeneralizedVectorField.make({PHI: P(jet(C))})
+    again = GeneralizedVectorField.make({PHI: P(jet(C))})
+    assert L.prolongation(shift) is L.prolongation(again)
+    assert L.prolongation(shift) is not twin.prolongation(shift)
+
+
 def test_check_lepage_fixtures():
     assert check_lepage(Lagrangian(Fraction(1, 2) * P(jet(PHI, (0,))) ** 2, 1))
     assert check_lepage(Lagrangian(Fraction(1, 2) * P(jet(PHI, (0, 0))) ** 2, 1))
