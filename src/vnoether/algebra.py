@@ -56,7 +56,8 @@ MultiIndex = tuple  # sorted tuple of coordinate indices
 
 
 class DeclarationError(ValueError):
-    """A term tree or model refers to an undeclared or ill-typed symbol."""
+    """A symbol is declared with a bad kind, parity or base link, or a
+    coordinate is asked for a jet."""
 
 
 class EvaluationError(ValueError):
@@ -684,50 +685,6 @@ def _coerce(x) -> GradedPoly:
     if isinstance(x, (int, Fraction)):
         return GradedPoly.constant(x)
     raise TypeError(f"cannot coerce {type(x).__name__} into the ring")
-
-
-# ---------------------------------------------------------------------------
-# term trees
-#
-# normalize() turns a raw nested-tuple expression into canonical form.  Trees
-# are what the model parser produces:
-#   int | Fraction
-#   ("var", name, (indices...))
-#   ("add", t1, t2, ...) / ("mul", t1, t2, ...) / ("neg", t)
-#   ("pow", t, k)
-#   ("d", lam, t)          total derivative
-
-def normalize(tree, symbols: Mapping[str, FieldSymbol],
-              cap: int = DEFAULT_JET_CAP) -> GradedPoly:
-    if isinstance(tree, (int, Fraction)):
-        return GradedPoly.constant(tree)
-    if isinstance(tree, GradedPoly):
-        return tree
-    if not isinstance(tree, tuple) or not tree:
-        raise DeclarationError(f"bad term tree node {tree!r}")
-    tag = tree[0]
-    if tag == "var":
-        _, name, index = tree
-        if name not in symbols:
-            raise DeclarationError(f"unknown symbol {name!r}")
-        return GradedPoly.variable(jet(symbols[name], index))
-    if tag == "add":
-        out = GradedPoly.zero()
-        for sub in tree[1:]:
-            out = out + normalize(sub, symbols, cap)
-        return out
-    if tag == "mul":
-        out = GradedPoly.constant(1)
-        for sub in tree[1:]:
-            out = out * normalize(sub, symbols, cap)
-        return out
-    if tag == "neg":
-        return -normalize(tree[1], symbols, cap)
-    if tag == "pow":
-        return normalize(tree[1], symbols, cap) ** tree[2]
-    if tag == "d":
-        return normalize(tree[2], symbols, cap).total_derivative(tree[1], cap)
-    raise DeclarationError(f"bad term tree tag {tag!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,9 @@ Commands run the pipeline on a model file and emit a deterministic report:
 report).  Exit codes: 0 all checks passed (or ``--help``), 1 mathematical
 failure, 2 usage, parse or model error (a ``--jet-cap`` or
 ``VNOETHER_JET_CAP`` that is not a non-negative integer, or a declared
-symmetry of mixed parity, too), 3 a jet variable above ``--jet-cap``.
+symmetry of mixed parity, too), 3 a jet variable above ``--jet-cap``,
+141 stdout closed before the report or help text was written (a reader
+such as ``head`` quit; no traceback).
 
 ``getopt.gnu_getopt`` reads the command line against one table of
 commands (no argparse); a usage error writes ``USAGE`` and the error to
@@ -52,6 +54,7 @@ EXIT_OK = 0
 EXIT_MATH = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
+EXIT_PIPE = 141   # 128 + SIGPIPE, what a shell reports for a closed pipe
 
 
 USAGE = """\
@@ -213,9 +216,9 @@ class _Runner:
         model = self.model()
         symbols = model.fields
         if self.args.field is not None:
-            if self.args.field not in model.symbols:
+            symbols = [s for s in symbols if s.name == self.args.field]
+            if not symbols:
                 raise _Usage(f"unknown field {self.args.field!r}")
-            symbols = [model.symbols[self.args.field]]
         self.add("euler-lagrange", "pass",
                  _el_payload(model.lagrangian, symbols))
 
@@ -382,8 +385,7 @@ def main(argv=None) -> int:
         sys.stderr.write(f"{USAGE}\nerror: {exc}\n")
         return EXIT_USAGE
     if args is None:
-        sys.stdout.write(USAGE)
-        return EXIT_OK
+        return _emit(USAGE, EXIT_OK)
     runner = _Runner(args)
     start = time.monotonic()
     try:
@@ -405,21 +407,32 @@ def main(argv=None) -> int:
         "steps": runner.steps,
         "bound_exhausted": False,
     }
+    chunks = []
     if args.format == "json":
-        chunks = []
         _json(report, chunks)
         chunks.append("\n")
-        sys.stdout.write("".join(chunks))
     else:
         for step in runner.steps:
-            line = f"{step['name']}: {step['status']}"
-            sys.stdout.write(line + "\n")
+            chunks.append(f"{step['name']}: {step['status']}\n")
             payload = step.get("payload")
             if payload:
-                for text in _payload_lines(payload):
-                    sys.stdout.write("  " + text + "\n")
+                chunks.extend(f"  {text}\n" for text in _payload_lines(payload))
         print(f"elapsed: {elapsed:.3f}s", file=sys.stderr)
-    return runner.exit_code()
+    return _emit("".join(chunks), runner.exit_code())
+
+
+def _emit(text: str, code: int) -> int:
+    """Write ``text`` to stdout and return ``code``, or EXIT_PIPE when the
+    reader has closed stdout."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # point stdout at devnull so that the flush at interpreter exit
+        # cannot fail again (Python docs, "Note on SIGPIPE")
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
+    return code
 
 
 def _json(value, out, indent="\n"):

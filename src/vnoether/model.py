@@ -1,7 +1,7 @@
 """Model-definition language: declarations, index notation, elaboration.
 
 A model file declares the base dimension and metric, field and ghost
-families with index slots, macro bindings, a Lagrangian, named identities
+families with index slots, ``let`` bindings, a Lagrangian, named identities
 between Euler-Lagrange expressions and named symmetries.  Families are
 expanded to flat per-component symbols (``A[mu]`` with ``dim 2`` becomes
 ``A0``, ``A1``).
@@ -17,8 +17,15 @@ summed pair picks up the metric sign when both occurrences have the same
 variance; slot indices of ``EL(...)`` count as contravariant, so pairing
 them against a derivative index sums plainly.  The summands of a sum must
 leave the same letters open.  A symmetry's left-side letters take each
-component's values and enter the right side as literal indices, so they
-are never summed there.
+component's values in the environment every row starts from, so they are
+never counted, summed or open on the right side.
+
+A ``let F[i,j] = body`` is a table evaluated once, where it is defined:
+the body must leave open exactly its parameters, each once, and the table
+holds its value at every assignment of them.  A use ``F[..]`` is a product
+level like a symbol's slots (covariant occurrences) whose value is looked
+up in the table, so a let means the same thing at every use and its
+summed letters cannot meet the caller's.
 
 Grammar sketch (``#`` starts a comment, files use extension ``.vln``)::
 
@@ -466,35 +473,6 @@ def parse(text: str) -> ModelSource:
 
 
 # ---------------------------------------------------------------------------
-# tree rebuild: macro expansion and index substitution
-
-def _rebuild(expr, letter, call=None):
-    """Copy ``expr`` with every index letter replaced by the index
-    ``letter(name)``; when ``call`` is given, every symbol node is replaced
-    by ``call(node)`` instead."""
-    def idxs(items):
-        return tuple(letter(i[1]) if i[0] == "letter" else i for i in items)
-    tag = expr[0]
-    if tag == "sym" and call is not None:
-        return call(expr)
-    if tag in ("sym", "el"):
-        return (tag, expr[1], idxs(expr[2]))
-    if tag == "d":
-        return ("d", idxs(expr[1]), _rebuild(expr[2], letter, call))
-    if tag == "pow":
-        return ("pow", _rebuild(expr[1], letter, call), expr[2])
-    if tag in ("neg", "inv"):
-        return (tag, _rebuild(expr[1], letter, call))
-    if tag in ("add", "mul"):
-        return (tag, tuple(_rebuild(e, letter, call) for e in expr[1]))
-    return expr
-
-
-def _occurrences(idxs, covariant: bool):
-    return [(i[1], covariant) for i in idxs if i[0] == "letter"]
-
-
-# ---------------------------------------------------------------------------
 # elaboration
 
 @dataclass
@@ -523,6 +501,10 @@ def _flat_name(name: str, values: Sequence[int]) -> str:
     return name + "".join(str(v) for v in values)
 
 
+def _occurrences(idxs, covariant: bool):
+    return [(i[1], covariant) for i in idxs if i[0] == "letter"]
+
+
 class _Elaborator:
     def __init__(self, src: ModelSource, jet_cap: int):
         self.src = src
@@ -540,8 +522,10 @@ class _Elaborator:
         self.families: Dict[str, tuple] = {}
         self.fields: List[FieldSymbol] = []
         self.ghost_info: Dict[str, tuple] = {}
-        self.lets: Dict[str, tuple] = {}
-        self.fresh = 0
+        self.lets: Dict[str, tuple] = {}      # name -> (arity, table)
+        # letter -> value of a symmetry's left side, for the component
+        # being evaluated
+        self.fixed: Dict[str, int] = {}
 
     def run(self) -> ElaboratedModel:
         src = self.src
@@ -556,10 +540,11 @@ class _Elaborator:
             self._declare(name, arity, parity, KIND_GHOST)
             self.ghost_info[name] = (self.symbols[name], target)
         for (name, params, body) in src.lets:
-            self.lets[name] = (params, self._expand(body))
+            self.lets[name] = (len(params),
+                               self._let_table(name, params, body))
         lag_poly = GradedPoly.zero()
         if src.lagrangian is not None:
-            lag_poly = self._closed(self._expand(src.lagrangian), "lagrangian")
+            lag_poly = self._closed(src.lagrangian, "lagrangian")
         parity = lag_poly.parity
         if parity is None and not lag_poly.is_zero():
             raise ElaborationError(
@@ -613,30 +598,29 @@ class _Elaborator:
                 f"{name!r} expects {arity} indices, got {len(values)}")
         return self.symbols[_flat_name(name, values)]
 
-    # -- macros --------------------------------------------------------------
-
-    def _expand(self, expr):
-        return _rebuild(expr, lambda name: ("letter", name), self._call)
-
-    def _call(self, node):
-        """Expand one use of a ``let``: parameters take the use's indices,
-        the body's other letters get fresh names so they capture nothing (a
-        quote cannot occur in a source letter)."""
-        if node[1] not in self.lets:
-            return node
-        params, body = self.lets[node[1]]
-        if len(node[2]) != len(params):
+    def _let_table(self, name: str, params, body) -> Dict[tuple, GradedPoly]:
+        """Evaluate a ``let`` body once.  It must leave open exactly its
+        parameters, each once; the table is keyed by their values in
+        parameter order."""
+        occ, table = self._eval(body)
+        letters = [l for l, _ in occ]
+        if letters != sorted(params):
             raise ElaborationError(
-                f"macro {node[1]!r} expects {len(params)} indices, "
-                f"got {len(node[2])}")
-        mapping = dict(zip(params, node[2]))
+                f"let {name!r}: the body leaves open [{', '.join(letters)}], "
+                f"not exactly its parameters [{', '.join(params)}] once each")
+        order = [letters.index(p) for p in params]
+        return {tuple(key[i] for i in order): value
+                for key, value in table.items()}
 
-        def rename(name):
-            if name not in mapping:
-                self.fresh += 1
-                mapping[name] = ("letter", f"{name}'{self.fresh}")
-            return mapping[name]
-        return _rebuild(body, rename)
+    def _lookup(self, name: str, values: tuple) -> GradedPoly:
+        """A let's component or a family component's variable."""
+        if name not in self.lets:
+            return GradedPoly.variable(jet(self._family_symbol(name, values)))
+        arity, table = self.lets[name]
+        if len(values) != arity:
+            raise ElaborationError(
+                f"let {name!r} expects {arity} indices, got {len(values)}")
+        return table[values]
 
     # -- evaluation ----------------------------------------------------------
 
@@ -647,12 +631,16 @@ class _Elaborator:
         ``factors`` the evaluated children, each ``(open, table)``.  A letter
         seen once among all of them stays open, twice is summed over
         ``0..n-1`` with the metric sign when both occurrences have the same
-        variance, three or more times is an error.  Returns the open
-        occurrences sorted by letter and one row per assignment:
-        ``(open values, letter -> value, sign, factor values)``."""
+        variance, three or more times is an error.  A letter of
+        ``self.fixed`` is not counted: every row's environment starts from
+        its value.  Returns the open occurrences sorted by letter and one
+        row per assignment: ``(open values, letter -> value, sign, factor
+        values)``."""
+        fixed = self.fixed
         seen: Dict[str, list] = {}
         for letter, cov in own + [o for occ, _ in factors for o in occ]:
-            seen.setdefault(letter, []).append(cov)
+            if letter not in fixed:
+                seen.setdefault(letter, []).append(cov)
         for letter, covs in seen.items():
             if len(covs) > 2:
                 raise ElaborationError(
@@ -665,6 +653,8 @@ class _Elaborator:
         rows = []
         for values in itertools.product(range(self.dim), repeat=len(letters)):
             env = dict(zip(letters, values))
+            if fixed:
+                env.update(fixed)
             sign = 1
             for (_, same), v in zip(pairs, values[len(open_):]):
                 if same:
@@ -710,9 +700,8 @@ class _Elaborator:
         table: Dict[tuple, GradedPoly] = {}
         for key, env, sign, vals in rows:
             if tag == "sym":
-                values = [self._idx_value(i, env) for i in expr[2]]
-                value = GradedPoly.variable(
-                    jet(self._family_symbol(expr[1], values)))
+                value = self._lookup(
+                    expr[1], tuple(self._idx_value(i, env) for i in expr[2]))
             elif tag == "d":
                 value = vals[0]
                 for i in expr[1]:
@@ -749,7 +738,7 @@ class _Elaborator:
         (contravariant); every letter must pair there."""
         coeffs: Dict[tuple, GradedPoly] = {}
         for (coeff_expr, dlist, fname, slots) in terms:
-            coeff = self._eval(self._expand(coeff_expr))
+            coeff = self._eval(coeff_expr)
             own = _occurrences(dlist, True) + _occurrences(slots, False)
             open_, rows = self._level(own, [coeff])
             if open_:
@@ -766,26 +755,23 @@ class _Elaborator:
         return NoetherOperator(name, coeffs)
 
     def _eval_symmetry(self, name: str, assigns) -> GeneralizedVectorField:
-        """The left side's letters take each component's values and enter
-        the right side as literal indices, so they are never summed there."""
+        """The left side's letters take each component's values in
+        ``self.fixed``, the environment every row starts from, so they are
+        never summed and never open on the right side."""
         comps: Dict[FieldSymbol, GradedPoly] = {}
         for (target, slots, expr) in assigns:
-            expr = self._expand(expr)
             letters = [i[1] for i in slots if i[0] == "letter"]
             if len(set(letters)) != len(letters):
                 raise ElaborationError(
                     f"symmetry {name!r}: repeated index on the left side")
             for values in itertools.product(range(self.dim),
-                                            repeat=len(slots)):
-                if any(i[0] == "lit" and i[1] != v
-                       for i, v in zip(slots, values)):
-                    continue
-                fixed = {i[1]: ("lit", v) for i, v in zip(slots, values)
-                         if i[0] == "letter"}
-                right = _rebuild(expr, lambda l: fixed.get(l, ("letter", l)))
-                sym = self._family_symbol(target, values)
+                                            repeat=len(letters)):
+                self.fixed = dict(zip(letters, values))
+                sym = self._family_symbol(
+                    target, [self._idx_value(i, self.fixed) for i in slots])
                 accumulate(comps, sym,
-                           self._closed(right, f"symmetry {name!r}"))
+                           self._closed(expr, f"symmetry {name!r}"))
+            self.fixed = {}
         return GeneralizedVectorField.make(comps)
 
 

@@ -7,8 +7,7 @@ import pytest
 from vnoether import (EVEN, KIND_ANTIFIELD, KIND_FIELD, KIND_GHOST, ODD,
                       DeclarationError, EvaluationError, FieldSymbol,
                       GradedPoly, GrassmannAlgebra, JetCapError, antifield,
-                      coordinate_symbol, jet, normalize, poly_from_data,
-                      poly_to_data)
+                      coordinate_symbol, jet, poly_from_data, poly_to_data)
 from vnoether.algebra import (_bump, mi_binomial, mi_permutations,
                               multi_index, var_key)
 
@@ -41,21 +40,6 @@ def test_reordering_sign():
 def test_like_terms_collect():
     phi = P(jet(PHI))
     assert phi + phi == 2 * phi
-
-
-def test_normalize_tree_and_idempotence():
-    symbols = {"phi": PHI, "c": C}
-    tree = ("add",
-            ("mul", ("var", "c", ()), ("var", "c", ())),
-            ("pow", ("var", "phi", ()), 2))
-    poly = normalize(tree, symbols)
-    assert poly == P(jet(PHI)) ** 2
-    assert normalize(poly, symbols) == poly
-
-
-def test_normalize_unknown_symbol():
-    with pytest.raises(DeclarationError):
-        normalize(("var", "zeta", ()), {"phi": PHI})
 
 
 def test_canonical_form_uniqueness_random():

@@ -39,6 +39,35 @@ def test_el_single_field_and_missing_field():
     assert "A1:" not in res.stdout
     bad = run_cli("el", str(MODELS / "maxwell2.vln"), "--field", "nope")
     assert bad.returncode == 2
+    # a ghost is a declared symbol but not a field
+    ghost = run_cli("el", str(MODELS / "maxwell2.vln"), "--field", "c")
+    assert ghost.returncode == 2
+    assert "unknown field 'c'" in ghost.stderr
+    assert ghost.stdout == ""
+
+
+def test_closed_stdout_exits_141_without_traceback():
+    # the read end is closed before the child starts, so writing or
+    # flushing the report meets EPIPE whether or not stdout is buffered
+    for args in (("--format", "text"), ("--format", "json"), ("--help",)):
+        for unbuffered in (False, True):
+            env = dict(os.environ)
+            env.pop("PYTHONUNBUFFERED", None)
+            if unbuffered:
+                env["PYTHONUNBUFFERED"] = "1"
+            read_end, write_end = os.pipe()
+            os.close(read_end)
+            try:
+                res = subprocess.run(
+                    [sys.executable, "-m", "vnoether.cli", "verify",
+                     str(MODELS / "maxwell2.vln"), *args],
+                    stdout=write_end, stderr=subprocess.PIPE, text=True,
+                    cwd=ROOT, env=env)
+            finally:
+                os.close(write_end)
+            assert res.returncode == cli.EXIT_PIPE == 141, (args, unbuffered)
+            assert "Traceback" not in res.stderr
+            assert "Exception ignored" not in res.stderr
 
 
 def test_parse_error_exit_code():

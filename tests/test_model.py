@@ -1,4 +1,5 @@
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -6,9 +7,10 @@ from vnoether import (EVEN, ODD, GradedPoly, check_noether_identity,
                       euler_lagrange, jet, load_model, poly_to_data,
                       print_elaborated)
 from vnoether.cli import EXIT_USAGE, main
-from vnoether.model import ElaborationError, ParseError, parse
+from vnoether.model import ElaborationError, ParseError, _Elaborator, parse
 
 P = GradedPoly.variable
+MODELS = Path(__file__).resolve().parent.parent / "models"
 
 MAXWELL = """
 dim 2
@@ -142,6 +144,24 @@ def test_symmetry_left_side_letters_are_fixed():
         assert t.component(target) == 1 - P(jet(sym["c"], (v,)))
 
 
+def test_symmetry_left_side_literal_out_of_range(tmp_path, capsys):
+    # a literal left slot is checked against dim like one on the right side,
+    # instead of matching no component and giving the empty symmetry
+    source = ("dim 2\nfield A[mu] even\nghost c odd for g\n"
+              "identity g: 1*d[nu](EL(A[nu]))\n"
+              "symmetry s: A[7] <- d[0](c)\n")
+    with pytest.raises(ElaborationError, match="index 7 out of range"):
+        load_model(source)
+    path = tmp_path / "range.vln"
+    path.write_text(source)
+    assert main(["superpotential", str(path), "s"]) == EXIT_USAGE
+    assert "index 7 out of range" in capsys.readouterr().err
+    # an in-range literal picks its one component
+    model = load_model(source.replace("A[7]", "A[1]"))
+    assert dict(model.symmetries["s"].vertical) \
+        == {model.symbols["A1"]: P(jet(model.symbols["c"], (0,)))}
+
+
 def test_parse_error_position():
     with pytest.raises(ParseError) as err:
         parse("dim 2\nfield ) even\n")
@@ -158,8 +178,8 @@ def test_unknown_symbol():
         load_model("dim 1\nfield a even\nlagrangian a*b\n")
 
 
-def test_macro_hygiene():
-    # the summation index inside the macro body must not capture the
+def test_let_hygiene():
+    # the summation index inside the let body must not capture the
     # caller's letters
     model = load_model("""
 dim 2
@@ -178,11 +198,56 @@ lagrangian T[nu]*a[nu]
             t = t + P(jet((a0, a1)[inner])) * P(jet(b, (inner,)))
         expect = expect + t * P(jet((a0, a1)[nu]))
     assert model.lagrangian.density == expect
-    # nor a caller's letter spelled like a generated name
+    # nor a caller's letter of any spelling
     source = "dim 2\nfield a[m] even\nlet T[mu] = a[mu]*a[nu]*a[nu]\n"
     want = load_model(source + "lagrangian T[x]*a[x]\n").lagrangian.density
     got = load_model(source + "lagrangian T[nu_1_]*a[nu_1_]\n")
     assert got.lagrangian.density == want
+
+
+def test_let_body_is_evaluated_once(monkeypatch):
+    # maxwell4 uses F twice; its body is a table built where F is defined
+    text = (MODELS / "maxwell4.vln").read_text()
+    (_, _, body), = parse(text).lets
+    calls = []
+    evaluate = _Elaborator._eval
+
+    def counting(self, expr):
+        if expr == body:
+            calls.append(expr)
+        return evaluate(self, expr)
+    monkeypatch.setattr(_Elaborator, "_eval", counting)
+    load_model(text)
+    assert len(calls) == 1
+
+
+def test_let_body_leaves_open_exactly_its_parameters():
+    head = "dim 2\nfield a[m] even\nfield b[m] even\n"
+    for let in ("let S[mu] = a[mu]*b[mu]",        # a parameter is summed
+                "let S[mu,mu] = a[mu]",           # a repeated parameter
+                "let S[mu] = a[mu]*b[nu]",        # an extra open letter
+                "let S[mu] = a[0]"):              # a parameter never used
+        # checked where it is defined, although nothing uses it
+        with pytest.raises(ElaborationError, match="let 'S'"):
+            load_model(head + let + "\n")
+    with pytest.raises(ElaborationError, match="let 'S' expects 1 indices"):
+        load_model(head + "let S[mu] = a[mu]\nlagrangian S[0,1]\n")
+    # the parameter order keys the table: T[0,1] is a0*b1 however the
+    # body spells its letters
+    model = load_model(head + "let T[nu,mu] = a[nu]*b[mu]\n"
+                       "lagrangian T[0,1]\n")
+    assert model.lagrangian.density \
+        == P(jet(model.symbols["a0"])) * P(jet(model.symbols["b1"]))
+
+
+def test_let_on_symmetry_right_side_with_fixed_letter():
+    model = load_model("dim 2\nfield A[m] even\nghost c odd for g\n"
+                       "identity g: 1*d[nu](EL(A[nu]))\n"
+                       "let G[mu] = d[mu](c)\n"
+                       "symmetry s: A[mu] <- G[mu]\n")
+    c, ups = model.symbols["c"], model.symmetries["s"]
+    for v in range(2):
+        assert ups.component(model.symbols[f"A{v}"]) == P(jet(c, (v,)))
 
 
 def test_ghost_parity_validation():
