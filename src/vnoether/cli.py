@@ -5,10 +5,10 @@ Commands run the pipeline on a model file and emit a deterministic report:
 (timing goes to stderr in text mode and is omitted from the structured
 report).  Exit codes: 0 all checks passed (or ``--help``), 1 mathematical
 failure, 2 usage, parse or model error (a ``--jet-cap`` or
-``VNOETHER_JET_CAP`` that is not a non-negative integer, or a declared
-symmetry of mixed parity, too), 3 a jet variable above ``--jet-cap``,
-141 stdout closed before the report or help text was written (a reader
-such as ``head`` quit; no traceback).
+``VNOETHER_JET_CAP`` that is not a non-negative integer, a model file that
+is not UTF-8, or a declared symmetry of mixed parity, too), 3 a jet
+variable above ``--jet-cap``, 141 stdout closed before the report or help
+text was written (a reader such as ``head`` quit; no traceback).
 
 ``getopt.gnu_getopt`` reads the command line against one table of
 commands (no argparse); a usage error writes ``USAGE`` and the error to
@@ -311,11 +311,9 @@ class _Runner:
             try:
                 result = gauge_symmetry(op, ghost, L)
             except GaugeError as exc:
-                if exc.residual is not None:
-                    self._identity(name, exc.residual)
-                    continue
-                self.add(f"identity {name}", "pass")
-                self.add(f"gauge {name}", "fail", {"reason": str(exc)})
+                if exc.residual is None:
+                    raise
+                self._identity(name, exc.residual)
                 continue
             self.add(f"identity {name}", "pass")
             u, current = result.symmetry, result.current
@@ -368,9 +366,9 @@ class _Runner:
         self.add(step, "pass" if ok else "fail", payload)
 
     def _weak_conservation(self, name, witness):
-        """Record the re-check of div J = u^A E_A that built ``witness``:
-        gauge_symmetry's on the gauge route, symmetry_witness's for a
-        declared symmetry."""
+        """Record symmetry_witness's check of div J = u^A E_A, made inside
+        gauge_symmetry on the gauge route and in cmd_verify for a declared
+        symmetry."""
         if witness.status == EXACT:
             self.add(f"weak-conservation {name}", "pass")
         else:
@@ -393,7 +391,7 @@ def main(argv=None) -> int:
     except (_Usage, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ParseError, ElaborationError) as exc:
+    except (ParseError, ElaborationError, UnicodeDecodeError) as exc:
         print(f"error: {args.model}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except JetCapError as exc:

@@ -22,9 +22,9 @@ from typing import Dict, Optional, Sequence, Tuple
 from .algebra import (DEFAULT_JET_CAP, KIND_ANTIFIELD, KIND_GHOST, ODD,
                       FieldSymbol, GradedPoly, accumulate, jet, var_key)
 from .forms import GeneralizedVectorField, MixedForm, contract
-from .variational import (EXACT, Current, EulerLagrange, Lagrangian,
-                          WitnessResult, expand_witness, prolonged_variation,
-                          transfer_derivatives)
+from .variational import (Current, EulerLagrange, Lagrangian, WitnessResult,
+                          expand_witness, prolonged_variation,
+                          symmetry_witness, transfer_derivatives)
 
 
 class GaugeError(ValueError):
@@ -252,7 +252,8 @@ def gauge_symmetry(op: NoetherOperator, ghost: FieldSymbol,
     (zero for exact symmetries) and is re-verified against pr u(L); the
     current sigma, the witness minus the contracted Lepage boundary, is
     re-verified against the contracted source.  That check is the weak
-    conservation div J = u^A E_A of its current J, and the result carries
+    conservation div J = u^A E_A of its current J, made by
+    ``symmetry_witness`` as for a declared symmetry, and the result carries
     it as ``conservation``, the witness {(A, ()): u^A}.
     """
     el = L.el
@@ -273,15 +274,11 @@ def gauge_symmetry(op: NoetherOperator, ghost: FieldSymbol,
             raise AssertionError("gauge witness failed its re-check")
     sigma = witness - boundary
     # sigma must be an antiderivative of the contracted source term
-    table = {(sym, ()): poly for sym, poly in u.vertical
-             if not poly.is_zero()}
-    source = expand_witness(table, el, L.jet_cap)
-    check = sigma.horizontal_differential(L.jet_cap) - MixedForm.density(
-        source, L.dim)
-    if not check.is_zero():
+    current = Current.from_form(sigma)
+    conservation = symmetry_witness(u, current, el, L.jet_cap)
+    if not conservation:
         raise AssertionError("gauge witness failed its re-check")
-    return GaugeSymmetryResult(u, sigma, Current.from_form(sigma),
-                               WitnessResult(EXACT, table))
+    return GaugeSymmetryResult(u, sigma, current, conservation)
 
 
 def extended_lagrangian(L: Lagrangian,

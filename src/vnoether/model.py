@@ -7,18 +7,22 @@ expanded to flat per-component symbols (``A[mu]`` with ``dim 2`` becomes
 ``A0``, ``A1``).
 
 Index rules.  A product level is a symbol's slots, ``d[..]`` with its
-operand, the copies of a power, a product of factors, and an identity
-term's coefficient against its ``d[..](EL(..))`` indices.  Elaboration
-visits each node once, bottom-up, and at every product level applies one
-rule to the letters met there: a letter seen once stays open for the
-enclosing level, a letter seen twice is summed over ``0..n-1`` at this,
-its innermost, level, and three or more occurrences are an error.  A
-summed pair picks up the metric sign when both occurrences have the same
-variance; slot indices of ``EL(...)`` count as contravariant, so pairing
-them against a derivative index sums plainly.  The summands of a sum must
-leave the same letters open.  A symmetry's left-side letters take each
-component's values in the environment every row starts from, so they are
-never counted, summed or open on the right side.
+operand, the copies of a power, a product of factors, and the final
+``EL(..)`` of an identity term.  Elaboration visits each node once,
+bottom-up, and at every product level applies one rule to the letters
+met there: a letter seen once stays open for the enclosing level, a
+letter seen twice is summed over ``0..n-1`` at this, its innermost,
+level, and three or more occurrences are an error.  A summed pair picks
+up the metric sign when both occurrences have the same variance; slot
+indices of ``EL(...)`` count as contravariant, so pairing them against a
+derivative index sums plainly.  An identity is evaluated like any other
+expression, with the antifield jet ``Ebar[A]`` of the flat symbol as the
+value of ``EL(A[..])``: its value is the antifield density sum
+Delta^{A,I} Ebar[A]_{,I}, and ``noether_operator_from_density`` reads
+the operator back.  The summands of a sum must leave the same letters
+open.  A symmetry's left-side letters take each component's values in
+the environment every row starts from, so they are never counted, summed
+or open on the right side.
 
 A ``let F[i,j] = body`` is a table evaluated once, where it is defined:
 the body must leave open exactly its parameters, each once, and the table
@@ -54,9 +58,9 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import (DEFAULT_JET_CAP, EVEN, KIND_GHOST, ODD, FieldSymbol,
-                      GradedPoly, accumulate, jet, multi_index)
+                      GradedPoly, accumulate, jet)
 from .forms import GeneralizedVectorField
-from .gauge import GaugeError, NoetherOperator
+from .gauge import GaugeError, antifield, noether_operator_from_density
 from .variational import Lagrangian
 
 _KEYWORDS = {"dim", "metric", "field", "ghost", "let", "lagrangian",
@@ -116,9 +120,9 @@ def tokenize(text: str) -> List[Token]:
             i += 2
             col += 2
             continue
-        if ch.isdigit():
+        if ch.isdecimal():   # what int() reads; not '²' or '①'
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             out.append(Token("INT", text[i:j], line, col))
             col += j - i
@@ -158,7 +162,7 @@ class ModelSource:
     lets: List[tuple] = field(default_factory=list)     # (name, params, body)
     lagrangian: Optional[tuple] = None
     lagrangian_line: int = 0
-    identities: Dict[str, list] = field(default_factory=dict)
+    identities: Dict[str, tuple] = field(default_factory=dict)  # name -> expr
     identity_lines: Dict[str, int] = field(default_factory=dict)
     symmetries: Dict[str, list] = field(default_factory=dict)
 
@@ -251,26 +255,20 @@ class _Parser:
                 src.lagrangian_line = tok.line
             elif tok.text == "identity":
                 self.next()
-                name = self.expect("NAME").text
-                if name in src.identities:
-                    self.error(f"duplicate identity {name!r}", tok)
-                self.expect("PUNCT", ":")
-                terms = [self.parse_idterm(1)]
+                name = self._statement_name(src, tok)
+                terms = [self.parse_idterm()]
                 while True:
                     if self.accept("PUNCT", "+"):
-                        terms.append(self.parse_idterm(1))
+                        terms.append(self.parse_idterm())
                     elif self.accept("PUNCT", "-"):
-                        terms.append(self.parse_idterm(-1))
+                        terms.append(("neg", self.parse_idterm()))
                     else:
                         break
-                src.identities[name] = terms
+                src.identities[name] = ("add", tuple(terms))
                 src.identity_lines[name] = tok.line
             elif tok.text == "symmetry":
                 self.next()
-                name = self.expect("NAME").text
-                if name in src.symmetries:
-                    self.error(f"duplicate symmetry {name!r}", tok)
-                self.expect("PUNCT", ":")
+                name = self._statement_name(src, tok)
                 assigns = [self.parse_assign()]
                 while True:
                     self.accept("PUNCT", ";")
@@ -293,6 +291,17 @@ class _Parser:
             self.error(f"duplicate declaration of {tok.text!r}", tok)
         declared.add(tok.text)
         return tok.text
+
+    def _statement_name(self, src: ModelSource, tok: Token) -> str:
+        """``NAME :`` of an identity or a symmetry.  ``superpotential NAME``
+        takes either, so the two kinds share one namespace."""
+        name = self.expect("NAME").text
+        for kind, names in (("identity", src.identities),
+                            ("symmetry", src.symmetries)):
+            if name in names:
+                self.error(f"{kind} {name!r} is already declared", tok)
+        self.expect("PUNCT", ":")
+        return name
 
     def _slot_arity(self) -> int:
         if self.accept("PUNCT", "["):
@@ -340,45 +349,21 @@ class _Parser:
         self.expect("PUNCT", "<-")
         return (name.text, slots, self.parse_expr())
 
-    def parse_idterm(self, sign: int):
+    def parse_idterm(self):
+        """A product whose last factor is ``EL(..)``, bare or under one
+        ``d[..]``; that factor is retagged ``antifield``, so the term
+        evaluates to its share of the antifield density."""
         tok = self.peek()
         term = self.parse_term()
-        node = self._strip_el(term)
-        if node is None:
+        items = term[1] if term[0] == "mul" else (term,)
+        last = items[-1]
+        inner = last[2] if last[0] == "d" else last
+        if inner[0] != "el":
             self.error("identity term must end in an EL(...) factor", tok)
-        coeff, dlist, fname, slots = node
-        if sign < 0:
-            coeff = ("neg", coeff)
-        return (coeff, dlist, fname, slots)
-
-    def _strip_el(self, expr):
-        """Split a product into (coefficient, d-list, EL field, slots); the
-        EL factor must come last."""
-        if expr[0] == "mul":
-            items = list(expr[1])
-            got = self._el_factor(items.pop())
-            if got is None:
-                return None
-            dlist, fname, slots = got
-            if not items:
-                coeff = ("num", 1)
-            elif len(items) == 1:
-                coeff = items[0]
-            else:
-                coeff = ("mul", tuple(items))
-            return (coeff, dlist, fname, slots)
-        got = self._el_factor(expr)
-        if got is None:
-            return None
-        dlist, fname, slots = got
-        return (("num", 1), dlist, fname, slots)
-
-    def _el_factor(self, expr):
-        if expr[0] == "el":
-            return ((), expr[1], expr[2])
-        if expr[0] == "d" and expr[2][0] == "el":
-            return (expr[1], expr[2][1], expr[2][2])
-        return None
+        factor = ("antifield",) + inner[1:]
+        if last[0] == "d":
+            factor = ("d", last[1], factor)
+        return ("mul", items[:-1] + (factor,)) if term[0] == "mul" else factor
 
     # -- expressions --------------------------------------------------------
 
@@ -523,6 +508,7 @@ class _Elaborator:
         self.fields: List[FieldSymbol] = []
         self.ghost_info: Dict[str, tuple] = {}
         self.lets: Dict[str, tuple] = {}      # name -> (arity, table)
+        self.antifields: Dict[FieldSymbol, GradedPoly] = {}
         # letter -> value of a symmetry's left side, for the component
         # being evaluated
         self.fixed: Dict[str, int] = {}
@@ -553,9 +539,10 @@ class _Elaborator:
         lagrangian = Lagrangian(lag_poly, self.dim,
                                 parity if parity is not None else EVEN,
                                 self.cap)
-        identities = {}
-        for name, terms in src.identities.items():
-            identities[name] = self._eval_identity(name, terms)
+        identities = {
+            name: noether_operator_from_density(
+                self._closed(expr, f"identity {name!r}"), name)
+            for name, expr in src.identities.items()}
         for gname, (sym, target) in self.ghost_info.items():
             where = f"identity {target!r} (line {src.identity_lines[target]})"
             try:
@@ -621,6 +608,14 @@ class _Elaborator:
             raise ElaborationError(
                 f"let {name!r} expects {arity} indices, got {len(values)}")
         return table[values]
+
+    def _antifield(self, name: str, values: tuple) -> GradedPoly:
+        """The antifield jet ``Ebar[A]`` of a family component, the value of
+        ``EL(A[..])`` in an identity; built once per component."""
+        sym = self._family_symbol(name, values)
+        if sym not in self.antifields:
+            self.antifields[sym] = GradedPoly.variable(jet(antifield(sym)))
+        return self.antifields[sym]
 
     # -- evaluation ----------------------------------------------------------
 
@@ -688,8 +683,8 @@ class _Elaborator:
                 for k, v in more.items():
                     table[k] = table[k] + v
             return occ, table
-        if tag == "sym":
-            own, factors = _occurrences(expr[2], True), []
+        if tag in ("sym", "antifield"):
+            own, factors = _occurrences(expr[2], tag == "sym"), []
         elif tag == "d":
             own, factors = _occurrences(expr[1], True), [self._eval(expr[2])]
         elif tag == "pow":
@@ -699,8 +694,9 @@ class _Elaborator:
         open_, rows = self._level(own, factors)
         table: Dict[tuple, GradedPoly] = {}
         for key, env, sign, vals in rows:
-            if tag == "sym":
-                value = self._lookup(
+            if tag in ("sym", "antifield"):
+                lookup = self._lookup if tag == "sym" else self._antifield
+                value = lookup(
                     expr[1], tuple(self._idx_value(i, env) for i in expr[2]))
             elif tag == "d":
                 value = vals[0]
@@ -730,29 +726,7 @@ class _Elaborator:
             raise ElaborationError(f"index {val} out of range")
         return val
 
-    # -- identities and symmetries -------------------------------------------
-
-    def _eval_identity(self, name: str, terms) -> NoetherOperator:
-        """Each term is one product level: the coefficient's open letters
-        against the ``d[..]`` indices (covariant) and the ``EL`` slots
-        (contravariant); every letter must pair there."""
-        coeffs: Dict[tuple, GradedPoly] = {}
-        for (coeff_expr, dlist, fname, slots) in terms:
-            coeff = self._eval(coeff_expr)
-            own = _occurrences(dlist, True) + _occurrences(slots, False)
-            open_, rows = self._level(own, [coeff])
-            if open_:
-                raise ElaborationError(
-                    f"identity {name!r}: index {open_[0][0]!r} appears once")
-            for _, env, sign, (poly,) in rows:
-                poly = poly * sign
-                if poly.is_zero():
-                    continue
-                values = [self._idx_value(i, env) for i in slots]
-                index = multi_index(self._idx_value(i, env) for i in dlist)
-                accumulate(coeffs, (self._family_symbol(fname, values), index),
-                           poly)
-        return NoetherOperator(name, coeffs)
+    # -- symmetries ----------------------------------------------------------
 
     def _eval_symmetry(self, name: str, assigns) -> GeneralizedVectorField:
         """The left side's letters take each component's values in

@@ -81,6 +81,30 @@ def test_parse_error_exit_code():
         bad.unlink()
 
 
+def _assert_model_error(tmp_path, data: bytes):
+    path = tmp_path / "bad.vln"
+    path.write_bytes(data)
+    res = run_cli("verify", str(path))
+    assert res.returncode == 2, res.stderr
+    assert f"error: {path}: " in res.stderr
+    assert "Traceback" not in res.stderr
+    return res.stderr
+
+
+def test_model_file_not_utf8_exits_2(tmp_path):
+    err = _assert_model_error(
+        tmp_path, b"dim 1\nfield phi even\nlagrangian d[0](phi)^2 \xff\n")
+    assert "can't decode byte 0xff" in err
+
+
+def test_superscript_digit_exits_2(tmp_path):
+    # str.isdigit accepts a superscript two that int() refuses
+    err = _assert_model_error(
+        tmp_path, "dim 1\nfield phi even\nlagrangian d[0](phi)^\u00b2\n"
+        .encode())
+    assert "3:22: unexpected character" in err
+
+
 def test_missing_file_exit_code():
     res = run_cli("el", str(MODELS / "does_not_exist.vln"))
     assert res.returncode == 2
@@ -498,14 +522,14 @@ def test_verify_ghost_in_lagrangian(tmp_path, capsys):
 
 
 def test_weak_conservation_is_checked_once_per_current(monkeypatch, capsys):
-    # gauge_symmetry checks d_H sigma = u^A E_A vol, which is div J = u^A E_A
-    # for its current J, and verify records that check; symmetry_witness
-    # runs only for the current of a declared symmetry
+    # symmetry_witness checks div J = u^A E_A once per current: inside
+    # gauge_symmetry for the current of a gauge identity, which verify
+    # records, and in verify for the current of a declared symmetry
     from vnoether import variational
     model = str(MODELS / "maxwell4.vln")
-    for argv, witnesses in ((["gauge-symmetry", model, "gauge"], 0),
-                            (["superpotential", model, "gauge"], 0),
-                            (["verify", model], 1)):
+    for argv, witnesses in ((["gauge-symmetry", model, "gauge"], 1),
+                            (["superpotential", model, "gauge"], 1),
+                            (["verify", model], 2)):
         with monkeypatch.context() as patch:
             counts = _count_calls(patch, variational, ("symmetry_witness",))
             assert cli.main([*argv, "--format", "json"]) == 0

@@ -10,7 +10,10 @@ calling ``JetVariable(...)``.  No module but ``algebra.py`` splits a
 polynomial with ``parity_part``: graded signs go through
 ``GradedPoly.involution``.  No module but ``variational.py`` builds the
 objects a ``Lagrangian`` keeps (Euler-Lagrange expressions, source form,
-Lepage equivalent, prolongations): the others read them from it.
+Lepage equivalent, prolongations): the others read them from it.  In
+``model.py`` one evaluator applies the index contraction rule:
+``_Elaborator._level`` has one caller, ``_eval``, which evaluates identities
+as well as the Lagrangian, lets and symmetries.
 """
 
 import ast
@@ -105,3 +108,15 @@ def test_the_check_sees_derived_builds():
     # the Lagrangian's cached properties call each builder
     assert {hit.split()[-1] for hit in _derived_builds(SRC / "variational.py")} \
         >= {f"{name}(...)" for name in BUILDERS}
+
+
+def _level_callers(path: Path) -> list:
+    return [fn.name for fn in ast.walk(_tree(path))
+            if isinstance(fn, ast.FunctionDef)
+            for node in ast.walk(fn)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "attr", None) == "_level"]
+
+
+def test_one_evaluator_applies_the_contraction_rule():
+    assert _level_callers(SRC / "model.py") == ["_eval"]

@@ -3,8 +3,9 @@ from pathlib import Path
 
 import pytest
 
-from vnoether import (EVEN, ODD, GradedPoly, check_noether_identity,
-                      euler_lagrange, jet, load_model, poly_to_data,
+from vnoether import (EVEN, ODD, GradedPoly, NoetherOperator,
+                      check_noether_identity, euler_lagrange, jet, load_model,
+                      noether_operator_from_density, poly_to_data,
                       print_elaborated)
 from vnoether.cli import EXIT_USAGE, main
 from vnoether.model import ElaborationError, ParseError, _Elaborator, parse
@@ -128,6 +129,40 @@ def test_nested_dummy_in_identity_coefficient():
                       (model.symbols["A1"], (1,)): dot}
 
 
+def test_identity_with_odd_fields_is_its_antifield_density():
+    # odd fields and odd coefficients: the identity evaluates to its
+    # antifield density, and the operator read back from it is the one
+    # written term by term
+    model = load_model("dim 2\nfield phi even\nfield psi odd\n"
+                       "field chi odd\n"
+                       "identity g: psi*chi*EL(phi) - 3*chi*d[0](EL(psi))"
+                       " + psi*d[1](EL(chi))\n")
+    phi, psi, chi = (model.symbols[n] for n in ("phi", "psi", "chi"))
+    want = NoetherOperator("g", {(phi, ()): P(jet(psi)) * P(jet(chi)),
+                                 (psi, (0,)): -3 * P(jet(chi)),
+                                 (chi, (1,)): P(jet(psi))})
+    assert model.identities["g"] == want
+    assert want.parity == ODD
+    assert noether_operator_from_density(want.density(), "g") == want
+
+
+def test_el_only_as_the_last_factor_of_an_identity_term():
+    base = "dim 1\nfield phi even\nfield psi odd\n"
+    for text in ("identity g: EL(psi)*EL(phi)\n",
+                 "identity g: EL(psi)*d[0](EL(phi))\n",
+                 "lagrangian EL(phi)\n",
+                 "let F = EL(phi)\n",
+                 "symmetry s: phi <- EL(phi)\n"):
+        with pytest.raises(ElaborationError,
+                           match="only allowed inside identities"):
+            load_model(base + text)
+    for text in ("identity g: EL(phi)*psi\n", "identity g: -EL(phi)\n",
+                 "identity g: d[0](d[0](EL(phi)))\n",
+                 "identity g: d[0](EL(phi))^2\n"):
+        with pytest.raises(ParseError, match="must end in an EL"):
+            load_model(base + text)
+
+
 def test_symmetry_left_side_letters_are_fixed():
     # a letter bound by the left side takes the component's value on the
     # right side and is never summed there
@@ -173,9 +208,48 @@ def test_duplicate_declaration():
         parse("field a even\nfield a even\n")
 
 
+def test_identity_and_symmetry_share_one_namespace(tmp_path, capsys):
+    # superpotential NAME takes an identity or a symmetry, so one name
+    # cannot be both
+    source = MAXWELL.replace("symmetry gauge_sym:", "symmetry gauge:")
+    with pytest.raises(ParseError,
+                       match="9:1: identity 'gauge' is already declared"):
+        parse(source)
+    path = tmp_path / "shared.vln"
+    path.write_text(source)
+    assert main(["superpotential", str(path), "gauge"]) == EXIT_USAGE
+    assert "identity 'gauge' is already declared" in capsys.readouterr().err
+    for source, kind in (("symmetry s: a <- 1\nidentity s: EL(a)\n",
+                          "symmetry"),
+                         ("identity s: EL(a)\nidentity s: EL(a)\n",
+                          "identity"),
+                         ("symmetry s: a <- 1\nsymmetry s: a <- 2\n",
+                          "symmetry")):
+        with pytest.raises(ParseError,
+                           match=f"2:1: {kind} 's' is already declared"):
+            parse(source)
+
+
+def test_only_decimal_digits_are_integers():
+    # a superscript or circled digit is a digit to str.isdigit but not to
+    # int(); other decimal digits read as their value
+    for text in ("dim \u00b2\n", "dim \u2460\n"):
+        with pytest.raises(ParseError, match="1:5: unexpected character"):
+            load_model(text)
+    assert load_model("dim \u0662\n").dim == 2
+
+
 def test_unknown_symbol():
     with pytest.raises(ElaborationError, match="unknown"):
         load_model("dim 1\nfield a even\nlagrangian a*b\n")
+
+
+def test_el_target_is_checked_under_a_zero_coefficient():
+    for target, message in (("b", "unknown symbol 'b'"),
+                            ("A[7]", "index 7 out of range")):
+        with pytest.raises(ElaborationError, match=message):
+            load_model("dim 2\nfield A[mu] even\n"
+                       f"identity g: 0*EL({target})\n")
 
 
 def test_let_hygiene():
