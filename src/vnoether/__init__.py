@@ -29,10 +29,9 @@ from .gauge import (GaugeError, GaugeSymmetryResult, NoetherOperator,
                     check_noether_identity, extended_lagrangian, ghost_for,
                     gauge_symmetry, koszul_tate, noether_operator_from_density,
                     recover_identity)
-from .superpotential import (STRUCTURAL_TAGS, GhostExpansion, StructuralCheck,
-                             SuperpotentialError, SuperpotentialSplit,
-                             expand_current, extract, structural_checks,
-                             verify_split)
+from .superpotential import (STRUCTURAL_TAGS, StructuralCheck,
+                             SuperpotentialError, SuperpotentialSplit, extract,
+                             structural_checks, verify_split)
 from .model import (ElaboratedModel, ElaborationError, ModelSource,
                     ParseError, elaborate, load_model, parse,
                     print_elaborated)

@@ -17,10 +17,11 @@ involution of the left partial (``GradedPoly.involution``) for odd a.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from .algebra import (DEFAULT_JET_CAP, KIND_ANTIFIELD, KIND_GHOST, ODD,
-                      FieldSymbol, GradedPoly, accumulate, jet, var_key)
+                      FieldSymbol, GradedPoly, JetCapError, accumulate, jet,
+                      var_key)
 from .forms import GeneralizedVectorField, MixedForm, contract
 from .variational import (Current, EulerLagrange, Lagrangian, WitnessResult,
                           expand_witness, prolonged_variation,
@@ -155,35 +156,44 @@ def adjoint_table(op: NoetherOperator, cap: int = DEFAULT_JET_CAP) -> dict:
 
 def adjoint(op: NoetherOperator, ghost: FieldSymbol,
             cap: int = DEFAULT_JET_CAP) -> GeneralizedVectorField:
-    """The gauge-symmetry components u^A = sum (-d)_I (ghost Delta^{A,I});
-    the eta-coefficient expansion is computed independently and checked."""
+    """The gauge-symmetry components u^A = sum over S of c_S eta^{A,S}, read
+    off the adjoint table once.  The independent check is the involution:
+    moving the derivatives of eta back gives the declared operator."""
     if ghost.parity != op.parity:
         raise GaugeError("ghost parity must match the identity parity")
-    comps: Dict[FieldSymbol, GradedPoly] = {}
-    gvar = GradedPoly.variable(jet(ghost))
-    for (sym, index), poly in op.coefficients.items():
-        term = (gvar * poly).total_derivative_multi(index, cap)
-        accumulate(comps, sym, -term if len(index) % 2 else term)
     eta = adjoint_table(op, cap)
-    recomposed: Dict[FieldSymbol, GradedPoly] = {}
+    if transfer_derivatives(eta.items(), cap) != op.coefficients:
+        raise AssertionError("adjoint involution failed")
+    comps: Dict[FieldSymbol, GradedPoly] = {}
     for (sym, sub), coeff in eta.items():
-        accumulate(recomposed, sym, GradedPoly.variable(jet(ghost, sub)) * coeff)
-    if comps != recomposed:
-        raise AssertionError("adjoint expansions disagree")
+        if len(sub) > cap:
+            raise JetCapError(len(sub), cap)
+        accumulate(comps, sym, GradedPoly.variable(jet(ghost, sub)) * coeff)
     return GeneralizedVectorField.make(comps)
 
 
-def collect_ghost_linear(p: GradedPoly, ghost: FieldSymbol,
-                         side: str = "left") -> Tuple[dict, GradedPoly]:
-    """Factor each monomial as coefficient * ghost jet (side='right': the
-    ghost is moved to the right end; side='left': to the front).  Returns
-    ({multi-index: coefficient}, ghost-free remainder); monomials of ghost
-    degree above one are rejected."""
-    try:
-        table, remainder = p.split_linear(lambda v: v.symbol == ghost, side)
-    except ValueError:
-        raise GaugeError("expression is not ghost-linear") from None
-    return {v.index: coeff for v, coeff in table.items()}, remainder
+def collect_ghost_linear(polys: Mapping, ghosts,
+                         side: str = "right") -> Tuple[dict, dict]:
+    """Split each polynomial of ``{key: p}`` once on the jets of ``ghosts``:
+    each monomial factors as coefficient * ghost jet (side='right': the jet
+    moved to the right end; side='left': to the front).  Returns
+    ({(ghost, multi-index): {key: coefficient}}, {key: ghost-free part}),
+    without zero entries; a monomial of ghost degree above one is
+    rejected.  Every ghost-jet split of the gauge and superpotential code
+    goes through here."""
+    ghosts = frozenset(ghosts)
+    table: Dict[tuple, dict] = {}
+    free: Dict[object, GradedPoly] = {}
+    for key, p in polys.items():
+        try:
+            split, rest = p.split_linear(lambda v: v.symbol in ghosts, side)
+        except ValueError:
+            raise GaugeError("expression is not ghost-linear") from None
+        for v, coeff in split.items():
+            table.setdefault((v.symbol, v.index), {})[key] = coeff
+        if not rest.is_zero():
+            free[key] = rest
+    return table, free
 
 
 def recover_identity(u: GeneralizedVectorField, ghost: FieldSymbol,
@@ -191,16 +201,12 @@ def recover_identity(u: GeneralizedVectorField, ghost: FieldSymbol,
     """Invert the adjoint: collect the ghost-jet coefficients of u and move
     the total derivatives back; the involution returns the original
     operator coefficients."""
-    def ghost_coefficients():
-        for sym, poly in u.vertical:
-            table, remainder = collect_ghost_linear(poly, ghost, side="left")
-            if not remainder.is_zero():
-                raise GaugeError("symmetry components must be ghost-linear")
-            for index, eta in table.items():
-                yield (sym, index), eta
-
-    return NoetherOperator(name, transfer_derivatives(ghost_coefficients(),
-                                                      L.jet_cap))
+    table, free = collect_ghost_linear(dict(u.vertical), {ghost}, side="left")
+    if free:
+        raise GaugeError("symmetry components must be ghost-linear")
+    return NoetherOperator(name, transfer_derivatives(
+        (((sym, index), eta) for (_, index), row in table.items()
+         for sym, eta in row.items()), L.jet_cap))
 
 
 @dataclass

@@ -167,10 +167,17 @@ class ModelSource:
     symmetries: Dict[str, list] = field(default_factory=dict)
 
 
+# Deepest nesting of "(", "d[..](" and prefix "-" in one expression.  The
+# parser recurses about four frames per level and the elaborator's _eval
+# fewer, so this bound keeps both well inside Python's recursion limit.
+MAX_NESTING = 150
+
+
 class _Parser:
     def __init__(self, tokens: List[Token]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -190,6 +197,13 @@ class _Parser:
             want = text or kind
             self.error(f"expected {want!r}, found {tok.text!r}")
         return self.next()
+
+    def nest(self, tok: Token):
+        """Enter one nesting level at ``tok``; the caller leaves it."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            self.error(f"expression nested deeper than {MAX_NESTING} levels",
+                       tok)
 
     def accept(self, kind: str, text: Optional[str] = None) -> Optional[Token]:
         tok = self.peek()
@@ -395,8 +409,12 @@ class _Parser:
         return ("mul", tuple(items))
 
     def parse_factor(self):
-        if self.accept("PUNCT", "-"):
-            return ("neg", self.parse_factor())
+        minus = self.accept("PUNCT", "-")
+        if minus is not None:
+            self.nest(minus)
+            inner = self.parse_factor()
+            self.depth -= 1
+            return ("neg", inner)
         atom = self.parse_atom()
         if self.accept("PUNCT", "^"):
             k = int(self.expect("INT").text)
@@ -409,17 +427,20 @@ class _Parser:
             self.next()
             return ("num", int(tok.text))
         if self.accept("PUNCT", "("):
+            self.nest(tok)
             inner = self.parse_expr()
             self.expect("PUNCT", ")")
+            self.depth -= 1
             return inner
         if tok.kind == "NAME":
             if tok.text == "d":
                 self.next()
                 self.expect("PUNCT", "[")
                 idxs = self._idx_list()
-                self.expect("PUNCT", "(")
+                self.nest(self.expect("PUNCT", "("))
                 inner = self.parse_expr()
                 self.expect("PUNCT", ")")
+                self.depth -= 1
                 return ("d", tuple(idxs), inner)
             if tok.text == "EL":
                 self.next()

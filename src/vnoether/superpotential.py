@@ -1,35 +1,42 @@
 """Decomposition of a gauge-symmetry current into an on-shell-vanishing
 piece plus the divergence of an antisymmetric superpotential.
 
-The current of a ghost-linear symmetry is expanded in ghost jets; the
-conservation identity, collected on independent ghost jets, yields one
-structural equation per multiset of derivative indices.  These are first
-verified (and reported individually), then used as forced solutions: a
-recursive elimination converts the top ghost-jet block into an explicit
-superpotential increment, an explicit Euler-Lagrange-ideal increment and a
-lower-order residual, with the exact invariant
+Each ghost-linear polynomial is split once, by
+``gauge.collect_ghost_linear``, into a table keyed by the jets c_S of the
+symmetry's ghosts (coefficient to the left of c_S) plus a ghost-free part.
+The structural equations are the conservation residual u^A E_A - div J
+collected on those jets: its coefficient of c_S is one equation per ghost
+and multiset of derivative indices.  These are first verified (and
+reported individually), then used as forced solutions: a recursive
+elimination on the tables of the working current and of the source
+converts the top ghost-jet block into an explicit superpotential
+increment, an explicit Euler-Lagrange-ideal increment and a lower-order
+residual.  A total derivative acts on a table by Leibniz on the key,
+d_lam(a c_T) = (d_lam a) c_T + a c_{T+lam}, and a level is removed by
+deleting its keys.  Polynomials are built only for the checks and the
+report: the exact invariant
 
     current = W-so-far + div(U-so-far) + working-current
 
-asserted after every level.  Tensor-normalized coefficients (multiset
-coefficient divided by the number of index orderings) make the pair
-symmetrizations exact at any index multiplicity.  The ghost-free remainder
-left at the end must be closed; the homotopy operator of
-``variational.horizontal_antiderivative`` then decides whether it is exact
-and adds its antiderivative to the superpotential.  No step searches.
+is checked after every level, and W and U are reported.  Tensor-normalized
+coefficients (multiset coefficient divided by the number of index
+orderings) make the pair symmetrizations exact at any index multiplicity.
+The ghost-free remainder left at the end must be closed; the homotopy
+operator of ``variational.horizontal_antiderivative`` then decides whether
+it is exact and adds its antiderivative to the superpotential.  No step
+searches.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .algebra import (DEFAULT_JET_CAP, KIND_GHOST, FieldSymbol, GradedPoly,
-                      accumulate, jet, mi_add, mi_permutations, mi_remove,
-                      multi_indices)
+                      accumulate, jet, mi_add, mi_permutations, multi_indices)
 from .forms import GeneralizedVectorField, MixedForm, omega_pair_contracted
-from .gauge import GaugeError, collect_ghost_linear
+from .gauge import collect_ghost_linear
 from .variational import (NOT_EXACT, Current, EulerLagrange, Lagrangian,
                           Superpotential, expand_witness,
                           horizontal_antiderivative)
@@ -64,58 +71,23 @@ def ghosts_of(u: GeneralizedVectorField) -> list:
                   key=lambda s: s.sort_key)
 
 
-# ---------------------------------------------------------------------------
-# ghost expansion
-
-@dataclass
-class GhostExpansion:
-    """Current coefficients per (ghost, lead index, symmetric tail), plus
-    the ghost-free remainder; the coefficients multiply the ghost jet from
-    the left and reconstruct the input exactly."""
-
-    entries: dict            # (ghost, mu, tail multi-index) -> GradedPoly
-    remainder: dict          # mu -> GradedPoly
-    dim: int
-    ghosts: tuple
-
-    def coefficient(self, ghost, mu, tail=()) -> GradedPoly:
-        return self.entries.get((ghost, mu, tuple(sorted(tail))),
-                                GradedPoly.zero())
-
-    def order(self, ghost) -> int:
-        return max((len(t) for (g, _, t) in self.entries if g == ghost),
-                   default=0)
-
-    def reconstruct(self) -> Current:
-        comps: Dict[int, GradedPoly] = {}
-        for (ghost, mu, tail), coeff in self.entries.items():
-            accumulate(comps, mu, coeff * GradedPoly.variable(jet(ghost, tail)))
-        for mu, poly in self.remainder.items():
-            accumulate(comps, mu, poly)
-        return Current(comps, self.dim)
+def _compose(table: dict, free: dict) -> Dict[object, GradedPoly]:
+    """The polynomials {key: ghost-free part + sum of coefficient * c_S} of
+    a ghost-jet table, the inverse of ``collect_ghost_linear``."""
+    out = dict(free)
+    for (ghost, tail), row in table.items():
+        c = GradedPoly.variable(jet(ghost, tail))
+        for key, coeff in row.items():
+            accumulate(out, key, coeff * c)
+    return out
 
 
-def expand_current(J: Current, ghosts: Sequence[FieldSymbol]) -> GhostExpansion:
-    """Collect a ghost-linear current on independent ghost jets."""
-    for poly in J.components.values():
-        if poly.degree_in(lambda v: v.symbol in ghosts) > 1:
-            raise GaugeError("current is not ghost-linear")
-    entries: Dict[tuple, GradedPoly] = {}
-    remainder: Dict[int, GradedPoly] = {}
-    for mu in range(J.dim):
-        rest = J.component(mu)
-        for ghost in ghosts:
-            table, rest = collect_ghost_linear(rest, ghost, side="right")
-            for tail, coeff in table.items():
-                entries[(ghost, mu, tail)] = coeff
-        if not rest.is_zero():
-            remainder[mu] = rest
-    exp = GhostExpansion(entries, remainder, J.dim, tuple(ghosts))
-    rebuilt = exp.reconstruct()
-    for mu in range(J.dim):
-        if rebuilt.component(mu) != J.component(mu):
-            raise AssertionError("ghost expansion failed to reconstruct")
-    return exp
+def _bump(table: dict, row: tuple, key, poly: GradedPoly) -> None:
+    """table[row][key] += poly, dropping emptied entries and rows."""
+    entries = table.setdefault(row, {})
+    accumulate(entries, key, poly)
+    if not entries:
+        del table[row]
 
 
 # ---------------------------------------------------------------------------
@@ -143,34 +115,32 @@ def structural_checks(J: Current, u: GeneralizedVectorField,
                       L: Lagrangian) -> List[StructuralCheck]:
     """Verify the per-level collected form of the conservation identity.
 
-    Collecting  div J = u^A E_A  on the jets of one ghost gives, for each
-    multi-index S, the equation
+    With J = sum J^{nu,T} c_T + ghost-free part, Leibniz gives the
+    coefficient of the ghost jet c_S in the residual  u^A E_A - div J  as
 
-        (source coefficient at S) = d_nu J^{nu,S} + sum over lam in S of
+        (source coefficient at S) - d_nu J^{nu,S} - sum over lam in S of
                                     J^{lam, S minus lam},
 
-    whose named tag depends on where the level sits relative to the
-    symmetry order N and the expansion order M."""
+    one equation per ghost and multi-index S, read off the residual split
+    once on the ghost jets.  Its named tag depends on where the level |S|
+    sits relative to the symmetry order N and the order M of J in the
+    ghost's jets; the levels run from 0 to M + 1.  The ghost-free check is
+    the divergence of J's ghost-free part."""
     ghosts = ghosts_of(u)
-    exp = expand_current(J, ghosts)
-    source = expand_witness({(sym, ()): poly for sym, poly in u.vertical},
-                            L.el, L.jet_cap)
-    checks: List[StructuralCheck] = []
     cap = L.jet_cap
+    current, free = collect_ghost_linear(J.components, ghosts)
+    source = expand_witness({(sym, ()): poly for sym, poly in u.vertical},
+                            L.el, cap)
+    table, _ = collect_ghost_linear({0: source - J.divergence(cap)}, ghosts)
+    residuals = {jet_key: row[0] for jet_key, row in table.items()}
+    checks: List[StructuralCheck] = []
     for ghost in ghosts:
-        order_m = exp.order(ghost)
+        order_m = max((len(tail) for g, tail in current if g == ghost),
+                      default=0)
         order_n = _symmetry_order(u, ghost)
-        source_table, _ = collect_ghost_linear(source, ghost, side="right")
         for level in range(order_m + 2):
             for sigma in multi_indices(J.dim, level):
-                sigma = tuple(sigma)
-                lhs = source_table.get(sigma, GradedPoly.zero())
-                rhs = Current({nu: exp.coefficient(ghost, nu, sigma)
-                               for nu in range(J.dim)}, J.dim).divergence(cap)
-                for lam in set(sigma):
-                    rhs = rhs + exp.coefficient(ghost, lam,
-                                                mi_remove(sigma, lam))
-                residual = lhs - rhs
+                residual = residuals.get((ghost, sigma), GradedPoly.zero())
                 if level == order_m + 1:
                     tag = TAG_TOP
                 elif order_n < level <= order_m:
@@ -183,7 +153,7 @@ def structural_checks(J: Current, u: GeneralizedVectorField,
                     tag = TAG_DIV_SOURCE
                 checks.append(StructuralCheck(tag, ghost.name, level,
                                               residual.is_zero(), residual))
-    ghost_free = Current(exp.remainder, J.dim).divergence(cap)
+    ghost_free = Current(free, J.dim).divergence(cap)
     checks.append(StructuralCheck(TAG_GHOST_FREE, None, 0,
                                   ghost_free.is_zero(), ghost_free))
     return checks
@@ -250,14 +220,15 @@ def extract(J: Current, u: GeneralizedVectorField,
             "input is not the Noether current of the symmetry "
             f"(failing equation: {failing[0].tag})", failing[0].tag, checks)
     ghosts = ghosts_of(u)
-
-    working: Dict[int, GradedPoly] = {mu: J.component(mu) for mu in range(n)}
+    # the working current and the source, the explicit Euler-Lagrange
+    # representation sum s^{A,I} d_I E_A of its divergence, as ghost-jet
+    # tables {(ghost, tail): {mu or (A, I): coefficient}}
+    working, free = collect_ghost_linear(J.components, ghosts)
+    source, source_free = collect_ghost_linear(
+        {(sym, ()): poly for sym, poly in u.vertical}, ghosts)
     w_table: Dict[tuple, GradedPoly] = {}
     w_polys: Dict[int, GradedPoly] = {mu: GradedPoly.zero() for mu in range(n)}
     pair_table: Dict[Tuple[int, int], GradedPoly] = {}
-    # explicit Euler-Lagrange representation of the conservation source
-    s_table: Dict[tuple, GradedPoly] = {(sym, ()): poly
-                                        for sym, poly in u.vertical}
 
     def bump_pair(nu, mu, poly):
         if nu == mu or poly.is_zero():
@@ -267,51 +238,42 @@ def extract(J: Current, u: GeneralizedVectorField,
         accumulate(pair_table, (nu, mu), poly)
 
     def apply_w_increment(increments, subtract_from_working):
-        """Record increments in the W table/polys and keep the source
-        representation synchronized (the source loses their divergence)."""
-        for (sym, index, mu), w in increments.items():
+        """Record increments {(ghost, tail, A, I, mu): a}, the W term
+        a c_tail at (A, I, mu), in the W table/polys and keep the source
+        table synchronized: the source loses their divergence,
+        d_mu(a c_T) = (d_mu a) c_T + a c_{T+mu}."""
+        added: Dict[tuple, GradedPoly] = {}
+        for (ghost, tail, sym, index, mu), a in increments.items():
+            accumulate(added, (sym, index, mu),
+                       a * GradedPoly.variable(jet(ghost, tail)))
+            _bump(source, (ghost, tail), (sym, index),
+                  -a.total_derivative(mu, cap))
+            _bump(source, (ghost, mi_add(tail, mu)), (sym, index), -a)
+            _bump(source, (ghost, tail), (sym, mi_add(index, mu)), -a)
+        for (sym, index, mu), w in added.items():
             accumulate(w_table, (sym, index, mu), w)
             expanded = w * el.component(sym).total_derivative_multi(index, cap)
             w_polys[mu] = w_polys[mu] + expanded
             if subtract_from_working:
-                working[mu] = working[mu] - expanded
-            accumulate(s_table, (sym, index), -w.total_derivative(mu, cap))
-            accumulate(s_table, (sym, mi_add(index, mu)), -w)
-
-    def collect_source(ghost, sigma) -> Dict[tuple, GradedPoly]:
-        """Right-collected coefficient of one ghost jet in every entry of
-        the source table."""
-        out: Dict[tuple, GradedPoly] = {}
-        for (sym, index), w in s_table.items():
-            table, _ = collect_ghost_linear(w, ghost, side="right")
-            a = table.get(sigma)
-            if a is not None and not a.is_zero():
-                out[(sym, index)] = a
-        return out
+                # the split gives the sign of c_S moved past odd d_I E_A;
+                # every monomial holds a ghost jet, so nothing is free
+                table, _ = collect_ghost_linear({mu: expanded}, ghosts)
+                for row, entries in table.items():
+                    _bump(working, row, mu, -entries[mu])
 
     while True:
-        expansion = {}
-        level = 0
-        for ghost in ghosts:
-            per_ghost: Dict[int, dict] = {}
-            for mu in range(n):
-                table, _ = collect_ghost_linear(working[mu], ghost, side="right")
-                per_ghost[mu] = table
-                for tail in table:
-                    level = max(level, len(tail))
-            expansion[ghost] = per_ghost
-        if level == 0:
+        s = max((len(tail) for _, tail in working), default=0)
+        if s == 0:
             break
-        s = level
         scale = Fraction(2 * s, s + 1)
         for ghost in ghosts:
-            per_ghost = expansion[ghost]
-            if not any(len(t) == s for mu in range(n) for t in per_ghost[mu]):
+            top = [row for row in working
+                   if row[0] == ghost and len(row[1]) == s]
+            if not top:
                 continue
 
             def jt(mu, tail):
-                tail = tuple(sorted(tail))
-                coeff = per_ghost[mu].get(tail)
+                coeff = working.get((ghost, tail), {}).get(mu)
                 if coeff is None:
                     return GradedPoly.zero()
                 return coeff * Fraction(1, mi_permutations(tail))
@@ -319,7 +281,6 @@ def extract(J: Current, u: GeneralizedVectorField,
             # superpotential increment and level-(s-1) residual from the
             # pair-antisymmetrized top coefficients
             for t in multi_indices(n, s - 1):
-                t = tuple(t)
                 perm = mi_permutations(t)
                 ghost_t = GradedPoly.variable(jet(ghost, t))
                 for nu in range(n):
@@ -329,59 +290,44 @@ def extract(J: Current, u: GeneralizedVectorField,
                         if anti.is_zero():
                             continue
                         bump_pair(nu, mu, -(scale * perm) * (anti * ghost_t))
-                        dnu = anti.total_derivative(nu, cap)
-                        if not dnu.is_zero():
-                            working[mu] = working[mu] \
-                                + (scale * perm) * (dnu * ghost_t)
-                        dmu = anti.total_derivative(mu, cap)
-                        if not dmu.is_zero():
-                            working[nu] = working[nu] \
-                                - (scale * perm) * (dmu * ghost_t)
+                        _bump(working, (ghost, t), mu,
+                              (scale * perm) * anti.total_derivative(nu, cap))
+                        _bump(working, (ghost, t), nu,
+                              -(scale * perm) * anti.total_derivative(mu, cap))
             # Euler-Lagrange increment from the source collected one level up
-            w_increments: Dict[tuple, GradedPoly] = {}
+            increments: Dict[tuple, GradedPoly] = {}
             for lam_tail in multi_indices(n, s):
-                lam_tail = tuple(lam_tail)
                 perm_tail = mi_permutations(lam_tail)
-                ghost_tail = GradedPoly.variable(jet(ghost, lam_tail))
                 for mu in range(n):
                     sigma = mi_add(lam_tail, mu)
                     factor = Fraction(perm_tail, mi_permutations(sigma))
-                    for (sym, index), a in collect_source(ghost, sigma).items():
-                        accumulate(w_increments, (sym, index, mu),
-                                   factor * (a * ghost_tail))
+                    for (sym, index), a in source.get((ghost, sigma),
+                                                      {}).items():
+                        increments[(ghost, lam_tail, sym, index, mu)] = \
+                            factor * a
             # remove the whole level-s block of this ghost
-            for mu in range(n):
-                for tail, coeff in per_ghost[mu].items():
-                    if len(tail) == s:
-                        working[mu] = working[mu] \
-                            - coeff * GradedPoly.variable(jet(ghost, tail))
-            apply_w_increment(w_increments, subtract_from_working=False)
+            for row in top:
+                del working[row]
+            apply_w_increment(increments, subtract_from_working=False)
         # exact invariant: div(working) equals the updated source
-        if Current(working, n).divergence(cap) \
-                != expand_witness(s_table, el, cap):
+        if Current(_compose(working, free), n).divergence(cap) \
+                != expand_witness(_compose(source, source_free), el, cap):
             raise AssertionError("reduction lost the conservation invariant")
 
     # ghost-linear order-0 terms are source coefficients directly
-    w_increments = {}
-    for ghost in ghosts:
-        ghost0 = GradedPoly.variable(jet(ghost))
-        for mu in range(n):
-            for (sym, index), a in collect_source(ghost, (mu,)).items():
-                accumulate(w_increments, (sym, index, mu), a * ghost0)
-    apply_w_increment(w_increments, subtract_from_working=True)
-
-    for ghost in ghosts:
-        for mu in range(n):
-            table, _ = collect_ghost_linear(working[mu], ghost, side="right")
-            if table:
-                raise AssertionError("ghost-linear terms survived the reduction")
-    remainder = Current({mu: working[mu] for mu in range(n)
-                         if not working[mu].is_zero()}, n)
+    apply_w_increment({(ghost, (), sym, index, mu): a
+                       for ghost in ghosts for mu in range(n)
+                       for (sym, index), a
+                       in source.get((ghost, (mu,)), {}).items()},
+                      subtract_from_working=True)
+    if working:
+        raise AssertionError("ghost-linear terms survived the reduction")
+    remainder = Current({mu: free[mu] for mu in range(n) if mu in free}, n)
     if not remainder.divergence(cap).is_zero():
         raise SuperpotentialError("ghost-free remainder is not closed",
                                   TAG_GHOST_FREE, checks)
     witness = MixedForm.zero(n)
-    if any(not p.is_zero() for p in remainder.components.values()):
+    if remainder.components:
         res = horizontal_antiderivative(remainder.form(), cap=cap)
         if res.status == NOT_EXACT:
             raise SuperpotentialError(

@@ -333,3 +333,38 @@ def test_stored_key_sorts_like_the_built_key():
 
     assert sorted(variables, key=var_key) == sorted(variables, key=built)
     assert len({var_key(v) for v in variables}) == len(variables)
+
+
+def test_split_linear_round_trip():
+    # random polynomials linear in the jets of an odd and an even ghost,
+    # with odd fields in the coefficients and the ghost-free part: the
+    # factored monomials, put back together on their side, give p back
+    theta = FieldSymbol("theta", KIND_FIELD, ODD)
+    even_ghost = FieldSymbol("e", KIND_GHOST, EVEN)
+    ghosts = {C, even_ghost}
+    fields = (PHI, PSI, theta)
+    rng = random.Random(53)
+    for _ in range(60):
+        p = rand_poly(rng, fields, dim=2, max_order=1)
+        for _ in range(rng.randint(1, 3)):
+            g = P(jet(rng.choice((C, even_ghost)),
+                      rng.choice([(), (0,), (1,), (0, 1)])))
+            coeff = rand_poly(rng, fields, dim=2, max_order=1)
+            p = p + (coeff * g if rng.random() < 0.5 else g * coeff)
+        for side in ("left", "right"):
+            table, free = p.split_linear(lambda v: v.symbol in ghosts, side)
+            assert not free.degree_in(lambda v: v.symbol in ghosts)
+            rebuilt = free
+            for v, coeff in table.items():
+                assert not coeff.is_zero()
+                assert not coeff.degree_in(lambda v: v.symbol in ghosts)
+                rebuilt = rebuilt + (coeff * P(v) if side == "right"
+                                     else P(v) * coeff)
+            assert rebuilt == p, side
+    # a monomial of degree two in the matched variables is refused
+    for bad in (P(jet(even_ghost)) ** 2 * P(jet(theta)),
+                P(jet(C, (0,))) * P(jet(PHI)) * P(jet(even_ghost, (1,))),
+                P(jet(C)) * P(jet(theta)) + P(jet(C)) * P(jet(C, (0,)))):
+        for side in ("left", "right"):
+            with pytest.raises(ValueError):
+                bad.split_linear(lambda v: v.symbol in ghosts, side)

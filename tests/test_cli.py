@@ -1,8 +1,11 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from vnoether import (KIND_GHOST, ODD, Current, FieldSymbol, GradedPoly,
                       cli, jet)
@@ -608,3 +611,67 @@ def test_main_returns_2_on_usage_error(capsys):
 
 def test_readme_shows_usage():
     assert cli.USAGE in (ROOT / "README.md").read_text(encoding="utf-8")
+
+
+ODD_MATTER = """dim {dim}
+metric euclidean
+field A[mu] even
+field p odd
+field q odd
+ghost c odd for gauge
+let F[mu,nu] = d[mu](A[nu]) - d[nu](A[mu])
+lagrangian (-1/4)*F[mu,nu]*F[mu,nu] + p*d[0](p) + q*d[0](q) + 2*A[0]*p*q
+identity gauge: 1*d[nu](EL(A[nu])) {matter}
+"""
+
+
+@pytest.fixture
+def odd_matter_models(tmp_path, monkeypatch):
+    """U(1) with two odd matter fields in dim 2 and 3, and the control with
+    the signs of q*EL(p) and p*EL(q) flipped; the working directory is the
+    model directory, so each report echoes a relative path."""
+    monkeypatch.chdir(tmp_path)
+    for dim in (2, 3):
+        for suffix, matter in (("", "+ q*EL(p) - p*EL(q)"),
+                               ("_flipped", "- q*EL(p) + p*EL(q)")):
+            (tmp_path / f"u1_odd{dim}{suffix}.vln").write_text(
+                ODD_MATTER.format(dim=dim, matter=matter))
+    return tmp_path
+
+
+# SHA-256 of the JSON report and the exit code of each command
+ODD_MATTER_REPORTS = {
+    ("verify", "u1_odd2.vln"): (
+        "9628090393d4f3ff6945c8d186751b00b89a4783d6b6d0061a763306d7f688ad", 0),
+    ("superpotential", "u1_odd2.vln", "gauge"): (
+        "67682be9d899738240f55bc67ac7a784fe33b5c0cb84ccc8f3e2fa71f88bf0ba", 0),
+    ("verify", "u1_odd2_flipped.vln"): (
+        "a523e79688d59e4089c2ac4564a2d22bf3f0866d8facdf4ab43a0204c9b6a063", 1),
+    ("superpotential", "u1_odd2_flipped.vln", "gauge"): (
+        "6432bee8523c08bd4ea9765c8d838cc1129e7be7fbe98bc16b3a41a4ddd3cdc8", 1),
+    ("verify", "u1_odd3.vln"): (
+        "96dc41fd63d8c6c0e123539120ef3e67d57e2e12130e2aedf7e9abb6c2286246", 0),
+    ("superpotential", "u1_odd3.vln", "gauge"): (
+        "050b51b390c04c53ebce3e32d80281b279511b81d0e878f9226d49e88fe69823", 0),
+    ("verify", "u1_odd3_flipped.vln"): (
+        "2fcd46a444328313be53806ebb5a7577cf12e64d6ea7f20649c4e1815c19fc1e", 1),
+    ("superpotential", "u1_odd3_flipped.vln", "gauge"): (
+        "e5bc6f0b11d878b62bd58485e43d482df1f97d1ce72333cb02d38d56d2f967a4", 1),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(ODD_MATTER_REPORTS))
+def test_odd_matter_end_to_end(odd_matter_models, capsys, argv):
+    # odd fields go through the gauge symmetry, the weak conservation, the
+    # structural equations and the split; the flipped control fails
+    code = cli.main([*argv, "--format", "json"])
+    out = capsys.readouterr().out
+    report = json.loads(out)
+    failing = [s["name"] for s in report["steps"] if s["status"] == "fail"]
+    if argv[1].endswith("_flipped.vln"):
+        assert failing == ["identity gauge"], failing
+    else:
+        assert not failing and report["steps"][-1]["name"].startswith(
+            "superpotential")
+    assert (hashlib.sha256(out.encode()).hexdigest(), code) \
+        == ODD_MATTER_REPORTS[argv]

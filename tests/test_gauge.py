@@ -11,7 +11,7 @@ from vnoether import (EVEN, ODD, FieldSymbol, GaugeError, GeneralizedVectorField
                       gauge_symmetry, ghost_for, is_variational_symmetry, jet,
                       koszul_tate, noether_operator_from_density,
                       recover_identity)
-from vnoether.algebra import var_key
+from vnoether.algebra import JetCapError, var_key
 from vnoether.variational import EXACT
 
 from helpers import PHI, PSI, rand_coeff, rand_lagrangian, rand_poly
@@ -209,6 +209,27 @@ def test_adjoint_examples():
     assert eta[(PSI, ())] == P(jet(PHI, (0, 0)))
     assert eta[(PSI, (0,))] == 2 * P(jet(PHI, (0,)))
     assert eta[(PSI, (0, 0))] == P(jet(PHI))
+    # a ghost jet past the jet cap is refused, as any other jet
+    with pytest.raises(JetCapError):
+        adjoint(op2, c2, cap=0)
+
+
+def test_adjoint_involution_check_fails_on_a_corrupted_table(monkeypatch):
+    # adjoint checks its table by the involution, so one flipped
+    # coefficient of eta is caught before u is built from it
+    from vnoether import gauge
+    op = NoetherOperator("t", {(PSI, (0, 0)): P(jet(PHI))})
+    ghost = ghost_for(op, "c")
+    true_table = gauge.adjoint_table
+
+    def flipped(op, cap):
+        eta = true_table(op, cap)
+        eta[(PSI, (0,))] = -eta[(PSI, (0,))]
+        return eta
+
+    monkeypatch.setattr(gauge, "adjoint_table", flipped)
+    with pytest.raises(AssertionError, match="adjoint involution failed"):
+        adjoint(op, ghost)
 
 
 def test_adjoint_parity_mismatch():

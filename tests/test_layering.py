@@ -13,7 +13,11 @@ objects a ``Lagrangian`` keeps (Euler-Lagrange expressions, source form,
 Lepage equivalent, prolongations): the others read them from it.  In
 ``model.py`` one evaluator applies the index contraction rule:
 ``_Elaborator._level`` has one caller, ``_eval``, which evaluates identities
-as well as the Lagrangian, lets and symmetries.
+as well as the Lagrangian, lets and symmetries.  Outside ``algebra.py``,
+``split_linear`` has two callers: ``gauge.collect_ghost_linear``, the one
+ghost-jet split of the gauge and superpotential code, and
+``noether_operator_from_density``, which reads an operator off its
+antifield density.
 """
 
 import ast
@@ -120,3 +124,19 @@ def _level_callers(path: Path) -> list:
 
 def test_one_evaluator_applies_the_contraction_rule():
     assert _level_callers(SRC / "model.py") == ["_eval"]
+
+
+def _split_callers(path: Path) -> list:
+    return [f"{path.name}:{fn.name}" for fn in ast.walk(_tree(path))
+            if isinstance(fn, ast.FunctionDef)
+            for node in ast.walk(fn)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "attr", None) == "split_linear"]
+
+
+def test_one_ghost_jet_split():
+    checked = sorted(p for p in SRC.glob("*.py") if p.name != "algebra.py")
+    assert len(checked) >= 9
+    callers = [hit for path in checked for hit in _split_callers(path)]
+    assert sorted(callers) == ["gauge.py:collect_ghost_linear",
+                               "gauge.py:noether_operator_from_density"]

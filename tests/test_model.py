@@ -386,3 +386,34 @@ def test_print_parse_roundtrip():
             assert got == want
         # printing is idempotent once flat
         assert print_elaborated(again) == text
+
+
+@pytest.mark.parametrize("body", [
+    "(" * 300 + "d[0](phi)" + ")" * 300 + "^2",
+    "-" * 3000 + "d[0](phi)^2",
+])
+def test_nesting_beyond_the_limit_is_a_parse_error(tmp_path, capsys, body):
+    # "(", "d[..](" and prefix "-" each open a level; the first token past
+    # MAX_NESTING is reported, where a deeper parse would have run out of
+    # Python's recursion limit
+    from vnoether.model import MAX_NESTING
+    text = f"dim 1\nfield phi even\nlagrangian {body}\n"
+    with pytest.raises(ParseError) as err:
+        load_model(text)
+    first = len("lagrangian ") + 1
+    assert (err.value.line, err.value.col) == (3, first + MAX_NESTING)
+    path = tmp_path / "deep.vln"
+    path.write_text(text)
+    assert main(["el", str(path)]) == EXIT_USAGE
+    assert f"3:{first + MAX_NESTING}: expression nested deeper than" \
+        in capsys.readouterr().err
+
+
+def test_nesting_at_the_limit_loads():
+    from vnoether.model import MAX_NESTING
+    k = MAX_NESTING - 1   # the d[0]( inside is one more level
+    for body, sign in (("(" * k + "d[0](phi)" + ")" * k + "^2", 1),
+                       ("-" * k + "d[0](phi)^2", (-1) ** k)):
+        model = load_model(f"dim 1\nfield phi even\nlagrangian {body}\n")
+        phi = model.symbols["phi"]
+        assert model.lagrangian.density == sign * P(jet(phi, (0,))) ** 2

@@ -1,21 +1,43 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from vnoether import (Current, FieldSymbol, GaugeError, GeneralizedVectorField,
                       GradedPoly, Lagrangian, NoetherOperator, Superpotential,
                       SuperpotentialError, SuperpotentialSplit, antifield,
-                      check_noether_identity, euler_lagrange, expand_current,
-                      extract, gauge_symmetry, ghost_for, jet, koszul_tate,
-                      noether_operator_from_density, structural_checks,
-                      verify_split)
+                      check_noether_identity, euler_lagrange, extract,
+                      gauge_symmetry, ghost_for, jet, koszul_tate, load_model,
+                      noether_operator_from_density, poly_text,
+                      structural_checks, verify_split)
+from vnoether.gauge import collect_ghost_linear
 from vnoether.superpotential import (STRUCTURAL_TAGS, TAG_GHOST_FREE,
                                      SuperpotentialSplit)
 
 from helpers import PHI, PSI, rand_coeff, rand_lagrangian
 
 P = GradedPoly.variable
+MODELS = Path(__file__).resolve().parent.parent / "models"
+
+SU2_D3 = """
+dim 3
+metric euclidean
+field Aa[mu] even
+field Ab[mu] even
+field Ac[mu] even
+ghost ca odd for ga
+ghost cb odd for gb
+ghost cc odd for gc
+let Fa[mu,nu] = d[mu](Aa[nu]) - d[nu](Aa[mu]) + Ab[mu]*Ac[nu] - Ac[mu]*Ab[nu]
+let Fb[mu,nu] = d[mu](Ab[nu]) - d[nu](Ab[mu]) + Ac[mu]*Aa[nu] - Aa[mu]*Ac[nu]
+let Fc[mu,nu] = d[mu](Ac[nu]) - d[nu](Ac[mu]) + Aa[mu]*Ab[nu] - Ab[mu]*Aa[nu]
+lagrangian (-1/4)*Fa[mu,nu]*Fa[mu,nu] + (-1/4)*Fb[mu,nu]*Fb[mu,nu] \
+    + (-1/4)*Fc[mu,nu]*Fc[mu,nu]
+identity ga: 1*d[nu](EL(Aa[nu])) + Ab[nu]*EL(Ac[nu]) - Ac[nu]*EL(Ab[nu])
+identity gb: 1*d[nu](EL(Ab[nu])) + Ac[nu]*EL(Aa[nu]) - Aa[nu]*EL(Ac[nu])
+identity gc: 1*d[nu](EL(Ac[nu])) + Aa[nu]*EL(Ab[nu]) - Ab[nu]*EL(Aa[nu])
+"""
 
 
 def _maxwell(dim):
@@ -36,31 +58,40 @@ def _maxwell(dim):
     return A, F, L, ghost, result
 
 
-def test_expand_current_maxwell():
+def _ghost_order(table, ghost):
+    return max((len(tail) for g, tail in table if g == ghost), default=0)
+
+
+def test_ghost_table_maxwell():
     A, F, L, ghost, result = _maxwell(2)
-    exp = expand_current(result.current, [ghost])
+    table, free = collect_ghost_linear(result.current.components, {ghost})
     for mu in range(2):
         for v in range(2):
-            assert exp.coefficient(ghost, mu, (v,)) == F[(v, mu)]
-        assert exp.coefficient(ghost, mu, ()).is_zero()
-    assert not exp.remainder
-    assert exp.order(ghost) == 1
+            assert table[(ghost, (v,))].get(mu, GradedPoly.zero()) \
+                == F[(v, mu)]
+    assert (ghost, ()) not in table
+    assert not free
+    assert _ghost_order(table, ghost) == 1
 
 
-def test_expand_current_zero_and_collection():
+def test_ghost_table_zero_and_collection():
     ghost = FieldSymbol("c", "ghost", 1)
-    exp = expand_current(Current({}, 2), [ghost])
-    assert not exp.entries and not exp.remainder
+    assert collect_ghost_linear(Current({}, 2).components, {ghost}) == ({}, {})
     g = P(jet(PHI))
     h = P(jet(PSI))
     J = Current({0: g * P(jet(ghost)) + h * P(jet(ghost, (0, 1)))}, 2)
-    exp2 = expand_current(J, [ghost])
-    assert exp2.coefficient(ghost, 0, ()) == g
-    assert exp2.coefficient(ghost, 0, (0, 1)) == h
-    # quadratic ghost dependence is rejected
-    bad = Current({0: P(jet(ghost)) * P(jet(ghost, (0,)))}, 2)
+    table, free = collect_ghost_linear(J.components, {ghost})
+    assert table == {(ghost, ()): {0: g}, (ghost, (0, 1)): {0: h}}
+    assert not free
+    # quadratic ghost dependence is rejected by the checks and the split
+    A, F, L, c, result = _maxwell(2)
+    J = result.current
+    bad = Current({0: J.component(0) + P(jet(c)) * P(jet(c, (0,))),
+                   1: J.component(1)}, 2)
     with pytest.raises(GaugeError):
-        expand_current(bad, [ghost])
+        structural_checks(bad, result.symmetry, L)
+    with pytest.raises(GaugeError):
+        extract(bad, result.symmetry, L)
 
 
 def test_structural_checks_pass_on_maxwell():
@@ -83,6 +114,61 @@ def test_structural_checks_name_failures():
     # the refusal hands back the checks extract ran
     assert [(c.tag, c.level, c.ok) for c in err.value.checks] \
         == [(c.tag, c.level, c.ok) for c in checks]
+
+
+# Adding a c_S to J^1, with a the first field component and S = (0,) * k,
+# adds d_1(a) c_S + a c_{S+1} to div J, so exactly the equations at (S, k)
+# and (S + 1, k + 1) fail, with these residuals.  Each gauge current has
+# ghost-jet order M = 1; the term at level M + 1 = 2 raises the order to 2,
+# which turns level 2 into a descent level.
+CORRUPTED_LEVELS = {
+    "maxwell2": [
+        [("divergence-source", "c", 0, "-A0_{,1}"),
+         ("lead-source", "c", 1, "-A0")],
+        [("lead-source", "c", 1, "-A0_{,1}"),
+         ("top-symmetric", "c", 2, "-A0")],
+        [("descent", "c", 2, "-A0_{,1}"),
+         ("top-symmetric", "c", 3, "-A0")]],
+    "maxwell4": [
+        [("divergence-source", "c", 0, "-A0_{,1}"),
+         ("lead-source", "c", 1, "-A0")],
+        [("lead-source", "c", 1, "-A0_{,1}"),
+         ("top-symmetric", "c", 2, "-A0")],
+        [("descent", "c", 2, "-A0_{,1}"),
+         ("top-symmetric", "c", 3, "-A0")]],
+    "su2_d3": [
+        [("divergence-source", "ca", 0, "-Aa0_{,1}"),
+         ("lead-source", "ca", 1, "-Aa0")],
+        [("lead-source", "ca", 1, "-Aa0_{,1}"),
+         ("top-symmetric", "ca", 2, "-Aa0")],
+        [("descent", "ca", 2, "-Aa0_{,1}"),
+         ("top-symmetric", "ca", 3, "-Aa0")]],
+}
+
+
+@pytest.mark.parametrize("label", sorted(CORRUPTED_LEVELS))
+def test_structural_checks_fail_at_each_corrupted_level(label):
+    if label == "su2_d3":
+        model, ident = load_model(SU2_D3), "ga"
+    else:
+        model = load_model((MODELS / f"{label}.vln").read_text())
+        ident = "gauge"
+    L = model.lagrangian
+    ghost = model.ghost_of(ident)
+    result = gauge_symmetry(model.identities[ident], ghost, L)
+    J = result.current
+    assert all(c.ok for c in structural_checks(J, result.symmetry, L))
+    a = P(jet(next(s for s in model.symbols.values() if s.kind == "field")))
+    for level, expected in enumerate(CORRUPTED_LEVELS[label]):
+        comps = dict(J.components)
+        comps[1] = J.component(1) + a * P(jet(ghost, (0,) * level))
+        broken = Current(comps, J.dim)
+        checks = structural_checks(broken, result.symmetry, L)
+        assert [(c.tag, c.ghost, c.level, poly_text(c.residual))
+                for c in checks if not c.ok] == expected, level
+        with pytest.raises(SuperpotentialError) as err:
+            extract(broken, result.symmetry, L)
+        assert err.value.tag == expected[0][0]
 
 
 def test_extract_maxwell2():
@@ -210,15 +296,16 @@ def test_conservation_consistency():
 def test_symmetrization_split_is_idempotent():
     # sym + antisym of the pair coefficients reconstructs the original
     A, F, L, ghost, result = _maxwell(2)
-    exp = expand_current(result.current, [ghost])
+    table, _ = collect_ghost_linear(result.current.components, {ghost})
+
+    def coefficient(mu, v):
+        return table[(ghost, (v,))].get(mu, GradedPoly.zero())
+
     for mu in range(2):
         for v in range(2):
-            coeff = exp.coefficient(ghost, mu, (v,))
-            symm = (exp.coefficient(ghost, mu, (v,))
-                    + exp.coefficient(ghost, v, (mu,))) * Fraction(1, 2)
-            anti = (exp.coefficient(ghost, mu, (v,))
-                    - exp.coefficient(ghost, v, (mu,))) * Fraction(1, 2)
-            assert symm + anti == coeff
+            symm = (coefficient(mu, v) + coefficient(v, mu)) * Fraction(1, 2)
+            anti = (coefficient(mu, v) - coefficient(v, mu)) * Fraction(1, 2)
+            assert symm + anti == coefficient(mu, v)
 
 
 def test_verify_split_mutations():
@@ -282,8 +369,8 @@ def test_extract_second_order_ghost_jets():
          + 2 * P(jet(ghost, (1,))) * P(jet(A[0], (1,)))}, 2)
     shifted = Current({mu: result.current.component(mu) + extra.divergence(mu)
                        for mu in range(2)}, 2)
-    exp = expand_current(shifted, [ghost])
-    assert exp.order(ghost) == 2
+    table, _ = collect_ghost_linear(shifted.components, {ghost})
+    assert _ghost_order(table, ghost) == 2
     checks = structural_checks(shifted, result.symmetry, L)
     assert all(c.ok for c in checks)
     split = extract(shifted, result.symmetry, L)
