@@ -30,8 +30,8 @@ an opaque dictionary key:
 ``GradedPoly.involution`` is the grade involution, the one Koszul sign
 rule: when an odd object moves past a coefficient, the coefficient's odd
 part is negated.
-``accumulate`` is the one "add into a dict of polynomials, drop zeros"
-helper.
+``GradedPoly.sum`` is the one fold, building a sum in one term dict;
+``accumulate`` is its keyed, in-place form for a dict of polynomials.
 """
 
 from __future__ import annotations
@@ -412,16 +412,32 @@ class GradedPoly:
 
     # -- ring structure -----------------------------------------------------
 
+    @staticmethod
+    def sum(polys: Iterable) -> "GradedPoly":
+        """The sum of the polynomials ``polys`` in one term dict: the first
+        nonzero operand's terms are copied once and every later term is
+        written through ``_put``, each operand as it arrives.  No operand
+        changes; the empty sum is zero."""
+        polys = iter(polys)
+        first = next((p for p in polys if p.terms), None)
+        if first is None:
+            return GradedPoly()
+        out = None
+        for p in polys:
+            if p.terms:
+                if out is None:
+                    out = dict(first.terms)
+                for k, c in p.terms.items():
+                    _put(out, k, c)
+        return first if out is None else _poly(out)
+
     def __add__(self, other):
         other = _coerce(other)
         if not other.terms:
             return self
         if not self.terms:
             return other
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            _put(out, k, c)
-        return _poly(out)
+        return GradedPoly.sum((self, other))
 
     __radd__ = __add__
 
@@ -702,12 +718,12 @@ def poly_to_data(p: GradedPoly) -> list:
 
 
 def poly_from_data(data: Sequence, symbols: Mapping[str, FieldSymbol]) -> GradedPoly:
-    total = GradedPoly.zero()
+    monomials = []
     for mono in data:
         p = GradedPoly.constant(Fraction(mono["coeff"]))
         for name, index, e in mono["even"]:
             p = p * GradedPoly.variable(jet(symbols[name], index)) ** e
         for name, index in mono["odd"]:
             p = p * GradedPoly.variable(jet(symbols[name], index))
-        total = total + p
-    return total
+        monomials.append(p)
+    return GradedPoly.sum(monomials)

@@ -377,6 +377,19 @@ class _Runner:
 
 
 def main(argv=None) -> int:
+    """Run one command; exact coefficients print in full, so the int/str
+    digit limit, where there is one, is lifted until return."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        return _main(argv)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
+def _main(argv) -> int:
     try:
         args = _parse(sys.argv[1:] if argv is None else argv)
     except _Usage as exc:

@@ -115,15 +115,22 @@ class MixedForm:
 
     # -- linear structure ---------------------------------------------------
 
+    @staticmethod
+    def sum(dim: int, forms) -> "MixedForm":
+        """The sum of ``forms``, each of dimension ``dim``: one
+        ``GradedPoly.sum`` per component key."""
+        parts = {}
+        for form in forms:
+            if form.dim != dim:
+                raise ValueError("dimension mismatch")
+            for key, poly in form.components.items():
+                parts.setdefault(key, []).append(poly)
+        return MixedForm(dim, {k: GradedPoly.sum(ps) for k, ps in parts.items()})
+
     def __add__(self, other):
         if not isinstance(other, MixedForm):
             return NotImplemented
-        if other.dim != self.dim:
-            raise ValueError("dimension mismatch")
-        out = dict(self.components)
-        for key, poly in other.components.items():
-            accumulate(out, key, poly)
-        return MixedForm(self.dim, out)
+        return MixedForm.sum(self.dim, (self, other))
 
     def __neg__(self):
         return MixedForm(self.dim, {k: -p for k, p in self.components.items()})
@@ -226,12 +233,10 @@ class MixedForm:
         return MixedForm(self.dim, out)
 
     def vertical_differential(self) -> "MixedForm":
-        out = MixedForm(self.dim)
-        for (contact, horiz), f in self.components.items():
-            rest = MixedForm(self.dim, {(contact, horiz): GradedPoly.constant(1)})
-            dvf = _vertical_differential_poly(f, self.dim)
-            out = out + dvf.wedge(rest)
-        return out
+        return MixedForm.sum(self.dim, (
+            _vertical_differential_poly(f, self.dim).wedge(
+                MixedForm(self.dim, {key: GradedPoly.constant(1)}))
+            for key, f in self.components.items()))
 
     def exterior_differential(self, cap: int = DEFAULT_JET_CAP) -> "MixedForm":
         return self.horizontal_differential(cap) + self.vertical_differential()
@@ -352,9 +357,9 @@ class ContactDerivation:
         cached = self._base.get(sym)
         if cached is not None:
             return cached
-        out = self.source.component(sym)
-        for lam, up in self._dx.items():
-            out = out - GradedPoly.variable(jet(sym, (lam,))) * up
+        out = GradedPoly.sum([self.source.component(sym)] + [
+            -(GradedPoly.variable(jet(sym, (lam,))) * up)
+            for lam, up in self._dx.items()])
         self._base[sym] = out
         return out
 
@@ -384,17 +389,16 @@ class ContactDerivation:
 
     def apply_to_poly(self, f: GradedPoly) -> GradedPoly:
         """The derivation applied to a ring element."""
-        out = GradedPoly.zero()
-        for lam, up in self._dx.items():
-            out = out + up * f.total_derivative(lam, self.cap)
+        terms = [up * f.total_derivative(lam, self.cap)
+                 for lam, up in self._dx.items()]
         for v, g in f.gradient().items():
             if v.symbol.coord is not None:
                 continue
             coeff = self.theta_coefficient(v)
             if coeff.is_zero():
                 continue
-            out = out + coeff * g
-        return out
+            terms.append(coeff * g)
+        return GradedPoly.sum(terms)
 
 
 def prolong(source: GeneralizedVectorField, dim: int,

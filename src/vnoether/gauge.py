@@ -58,15 +58,15 @@ def koszul_tate(p: GradedPoly, el: EulerLagrange,
                 cap: int = DEFAULT_JET_CAP) -> GradedPoly:
     """Right derivation replacing each antifield jet by the prolonged
     Euler-Lagrange expression of its base field."""
-    out = GradedPoly.zero()
+    terms = []
     gradient = p.gradient()
     for a in sorted(filter(_is_antifield, gradient), key=var_key):
         repl = el.component(a.symbol.base).total_derivative_multi(a.index, cap)
         if repl.is_zero():
             continue
         left = gradient[a]
-        out = out + (left.involution() if a.parity else left) * repl
-    return out
+        terms.append((left.involution() if a.parity else left) * repl)
+    return GradedPoly.sum(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -106,10 +106,9 @@ class NoetherOperator:
 
     def density(self) -> GradedPoly:
         """The antifield contraction: sum of Delta^{A,I} abar_{I A}."""
-        out = GradedPoly.zero()
-        for (sym, index), poly in self.sorted_items():
-            out = out + poly * GradedPoly.variable(jet(antifield(sym), index))
-        return out
+        return GradedPoly.sum(
+            poly * GradedPoly.variable(jet(antifield(sym), index))
+            for (sym, index), poly in self.sorted_items())
 
     def contraction(self, el: EulerLagrange,
                     cap: int = DEFAULT_JET_CAP) -> GradedPoly:
@@ -228,7 +227,7 @@ def _by_parts_witness(op: NoetherOperator, ghost: FieldSymbol,
         sigma^mu accumulating (-1)^(k+1) d_(first k)(q) d_(rest)(E)
 
     at the index peeled in step k.  Exact by construction; no search."""
-    comps = {mu: GradedPoly.zero() for mu in range(dim)}
+    terms = {mu: [] for mu in range(dim)}
     gvar = GradedPoly.variable(jet(ghost))
     for (sym, index), delta in op.sorted_items():
         e_comp = el.component(sym)
@@ -241,11 +240,11 @@ def _by_parts_witness(op: NoetherOperator, ghost: FieldSymbol,
             lam = tail[-1]
             rest = tail[:-1]
             term = q * e_comp.total_derivative_multi(rest, cap)
-            comps[lam] = comps[lam] + term * sign
+            terms[lam].append(-term if sign < 0 else term)
             q = q.total_derivative(lam, cap)
             sign = -sign
             tail = rest
-    return comps
+    return {mu: GradedPoly.sum(parts) for mu, parts in terms.items()}
 
 
 def gauge_symmetry(op: NoetherOperator, ghost: FieldSymbol,
@@ -292,11 +291,12 @@ def extended_lagrangian(L: Lagrangian,
                         validate: bool = True) -> GradedPoly:
     """Original density plus ghost times the antifield contraction of each
     identity; the Koszul-Tate variation of the result must vanish."""
-    out = L.density
+    terms = [L.density]
     for op, ghost in identities:
         if ghost.parity != op.parity:
             raise GaugeError("ghost parity must match the identity parity")
-        out = out + GradedPoly.variable(jet(ghost)) * op.density()
+        terms.append(GradedPoly.variable(jet(ghost)) * op.density())
+    out = GradedPoly.sum(terms)
     if validate:
         residual = koszul_tate(out, L.el, L.jet_cap)
         if not residual.is_zero():

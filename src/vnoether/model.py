@@ -171,6 +171,10 @@ class ModelSource:
 # parser recurses about four frames per level and the elaborator's _eval
 # fewer, so this bound keeps both well inside Python's recursion limit.
 MAX_NESTING = 150
+# Largest "dim" and "^" literals: elaboration allocates per dimension and
+# per factor of a power.  The corpus uses at most dim 6 and ^5.
+MAX_DIM = 64
+MAX_POWER = 64
 
 
 class _Parser:
@@ -226,6 +230,8 @@ class _Parser:
                 src.dim = int(val.text)
                 if src.dim < 1:
                     self.error("dimension must be at least 1", val)
+                if src.dim > MAX_DIM:
+                    self.error(f"dimension must be at most {MAX_DIM}", val)
             elif tok.text == "metric":
                 self.next()
                 which = self.expect("NAME")
@@ -417,7 +423,10 @@ class _Parser:
             return ("neg", inner)
         atom = self.parse_atom()
         if self.accept("PUNCT", "^"):
-            k = int(self.expect("INT").text)
+            tok = self.expect("INT")
+            k = int(tok.text)
+            if k > MAX_POWER:
+                self.error(f"exponent must be at most {MAX_POWER}", tok)
             return ("pow", atom, k)
         return atom
 
@@ -696,14 +705,10 @@ class _Elaborator:
         if tag == "add":
             parts = [self._eval(e) for e in expr[1]]
             occ, table = parts[0]
-            table = dict(table)
-            for other, more in parts[1:]:
-                if other != occ:
-                    raise ElaborationError(
-                        "summands expose different free indices")
-                for k, v in more.items():
-                    table[k] = table[k] + v
-            return occ, table
+            if any(other != occ for other, _ in parts[1:]):
+                raise ElaborationError("summands expose different free indices")
+            return occ, {k: GradedPoly.sum(more[k] for _, more in parts)
+                         for k in table}
         if tag in ("sym", "antifield"):
             own, factors = _occurrences(expr[2], tag == "sym"), []
         elif tag == "d":
@@ -713,7 +718,7 @@ class _Elaborator:
         else:
             own, factors = [], [self._eval(e) for e in expr[1]]
         open_, rows = self._level(own, factors)
-        table: Dict[tuple, GradedPoly] = {}
+        terms: Dict[tuple, list] = {}
         for key, env, sign, vals in rows:
             if tag in ("sym", "antifield"):
                 lookup = self._lookup if tag == "sym" else self._antifield
@@ -728,9 +733,10 @@ class _Elaborator:
                 value = GradedPoly.constant(1)
                 for v in vals:
                     value = value * v
-            value = value * sign
-            table[key] = table[key] + value if key in table else value
-        return open_, table
+            terms.setdefault(key, []).append(value * sign)
+        # a key whose sum is zero stays: lets and _closed index the table
+        return open_, {key: GradedPoly.sum(values)
+                       for key, values in terms.items()}
 
     def _closed(self, expr, where: str) -> GradedPoly:
         occ, table = self._eval(expr)

@@ -227,7 +227,7 @@ def extract(J: Current, u: GeneralizedVectorField,
     source, source_free = collect_ghost_linear(
         {(sym, ()): poly for sym, poly in u.vertical}, ghosts)
     w_table: Dict[tuple, GradedPoly] = {}
-    w_polys: Dict[int, GradedPoly] = {mu: GradedPoly.zero() for mu in range(n)}
+    w_polys: Dict[int, GradedPoly] = {}
     pair_table: Dict[Tuple[int, int], GradedPoly] = {}
 
     def bump_pair(nu, mu, poly):
@@ -253,7 +253,7 @@ def extract(J: Current, u: GeneralizedVectorField,
         for (sym, index, mu), w in added.items():
             accumulate(w_table, (sym, index, mu), w)
             expanded = w * el.component(sym).total_derivative_multi(index, cap)
-            w_polys[mu] = w_polys[mu] + expanded
+            accumulate(w_polys, mu, expanded)
             if subtract_from_working:
                 # the split gives the sign of c_S moved past odd d_I E_A;
                 # every monomial holds a ghost jet, so nothing is free

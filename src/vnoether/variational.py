@@ -129,10 +129,8 @@ class Current:
         return MixedForm(self.dim, out)
 
     def divergence(self, cap: int = DEFAULT_JET_CAP) -> GradedPoly:
-        out = GradedPoly.zero()
-        for mu, poly in self.components.items():
-            out = out + poly.total_derivative(mu, cap)
-        return out
+        return GradedPoly.sum(poly.total_derivative(mu, cap)
+                              for mu, poly in self.components.items())
 
     @staticmethod
     def from_form(form: MixedForm) -> "Current":
@@ -185,12 +183,8 @@ class Superpotential:
 
     def divergence(self, mu: int, cap: int = DEFAULT_JET_CAP) -> GradedPoly:
         """d_nu U^{nu mu}."""
-        out = GradedPoly.zero()
-        for nu in range(self.dim):
-            if nu == mu:
-                continue
-            out = out + self.component(nu, mu).total_derivative(nu, cap)
-        return out
+        return GradedPoly.sum(self.component(nu, mu).total_derivative(nu, cap)
+                              for nu in range(self.dim) if nu != mu)
 
 
 # ---------------------------------------------------------------------------
@@ -204,25 +198,20 @@ def euler_lagrange(L: Lagrangian,
     gradient = L.density.gradient()
     comps = {}
     for sym in symbols:
-        out = GradedPoly.zero()
+        terms = []
         for v, g in gradient.items():
-            if v.symbol != sym:
-                continue
-            term = g.total_derivative_multi(v.index, L.jet_cap)
-            out = out + (term if len(v.index) % 2 == 0 else -term)
-        comps[sym] = out
+            if v.symbol == sym:
+                term = g.total_derivative_multi(v.index, L.jet_cap)
+                terms.append(-term if len(v.index) % 2 else term)
+        comps[sym] = GradedPoly.sum(terms)
     return EulerLagrange(comps)
 
 
 def euler_lagrange_form(L: Lagrangian) -> MixedForm:
     """The source form: contact slot against each Euler-Lagrange component."""
-    out = MixedForm.zero(L.dim)
-    for sym, poly in L.el.sorted_items():
-        if poly.is_zero():
-            continue
-        out = out + MixedForm.contact(jet(sym), L.dim).wedge(
-            MixedForm.density(poly, L.dim))
-    return out
+    return MixedForm.sum(L.dim, (
+        MixedForm.contact(jet(sym), L.dim).wedge(MixedForm.density(poly, L.dim))
+        for sym, poly in L.el.sorted_items() if not poly.is_zero()))
 
 
 # ---------------------------------------------------------------------------
@@ -242,12 +231,13 @@ def lepage_table(L: Lagrangian) -> dict:
         for sym in syms:
             for mi in multi_indices(L.dim, k):
                 mi = tuple(mi)
-                val = gradient.get(jet(sym, mi), GradedPoly.zero()) \
-                    * Fraction(1, mi_permutations(mi))
+                terms = [gradient.get(jet(sym, mi), GradedPoly.zero())
+                         * Fraction(1, mi_permutations(mi))]
                 for lam in range(L.dim):
                     upper = table.get((sym, mi_add(mi, lam)))
                     if upper is not None:
-                        val = val - upper.total_derivative(lam, L.jet_cap)
+                        terms.append(-upper.total_derivative(lam, L.jet_cap))
+                val = GradedPoly.sum(terms)
                 if not val.is_zero():
                     table[(sym, mi)] = val
     return table
@@ -257,7 +247,7 @@ def lepage_equivalent(L: Lagrangian) -> MixedForm:
     """Lepage form: the contact slot at each tail multi-index pairs with the
     tensor coefficient times the number of orderings of the tail."""
     table = lepage_table(L)
-    out = L.form()
+    terms = [L.form()]
     for (sym, sigma) in sorted(table, key=lambda k: (k[0].sort_key, k[1])):
         val = table[(sym, sigma)]
         for lam in sorted(set(sigma)):
@@ -266,8 +256,9 @@ def lepage_equivalent(L: Lagrangian) -> MixedForm:
             horiz, sign = omega_contracted(L.dim, lam)
             omega_lam = MixedForm(L.dim,
                                   {((), horiz): val * (weight * sign)})
-            out = out + MixedForm.contact(jet(sym, tail), L.dim).wedge(omega_lam)
-    return out
+            terms.append(
+                MixedForm.contact(jet(sym, tail), L.dim).wedge(omega_lam))
+    return MixedForm.sum(L.dim, terms)
 
 
 def check_lepage(L: Lagrangian) -> bool:
@@ -435,14 +426,14 @@ def _weighted(poly: GradedPoly):
     """(P-hat, free monomials): each monomial of field degree k >= 1 weighted
     by 1/k, and the ``(coefficient, factors)`` of field degree 0.  Field and
     ghost jets count toward k, base coordinates do not."""
-    hat, free = GradedPoly.zero(), []
+    weighted, free = [], []
     for c, factors in poly.monomials():
         k = sum(e for v, e in factors if not _is_coord(v))
         if k:
-            hat = hat + _monomial(Fraction(c, k), factors)
+            weighted.append(_monomial(Fraction(c, k), factors))
         else:
             free.append((c, factors))
-    return hat, free
+    return GradedPoly.sum(weighted), free
 
 
 def transfer_derivatives(items, cap: int, skip_empty: bool = False) -> dict:
@@ -476,12 +467,10 @@ def _higher_euler(poly: GradedPoly, cap: int) -> dict:
 def _homotopy(euler: Mapping, j: int, c: int, cap: int) -> GradedPoly:
     """h_j^c = sum over A and K containing j of
     k_j / (|K| + c) * d_{K-j}(u^A E_A^K), from ``_higher_euler``."""
-    out = GradedPoly.zero()
-    for (_, sub), term in euler.items():
-        if j in sub:
-            out = out + term.total_derivative_multi(mi_remove(sub, j), cap) \
-                * Fraction(sub.count(j), len(sub) + c)
-    return out
+    return GradedPoly.sum(
+        term.total_derivative_multi(mi_remove(sub, j), cap)
+        * Fraction(sub.count(j), len(sub) + c)
+        for (_, sub), term in euler.items() if j in sub)
 
 
 def horizontal_antiderivative(rho: MixedForm,
@@ -533,10 +522,10 @@ def horizontal_antiderivative(rho: MixedForm,
             if not xs:
                 return ExactnessResult(NOT_EXACT)
             x = jet(xs[0])
-            for c, factors in free:
-                e = dict(factors).get(x, 0)
-                table[x.symbol.coord] += _monomial(Fraction(c, e + 1), factors) \
-                    * GradedPoly.variable(x)
+            mu = x.symbol.coord
+            table[mu] = GradedPoly.sum([table[mu]] + [
+                _monomial(Fraction(c, dict(factors).get(x, 0) + 1), factors)
+                * GradedPoly.variable(x) for c, factors in free])
         witness = Current(table, n).form()
     elif degree == n - 1:
         # a current d_nu U^{nu mu}: closed, and a 0-form has no antiderivative
@@ -726,10 +715,9 @@ def weak_conservation_witness(J: Current, el: EulerLagrange,
 def expand_witness(table: Mapping, el: EulerLagrange,
                    cap: int = DEFAULT_JET_CAP) -> GradedPoly:
     """Sum of w^{A,I} d_I E_A over a table {(A, I): w}, w on the left."""
-    out = GradedPoly.zero()
-    for (sym, index), w in table.items():
-        out = out + w * el.component(sym).total_derivative_multi(index, cap)
-    return out
+    return GradedPoly.sum(
+        w * el.component(sym).total_derivative_multi(index, cap)
+        for (sym, index), w in table.items())
 
 
 def symmetry_witness(ups: GeneralizedVectorField, J: Current,

@@ -1,3 +1,5 @@
+import functools
+import operator
 import pickle
 import random
 from fractions import Fraction
@@ -368,3 +370,37 @@ def test_split_linear_round_trip():
         for side in ("left", "right"):
             with pytest.raises(ValueError):
                 bad.split_linear(lambda v: v.symbol in ghosts, side)
+
+
+def test_sum_is_the_fold_of_add():
+    # the one fold agrees with adding one operand at a time, odd ghosts
+    # included, and leaves its operands as they were
+    rng = random.Random(71)
+    for _ in range(80):
+        polys = [rand_poly(rng, max_terms=4) for _ in range(rng.randint(0, 6))]
+        if polys and rng.random() < 0.3:
+            polys.append(-polys[0])
+        before = [dict(p.terms) for p in polys]
+        total = GradedPoly.sum(polys)
+        assert total == functools.reduce(operator.add, polys, GradedPoly.zero())
+        # and a coefficient table built without the ring
+        table = {}
+        for p in polys:
+            for c, factors in p.monomials():
+                table[factors] = table.get(factors, 0) + c
+        assert {f: c for c, f in total.monomials()} \
+            == {f: c for f, c in table.items() if c}
+        assert_canonical(total)
+        assert [p.terms for p in polys] == before
+
+
+def test_sum_edge_cases():
+    assert GradedPoly.sum([]).is_zero()
+    assert GradedPoly.sum(iter([])) == GradedPoly.zero()
+    p = P(jet(PHI, (0,))) * P(jet(C)) - 3 * P(jet(PSI))
+    cancelled = GradedPoly.sum([p, GradedPoly.zero(), -p])
+    assert cancelled.is_zero() and not cancelled.terms
+    half = GradedPoly.constant(Fraction(1, 2))
+    one = GradedPoly.sum([half, half])
+    assert one == 1 and type(one.constant_term()) is int
+    assert GradedPoly.sum([p]) is p

@@ -675,3 +675,27 @@ def test_odd_matter_end_to_end(odd_matter_models, capsys, argv):
             "superpotential")
     assert (hashlib.sha256(out.encode()).hexdigest(), code) \
         == ODD_MATTER_REPORTS[argv]
+
+
+def test_long_integers_print_in_full(tmp_path, capsys):
+    # coefficients are exact, so a literal or a coefficient past Python's
+    # default int/str digit limit is read and printed in full, and the
+    # calling process keeps its own limit; the expected digits are written
+    # out because this process may not convert them
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    model = tmp_path / "long.vln"
+    model.write_text("dim 1\nfield phi even\n"
+                     f"lagrangian {'7' * 5000}*phi^2\n")
+    assert cli.main(["el", str(model)]) == 0
+    assert f"phi: ({'1' + '5' * 4999 + '4'})*phi\n" in capsys.readouterr().out
+    big = "1" + "0" * 2000
+    model.write_text("dim 1\nfield phi even\n"
+                     f"lagrangian (-1/2)*{big}*{big}*{big}*d[0](phi)^2\n")
+    ten_6000 = "1" + "0" * 6000   # str(10 ** 6000)
+    assert cli.main(["el", str(model), "--format", "json"]) == 0
+    step = json.loads(capsys.readouterr().out)["steps"][0]
+    assert step["payload"][0]["expression"]["monomials"][0]["coeff"] \
+        == ten_6000
+    assert cli.main(["el", str(model)]) == 0
+    assert f"phi: ({ten_6000})*phi_{{,00}}\n" in capsys.readouterr().out
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit

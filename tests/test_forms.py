@@ -460,3 +460,22 @@ def test_nilpotency_matches_squared_action():
         else:
             assert verdict is False
         done += 1
+
+
+def test_mixed_form_sum():
+    rng = random.Random(29)
+    for _ in range(30):
+        forms = [rand_form(rng) for _ in range(rng.randint(0, 5))]
+        total = MixedForm.sum(2, forms)
+        keys = {key for form in forms for key in form.components}
+        assert set(total.components) <= keys
+        for contact, horiz in keys:
+            assert total.coefficient(contact, horiz) == GradedPoly.sum(
+                form.coefficient(contact, horiz) for form in forms)
+        assert all(not p.is_zero() for p in total.components.values())
+    form = rand_form(rng)
+    assert MixedForm.sum(2, [form, -form]).is_zero()
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        MixedForm.sum(2, [form, MixedForm.dx(0, 3)])
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        form + MixedForm.dx(0, 3)

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -9,7 +10,8 @@ from vnoether import (EVEN, ODD, FieldSymbol, GaugeError, GeneralizedVectorField
                       check_noether_identity, euler_lagrange,
                       extended_lagrangian, first_variational_residual,
                       gauge_symmetry, ghost_for, is_variational_symmetry, jet,
-                      koszul_tate, noether_operator_from_density,
+                      koszul_tate, load_model,
+                      noether_operator_from_density,
                       recover_identity)
 from vnoether.algebra import JetCapError, var_key
 from vnoether.variational import EXACT
@@ -379,3 +381,30 @@ def test_parity_bookkeeping():
                                   (odd_sym, ()): P(jet(PHI))})
     with pytest.raises(GaugeError):
         mixed.parity
+
+
+def test_every_single_sign_mutant_of_the_corpus_identities_fails():
+    # negating one coefficient Delta^{A,I} of a declared identity moves its
+    # contraction by -2 Delta^{A,I} d_I E_A, computed here term by term; a
+    # fold that dropped or double-counted a summand would break the equality,
+    # and a check that always passed would accept the mutant
+    root = Path(__file__).resolve().parent.parent
+    paths = sorted(root.glob("models/*.vln")) \
+        + sorted(root.glob("perfbench/models/*.vln"))
+    mutants = 0
+    for path in paths:
+        model = load_model(path.read_text(encoding="utf-8"))
+        el = model.lagrangian.el
+        cap = model.jet_cap
+        for op in model.identities.values():
+            residual = op.contraction(el, cap)
+            for (sym, index), delta in op.coefficients.items():
+                flipped = dict(op.coefficients)
+                flipped[(sym, index)] = -delta
+                got = NoetherOperator(op.name, flipped).contraction(el, cap)
+                shift = delta * el.component(sym).total_derivative_multi(
+                    index, cap)
+                assert got == residual - 2 * shift, (path.name, op.name)
+                assert not got.is_zero(), (path.name, op.name, sym, index)
+                mutants += 1
+    assert mutants >= 133   # the corpus and benchmark models hold 133

@@ -17,7 +17,13 @@ as well as the Lagrangian, lets and symmetries.  Outside ``algebra.py``,
 ``split_linear`` has two callers: ``gauge.collect_ghost_linear``, the one
 ghost-jet split of the gauge and superpotential code, and
 ``noether_operator_from_density``, which reads an operator off its
-antifield density.
+antifield density.  Outside ``algebra.py`` (the ring and Grassmann
+evaluation) and ``linsolve.py`` (``Fraction`` row operations), no code folds
+a value into itself with ``+`` or ``-``: no ``x = x + ...`` (also as the
+body of a conditional expression) and no ``t[k] += ...``.  Sums of
+polynomials and forms go through ``GradedPoly.sum``, ``MixedForm.sum`` and
+``accumulate``, which build one term dict instead of copying the growing
+sum at every step.
 """
 
 import ast
@@ -140,3 +146,45 @@ def test_one_ghost_jet_split():
     callers = [hit for path in checked for hit in _split_callers(path)]
     assert sorted(callers) == ["gauge.py:collect_ghost_linear",
                                "gauge.py:noether_operator_from_density"]
+
+
+FOLD_EXEMPT = {"algebra.py", "linsolve.py"}
+
+
+def _self_folds(tree, name: str) -> list:
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            value = node.value
+            if isinstance(value, ast.IfExp):
+                value = value.body
+            if (isinstance(value, ast.BinOp)
+                    and isinstance(value.op, (ast.Add, ast.Sub))
+                    and ast.unparse(value.left)
+                    == ast.unparse(node.targets[0])):
+                out.append(f"{name}:{node.lineno} {ast.unparse(node)}")
+        elif (isinstance(node, ast.AugAssign)
+              and isinstance(node.op, (ast.Add, ast.Sub))
+              and isinstance(node.target, ast.Subscript)):
+            out.append(f"{name}:{node.lineno} {ast.unparse(node)}")
+    return out
+
+
+def test_polynomials_are_summed_by_the_one_fold():
+    checked = sorted(p for p in SRC.glob("*.py") if p.name not in FOLD_EXEMPT)
+    assert len(checked) >= 9
+    offenders = [hit for path in checked
+                 for hit in _self_folds(_tree(path), path.name)]
+    assert not offenders, offenders
+
+
+def test_the_check_sees_self_folds():
+    # the exempt modules fold, and each of the three shapes is seen
+    assert _self_folds(_tree(SRC / "algebra.py"), "algebra.py")
+    assert _self_folds(_tree(SRC / "linsolve.py"), "linsolve.py")
+    sample = ast.parse("out = out - p * q\n"
+                       "t[k] = t[k] + v if k in t else v\n"
+                       "t[k] += v\n"
+                       "out = p + out\n")
+    assert [hit.split()[0] for hit in _self_folds(sample, "s")] \
+        == ["s:1", "s:2", "s:3"]

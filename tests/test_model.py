@@ -417,3 +417,31 @@ def test_nesting_at_the_limit_loads():
         model = load_model(f"dim 1\nfield phi even\nlagrangian {body}\n")
         phi = model.symbols["phi"]
         assert model.lagrangian.density == sign * P(jet(phi, (0,))) ** 2
+
+
+@pytest.mark.parametrize("text, where, message", [
+    ("dim 1000000000\nfield phi even\nlagrangian d[0](phi)^2\n",
+     (1, 5), "dimension must be at most"),
+    ("dim 1\nfield phi even\nlagrangian d[0](phi)^2 + phi^1000000000\n",
+     (3, 30), "exponent must be at most"),
+])
+def test_oversized_dimension_or_exponent_is_a_parse_error(
+        tmp_path, capsys, text, where, message):
+    # elaboration allocates per dimension and per power copy, so a huge
+    # literal is refused at parse time instead of exhausting memory
+    with pytest.raises(ParseError, match=message) as err:
+        load_model(text)
+    assert (err.value.line, err.value.col) == where
+    path = tmp_path / "big.vln"
+    path.write_text(text)
+    assert main(["el", str(path)]) == EXIT_USAGE
+    assert f"{where[0]}:{where[1]}: {message}" in capsys.readouterr().err
+
+
+def test_dimension_and_exponent_at_the_limit_load():
+    from vnoether.model import MAX_DIM, MAX_POWER
+    assert load_model(f"dim {MAX_DIM}\nfield phi even\n"
+                      "lagrangian phi^2\n").dim == MAX_DIM
+    model = load_model(f"dim 1\nfield phi even\nlagrangian phi^{MAX_POWER}\n")
+    phi = model.symbols["phi"]
+    assert model.lagrangian.density == P(jet(phi)) ** MAX_POWER
