@@ -33,15 +33,15 @@ shift = GeneralizedVectorField.make({phi: P(jet(phi, (0,)))})
 print("variational-formula residual is zero:",
       first_variational_residual(shift, L).is_zero())
 sym = is_variational_symmetry(shift, L)
-print("divergence witness sigma:", poly_text(sym.sigma.coefficient()))
+print("divergence witness sigma:", poly_text(sym.witness.coefficient()))
 
-current = noether_current(shift, L, sym.sigma)
+current = noether_current(shift, L, sym.witness)
 print("Noether current J^0:", poly_text(current.component(0)))
 
 # d_H J = u^A E_A: the symmetry components are the coefficients
 witness = symmetry_witness(shift, current, el)
-for (symbol, index), coeff in sorted(witness.table.items(),
+for (symbol, index), coeff in sorted(witness.witness.items(),
                                      key=lambda it: it[0][0].name):
     print(f"div J = ... + ({poly_text(coeff)}) * d_{list(index)} E_{symbol.name}")
 print("weak conservation reconstructs exactly:",
-      expand_witness(witness.table, el) == current.divergence())
+      expand_witness(witness.witness, el) == current.divergence())

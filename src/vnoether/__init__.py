@@ -17,9 +17,9 @@ from .forms import (ContactDerivation, GeneralizedVectorField, MixedForm,
                     lie_derivative, prolong)
 from .variational import (BOUND_EXHAUSTED, EXACT, NOT_EXACT, ConsistencyError,
                           Current, EulerLagrange, ExactnessResult, Lagrangian,
-                          Superpotential, SymmetryResult, WitnessResult,
-                          check_lepage, euler_lagrange, euler_lagrange_form,
-                          expand_witness, first_variational_residual,
+                          Superpotential, check_lepage, euler_lagrange,
+                          euler_lagrange_form, expand_witness,
+                          first_variational_residual,
                           horizontal_antiderivative, is_variational_symmetry,
                           lepage_equivalent, noether_current,
                           prolonged_variation, symmetry_witness,

@@ -22,8 +22,8 @@ from typing import Dict, Mapping, Optional, Sequence, Tuple
 from .algebra import (DEFAULT_JET_CAP, KIND_ANTIFIELD, KIND_GHOST, ODD,
                       FieldSymbol, GradedPoly, JetCapError, accumulate, jet,
                       var_key)
-from .forms import GeneralizedVectorField, MixedForm, contract
-from .variational import (Current, EulerLagrange, Lagrangian, WitnessResult,
+from .forms import GeneralizedVectorField, contract
+from .variational import (Current, EulerLagrange, ExactnessResult, Lagrangian,
                           expand_witness, prolonged_variation,
                           symmetry_witness, transfer_derivatives)
 
@@ -211,20 +211,20 @@ def recover_identity(u: GeneralizedVectorField, ghost: FieldSymbol,
 @dataclass
 class GaugeSymmetryResult:
     symmetry: GeneralizedVectorField
-    sigma: MixedForm          # horizontal (n-1)-form with d_H sigma = u^A E_A omega
     current: Current
-    conservation: WitnessResult  # {(A, ()): u^A}, checked: div J = u^A E_A
+    conservation: ExactnessResult  # {(A, ()): u^A}, checked: div J = u^A E_A
 
 
-def _by_parts_witness(op: NoetherOperator, ghost: FieldSymbol,
-                      el: EulerLagrange, dim: int, cap: int) -> dict:
-    """Components of a divergence witness for the contracted source term.
+def _by_parts_current(op: NoetherOperator, ghost: FieldSymbol,
+                      el: EulerLagrange, dim: int, cap: int) -> Current:
+    """A current whose divergence is the contracted source term, without
+    zero components.
 
     Peeling one derivative at a time from (-d)_I(ghost Delta) E and using
     that the identity kills the fully transferred term gives
 
-        sum (-d)_I(q) E = d_mu sigma^mu,
-        sigma^mu accumulating (-1)^(k+1) d_(first k)(q) d_(rest)(E)
+        sum (-d)_I(q) E = d_mu J^mu,
+        J^mu accumulating (-1)^(k+1) d_(first k)(q) d_(rest)(E)
 
     at the index peeled in step k.  Exact by construction; no search."""
     terms = {mu: [] for mu in range(dim)}
@@ -244,7 +244,8 @@ def _by_parts_witness(op: NoetherOperator, ghost: FieldSymbol,
             q = q.total_derivative(lam, cap)
             sign = -sign
             tail = rest
-    return {mu: GradedPoly.sum(parts) for mu, parts in terms.items()}
+    return Current({mu: total for mu, parts in terms.items()
+                    if not (total := GradedPoly.sum(parts)).is_zero()}, dim)
 
 
 def gauge_symmetry(op: NoetherOperator, ghost: FieldSymbol,
@@ -252,14 +253,14 @@ def gauge_symmetry(op: NoetherOperator, ghost: FieldSymbol,
     """Second Noether theorem, constructively.
 
     Evaluates the identity once and refuses when it fails: the GaugeError
-    carries the nonzero contraction as ``residual``.  The divergence
-    witness comes from exact integration by parts of the contracted source
-    (zero for exact symmetries) and is re-verified against pr u(L); the
-    current sigma, the witness minus the contracted Lepage boundary, is
-    re-verified against the contracted source.  That check is the weak
-    conservation div J = u^A E_A of its current J, made by
-    ``symmetry_witness`` as for a declared symmetry, and the result carries
-    it as ``conservation``, the witness {(A, ()): u^A}.
+    carries the nonzero contraction as ``residual``.  The current J comes
+    from exact integration by parts of the contracted source, and J plus
+    the contracted Lepage boundary is re-verified against pr u(L); when
+    pr u(L) = 0 (an exact symmetry) J is minus that boundary.  J is
+    re-verified against the contracted source: that check is the weak
+    conservation div J = u^A E_A, made by ``symmetry_witness`` as for a
+    declared symmetry, and the result carries it as ``conservation``, the
+    witness {(A, ()): u^A}.
     """
     el = L.el
     residual = op.contraction(el, L.jet_cap)
@@ -270,20 +271,17 @@ def gauge_symmetry(op: NoetherOperator, ghost: FieldSymbol,
     lie = prolonged_variation(deriv, L)
     boundary = contract(deriv, L.lepage).horizontal_part()
     if lie.is_zero():
-        witness = MixedForm.zero(L.dim)
+        current = Current.from_form(-boundary)
     else:
-        sigma_parts = _by_parts_witness(op, ghost, el, L.dim, L.jet_cap)
-        witness = Current(sigma_parts, L.dim).form() + boundary
-        check = witness.horizontal_differential(L.jet_cap) - lie
-        if not check.is_zero():
+        current = _by_parts_current(op, ghost, el, L.dim, L.jet_cap)
+        witness = current.form() + boundary
+        if not (witness.horizontal_differential(L.jet_cap) - lie).is_zero():
             raise AssertionError("gauge witness failed its re-check")
-    sigma = witness - boundary
-    # sigma must be an antiderivative of the contracted source term
-    current = Current.from_form(sigma)
+    # J must be an antiderivative of the contracted source term
     conservation = symmetry_witness(u, current, el, L.jet_cap)
     if not conservation:
         raise AssertionError("gauge witness failed its re-check")
-    return GaugeSymmetryResult(u, sigma, current, conservation)
+    return GaugeSymmetryResult(u, current, conservation)
 
 
 def extended_lagrangian(L: Lagrangian,

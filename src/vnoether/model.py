@@ -175,6 +175,10 @@ MAX_NESTING = 150
 # per factor of a power.  The corpus uses at most dim 6 and ^5.
 MAX_DIM = 64
 MAX_POWER = 64
+# Most index assignments one product level enumerates (dim^k for k letters)
+# and most symbols one family declares (dim^arity).  The corpus peaks at 36
+# rows and 6 symbols.
+MAX_ROWS = 100_000
 
 
 class _Parser:
@@ -194,6 +198,16 @@ class _Parser:
     def error(self, message: str, tok: Optional[Token] = None):
         tok = tok or self.peek()
         raise ParseError(message, tok.line, tok.col)
+
+    def integer(self, tok: Token) -> int:
+        """The value of an INT token; a literal past the interpreter's
+        int/str digit limit is a ParseError, not a bare ValueError."""
+        try:
+            return int(tok.text)
+        except ValueError:
+            self.error(f"integer literal of {len(tok.text)} digits exceeds "
+                       "the interpreter's limit (see "
+                       "sys.set_int_max_str_digits)", tok)
 
     def expect(self, kind: str, text: Optional[str] = None) -> Token:
         tok = self.peek()
@@ -227,7 +241,7 @@ class _Parser:
             if tok.text == "dim":
                 self.next()
                 val = self.expect("INT")
-                src.dim = int(val.text)
+                src.dim = self.integer(val)
                 if src.dim < 1:
                     self.error("dimension must be at least 1", val)
                 if src.dim > MAX_DIM:
@@ -424,7 +438,7 @@ class _Parser:
         atom = self.parse_atom()
         if self.accept("PUNCT", "^"):
             tok = self.expect("INT")
-            k = int(tok.text)
+            k = self.integer(tok)
             if k > MAX_POWER:
                 self.error(f"exponent must be at most {MAX_POWER}", tok)
             return ("pow", atom, k)
@@ -434,7 +448,7 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "INT":
             self.next()
-            return ("num", int(tok.text))
+            return ("num", self.integer(tok))
         if self.accept("PUNCT", "("):
             self.nest(tok)
             inner = self.parse_expr()
@@ -477,7 +491,7 @@ class _Parser:
     def _idx(self) -> Idx:
         tok = self.next()
         if tok.kind == "INT":
-            return ("lit", int(tok.text))
+            return ("lit", self.integer(tok))
         if tok.kind == "NAME":
             return ("letter", tok.text)
         self.error("expected an index", tok)
@@ -495,9 +509,7 @@ class ElaboratedModel:
     dim: int
     metric: str
     signature: str
-    metric_signs: tuple
     symbols: dict                # flat name -> FieldSymbol
-    families: dict               # declared name -> (arity, parity, [flat symbols])
     fields: list                 # flat field symbols in declaration order
     ghosts: dict                 # ghost name -> (FieldSymbol, identity name)
     lagrangian: Lagrangian
@@ -512,7 +524,11 @@ class ElaboratedModel:
         return None
 
 
-def _flat_name(name: str, values: Sequence[int]) -> str:
+def _flat_name(name: str, values: Sequence[int], dim: int) -> str:
+    """``h[1,0]`` is ``h10``; from dim 11 the values are joined with ``_``
+    (``h_1_10``), since ``h[1,10]`` and ``h[11,0]`` would both be ``h110``."""
+    if dim > 10:
+        return "_".join([name, *map(str, values)])
     return name + "".join(str(v) for v in values)
 
 
@@ -588,15 +604,18 @@ class _Elaborator:
             symmetries[name] = self._eval_symmetry(name, assigns)
         return ElaboratedModel(
             dim=self.dim, metric=src.metric, signature=self.signature,
-            metric_signs=self.signs, symbols=dict(self.symbols),
-            families=dict(self.families), fields=list(self.fields),
+            symbols=dict(self.symbols), fields=list(self.fields),
             ghosts=dict(self.ghost_info), lagrangian=lagrangian,
             identities=identities, symmetries=symmetries, jet_cap=self.cap)
 
     def _declare(self, name, arity, parity, kind):
+        if self.dim ** arity > MAX_ROWS:
+            raise ElaborationError(
+                f"family {name!r} would declare {self.dim}^{arity} symbols, "
+                f"more than {MAX_ROWS}")
         flats = []
         for values in itertools.product(range(self.dim), repeat=arity):
-            flat = _flat_name(name, values)
+            flat = _flat_name(name, values, self.dim)
             if flat in self.symbols:
                 raise ElaborationError(f"symbol collision on {flat!r}")
             sym = FieldSymbol(flat, kind, parity)
@@ -613,7 +632,7 @@ class _Elaborator:
         if len(values) != arity:
             raise ElaborationError(
                 f"{name!r} expects {arity} indices, got {len(values)}")
-        return self.symbols[_flat_name(name, values)]
+        return self.symbols[_flat_name(name, values, self.dim)]
 
     def _let_table(self, name: str, params, body) -> Dict[tuple, GradedPoly]:
         """Evaluate a ``let`` body once.  It must leave open exactly its
@@ -675,6 +694,10 @@ class _Elaborator:
         pairs = sorted((l, covs[0] == covs[1]) for l, covs in seen.items()
                        if len(covs) == 2)
         letters = [l for l, _ in open_] + [l for l, _ in pairs]
+        if self.dim ** len(letters) > MAX_ROWS:
+            raise ElaborationError(
+                f"indices [{', '.join(letters)}] in one term would enumerate "
+                f"{self.dim}^{len(letters)} assignments, more than {MAX_ROWS}")
         rows = []
         for values in itertools.product(range(self.dim), repeat=len(letters)):
             env = dict(zip(letters, values))

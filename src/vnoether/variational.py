@@ -8,7 +8,9 @@ variational bicomplex builds the antiderivative otherwise), tests of
 variational symmetries, Noether currents and weak-conservation witnesses
 (constructive from the first variational formula when the symmetry is
 known; ``weak_conservation_witness`` keeps a bounded ansatz search for a
-bare current, and is the one producer of BOUND_EXHAUSTED).
+bare current, and is the one producer of BOUND_EXHAUSTED).  Every one of
+these decisions returns an ``ExactnessResult``: a status, the witness
+(a form, or a table {(A, I): w}) and, for a failed re-check, the residual.
 
 The Lie derivative of L vol along a vertical prolonged derivation is
 pr u(L) vol (``prolonged_variation``); the symmetry test and the Noether
@@ -375,8 +377,13 @@ def _mono_sort(factors):
 
 @dataclass
 class ExactnessResult:
+    """An exactness decision: d_H-exactness of a horizontal form (witness
+    its antiderivative form), or membership of div J in the Euler-Lagrange
+    ideal (witness the table {(A, I): w} with div J = sum w^{A,I} d_I E_A).
+    ``residual`` is the nonzero difference when a witness fails its check."""
     status: str
-    witness: Optional[MixedForm] = None
+    witness: Union[MixedForm, dict, None] = None
+    residual: Optional[GradedPoly] = None
 
     def __bool__(self):
         return self.status == EXACT
@@ -555,41 +562,30 @@ def horizontal_antiderivative(rho: MixedForm,
 # ---------------------------------------------------------------------------
 # variational symmetries, currents, conservation witnesses
 
-@dataclass
-class SymmetryResult:
-    status: str
-    sigma: Optional[MixedForm] = None  # horizontal (n-1)-form witness
-
-    def __bool__(self):
-        return self.status == EXACT
-
-
-def is_variational_symmetry(ups: GeneralizedVectorField, L: Lagrangian,
-                            coords: Sequence[FieldSymbol] = ()
-                            ) -> SymmetryResult:
+def is_variational_symmetry(ups: GeneralizedVectorField,
+                            L: Lagrangian) -> ExactnessResult:
     """A vertical derivation is a variational symmetry iff pr u(L) is a
-    total divergence; returns the witness."""
+    total divergence; returns the homotopy's decision and witness."""
     if not ups.is_vertical():
         raise UnsupportedDerivation("variational-symmetry test needs vertical input")
-    result = horizontal_antiderivative(
-        prolonged_variation(L.prolongation(ups), L), coords, L.jet_cap)
-    return SymmetryResult(result.status, result.witness)
+    return horizontal_antiderivative(
+        prolonged_variation(L.prolongation(ups), L), cap=L.jet_cap)
 
 
 def noether_current(ups: GeneralizedVectorField, L: Lagrangian,
-                    sigma: Union[MixedForm, SymmetryResult]) -> Current:
+                    sigma: Union[MixedForm, ExactnessResult]) -> Current:
     """Current of a variational symmetry: the witness minus the horizontal
     projection of the contracted Lepage equivalent.  A bare witness form
     ``sigma`` is re-validated against pr u(L); a bad one raises
-    ConsistencyError.  The ``SymmetryResult`` of
+    ConsistencyError.  The ``ExactnessResult`` of
     ``is_variational_symmetry(ups, L)`` is not re-validated: that function
     has checked its witness against pr u(L) already (a NOT_EXACT result
     raises ConsistencyError)."""
     deriv = L.prolongation(ups)
-    if isinstance(sigma, SymmetryResult):
+    if isinstance(sigma, ExactnessResult):
         if sigma.status != EXACT:
             raise ConsistencyError("not a variational symmetry")
-        sigma = sigma.sigma
+        sigma = sigma.witness
     else:
         lhs = prolonged_variation(deriv, L)
         if not (sigma.horizontal_differential(L.jet_cap) - lhs).is_zero():
@@ -597,16 +593,6 @@ def noether_current(ups: GeneralizedVectorField, L: Lagrangian,
                 "sigma does not witness the symmetry condition")
     boundary = contract(deriv, L.lepage).horizontal_part()
     return Current.from_form(sigma - boundary)
-
-
-@dataclass
-class WitnessResult:
-    status: str
-    table: Optional[dict] = None  # (FieldSymbol, MultiIndex) -> GradedPoly
-    residual: Optional[GradedPoly] = None  # expansion minus div J, if nonzero
-
-    def __bool__(self):
-        return self.status == EXACT
 
 
 def _cls_key(d: Mapping) -> tuple:
@@ -619,8 +605,7 @@ def _cls_deg(cls) -> int:
 
 
 def weak_conservation_witness(J: Current, el: EulerLagrange,
-                              cap: int = DEFAULT_JET_CAP,
-                              max_degree: Optional[int] = None) -> WitnessResult:
+                              cap: int = DEFAULT_JET_CAP) -> ExactnessResult:
     """Solve  div J = sum w^{A,I} d_I E_A  exactly for the coefficients w.
 
     Candidate coefficient monomials are collected per degree-vector class,
@@ -631,7 +616,7 @@ def weak_conservation_witness(J: Current, el: EulerLagrange,
     """
     target = J.divergence(cap)
     if target.is_zero():
-        return WitnessResult(EXACT, {})
+        return ExactnessResult(EXACT, {})
     order = target.jet_order()
     basis = []  # (sym, index, d_I E_A, e-monomial classes)
     for sym, comp in el.sorted_items():
@@ -650,9 +635,9 @@ def weak_conservation_witness(J: Current, el: EulerLagrange,
     for tcls in target_cls:
         tdict = dict(tcls)
         if not any(all(tdict.get(s, 0) >= v for s, v in ec) for ec in all_ecls):
-            return WitnessResult(NOT_EXACT)
+            return ExactnessResult(NOT_EXACT)
     # class closure for the candidate coefficients
-    deg_cap = max_degree if max_degree is not None else target.degree()
+    deg_cap = target.degree()
     frontier_cap = max((_cls_deg(t) for t in target_cls), default=0) \
         + max((_cls_deg(ec) for ec in all_ecls), default=0)
     frontier = set(target_cls)
@@ -700,16 +685,16 @@ def weak_conservation_witness(J: Current, el: EulerLagrange,
                 if m.degree_in(_is_coord) == xdeg:
                     unknowns.append((sym, index, m, de))
     if not unknowns:
-        return WitnessResult(BOUND_EXHAUSTED)
+        return ExactnessResult(BOUND_EXHAUSTED)
     sol = _solve_columns([{None: m * de} for _, _, m, de in unknowns],
                          {None: target})
     if sol is None:
-        return WitnessResult(BOUND_EXHAUSTED)
+        return ExactnessResult(BOUND_EXHAUSTED)
     table: Dict[tuple, GradedPoly] = {}
     for (sym, index, m, _), c in zip(unknowns, sol):
         if c:
             accumulate(table, (sym, index), m * c)
-    return WitnessResult(EXACT, table)
+    return ExactnessResult(EXACT, table)
 
 
 def expand_witness(table: Mapping, el: EulerLagrange,
@@ -722,7 +707,7 @@ def expand_witness(table: Mapping, el: EulerLagrange,
 
 def symmetry_witness(ups: GeneralizedVectorField, J: Current,
                      el: EulerLagrange,
-                     cap: int = DEFAULT_JET_CAP) -> WitnessResult:
+                     cap: int = DEFAULT_JET_CAP) -> ExactnessResult:
     """Weak-conservation witness of the Noether current of a vertical
     symmetry, read off the first variational formula d_H J = u^A E_A.
 
@@ -737,5 +722,5 @@ def symmetry_witness(ups: GeneralizedVectorField, J: Current,
              if not poly.is_zero()}
     residual = expand_witness(table, el, cap) - J.divergence(cap)
     if residual.is_zero():
-        return WitnessResult(EXACT, table)
-    return WitnessResult(NOT_EXACT, residual=residual)
+        return ExactnessResult(EXACT, table)
+    return ExactnessResult(NOT_EXACT, residual=residual)

@@ -3,12 +3,13 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from vnoether import (KIND_GHOST, ODD, Current, FieldSymbol, GradedPoly,
-                      cli, jet)
+                      NoetherOperator, cli, jet, load_model, print_elaborated)
 
 ROOT = Path(__file__).resolve().parent.parent
 MODELS = ROOT / "models"
@@ -699,3 +700,50 @@ def test_long_integers_print_in_full(tmp_path, capsys):
     assert cli.main(["el", str(model)]) == 0
     assert f"phi: ({ten_6000})*phi_{{,00}}\n" in capsys.readouterr().out
     assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+
+def _check_identity_json(capsys, path, name):
+    code = cli.main(["check-identity", str(path), name, "--format", "json"])
+    [step] = json.loads(capsys.readouterr().out)["steps"]
+    return code, step
+
+
+def test_every_single_sign_mutant_fails_check_identity(tmp_path, capsys):
+    # negate one coefficient Delta^{A,I} of each corpus identity, print the
+    # mutant model and check it through the CLI: a check that always
+    # answered "pass" would exit 0 here
+    paths = sorted(MODELS.glob("*.vln")) \
+        + sorted((ROOT / "perfbench" / "models").glob("*.vln"))
+    path = tmp_path / "mutant.vln"
+    mutants = 0
+    for source in paths:
+        model = load_model(source.read_text(encoding="utf-8"))
+        for name, op in sorted(model.identities.items()):
+            for key, delta in op.sorted_items():
+                flipped = {**op.coefficients, key: -delta}
+                mutant = replace(model, identities={
+                    **model.identities, name: NoetherOperator(name, flipped)})
+                path.write_text(print_elaborated(mutant), encoding="utf-8")
+                code, step = _check_identity_json(capsys, path, name)
+                where = (source.name, name, key[0].name, key[1])
+                assert code == 1 and step["status"] == "fail", where
+                assert step["payload"]["residual"]["monomials"], where
+                mutants += 1
+    assert mutants == 133
+
+
+def test_the_true_sign_mutant_passes_check_identity(tmp_path, capsys):
+    # su2_wrong_sign's identity with its first term, d_nu E(Aa_nu), negated
+    # is -1 times su2_d3's identity ga, which holds
+    models = ROOT / "perfbench" / "models"
+    wrong = load_model((models / "su2_wrong_sign.vln").read_text())
+    right = load_model((models / "su2_d3.vln").read_text()).identities["ga"]
+    op = wrong.identities["ga"]
+    flipped = {(sym, index): -delta if index else delta
+               for (sym, index), delta in op.coefficients.items()}
+    assert flipped == {key: -delta for key, delta in right.coefficients.items()}
+    path = tmp_path / "mutant.vln"
+    path.write_text(print_elaborated(replace(
+        wrong, identities={"ga": NoetherOperator("ga", flipped)})))
+    assert _check_identity_json(capsys, path, "ga") \
+        == (0, {"name": "identity ga", "status": "pass"})

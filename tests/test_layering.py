@@ -23,7 +23,9 @@ a value into itself with ``+`` or ``-``: no ``x = x + ...`` (also as the
 body of a conditional expression) and no ``t[k] += ...``.  Sums of
 polynomials and forms go through ``GradedPoly.sum``, ``MixedForm.sum`` and
 ``accumulate``, which build one term dict instead of copying the growing
-sum at every step.
+sum at every step.  Every exactness decision (a d_H-exact form, a variational
+symmetry, a weak-conservation witness) comes back as the one
+``variational.ExactnessResult``: no other class has a ``status`` field.
 """
 
 import ast
@@ -188,3 +190,43 @@ def test_the_check_sees_self_folds():
                        "out = p + out\n")
     assert [hit.split()[0] for hit in _self_folds(sample, "s")] \
         == ["s:1", "s:2", "s:3"]
+
+
+def _assigned(node) -> list:
+    if isinstance(node, ast.AnnAssign):
+        return [node.target]
+    return node.targets if isinstance(node, ast.Assign) else []
+
+
+def _status_classes(tree, name: str) -> list:
+    """Classes with a ``status`` field: assigned or annotated in the class
+    body, or set as ``self.status`` in one of its methods."""
+    out = []
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        own = {t.id for node in cls.body for t in _assigned(node)
+               if isinstance(t, ast.Name)}
+        own |= {t.attr for node in ast.walk(cls) for t in _assigned(node)
+                if isinstance(t, ast.Attribute)
+                and getattr(t.value, "id", None) == "self"}
+        if "status" in own:
+            out.append(f"{name}:{cls.name}")
+    return out
+
+
+def test_one_result_type_for_exactness_decisions():
+    checked = sorted(SRC.glob("*.py"))
+    assert len(checked) >= 10
+    holders = [hit for path in checked
+               for hit in _status_classes(_tree(path), path.name)]
+    assert holders == ["variational.py:ExactnessResult"], holders
+
+
+def test_the_check_sees_status_fields():
+    sample = ast.parse("class A:\n    status: str\n"
+                       "class B:\n    def __init__(self):\n"
+                       "        self.status = 1\n"
+                       "class C:\n    def f(self, status):\n"
+                       "        step = {'status': status}\n")
+    assert _status_classes(sample, "s") == ["s:A", "s:B"]

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -445,3 +446,57 @@ def test_dimension_and_exponent_at_the_limit_load():
     model = load_model(f"dim 1\nfield phi even\nlagrangian phi^{MAX_POWER}\n")
     phi = model.symbols["phi"]
     assert model.lagrangian.density == P(jet(phi)) ** MAX_POWER
+
+
+def test_flat_names_are_distinct_from_dim_11():
+    # joined without a separator, h[1,10] and h[11,0] would both be h110
+    model = load_model("dim 12\nfield h[a,b] even\nlagrangian h[a,b]*h[a,b]\n")
+    assert len(model.symbols) == 144
+    assert model.symbols["h_1_10"] != model.symbols["h_11_0"]
+    assert model.lagrangian.density == sum(
+        (P(jet(s)) ** 2 for s in model.fields), GradedPoly.zero())
+    model = load_model("dim 11\nfield t[a,b,c] odd\n")
+    assert len(model.symbols) == 11 ** 3 and "t_10_1_0" in model.symbols
+    # up to dim 10 the values are joined as before
+    model = load_model("dim 10\nfield h[a,b] even\nfield t[a,b,c] even\n")
+    assert {"h19", "h91", "t999"} <= set(model.symbols)
+    assert len(model.symbols) == 100 + 1000
+
+
+@pytest.mark.parametrize("template, where", [
+    ("dim {}\nfield phi even\n", (1, 5)),
+    ("dim 1\nfield phi even\nlagrangian {}*phi^2\n", (3, 12)),
+    ("dim 1\nfield phi even\nlagrangian phi^{}\n", (3, 16)),
+    ("dim 1\nfield phi even\nlagrangian d[{}](phi)^2\n", (3, 14)),
+])
+def test_long_literal_is_a_parse_error_in_the_library(template, where):
+    # only the CLI lifts the int/str digit limit; the library reports the
+    # literal instead of a bare ValueError from int()
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this interpreter has no int/str digit limit")
+    with pytest.raises(ParseError, match="sys.set_int_max_str_digits") as err:
+        load_model(template.format("7" * (limit + 1)))
+    assert (err.value.line, err.value.col) == where
+
+
+def test_index_enumeration_is_bounded(tmp_path, capsys):
+    # dim^k rows for k letters at one product level, dim^arity symbols for
+    # a family: both are refused before anything is allocated
+    from vnoether.model import MAX_ROWS
+    rows = ("dim 6\nfield phi even\nlagrangian d[a,b,c,e](phi)*d[a,b,c,e](phi)"
+            "*d[f,g,i,j](phi)*d[f,g,i,j](phi)\n")
+    assert 6 ** 8 > MAX_ROWS >= 6 ** 4
+    with pytest.raises(ElaborationError,
+                       match=r"indices \[a, b, c, e, f, g, i, j\]"):
+        load_model(rows)
+    family = "dim 64\nfield h[a,b,c] even\nlagrangian h[0,0,0]^2\n"
+    assert 64 ** 3 > MAX_ROWS >= 64 ** 2
+    with pytest.raises(ElaborationError, match="family 'h'"):
+        load_model(family)
+    assert len(load_model("dim 64\nfield h[a,b] even\n").symbols) == 64 ** 2
+    path = tmp_path / "rows.vln"
+    path.write_text(rows)
+    assert main(["el", str(path)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "more than" in err and "Traceback" not in err

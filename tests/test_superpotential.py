@@ -290,7 +290,7 @@ def test_conservation_consistency():
     from vnoether import weak_conservation_witness, expand_witness
     wit = weak_conservation_witness(result.current, el)
     assert wit.status == "exact"
-    assert expand_witness(wit.table, el) == div_j
+    assert expand_witness(wit.witness, el) == div_j
 
 
 def test_symmetrization_split_is_idempotent():

@@ -331,19 +331,19 @@ def test_variational_symmetry_examples():
     shift = GeneralizedVectorField.make({PHI: P(jet(PHI, (0,)))})
     res = is_variational_symmetry(shift, L)
     assert res.status == EXACT
-    assert res.sigma.coefficient() == Fraction(1, 2) * P(jet(PHI, (0,))) ** 2
+    assert res.witness.coefficient() == Fraction(1, 2) * P(jet(PHI, (0,))) ** 2
     bad = is_variational_symmetry(GeneralizedVectorField.make({PHI: P(jet(PHI))}), L)
     assert bad.status == NOT_EXACT
     A, F, LM = _maxwell(2)
     u = GeneralizedVectorField.make({A[v]: -P(jet(C, (v,))) for v in range(2)})
     resM = is_variational_symmetry(u, LM)
-    assert resM.status == EXACT and resM.sigma.is_zero()
+    assert resM.status == EXACT and resM.witness.is_zero()
 
 
 def test_noether_current_examples():
     L = Lagrangian(Fraction(1, 2) * P(jet(PHI, (0,))) ** 2, 1)
     shift = GeneralizedVectorField.make({PHI: P(jet(PHI, (0,)))})
-    sigma = is_variational_symmetry(shift, L).sigma
+    sigma = is_variational_symmetry(shift, L).witness
     J = noether_current(shift, L, sigma)
     assert J.component(0) == -Fraction(1, 2) * P(jet(PHI, (0,))) ** 2
     # zero field: current equals sigma
@@ -375,17 +375,17 @@ def test_weak_conservation_witness_examples():
     J = Current({0: -Fraction(1, 2) * P(jet(PHI, (0,))) ** 2}, 1)
     res = weak_conservation_witness(J, el)
     assert res.status == EXACT
-    assert res.table == {(PHI, ()): P(jet(PHI, (0,)))}
-    assert expand_witness(res.table, el) == J.divergence()
+    assert res.witness == {(PHI, ()): P(jet(PHI, (0,)))}
+    assert expand_witness(res.witness, el) == J.divergence()
     res0 = weak_conservation_witness(Current({}, 1), el)
-    assert res0.status == EXACT and res0.table == {}
+    assert res0.status == EXACT and res0.witness == {}
     A, F, LM = _maxwell(2)
     elM = euler_lagrange(LM)
     JM = Current({mu: sum((P(jet(C, (v,))) * F[(v, mu)] for v in range(2)),
                           GradedPoly.zero()) for mu in range(2)}, 2)
     resM = weak_conservation_witness(JM, elM)
     assert resM.status == EXACT
-    assert resM.table == {(A[v], ()): -P(jet(C, (v,))) for v in range(2)}
+    assert resM.witness == {(A[v], ()): -P(jet(C, (v,))) for v in range(2)}
     # a current that is not weakly conserved
     bad = weak_conservation_witness(Current({0: P(jet(PSI))}, 1), el)
     assert res.status == EXACT and bad.status in (NOT_EXACT, BOUND_EXHAUSTED)
@@ -404,10 +404,10 @@ def test_translation_pipeline_random():
             {sym: P(jet(sym, (direction,))) for sym in (PHI, PSI)})
         res = is_variational_symmetry(ups, L)
         assert res.status == EXACT
-        J = noether_current(ups, L, res.sigma)
+        J = noether_current(ups, L, res.witness)
         wit = weak_conservation_witness(J, euler_lagrange(L, [PHI, PSI]))
         assert wit.status == EXACT
-        assert expand_witness(wit.table, euler_lagrange(L, [PHI, PSI])) \
+        assert expand_witness(wit.witness, euler_lagrange(L, [PHI, PSI])) \
             == J.divergence()
         done += 1
 
@@ -439,7 +439,7 @@ def _corpus_currents():
                              if v.symbol.kind == KIND_GHOST},
                             key=lambda s: s.sort_key)
             cases.append((f"{path.stem} {name}", ups,
-                          noether_current(ups, L, sym.sigma), el, L.jet_cap,
+                          noether_current(ups, L, sym.witness), el, L.jet_cap,
                           ghosts[0]))
     return cases
 
@@ -451,8 +451,8 @@ def test_symmetry_witness_corpus():
         res = symmetry_witness(u, J, el, cap)
         assert res.status == EXACT, label
         assert res.residual is None
-        assert res.table == {(sym, ()): poly for sym, poly in u.vertical}
-        assert expand_witness(res.table, el, cap) == J.divergence(cap), label
+        assert res.witness == {(sym, ()): poly for sym, poly in u.vertical}
+        assert expand_witness(res.witness, el, cap) == J.divergence(cap), label
 
 
 def test_symmetry_witness_agrees_with_search_oracle():
@@ -460,7 +460,7 @@ def test_symmetry_witness_agrees_with_search_oracle():
     for label, _, J, el, cap, _ in _corpus_currents():
         oracle = weak_conservation_witness(J, el, cap)
         assert oracle.status == EXACT, label
-        assert expand_witness(oracle.table, el, cap) == J.divergence(cap), \
+        assert expand_witness(oracle.witness, el, cap) == J.divergence(cap), \
             label
 
 
@@ -483,10 +483,10 @@ def test_symmetry_witness_odd_components_and_scope():
     ups = GeneralizedVectorField.make({s: P(jet(s, (0,))) for s in (t1, t2)})
     sym = is_variational_symmetry(ups, L)
     assert sym.status == EXACT
-    J = noether_current(ups, L, sym.sigma)
+    J = noether_current(ups, L, sym.witness)
     res = symmetry_witness(ups, J, el, L.jet_cap)
     assert res.status == EXACT
-    assert expand_witness(res.table, el) == J.divergence()
+    assert expand_witness(res.witness, el) == J.divergence()
     swapped = sum((el.component(s) * u for s, u in ups.vertical),
                   GradedPoly.zero())
     assert not J.divergence().is_zero() and swapped == -J.divergence()
