@@ -706,11 +706,28 @@ def _coerce(x) -> GradedPoly:
 # ---------------------------------------------------------------------------
 # structured serialization (the CLI's machine-readable schema)
 
+_CHUNK = 10 ** 600   # fewer digits than the least int/str limit, 640
+
+
+def int_text(n: int) -> str:
+    """All decimal digits of ``n``, under any int/str digit limit."""
+    try:
+        return str(n)
+    except ValueError:   # past the limit: 600-digit chunks, lowest first
+        pass
+    sign, n, chunks = "-" if n < 0 else "", abs(n), []
+    while n >= _CHUNK:
+        n, low = divmod(n, _CHUNK)
+        chunks.append(f"{low:0600d}")
+    return sign + str(n) + "".join(reversed(chunks))
+
+
 def poly_to_data(p: GradedPoly) -> list:
     out = []
     for (even, odd), c in p.sorted_terms():
         out.append({
-            "coeff": f"{c.numerator}/{c.denominator}" if c.denominator != 1 else str(c.numerator),
+            "coeff": int_text(c.numerator) + (
+                f"/{int_text(c.denominator)}" if c.denominator != 1 else ""),
             "even": [[v.symbol.name, list(v.index), e] for v, e in even],
             "odd": [[v.symbol.name, list(v.index)] for v in odd],
         })

@@ -21,7 +21,8 @@ Each exact check runs once per command, in the function that builds the
 object it checks, and the CLI reports the results that come back:
 ``GaugeError.residual``, ``GaugeSymmetryResult.conservation``,
 ``SuperpotentialSplit.checks`` and ``.report``,
-``SuperpotentialError.checks``.
+``SuperpotentialError.checks``.  A declared symmetry's current, or a
+corrupted one, is checked by ``GaugeSymmetryResult.check`` before a split.
 
 No command searches.  ``verify`` builds each weak-conservation witness from
 the first variational formula, d_H J = u^A E_A; the divergence witness of a
@@ -42,7 +43,7 @@ from types import SimpleNamespace
 
 from .algebra import GradedPoly, JetCapError, jet, poly_to_data
 from .forms import UnsupportedDerivation
-from .gauge import GaugeError, gauge_symmetry
+from .gauge import GaugeError, GaugeSymmetryResult, gauge_symmetry
 from .model import ElaborationError, ParseError, load_model
 from .render import poly_text
 from .superpotential import SuperpotentialError, extract, ghosts_of
@@ -227,16 +228,16 @@ class _Runner:
         name = self.args.name
         if name not in model.identities:
             raise _Usage(f"unknown identity {name!r}")
-        self._identity(name, model.identities[name].contraction(
+        self._residual(f"identity {name}", model.identities[name].contraction(
             model.lagrangian.el, model.jet_cap))
 
-    def _identity(self, name, residual):
-        """Record identity ``name`` from the residual of its evaluation."""
-        if residual.is_zero():
-            self.add(f"identity {name}", "pass")
+    def _residual(self, step, residual):
+        """Record ``step`` from the residual of a check made elsewhere: it
+        passes when the residual is None or zero."""
+        if residual is None or residual.is_zero():
+            self.add(step, "pass")
         else:
-            self.add(f"identity {name}", "fail",
-                     {"residual": _poly_payload(residual)})
+            self.add(step, "fail", {"residual": _poly_payload(residual)})
 
     def _gauge(self, model, name):
         """gauge_symmetry on identity ``name``, which evaluates the identity
@@ -277,7 +278,6 @@ class _Runner:
             result = self._gauge(model, name)
             if result is None:
                 return
-            u, current = result.symmetry, result.current
         elif name in model.symmetries:
             u = _symmetry(model, name)
             sym_result = is_variational_symmetry(u, L)
@@ -285,18 +285,19 @@ class _Runner:
                 self.add(f"symmetry {name}", "fail",
                          {"reason": "not a variational symmetry"})
                 return
-            current = noether_current(u, L, sym_result)
+            result = GaugeSymmetryResult.check(
+                u, noether_current(u, L, sym_result), L)
         else:
             raise _Usage(f"unknown identity or symmetry {name!r}")
-        if self.args.debug_corrupt_current:
-            ghosts = ghosts_of(u)
-            if ghosts:
-                broken = dict(current.components)
-                broken[0] = current.component(0) \
-                    + GradedPoly.variable(jet(ghosts[0]))
-                current = Current(broken, current.dim)
-        self.add("current", "pass", _current_payload(current))
-        self._split(current, u, L)
+        ghosts = ghosts_of(result.symmetry)
+        if self.args.debug_corrupt_current and ghosts:
+            J = result.current
+            broken = {**J.components,
+                      0: J.component(0) + GradedPoly.variable(jet(ghosts[0]))}
+            result = GaugeSymmetryResult.check(
+                result.symmetry, Current(broken, J.dim), L)
+        self.add("current", "pass", _current_payload(result.current))
+        self._split(result, L)
 
     def cmd_verify(self):
         model = self.model()
@@ -306,22 +307,23 @@ class _Runner:
         for name, op in sorted(model.identities.items()):
             ghost = model.ghost_of(name)
             if ghost is None:
-                self._identity(name, op.contraction(L.el, model.jet_cap))
+                self._residual(f"identity {name}",
+                               op.contraction(L.el, model.jet_cap))
                 continue
             try:
                 result = gauge_symmetry(op, ghost, L)
             except GaugeError as exc:
                 if exc.residual is None:
                     raise
-                self._identity(name, exc.residual)
+                self._residual(f"identity {name}", exc.residual)
                 continue
             self.add(f"identity {name}", "pass")
-            u, current = result.symmetry, result.current
-            residual_form = first_variational_residual(u, L)
+            residual_form = first_variational_residual(result.symmetry, L)
             self.add(f"variational-formula {name}",
                      "pass" if residual_form.is_zero() else "fail")
-            self._weak_conservation(name, result.conservation)
-            self._split(current, u, L, name)
+            self._residual(f"weak-conservation {name}",
+                           result.conservation.residual)
+            self._split(result, L, name)
         for name in sorted(model.symmetries):
             ups = _symmetry(model, name)
             residual_form = first_variational_residual(ups, L)
@@ -332,17 +334,17 @@ class _Runner:
                      "pass" if sym_result.status == EXACT else "fail")
             if sym_result.status == EXACT:
                 current = noether_current(ups, L, sym_result)
-                self._weak_conservation(name, symmetry_witness(
-                    ups, current, L.el, L.jet_cap))
+                self._residual(f"weak-conservation {name}", symmetry_witness(
+                    ups, current, L.el, L.jet_cap).residual)
 
-    def _split(self, current, u, L, name=None):
-        """Split the current as W + div U and record the checks extract ran
-        (structural equations, verify_split) and d_mu d_nu U^{nu mu} = 0.
-        Under verify (``name`` given) the structural equations get a step
-        of their own and the split step carries only the checks.  A
-        SuperpotentialError is a fail naming its equation."""
+    def _split(self, result, L, name=None):
+        """Split ``result.current`` as W + div U and record the checks
+        extract ran (structural equations, verify_split) and d_mu d_nu
+        U^{nu mu} = 0.  Under verify (``name`` given) the structural
+        equations get a step of their own and the split step carries only
+        the checks.  A SuperpotentialError is a fail naming its equation."""
         try:
-            split = extract(current, u, L)
+            split = extract(result, L)
         except SuperpotentialError as exc:
             split, checks = None, exc.checks
             failure = {"reason": str(exc), "equation": exc.tag}
@@ -364,16 +366,6 @@ class _Runner:
         payload = ({"checks": split.report} if name is not None
                    else dict(_split_payload(split), checks=split.report))
         self.add(step, "pass" if ok else "fail", payload)
-
-    def _weak_conservation(self, name, witness):
-        """Record symmetry_witness's check of div J = u^A E_A, made inside
-        gauge_symmetry on the gauge route and in cmd_verify for a declared
-        symmetry."""
-        if witness.status == EXACT:
-            self.add(f"weak-conservation {name}", "pass")
-        else:
-            self.add(f"weak-conservation {name}", "fail",
-                     {"residual": _poly_payload(witness.residual)})
 
 
 def main(argv=None) -> int:

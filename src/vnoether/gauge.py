@@ -210,9 +210,14 @@ def recover_identity(u: GeneralizedVectorField, ghost: FieldSymbol,
 
 @dataclass
 class GaugeSymmetryResult:
+    """A symmetry u, its current J and J's check; ``check`` builds it."""
     symmetry: GeneralizedVectorField
     current: Current
-    conservation: ExactnessResult  # {(A, ()): u^A}, checked: div J = u^A E_A
+    conservation: ExactnessResult  # symmetry_witness: div J = u^A E_A
+
+    @classmethod
+    def check(cls, u, J: Current, L: Lagrangian) -> "GaugeSymmetryResult":
+        return cls(u, J, symmetry_witness(u, J, L.el, L.jet_cap))
 
 
 def _by_parts_current(op: NoetherOperator, ghost: FieldSymbol,
@@ -258,9 +263,8 @@ def gauge_symmetry(op: NoetherOperator, ghost: FieldSymbol,
     the contracted Lepage boundary is re-verified against pr u(L); when
     pr u(L) = 0 (an exact symmetry) J is minus that boundary.  J is
     re-verified against the contracted source: that check is the weak
-    conservation div J = u^A E_A, made by ``symmetry_witness`` as for a
-    declared symmetry, and the result carries it as ``conservation``, the
-    witness {(A, ()): u^A}.
+    conservation div J = u^A E_A, made by ``GaugeSymmetryResult.check`` as
+    for a declared symmetry, and the result carries it as ``conservation``.
     """
     el = L.el
     residual = op.contraction(el, L.jet_cap)
@@ -278,10 +282,10 @@ def gauge_symmetry(op: NoetherOperator, ghost: FieldSymbol,
         if not (witness.horizontal_differential(L.jet_cap) - lie).is_zero():
             raise AssertionError("gauge witness failed its re-check")
     # J must be an antiderivative of the contracted source term
-    conservation = symmetry_witness(u, current, el, L.jet_cap)
-    if not conservation:
+    result = GaugeSymmetryResult.check(u, current, L)
+    if not result.conservation:
         raise AssertionError("gauge witness failed its re-check")
-    return GaugeSymmetryResult(u, current, conservation)
+    return result
 
 
 def extended_lagrangian(L: Lagrangian,

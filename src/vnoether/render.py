@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import GradedPoly, JetVariable, KIND_ANTIFIELD
+from .algebra import GradedPoly, JetVariable, KIND_ANTIFIELD, int_text
 
 
 def var_text(v: JetVariable) -> str:
@@ -23,7 +23,8 @@ def var_text(v: JetVariable) -> str:
 
 
 def coeff_text(c: Fraction) -> str:
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
+    return int_text(c.numerator) + (
+        f"/{int_text(c.denominator)}" if c.denominator != 1 else "")
 
 
 def poly_text(p: GradedPoly) -> str:

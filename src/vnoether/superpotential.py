@@ -4,27 +4,28 @@ piece plus the divergence of an antisymmetric superpotential.
 Each ghost-linear polynomial is split once, by
 ``gauge.collect_ghost_linear``, into a table keyed by the jets c_S of the
 symmetry's ghosts (coefficient to the left of c_S) plus a ghost-free part.
-The structural equations are the conservation residual u^A E_A - div J
-collected on those jets: its coefficient of c_S is one equation per ghost
-and multiset of derivative indices.  These are first verified (and
-reported individually), then used as forced solutions: a recursive
-elimination on the tables of the working current and of the source
-converts the top ghost-jet block into an explicit superpotential
-increment, an explicit Euler-Lagrange-ideal increment and a lower-order
-residual.  A total derivative acts on a table by Leibniz on the key,
-d_lam(a c_T) = (d_lam a) c_T + a c_{T+lam}, and a level is removed by
-deleting its keys.  Polynomials are built only for the checks and the
-report: the exact invariant
+The split takes a ``GaugeSymmetryResult``, a current with its
+weak-conservation check.  The structural equations are that check's
+residual u^A E_A - div J collected on those jets: its coefficient of c_S
+is one equation per ghost and multiset of derivative indices.  These are
+first verified (and reported individually), then used as forced
+solutions: a recursive elimination on the tables of the working current
+and of the source converts the top ghost-jet block into an explicit
+superpotential increment, an explicit Euler-Lagrange-ideal increment and
+a lower-order residual.  A total derivative acts on a table by Leibniz on
+the key, d_lam(a c_T) = (d_lam a) c_T + a c_{T+lam}, and a level is
+removed by deleting its keys.  Polynomials are built only for the checks
+and the report: the exact invariant
 
     current = W-so-far + div(U-so-far) + working-current
 
 is checked after every level, and W and U are reported.  Tensor-normalized
 coefficients (multiset coefficient divided by the number of index
 orderings) make the pair symmetrizations exact at any index multiplicity.
-The ghost-free remainder left at the end must be closed; the homotopy
-operator of ``variational.horizontal_antiderivative`` then decides whether
-it is exact and adds its antiderivative to the superpotential.  No step
-searches.
+The ghost-free remainder left at the end is closed (the structural check
+``ghost-free-closed``); the homotopy operator of
+``variational.horizontal_antiderivative`` decides whether it is exact and
+adds its antiderivative to the superpotential.  No step searches.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from typing import Dict, List, Optional, Tuple
 from .algebra import (DEFAULT_JET_CAP, KIND_GHOST, FieldSymbol, GradedPoly,
                       accumulate, jet, mi_add, mi_permutations, multi_indices)
 from .forms import GeneralizedVectorField, MixedForm, omega_pair_contracted
-from .gauge import collect_ghost_linear
+from .gauge import GaugeSymmetryResult, collect_ghost_linear
 from .variational import (NOT_EXACT, Current, EulerLagrange, Lagrangian,
                           Superpotential, expand_witness,
                           horizontal_antiderivative)
@@ -111,7 +112,7 @@ def _symmetry_order(u: GeneralizedVectorField, ghost: FieldSymbol) -> int:
     return best
 
 
-def structural_checks(J: Current, u: GeneralizedVectorField,
+def structural_checks(result: GaugeSymmetryResult,
                       L: Lagrangian) -> List[StructuralCheck]:
     """Verify the per-level collected form of the conservation identity.
 
@@ -121,17 +122,17 @@ def structural_checks(J: Current, u: GeneralizedVectorField,
         (source coefficient at S) - d_nu J^{nu,S} - sum over lam in S of
                                     J^{lam, S minus lam},
 
-    one equation per ghost and multi-index S, read off the residual split
-    once on the ghost jets.  Its named tag depends on where the level |S|
-    sits relative to the symmetry order N and the order M of J in the
-    ghost's jets; the levels run from 0 to M + 1.  The ghost-free check is
-    the divergence of J's ghost-free part."""
+    one equation per ghost and multi-index S, read off the residual of
+    ``result.conservation`` split once on the ghost jets.  Its named tag
+    depends on where the level |S| sits relative to the symmetry order N
+    and the order M of J in the ghost's jets; the levels run from 0 to
+    M + 1.  The ghost-free check is the divergence of J's ghost-free part,
+    which differs from the residual's when u has ghost-free terms."""
+    u, J = result.symmetry, result.current
     ghosts = ghosts_of(u)
-    cap = L.jet_cap
     current, free = collect_ghost_linear(J.components, ghosts)
-    source = expand_witness({(sym, ()): poly for sym, poly in u.vertical},
-                            L.el, cap)
-    table, _ = collect_ghost_linear({0: source - J.divergence(cap)}, ghosts)
+    rest = result.conservation.residual   # None when the check passed
+    table, _ = collect_ghost_linear({} if rest is None else {0: rest}, ghosts)
     residuals = {jet_key: row[0] for jet_key, row in table.items()}
     checks: List[StructuralCheck] = []
     for ghost in ghosts:
@@ -153,7 +154,7 @@ def structural_checks(J: Current, u: GeneralizedVectorField,
                     tag = TAG_DIV_SOURCE
                 checks.append(StructuralCheck(tag, ghost.name, level,
                                               residual.is_zero(), residual))
-    ghost_free = Current(free, J.dim).divergence(cap)
+    ghost_free = Current(free, J.dim).divergence(L.jet_cap)
     checks.append(StructuralCheck(TAG_GHOST_FREE, None, 0,
                                   ghost_free.is_zero(), ghost_free))
     return checks
@@ -199,21 +200,22 @@ def _superpotential_from_form(form: MixedForm) -> Superpotential:
     return Superpotential(table, n)
 
 
-def extract(J: Current, u: GeneralizedVectorField,
-            L: Lagrangian) -> SuperpotentialSplit:
-    """Run the constructive decomposition.
+def extract(result: GaugeSymmetryResult, L: Lagrangian) -> SuperpotentialSplit:
+    """Run the constructive decomposition of ``result.current``.
 
-    Precondition: J is the Noether current of the ghost-linear symmetry u.
-    The structural equations are checked first and a failure raises with
-    the failing equation tag, as does a ghost-free remainder that is not
-    closed or closed but not exact; the error carries the checks.  The
+    Precondition: ``GaugeSymmetryResult.check`` built ``result`` (as
+    ``gauge_symmetry`` does), so it carries its current's check.  The
+    structural equations are read off that check first and a failure
+    raises with the failing equation tag, as does a ghost-free remainder
+    that is closed but not exact; the error carries the checks.  The
     returned split is re-verified exactly by ``verify_split`` and carries
     the checks and that report, so no caller needs to run them again.
     """
     el = L.el
     cap = L.jet_cap
+    u, J = result.symmetry, result.current
     n = J.dim
-    checks = structural_checks(J, u, L)
+    checks = structural_checks(result, L)
     failing = [c for c in checks if not c.ok]
     if failing:
         raise SuperpotentialError(
@@ -322,10 +324,8 @@ def extract(J: Current, u: GeneralizedVectorField,
                       subtract_from_working=True)
     if working:
         raise AssertionError("ghost-linear terms survived the reduction")
+    # closed, by the ghost-free-closed check above
     remainder = Current({mu: free[mu] for mu in range(n) if mu in free}, n)
-    if not remainder.divergence(cap).is_zero():
-        raise SuperpotentialError("ghost-free remainder is not closed",
-                                  TAG_GHOST_FREE, checks)
     witness = MixedForm.zero(n)
     if remainder.components:
         res = horizontal_antiderivative(remainder.form(), cap=cap)

@@ -162,7 +162,7 @@ def test_criterion_4_maxwell_end_to_end(name, dim, signs):
         assert result.symmetry.component(A[v]) == -P(jet(ghost, (v,)))
     for mu in range(dim):
         assert result.current.component(mu) == relabel(j_fix[mu])
-    split = extract(result.current, result.symmetry, model.lagrangian)
+    split = extract(result, model.lagrangian)
     for mu in range(dim):
         assert split.w_component(mu) == relabel(w_fix[mu])
         for nu in range(dim):
@@ -242,10 +242,9 @@ def test_criterion_7_superpotential_pipeline_on_corpus():
             assert check_noether_identity(op, el), (name, iname)
             ghost = model.ghost_of(iname)
             result = gauge_symmetry(op, ghost, model.lagrangian)
-            checks = structural_checks(result.current, result.symmetry,
-                                       model.lagrangian)
+            checks = structural_checks(result, model.lagrangian)
             assert all(c.ok for c in checks), (name, iname)
-            split = extract(result.current, result.symmetry, model.lagrangian)
+            split = extract(result, model.lagrangian)
             ok, rep = verify_split(result.current, split, el)
             assert ok, (name, iname, rep)
             dd = GradedPoly.zero()

@@ -2,6 +2,7 @@ import functools
 import operator
 import pickle
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,8 @@ import pytest
 from vnoether import (EVEN, KIND_ANTIFIELD, KIND_FIELD, KIND_GHOST, ODD,
                       DeclarationError, EvaluationError, FieldSymbol,
                       GradedPoly, GrassmannAlgebra, JetCapError, antifield,
-                      coordinate_symbol, jet, poly_from_data, poly_to_data)
+                      coordinate_symbol, jet, poly_from_data, poly_text,
+                      poly_to_data)
 from vnoether.algebra import (_bump, mi_binomial, mi_permutations,
                               multi_index, var_key)
 
@@ -404,3 +406,30 @@ def test_sum_edge_cases():
     one = GradedPoly.sum([half, half])
     assert one == 1 and type(one.constant_term()) is int
     assert GradedPoly.sum([p]) is p
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="the interpreter has no int/str digit limit")
+def test_long_coefficients_print_under_the_digit_limit():
+    # poly_text and poly_to_data write every digit of a coefficient past
+    # the default int/str digit limit, which this process keeps; the
+    # expected digits are written out because str() cannot give them
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)   # the default limit
+    try:
+        with pytest.raises(ValueError):
+            str(10 ** 5000)
+        cases = {10 ** 5000: "1" + "0" * 5000,
+                 10 ** 5000 + 1: "1" + "0" * 4999 + "1",
+                 -(10 ** 5000 - 1): "-" + "9" * 5000,
+                 Fraction(-7 * 10 ** 4999, 3): "-7" + "0" * 4999 + "/3",
+                 Fraction(1, 10 ** 5000 + 1): "1/1" + "0" * 4999 + "1"}
+        for c, text in cases.items():
+            p = GradedPoly.constant(c)
+            assert poly_text(p) == text
+            assert poly_to_data(p)[0]["coeff"] == text
+        assert poly_text(GradedPoly.constant(10 ** 5000) * P(jet(PHI))) \
+            == f"(1{'0' * 5000})*phi"
+        assert sys.get_int_max_str_digits() == 4300
+    finally:
+        sys.set_int_max_str_digits(limit)

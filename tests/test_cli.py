@@ -181,10 +181,19 @@ def test_superpotential_json_schema():
 
 
 def test_superpotential_corrupted_current():
-    res = run_cli("superpotential", str(MODELS / "maxwell2.vln"), "gauge",
-                  "--debug-corrupt-current")
-    assert res.returncode == 1
-    assert "equation" in res.stdout
+    # the stray c in J^0 adds -c_{,0} to the residual u^A E_A - div J that
+    # the corrupted current's own check carries: level 1, which is the
+    # lead-source level of the gauge current (ghost-jet order 1) and the
+    # top level of the declared shift's current (order 0)
+    for model, name, tag in (("maxwell2.vln", "gauge", "lead-source"),
+                             ("scalar_shift.vln", "shift", "top-symmetric")):
+        res = run_cli("superpotential", str(MODELS / model), name,
+                      "--debug-corrupt-current", "--format", "json")
+        assert res.returncode == 1
+        steps = json.loads(res.stdout)["steps"]
+        assert [(s["name"], s["status"]) for s in steps] \
+            == [("current", "pass"), ("superpotential", "fail")]
+        assert steps[1]["payload"]["equation"] == tag, name
 
 
 def test_superpotential_by_symmetry_name():
@@ -449,6 +458,24 @@ def test_each_identity_is_evaluated_once(monkeypatch, capsys):
                           "noether_current": currents}, argv
 
 
+def test_structural_checks_read_the_conservation_residual(monkeypatch,
+                                                         capsys):
+    # the split reads its structural equations off the residual of the
+    # weak-conservation check instead of expanding u^A E_A again: per
+    # current, one expansion each in the contraction, symmetry_witness and
+    # the split's reduction invariant, and one per W component in
+    # verify_split (maxwell4 has 4); verify adds the check of gauge_sym
+    from vnoether import variational
+    model = str(MODELS / "maxwell4.vln")
+    for argv, expansions in ((["superpotential", model, "gauge"], 7),
+                             (["verify", model], 8)):
+        with monkeypatch.context() as patch:
+            counts = _count_calls(patch, variational, ("expand_witness",))
+            assert cli.main([*argv, "--format", "json"]) == 0
+        capsys.readouterr()
+        assert counts == {"expand_witness": expansions}, argv
+
+
 def test_symmetry_route_builds_pr_u_l_once(monkeypatch, capsys):
     # is_variational_symmetry checks its witness against pr u(L), and
     # noether_current takes that result without checking it again: one
@@ -676,6 +703,42 @@ def test_odd_matter_end_to_end(odd_matter_models, capsys, argv):
             "superpotential")
     assert (hashlib.sha256(out.encode()).hexdigest(), code) \
         == ODD_MATTER_REPORTS[argv]
+
+
+def _route(name):
+    return [(f"{step} {name}", "pass") for step in (
+        "identity", "variational-formula", "weak-conservation",
+        "structural-equations", "superpotential")]
+
+
+# models whose superpotential reduction takes a nonzero Euler-Lagrange
+# increment inside its level loop (their gauge symmetries carry second
+# ghost jets), and ghost2c's control with the sign of phi*EL(chi) flipped:
+# verify's exit code and steps after lepage and euler-lagrange, and the
+# names that superpotential splits
+SECOND_GHOST_JET_MODELS = {
+    "ghost2c.vln": (0, _route("g"), ["g"]),
+    "ghost2c_flipped.vln": (1, [("identity g", "fail")], []),
+    "ghost2c_stueck.vln": (0, _route("stueck") + [
+        ("variational-formula shift", "pass"), ("symmetry shift", "pass"),
+        ("weak-conservation shift", "pass")], ["stueck", "shift"]),
+}
+
+
+@pytest.mark.parametrize("model", sorted(SECOND_GHOST_JET_MODELS))
+def test_second_ghost_jet_models(capsys, model):
+    path = ROOT / "tests" / "data" / model
+    code, steps, names = SECOND_GHOST_JET_MODELS[model]
+    got, report = _verify_in_process(capsys, path)
+    assert got == code
+    assert [(s["name"], s["status"]) for s in report["steps"]] \
+        == [("lepage", "pass"), ("euler-lagrange", "pass")] + steps
+    for name in names:
+        assert cli.main(["superpotential", str(path), name,
+                         "--format", "json"]) == 0, name
+        report = json.loads(capsys.readouterr().out)
+        assert [(s["name"], s["status"]) for s in report["steps"]] \
+            == [("current", "pass"), ("superpotential", "pass")], name
 
 
 def test_long_integers_print_in_full(tmp_path, capsys):

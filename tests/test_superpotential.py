@@ -4,11 +4,13 @@ from pathlib import Path
 
 import pytest
 
-from vnoether import (Current, FieldSymbol, GaugeError, GeneralizedVectorField,
-                      GradedPoly, Lagrangian, NoetherOperator, Superpotential,
+from vnoether import (Current, FieldSymbol, GaugeError, GaugeSymmetryResult,
+                      GeneralizedVectorField, GradedPoly, Lagrangian,
+                      NoetherOperator, Superpotential,
                       SuperpotentialError, SuperpotentialSplit, antifield,
                       check_noether_identity, euler_lagrange, extract,
-                      gauge_symmetry, ghost_for, jet, koszul_tate, load_model,
+                      gauge_symmetry, ghost_for, is_variational_symmetry,
+                      jet, koszul_tate, load_model, noether_current,
                       noether_operator_from_density, poly_text,
                       structural_checks, verify_split)
 from vnoether.gauge import collect_ghost_linear
@@ -88,28 +90,31 @@ def test_ghost_table_zero_and_collection():
     J = result.current
     bad = Current({0: J.component(0) + P(jet(c)) * P(jet(c, (0,))),
                    1: J.component(1)}, 2)
+    bad = GaugeSymmetryResult.check(result.symmetry, bad, L)
     with pytest.raises(GaugeError):
-        structural_checks(bad, result.symmetry, L)
+        structural_checks(bad, L)
     with pytest.raises(GaugeError):
-        extract(bad, result.symmetry, L)
+        extract(bad, L)
 
 
 def test_structural_checks_pass_on_maxwell():
     A, F, L, ghost, result = _maxwell(2)
-    checks = structural_checks(result.current, result.symmetry, L)
+    checks = structural_checks(result, L)
     assert all(c.ok for c in checks)
     assert {c.tag for c in checks} <= set(STRUCTURAL_TAGS)
 
 
 def test_structural_checks_name_failures():
     A, F, L, ghost, result = _maxwell(2)
-    broken = Current({0: result.current.component(0) + P(jet(ghost)),
-                      1: result.current.component(1)}, 2)
-    checks = structural_checks(broken, result.symmetry, L)
+    broken = GaugeSymmetryResult.check(result.symmetry, Current(
+        {0: result.current.component(0) + P(jet(ghost)),
+         1: result.current.component(1)}, 2), L)
+    assert not broken.conservation
+    checks = structural_checks(broken, L)
     bad = [c for c in checks if not c.ok]
     assert bad and all(c.tag in STRUCTURAL_TAGS for c in bad)
     with pytest.raises(SuperpotentialError) as err:
-        extract(broken, result.symmetry, L)
+        extract(broken, L)
     assert err.value.tag in STRUCTURAL_TAGS
     # the refusal hands back the checks extract ran
     assert [(c.tag, c.level, c.ok) for c in err.value.checks] \
@@ -157,24 +162,25 @@ def test_structural_checks_fail_at_each_corrupted_level(label):
     ghost = model.ghost_of(ident)
     result = gauge_symmetry(model.identities[ident], ghost, L)
     J = result.current
-    assert all(c.ok for c in structural_checks(J, result.symmetry, L))
+    assert all(c.ok for c in structural_checks(result, L))
     a = P(jet(next(s for s in model.symbols.values() if s.kind == "field")))
     for level, expected in enumerate(CORRUPTED_LEVELS[label]):
         comps = dict(J.components)
         comps[1] = J.component(1) + a * P(jet(ghost, (0,) * level))
-        broken = Current(comps, J.dim)
-        checks = structural_checks(broken, result.symmetry, L)
+        broken = GaugeSymmetryResult.check(result.symmetry,
+                                           Current(comps, J.dim), L)
+        checks = structural_checks(broken, L)
         assert [(c.tag, c.ghost, c.level, poly_text(c.residual))
                 for c in checks if not c.ok] == expected, level
         with pytest.raises(SuperpotentialError) as err:
-            extract(broken, result.symmetry, L)
+            extract(broken, L)
         assert err.value.tag == expected[0][0]
 
 
 def test_extract_maxwell2():
     A, F, L, ghost, result = _maxwell(2)
     el = euler_lagrange(L)
-    split = extract(result.current, result.symmetry, L)
+    split = extract(result, L)
     for nu in range(2):
         for mu in range(2):
             assert split.superpotential.component(nu, mu) \
@@ -188,15 +194,14 @@ def test_extract_maxwell2():
     # the split hands back the checks extract ran
     assert split.report == report
     assert [(c.tag, c.level) for c in split.checks] == [
-        (c.tag, c.level) for c in structural_checks(result.current,
-                                                    result.symmetry, L)]
+        (c.tag, c.level) for c in structural_checks(result, L)]
     assert all(c.ok for c in split.checks)
 
 
 def test_extract_maxwell4():
     A, F, L, ghost, result = _maxwell(4)
     el = euler_lagrange(L)
-    split = extract(result.current, result.symmetry, L)
+    split = extract(result, L)
     for nu in range(4):
         for mu in range(4):
             assert split.superpotential.component(nu, mu) \
@@ -210,7 +215,7 @@ def test_extract_maxwell3():
     # odd base dimension exercises all three superpotential pairs
     A, F, L, ghost, result = _maxwell(3)
     el = euler_lagrange(L)
-    split = extract(result.current, result.symmetry, L)
+    split = extract(result, L)
     for nu in range(3):
         for mu in range(3):
             if nu != mu:
@@ -243,7 +248,7 @@ def test_boundary_antiderivative_three_dims():
 def test_extract_zero_current():
     L = Lagrangian(P(jet(PHI)) ** 2, 1)
     u = GeneralizedVectorField.make({})
-    split = extract(Current({}, 1), u, L)
+    split = extract(GaugeSymmetryResult.check(u, Current({}, 1), L), L)
     assert not split.w_table
     assert not split.superpotential.components
     ok, _ = verify_split(Current({}, 1), split, euler_lagrange(L))
@@ -259,7 +264,7 @@ def test_extract_scalar_shift():
     assert check_noether_identity(op, el)
     ghost = ghost_for(op, "c")
     result = gauge_symmetry(op, ghost, L)
-    split = extract(result.current, result.symmetry, L)
+    split = extract(result, L)
     # the current reduces to a pure on-shell-vanishing part at n=1
     assert split.w_component(0) == result.current.component(0)
     assert split.w_table == {(PSI, (), 0): P(jet(ghost))}
@@ -270,7 +275,7 @@ def test_extract_scalar_shift():
 
 def test_double_divergence_vanishes():
     A, F, L, ghost, result = _maxwell(2)
-    split = extract(result.current, result.symmetry, L)
+    split = extract(result, L)
     dd = GradedPoly.zero()
     for mu in range(2):
         dd = dd + split.superpotential.divergence(mu).total_derivative(mu)
@@ -281,7 +286,7 @@ def test_conservation_consistency():
     # div J = div W exactly, and div W sits in the Euler-Lagrange ideal
     A, F, L, ghost, result = _maxwell(2)
     el = euler_lagrange(L)
-    split = extract(result.current, result.symmetry, L)
+    split = extract(result, L)
     div_j = result.current.divergence()
     div_w = GradedPoly.zero()
     for mu in range(2):
@@ -311,7 +316,7 @@ def test_symmetrization_split_is_idempotent():
 def test_verify_split_mutations():
     A, F, L, ghost, result = _maxwell(2)
     el = euler_lagrange(L)
-    split = extract(result.current, result.symmetry, L)
+    split = extract(result, L)
     # symmetric part injected into U
     bad_pairs = dict(split.superpotential.components)
     bad_pairs[(1, 0)] = split.superpotential.component(0, 1)
@@ -336,8 +341,27 @@ def test_unresolvable_remainder_is_reported():
     u = GeneralizedVectorField.make({})
     J = Current({0: GradedPoly.constant(1)}, 1)
     with pytest.raises(SuperpotentialError) as err:
-        extract(J, u, L)
+        extract(GaugeSymmetryResult.check(u, J, L), L)
     assert err.value.tag == TAG_GHOST_FREE
+
+
+def test_ghost_free_check_is_the_divergence_of_the_current():
+    # a declared translation has no ghost: its current passes the weak
+    # conservation check, so the residual is zero, but the divergence of
+    # its ghost-free part is u^A E_A, and the structural check fails
+    model = load_model((MODELS.parent / "perfbench" / "models"
+                        / "maxwell3_translation.vln").read_text())
+    L = model.lagrangian
+    u = model.symmetries["translation"]
+    J = noether_current(u, L, is_variational_symmetry(u, L))
+    result = GaugeSymmetryResult.check(u, J, L)
+    assert result.conservation
+    [check] = structural_checks(result, L)
+    assert (check.tag, check.ok) == (TAG_GHOST_FREE, False)
+    assert check.residual == J.divergence(L.jet_cap) != GradedPoly.zero()
+    with pytest.raises(SuperpotentialError) as err:
+        extract(result, L)
+    assert err.value.tag == TAG_GHOST_FREE and err.value.checks == [check]
 
 
 def test_remainder_bound_exhaustion_is_typed():
@@ -349,13 +373,13 @@ def test_remainder_bound_exhaustion_is_typed():
     f = P(jet(A[0])) * P(jet(A[1])) ** 2
     closed = Current({0: J.component(0) + f.total_derivative(1),
                       1: J.component(1) - f.total_derivative(0)}, 2)
-    split = extract(closed, result.symmetry, L)
+    split = extract(GaugeSymmetryResult.check(result.symmetry, closed, L), L)
     assert not split.remainder_witness.is_zero()
     assert verify_split(closed, split, el)[0]
     # a term that is not closed is a mathematical failure
     broken = Current({0: J.component(0) + f, 1: J.component(1)}, 2)
     with pytest.raises(SuperpotentialError) as err:
-        extract(broken, result.symmetry, L)
+        extract(GaugeSymmetryResult.check(result.symmetry, broken, L), L)
     assert err.value.tag == TAG_GHOST_FREE
 
 
@@ -371,9 +395,10 @@ def test_extract_second_order_ghost_jets():
                        for mu in range(2)}, 2)
     table, _ = collect_ghost_linear(shifted.components, {ghost})
     assert _ghost_order(table, ghost) == 2
-    checks = structural_checks(shifted, result.symmetry, L)
+    shifted_result = GaugeSymmetryResult.check(result.symmetry, shifted, L)
+    checks = structural_checks(shifted_result, L)
     assert all(c.ok for c in checks)
-    split = extract(shifted, result.symmetry, L)
+    split = extract(shifted_result, L)
     ok, report = verify_split(shifted, split, el)
     assert ok, report
     dd = GradedPoly.zero()
@@ -395,7 +420,7 @@ def test_extract_two_ghosts():
          for v in range(2)})
     J = Current({mu: result.current.component(mu) + second.current.component(mu)
                  for mu in range(2)}, 2)
-    split = extract(J, u, L)
+    split = extract(GaugeSymmetryResult.check(u, J, L), L)
     ok, report = verify_split(J, split, el)
     assert ok, report
     both = P(jet(ghost)) + P(jet(other))
@@ -418,7 +443,7 @@ def test_extract_even_ghost():
     ghost = ghost_for(op, "ce")
     assert ghost.parity == 0
     result = gauge_symmetry(op, ghost, L)
-    split = extract(result.current, result.symmetry, L)
+    split = extract(result, L)
     ok, report = verify_split(result.current, split, el)
     assert ok, report
 
@@ -449,10 +474,10 @@ def test_random_boundary_identity_pipeline():
             continue
         ghost = ghost_for(op, "cg")
         result = gauge_symmetry(op, ghost, L)
-        split = extract(result.current, result.symmetry, L)
+        split = extract(result, L)
         ok, report = verify_split(result.current, split, el)
         assert ok, report
-        checks = structural_checks(result.current, result.symmetry, L)
+        checks = structural_checks(result, L)
         assert all(c.ok for c in checks)
         dd = GradedPoly.zero()
         for mu in range(dim):
