@@ -3,9 +3,17 @@
 The ring is generated by jet variables: formal partial derivatives of
 declared field symbols, indexed by symmetric multi-indices over the base
 coordinates ``0..n-1``.  Even variables commute; odd variables anticommute
-and square to zero.  Coefficients are exact rationals, stored as ``int`` when
-integral, else ``Fraction``, so every identity check in the package reduces
-to "normalizes to the zero polynomial".
+and square to zero.  Coefficients are exact rationals, so every identity
+check in the package reduces to "normalizes to the zero polynomial".
+
+A polynomial is fraction-free: integer numerators over one common
+denominator ``den >= 1``, with ``gcd(den, every numerator) == 1`` and
+``den == 1`` for zero, so equal polynomials have equal ``(terms, den)``.
+Products, sums and derivatives do only ``int`` arithmetic; a result whose
+``den`` exceeds 1 is reduced by one ``math.gcd`` over its numerators.  A
+``Fraction`` is built only where a coefficient leaves the ring:
+``monomials``, ``constant_term``, ``poly_to_data`` and ``evaluate``, each
+in lowest terms (``int`` when integral).
 
 Base coordinates themselves may enter coefficients: a symbol carrying a
 ``coord`` index is an even order-0 generator whose total derivative is the
@@ -189,12 +197,14 @@ class JetVariable:
     Variables are interned (hash-consed): equal ``(symbol, index)`` pairs
     give one object, so hashing and equality are by identity.  ``key`` is
     the ``var_key`` tuple, built once; ``_next`` maps a base coordinate to
-    the variable one derivative higher (see ``_bump``).  Instances are
+    the variable one derivative higher (see ``bump``); ``_factor`` is the
+    monomial-key factor ``(v, 1)``, shared by every key that holds v to the
+    first power.  Instances are
     immutable; build them with ``jet``.  The table lives as long as the
     process: one entry per distinct symbol and multi-index built, so it is
     bounded by the symbols times their multi-indices up to the jet cap."""
 
-    __slots__ = ("symbol", "index", "parity", "key", "_next")
+    __slots__ = ("symbol", "index", "parity", "key", "_next", "_factor")
     _table: dict = {}
 
     def __new__(cls, symbol: FieldSymbol, index: MultiIndex):
@@ -208,6 +218,7 @@ class JetVariable:
             init(v, "key", (_KIND_RANK[symbol.kind], symbol.name, index,
                             symbol._tie))
             init(v, "_next", {})
+            init(v, "_factor", (v, 1))
             cls._table[(symbol, index)] = v
         return v
 
@@ -243,7 +254,7 @@ def var_key(v: JetVariable):
     return v.key
 
 
-def _bump(v: JetVariable, lam: int, cap: int) -> JetVariable:
+def bump(v: JetVariable, lam: int, cap: int) -> JetVariable:
     """d_lam of v.  The cap is checked before the successor memo, so a
     successor built under a higher cap is not returned under a lower one."""
     if len(v.index) >= cap:
@@ -335,6 +346,14 @@ def _sort_odd(seq):
     return tuple(seq), sign
 
 
+def _lowered(even, i):
+    """The even tuple with the exponent of its i-th factor lowered by one."""
+    v, e = even[i]
+    if e == 1:
+        return even[:i] + even[i + 1:]
+    return even[:i] + (v._factor if e == 2 else (v, e - 1),) + even[i + 1:]
+
+
 def _key_parity(key) -> int:
     return len(key[1]) % 2
 
@@ -361,37 +380,41 @@ def _key_sort(key):
 _EMPTY_KEY = ((), ())
 
 
-def _canon(c):
-    """The coefficient invariant: ``int`` when integral, else ``Fraction``.
-    Takes any rational; ``grassmann.py`` keeps the same rule through it."""
-    if c.__class__ is Fraction:
-        return c.numerator if c.denominator == 1 else c
-    if c.__class__ is int:
-        return c
-    return _canon(Fraction(c))
-
-
-def _put(out: dict, key, c) -> None:
-    """out[key] += c for a nonzero c, keeping the invariant, dropping zeros."""
+def _put(out: dict, key, c: int) -> None:
+    """out[key] += c for a nonzero int c, dropping a zero sum."""
     s = out.get(key, 0) + c
-    if not s:
-        del out[key]
-    elif s.__class__ is Fraction and s.denominator == 1:
-        out[key] = s.numerator
-    else:
+    if s:
         out[key] = s
+    else:
+        del out[key]
+
+
+def _coeff(c: int, den: int):
+    """The rational c/den in lowest terms: ``int`` when integral, else
+    ``Fraction``."""
+    if den == 1:
+        return c
+    q, r = divmod(c, den)
+    return Fraction(c, den) if r else q
 
 
 class GradedPoly:
-    """Canonical-form polynomial: mapping from monomial keys to rationals."""
+    """Canonical-form polynomial: a mapping from monomial keys to nonzero
+    integer numerators, over the common denominator ``den``."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "den")
 
     def __init__(self, terms: Optional[Mapping] = None):
+        """Takes ``{key: rational}``, ``int`` and ``Fraction`` values mixed;
+        zeros are dropped and ``den`` is the lcm of the denominators."""
+        self.terms, self.den = {}, 1
         if terms:
-            self.terms = {k: _canon(c) for k, c in terms.items() if c != 0}
-        else:
-            self.terms = {}
+            coeffs = {k: c if c.__class__ is int else Fraction(c)
+                      for k, c in terms.items() if c != 0}
+            den = self.den = math.lcm(*[c.denominator
+                                        for c in coeffs.values()])
+            self.terms = {k: c.numerator * (den // c.denominator)
+                          for k, c in coeffs.items()}
 
     # -- constructors -------------------------------------------------------
 
@@ -401,14 +424,15 @@ class GradedPoly:
 
     @staticmethod
     def constant(c) -> "GradedPoly":
-        c = _canon(c)
-        return _poly({_EMPTY_KEY: c}) if c else GradedPoly()
+        if c.__class__ is int:
+            return _poly({_EMPTY_KEY: c} if c else {})
+        return GradedPoly({_EMPTY_KEY: c})
 
     @staticmethod
     def variable(v: JetVariable) -> "GradedPoly":
         if v.parity == ODD:
             return _poly({((), (v,)): 1})
-        return _poly({(((v, 1),), ()): 1})
+        return _poly({((v._factor,), ()): 1})
 
     # -- ring structure -----------------------------------------------------
 
@@ -416,20 +440,29 @@ class GradedPoly:
     def sum(polys: Iterable) -> "GradedPoly":
         """The sum of the polynomials ``polys`` in one term dict: the first
         nonzero operand's terms are copied once and every later term is
-        written through ``_put``, each operand as it arrives.  No operand
-        changes; the empty sum is zero."""
+        written through ``_put``, each operand as it arrives, over the lcm
+        of the denominators seen so far.  No operand changes; the empty sum
+        is zero."""
         polys = iter(polys)
         first = next((p for p in polys if p.terms), None)
         if first is None:
             return GradedPoly()
         out = None
+        den = first.den
         for p in polys:
-            if p.terms:
-                if out is None:
-                    out = dict(first.terms)
-                for k, c in p.terms.items():
-                    _put(out, k, c)
-        return first if out is None else _poly(out)
+            if not p.terms:
+                continue
+            if out is None:
+                out = dict(first.terms)
+            if den % p.den:
+                grown = math.lcm(den, p.den)
+                scale = grown // den
+                out = {k: c * scale for k, c in out.items()}
+                den = grown
+            scale = den // p.den
+            for k, c in p.terms.items():
+                _put(out, k, c * scale)
+        return first if out is None else _reduced(out, den)
 
     def __add__(self, other):
         other = _coerce(other)
@@ -442,7 +475,7 @@ class GradedPoly:
     __radd__ = __add__
 
     def __neg__(self):
-        return _poly({k: -c for k, c in self.terms.items()})
+        return _poly({k: -c for k, c in self.terms.items()}, self.den)
 
     def __sub__(self, other):
         return self + (-_coerce(other))
@@ -459,7 +492,9 @@ class GradedPoly:
                 return -self
             if other == 0:
                 return GradedPoly()
-            return _poly({k: _canon(c * other) for k, c in self.terms.items()})
+            num = other.numerator
+            return _reduced({k: c * num for k, c in self.terms.items()},
+                            self.den * other.denominator)
         other = _coerce(other)
         out = {}
         for (e1, o1), c1 in self.terms.items():
@@ -470,7 +505,7 @@ class GradedPoly:
                 odd, sign = merged
                 _put(out, (_merge_even(e1, e2), odd),
                      c1 * c2 if sign == 1 else -c1 * c2)
-        return _poly(out)
+        return _reduced(out, self.den * other.den)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -490,10 +525,10 @@ class GradedPoly:
             other = GradedPoly.constant(other)
         if not isinstance(other, GradedPoly):
             return NotImplemented
-        return self.terms == other.terms
+        return self.den == other.den and self.terms == other.terms
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return hash((frozenset(self.terms.items()), self.den))
 
     def __bool__(self):
         return bool(self.terms)
@@ -514,13 +549,14 @@ class GradedPoly:
         return None
 
     def parity_part(self, p: int) -> "GradedPoly":
-        return _poly({k: c for k, c in self.terms.items() if _key_parity(k) == p})
+        return _reduced({k: c for k, c in self.terms.items()
+                         if _key_parity(k) == p}, self.den)
 
     def involution(self) -> "GradedPoly":
         """The grade involution: odd monomials negated, even ones kept.  An
         odd object moved past this polynomial leaves it as its involution."""
         return _poly({k: -c if len(k[1]) % 2 else c
-                      for k, c in self.terms.items()})
+                      for k, c in self.terms.items()}, self.den)
 
     def jet_order(self) -> int:
         return max((_key_order(k) for k in self.terms), default=0)
@@ -539,20 +575,24 @@ class GradedPoly:
         return {v.symbol for v in self.variables()}
 
     def sorted_terms(self):
+        """``(key, numerator)`` pairs in the canonical graded-lex order."""
         return sorted(self.terms.items(), key=lambda it: _key_sort(it[0]))
 
     def constant_term(self) -> int | Fraction:
-        return self.terms.get(_EMPTY_KEY, 0)
+        return _coeff(self.terms.get(_EMPTY_KEY, 0), self.den)
 
     def monomials(self, ordered: bool = False):
-        """Yield ``(coefficient, factors)`` per monomial.  The factors are
+        """Yield ``(coefficient, factors)`` per monomial, the coefficient in
+        lowest terms (``int`` when integral).  The factors are
         ``(JetVariable, exponent)`` pairs in product order: the even
         variables, then the odd ones (exponent 1), each block sorted by
         ``var_key``; equal monomials give equal factor tuples.  ``ordered``
         walks the canonical graded-lex order, otherwise storage order."""
+        den = self.den
         for (even, odd), c in (self.sorted_terms() if ordered
                                else self.terms.items()):
-            yield c, (even + tuple((v, 1) for v in odd) if odd else even)
+            yield (_coeff(c, den),
+                   even + tuple(v._factor for v in odd) if odd else even)
 
     def degree_in(self, match) -> int:
         """Largest per-monomial degree in the variables satisfying match."""
@@ -592,7 +632,9 @@ class GradedPoly:
                 moved = i if side == "left" else len(odd) - 1 - i
                 sign = -1 if moved % 2 else 1
             table.setdefault(v, {})[rest] = c * sign
-        return ({v: _poly(t) for v, t in table.items()}, _poly(remainder))
+        den = self.den
+        return ({v: _reduced(t, den) for v, t in table.items()},
+                _reduced(remainder, den))
 
     # -- derivations --------------------------------------------------------
 
@@ -611,34 +653,34 @@ class GradedPoly:
         for (even, odd), c in self.terms.items():
             for i, (w, e) in enumerate(even):
                 if only is None or w == only:
-                    rest = even[:i] + (((w, e - 1),) if e > 1 else ()) + even[i + 1:]
-                    table.setdefault(w, {})[(rest, odd)] = _canon(c * e)
+                    table.setdefault(w, {})[(_lowered(even, i), odd)] = c * e
             for i, w in enumerate(odd):
                 if only is None or w == only:
                     rest = odd[:i] + odd[i + 1:]
                     table.setdefault(w, {})[(even, rest)] = -c if i % 2 else c
-        return {w: _poly(out) for w, out in table.items()}
+        den = self.den
+        return {w: _reduced(out, den) for w, out in table.items()}
 
     def total_derivative(self, lam: int, cap: int = DEFAULT_JET_CAP) -> "GradedPoly":
         """Total derivative d_lam: jets are bumped, coordinates give deltas."""
         out = {}
         for (even, odd), c in self.terms.items():
             for i, (v, e) in enumerate(even):
-                rest = even[:i] + (((v, e - 1),) if e > 1 else ()) + even[i + 1:]
+                rest = _lowered(even, i)
                 if v.symbol.coord is not None:
                     if v.symbol.coord == lam:
                         _put(out, (rest, odd), c * e)
                     continue
-                bumped = _bump(v, lam, cap)
-                _put(out, (_merge_even(rest, ((bumped, 1),)), odd), c * e)
+                bumped = bump(v, lam, cap)
+                _put(out, (_merge_even(rest, (bumped._factor,)), odd), c * e)
             for i, v in enumerate(odd):
-                bumped = _bump(v, lam, cap)
+                bumped = bump(v, lam, cap)
                 ins = _sort_odd(odd[:i] + (bumped,) + odd[i + 1:])
                 if ins is None:
                     continue
                 new_odd, sign = ins
                 _put(out, (even, new_odd), c * sign)
-        return _poly(out)
+        return _reduced(out, self.den)
 
     def total_derivative_multi(self, index: MultiIndex,
                                cap: int = DEFAULT_JET_CAP) -> "GradedPoly":
@@ -654,6 +696,7 @@ class GradedPoly:
 
         Even variables may be assigned rationals or even algebra elements,
         odd variables odd algebra elements (typically distinct generators).
+        The numerators are summed and the total is divided by ``den`` once.
         """
         total = algebra.zero()
         for (even, odd), c in self.terms.items():
@@ -667,7 +710,7 @@ class GradedPoly:
                     raise EvaluationError(f"no value assigned to {v.symbol.name}{v.index}")
                 val = val * algebra.lift(assignment[v])
             total = total + val
-        return total
+        return total * Fraction(1, self.den) if self.den > 1 else total
 
     def __repr__(self):
         from .render import poly_text
@@ -677,12 +720,24 @@ class GradedPoly:
 _new = object.__new__
 
 
-def _poly(terms: dict) -> GradedPoly:
-    """Wrap a term dict that already holds no zero and keeps the coefficient
-    invariant; the public constructor re-filters."""
+def _poly(terms: dict, den: int = 1) -> GradedPoly:
+    """Wrap a term dict of nonzero ints that is already canonical over
+    ``den``; the public constructor converts and re-filters."""
     p = _new(GradedPoly)
     p.terms = terms
+    p.den = den
     return p
+
+
+def _reduced(terms: dict, den: int) -> GradedPoly:
+    """Wrap a term dict of nonzero ints over ``den``, dividing out the gcd
+    of ``den`` and the numerators (all of ``den`` for zero)."""
+    if den > 1:
+        g = math.gcd(den, *terms.values())
+        if g > 1:
+            den //= g
+            terms = {k: c // g for k, c in terms.items()}
+    return _poly(terms, den)
 
 
 def accumulate(acc: dict, key, poly: GradedPoly) -> None:
@@ -725,6 +780,7 @@ def int_text(n: int) -> str:
 def poly_to_data(p: GradedPoly) -> list:
     out = []
     for (even, odd), c in p.sorted_terms():
+        c = _coeff(c, p.den)
         out.append({
             "coeff": int_text(c.numerator) + (
                 f"/{int_text(c.denominator)}" if c.denominator != 1 else ""),

@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Mapping, Optional
 
 from .algebra import (DEFAULT_JET_CAP, EVEN, ODD, FieldSymbol, GradedPoly,
-                      JetVariable, _bump, accumulate, jet, var_key)
+                      JetVariable, accumulate, bump, jet, var_key)
 
 
 class UnsupportedDerivation(ValueError):
@@ -209,7 +209,7 @@ class MixedForm:
             if not df.is_zero():
                 accumulate(out, (contact, horiz), df)
             for i, lab in enumerate(contact):
-                bumped = _bump(lab, lam, cap)
+                bumped = bump(lab, lam, cap)
                 cs = _sort_contact(contact[:i] + (bumped,) + contact[i + 1:])
                 if cs is None:
                     continue

@@ -2,8 +2,9 @@
 
 Used as the target of numeric cross-checks: even jets are assigned
 rationals, odd jets distinct generators, and symbolic identities are
-re-evaluated exactly.  Coefficients follow the ring's rule: ``int`` when
-integral, else ``Fraction``.
+re-evaluated exactly.  Coefficients are ``int`` when integral, else
+``Fraction``; the oracle keeps this rule itself and shares no arithmetic
+with the ring it checks.
 """
 
 from __future__ import annotations
@@ -11,7 +12,25 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, Optional
 
-from .algebra import _canon, _put
+
+def _canon(c):
+    """Any rational as ``int`` when integral, else as ``Fraction``."""
+    if c.__class__ is not Fraction:
+        if c.__class__ is int:
+            return c
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def _put(out: dict, key, c) -> None:
+    """out[key] += c for a nonzero c, keeping the rule, dropping zeros."""
+    s = out.get(key, 0) + c
+    if not s:
+        del out[key]
+    elif s.__class__ is Fraction and s.denominator == 1:
+        out[key] = s.numerator
+    else:
+        out[key] = s
 
 
 class GrassmannAlgebra:

@@ -128,9 +128,19 @@ def structural_checks(result: GaugeSymmetryResult,
     and the order M of J in the ghost's jets; the levels run from 0 to
     M + 1.  The ghost-free check is the divergence of J's ghost-free part,
     which differs from the residual's when u has ghost-free terms."""
+    ghosts = ghosts_of(result.symmetry)
+    return _structural_checks(
+        result, L, ghosts,
+        *collect_ghost_linear(result.current.components, ghosts))
+
+
+def _structural_checks(result: GaugeSymmetryResult, L: Lagrangian,
+                       ghosts: list, current: dict,
+                       free: dict) -> List[StructuralCheck]:
+    """``structural_checks`` on J already split on the ghost jets, as
+    ``collect_ghost_linear(J.components, ghosts)`` returns it; the tables
+    are only read."""
     u, J = result.symmetry, result.current
-    ghosts = ghosts_of(u)
-    current, free = collect_ghost_linear(J.components, ghosts)
     rest = result.conservation.residual   # None when the check passed
     table, _ = collect_ghost_linear({} if rest is None else {0: rest}, ghosts)
     residuals = {jet_key: row[0] for jet_key, row in table.items()}
@@ -215,17 +225,18 @@ def extract(result: GaugeSymmetryResult, L: Lagrangian) -> SuperpotentialSplit:
     cap = L.jet_cap
     u, J = result.symmetry, result.current
     n = J.dim
-    checks = structural_checks(result, L)
+    ghosts = ghosts_of(u)
+    # the working current and the source, the explicit Euler-Lagrange
+    # representation sum s^{A,I} d_I E_A of its divergence, as ghost-jet
+    # tables {(ghost, tail): {mu or (A, I): coefficient}}; the checks read
+    # the working table before the reduction changes it
+    working, free = collect_ghost_linear(J.components, ghosts)
+    checks = _structural_checks(result, L, ghosts, working, free)
     failing = [c for c in checks if not c.ok]
     if failing:
         raise SuperpotentialError(
             "input is not the Noether current of the symmetry "
             f"(failing equation: {failing[0].tag})", failing[0].tag, checks)
-    ghosts = ghosts_of(u)
-    # the working current and the source, the explicit Euler-Lagrange
-    # representation sum s^{A,I} d_I E_A of its divergence, as ghost-jet
-    # tables {(ghost, tail): {mu or (A, I): coefficient}}
-    working, free = collect_ghost_linear(J.components, ghosts)
     source, source_free = collect_ghost_linear(
         {(sym, ()): poly for sym, poly in u.vertical}, ghosts)
     w_table: Dict[tuple, GradedPoly] = {}
@@ -241,13 +252,17 @@ def extract(result: GaugeSymmetryResult, L: Lagrangian) -> SuperpotentialSplit:
 
     def apply_w_increment(increments, subtract_from_working):
         """Record increments {(ghost, tail, A, I, mu): a}, the W term
-        a c_tail at (A, I, mu), in the W table/polys and keep the source
-        table synchronized: the source loses their divergence,
-        d_mu(a c_T) = (d_mu a) c_T + a c_{T+mu}."""
+        a c_tail at (A, I, mu), in the W table/polys.  Inside the level
+        loop the source table is kept synchronized: the source loses their
+        divergence, d_mu(a c_T) = (d_mu a) c_T + a c_{T+mu}.  The final
+        call subtracts W from the working table instead; nothing reads the
+        source after it."""
         added: Dict[tuple, GradedPoly] = {}
         for (ghost, tail, sym, index, mu), a in increments.items():
             accumulate(added, (sym, index, mu),
                        a * GradedPoly.variable(jet(ghost, tail)))
+            if subtract_from_working:
+                continue
             _bump(source, (ghost, tail), (sym, index),
                   -a.total_derivative(mu, cap))
             _bump(source, (ghost, mi_add(tail, mu)), (sym, index), -a)

@@ -138,12 +138,10 @@ def test_criterion_4_maxwell_end_to_end(name, dim, signs):
 
     def relabel(poly):
         out = GradedPoly.zero()
-        for (even, odd), coeff in poly.terms.items():
+        for coeff, factors in poly.monomials():
             term = GradedPoly.constant(coeff)
-            for v, e in even:
+            for v, e in factors:
                 term = term * P(jet(rename[v.symbol.name], v.index)) ** e
-            for v in odd:
-                term = term * P(jet(rename[v.symbol.name], v.index))
             out = out + term
         return out
 

@@ -1,4 +1,5 @@
 import functools
+import math
 import operator
 import pickle
 import random
@@ -12,7 +13,7 @@ from vnoether import (EVEN, KIND_ANTIFIELD, KIND_FIELD, KIND_GHOST, ODD,
                       GradedPoly, GrassmannAlgebra, JetCapError, antifield,
                       coordinate_symbol, jet, poly_from_data, poly_text,
                       poly_to_data)
-from vnoether.algebra import (_bump, mi_binomial, mi_permutations,
+from vnoether.algebra import (bump, mi_binomial, mi_permutations,
                               multi_index, var_key)
 
 from helpers import CH2 as C, PHI, PSI, assert_canonical, rand_poly
@@ -313,9 +314,9 @@ def test_jet_variables_are_interned():
 def test_memoized_successor_still_meets_the_cap():
     # d_1 of phi_{,0} is memoized under cap 6; cap 1 must still refuse it
     v = jet(PHI, (0,))
-    assert _bump(v, 1, 6) is jet(PHI, (0, 1))
+    assert bump(v, 1, 6) is jet(PHI, (0, 1))
     with pytest.raises(JetCapError):
-        _bump(v, 1, 1)
+        bump(v, 1, 1)
     with pytest.raises(JetCapError):
         P(v).total_derivative(1, cap=1)
 
@@ -433,3 +434,111 @@ def test_long_coefficients_print_under_the_digit_limit():
         assert sys.get_int_max_str_digits() == 4300
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+# ---------------------------------------------------------------------------
+# the fraction-free layout: int numerators over one reduced denominator
+
+def _assert_reduced(p):
+    """gcd(den, every numerator) is 1 and zero has den 1, so equal
+    polynomials have equal (terms, den)."""
+    assert all(type(c) is int and c for c in p.terms.values()), p.terms
+    assert type(p.den) is int and p.den >= 1
+    assert math.gcd(p.den, *p.terms.values()) == 1 if p.terms else p.den == 1
+
+
+def _rational_poly(rng, max_terms=4):
+    """Coefficients p/q with q <= 6 over even and odd jets of two bases."""
+    symbols = (PHI, PSI, C, FieldSymbol("b", KIND_GHOST, ODD))
+    indices = [(), (0,), (1,), (0, 1)]
+    terms = []
+    for _ in range(rng.randint(1, max_terms)):
+        term = GradedPoly.constant(
+            Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 6)))
+        for _ in range(rng.randint(0, 3)):
+            term = term * P(jet(rng.choice(symbols), rng.choice(indices)))
+        terms.append(term)
+    return GradedPoly.sum(terms)
+
+
+def test_one_rational_has_one_layout():
+    x = P(jet(PHI))
+    k = next(iter(x.terms))
+    half = [GradedPoly({k: Fraction(2, 4)}),
+            GradedPoly.constant(Fraction(1, 2)) * x,
+            (x + x) * Fraction(1, 4),
+            GradedPoly({k: Fraction(1, 2), next(iter(P(jet(PSI)).terms)): 0})]
+    for p in half:
+        _assert_reduced(p)
+        assert p == half[0] and hash(p) == hash(half[0])
+        assert (p.terms, p.den) == ({k: 1}, 2)
+    y = P(jet(PSI, (0,))) * P(jet(C))
+    p = Fraction(1, 2) * x + Fraction(3, 2) * y
+    assert p * 2 == x + 3 * y and hash(p * 2) == hash(x + 3 * y)
+    assert (p * 2).den == 1
+    # the public constructor takes int and Fraction values mixed
+    mixed = GradedPoly({k: 2, next(iter(y.terms)): Fraction(1, 3)})
+    assert mixed == 2 * x + Fraction(1, 3) * y and mixed.den == 3
+    assert GradedPoly.sum([p, -p]).den == 1
+
+
+def test_ring_laws_over_rational_coefficients_random():
+    rng = random.Random(2203)
+    alg = GrassmannAlgebra(8)
+    for _ in range(150):
+        p, q, r = (_rational_poly(rng) for _ in range(3))
+        assert (p * q) * r == p * (q * r)
+        assert p * (q + r) == p * q + p * r
+        assert (p + q) * r == p * r + q * r
+        assert (p - p).is_zero() and (p - p).den == 1
+        for lam in (0, 1):
+            assert (p * q).total_derivative(lam) \
+                == p.total_derivative(lam) * q + p * q.total_derivative(lam)
+        results = [p * q, p + q, p - q, -p, p * Fraction(6, 5),
+                   p.total_derivative(0), p.involution(), p.parity_part(ODD),
+                   GradedPoly.sum([p, q, r])]
+        results.extend(p.gradient().values())
+        for res in results:
+            _assert_reduced(res)
+            assert_canonical(res)
+        assign = {}
+        gens = iter(range(8))
+        for v in sorted(p.variables() | q.variables(), key=var_key):
+            assign[v] = (alg.generator(next(gens)) if v.parity == ODD
+                         else Fraction(rng.randint(-4, 4), rng.randint(1, 6)))
+        ev = lambda s: s.evaluate(assign, alg)
+        assert ev(p * q) == ev(p) * ev(q)
+        assert ev(p + q) == ev(p) + ev(q)
+
+
+def test_ring_arithmetic_builds_no_fraction(monkeypatch):
+    # products, sums and derivatives of rational polynomials run on int
+    # numerators: with Fraction arithmetic disabled they give the same
+    # polynomials, whose coefficients are read only afterwards
+    rng = random.Random(2204)
+    pairs = [(_rational_poly(rng), _rational_poly(rng)) for _ in range(20)]
+
+    def run():
+        out = []
+        for p, q in pairs:
+            v = next(iter(p.variables()), jet(PHI))
+            out += [p * q, GradedPoly.sum([p, q, -p, q]), p - q,
+                    p * Fraction(2, 3), p.total_derivative(1),
+                    p.partial(v), p.parity_part(EVEN)]
+        return out
+
+    expected = run()
+
+    def refuse(*args):
+        raise AssertionError("Fraction arithmetic in the ring")
+
+    with monkeypatch.context() as patch:
+        for name in ("__add__", "__radd__", "__sub__", "__rsub__",
+                     "__mul__", "__rmul__", "__truediv__", "__rtruediv__",
+                     "__neg__"):
+            patch.setattr(Fraction, name, refuse)
+        got = run()
+    assert got == expected
+    assert [list(p.monomials()) for p in got] \
+        == [list(p.monomials()) for p in expected]
+    assert any(type(c) is Fraction for p in got for c, _ in p.monomials())

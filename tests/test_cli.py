@@ -435,9 +435,10 @@ def test_each_command_builds_derived_objects_once(monkeypatch, capsys):
 
 def test_each_identity_is_evaluated_once(monkeypatch, capsys):
     # the function that builds an object runs its checks once and the CLI
-    # reports their results: one contraction per identity, one
-    # structural_checks and one verify_split per split, and the gauge route
-    # builds its current without noether_current (verify's one call is the
+    # reports their results: one contraction per identity, one run of the
+    # structural checks (_structural_checks, behind structural_checks and
+    # extract) and one verify_split per split, and the gauge route builds
+    # its current without noether_current (verify's one call is the
     # current of the declared symmetry gauge_sym)
     from vnoether import NoetherOperator, superpotential, variational
     model = str(MODELS / "maxwell4.vln")
@@ -448,12 +449,12 @@ def test_each_identity_is_evaluated_once(monkeypatch, capsys):
             counted = [
                 _count_calls(patch, NoetherOperator, ("contraction",)),
                 _count_calls(patch, superpotential,
-                             ("structural_checks", "verify_split")),
+                             ("_structural_checks", "verify_split")),
                 _count_calls(patch, variational, ("noether_current",))]
             assert cli.main([*argv, "--format", "json"]) == 0
         capsys.readouterr()
         counts = {k: v for c in counted for k, v in c.items()}
-        assert counts == {"contraction": 1, "structural_checks": splits,
+        assert counts == {"contraction": 1, "_structural_checks": splits,
                           "verify_split": splits,
                           "noether_current": currents}, argv
 
@@ -763,6 +764,20 @@ def test_long_integers_print_in_full(tmp_path, capsys):
     assert cli.main(["el", str(model)]) == 0
     assert f"phi: ({ten_6000})*phi_{{,00}}\n" in capsys.readouterr().out
     assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+
+def test_long_denominators_print_in_full(tmp_path, capsys):
+    # a coefficient (1/N) with a 2,000-digit N keeps every digit of its
+    # reduced denominator in text and in JSON
+    n = "7" * 2000
+    model = tmp_path / "frac.vln"
+    model.write_text(f"dim 1\nfield phi even\nlagrangian (1/{n})*d[0](phi)^2\n")
+    assert cli.main(["el", str(model)]) == 0
+    assert f"phi: (-2/{n})*phi_{{,00}}\n" in capsys.readouterr().out
+    assert cli.main(["el", str(model), "--format", "json"]) == 0
+    step = json.loads(capsys.readouterr().out)["steps"][0]
+    assert step["payload"][0]["expression"]["monomials"][0]["coeff"] \
+        == f"-2/{n}"
 
 
 def _check_identity_json(capsys, path, name):

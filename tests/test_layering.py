@@ -4,7 +4,9 @@
 Every other module reads a polynomial through ``monomials``, ``degree_in``
 and ``split_linear``; none may reach into ``GradedPoly.terms`` or its
 canonical ``sorted_terms()``.  ``grassmann.py`` is exempt: its ``.terms``
-belong to its own ``GrassmannElement``.  Every other module builds a jet
+belong to its own ``GrassmannElement``.  No module imports a private
+(``_``-prefixed) name from ``algebra.py``: the Grassmann oracle keeps its
+own coefficient rule instead of sharing the ring's accumulation.  Every other module builds a jet
 variable through ``jet()``, which validates the multi-index, never by
 calling ``JetVariable(...)``.  No module but ``algebra.py`` splits a
 polynomial with ``parity_part``: graded signs go through
@@ -46,6 +48,15 @@ def _key_reads(path: Path) -> list:
             if isinstance(node, ast.Attribute) and node.attr in PRIVATE]
 
 
+def _private_algebra_imports(tree, name: str) -> list:
+    return [f"{name}:{node.lineno} {alias.name}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            and (node.module == "vnoether.algebra"
+                 or (node.level == 1 and node.module == "algebra"))
+            for alias in node.names if alias.name.startswith("_")]
+
+
 def _variable_builds(path: Path) -> list:
     return [f"{path.name}:{node.lineno} JetVariable(...)"
             for node in ast.walk(_tree(path))
@@ -79,6 +90,22 @@ def test_only_algebra_reads_monomial_keys():
     assert len(checked) >= 8
     offenders = [hit for path in checked for hit in _key_reads(path)]
     assert not offenders, offenders
+
+
+def test_no_module_imports_private_ring_names():
+    checked = sorted(p for p in SRC.glob("*.py") if p.name != "algebra.py")
+    assert len(checked) >= 9
+    offenders = [hit for path in checked
+                 for hit in _private_algebra_imports(_tree(path), path.name)]
+    assert not offenders, offenders
+
+
+def test_the_check_sees_private_ring_imports():
+    sample = ast.parse("from .algebra import GradedPoly, _put\n"
+                       "from vnoether.algebra import _canon\n"
+                       "from .forms import _sort_contact\n"
+                       "from ..algebra import _put\n")
+    assert _private_algebra_imports(sample, "s") == ["s:1 _put", "s:2 _canon"]
 
 
 def test_only_algebra_builds_jet_variables():

@@ -364,6 +364,28 @@ def test_ghost_free_check_is_the_divergence_of_the_current():
     assert err.value.tag == TAG_GHOST_FREE and err.value.checks == [check]
 
 
+def test_the_split_reads_the_current_once(monkeypatch):
+    # the structural checks and the reduction share one ghost-jet split of
+    # J: the split of superpotential su2_d4 ga calls collect_ghost_linear
+    # on J's components once
+    from vnoether import superpotential
+    model = load_model((MODELS.parent / "perfbench" / "models"
+                        / "su2_d4.vln").read_text())
+    L = model.lagrangian
+    result = gauge_symmetry(model.identities["ga"], model.ghost_of("ga"), L)
+    real = superpotential.collect_ghost_linear
+    on_j = []
+
+    def counted(polys, *args, **kwargs):
+        on_j.append(polys is result.current.components)
+        return real(polys, *args, **kwargs)
+
+    monkeypatch.setattr(superpotential, "collect_ghost_linear", counted)
+    split = extract(result, L)
+    assert all(c.ok for c in split.checks) and all(split.report.values())
+    assert on_j.count(True) == 1
+
+
 def test_remainder_bound_exhaustion_is_typed():
     # a closed ghost-free term d_nu U^{nu mu} of degree 3 added to the
     # Maxwell current is exact, and the homotopy operator resolves it

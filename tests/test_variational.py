@@ -59,10 +59,10 @@ def _substitute_section(poly: GradedPoly, sections: dict):
     """Substitute univariate polynomials for even jet variables; jets map to
     iterated derivatives of the section."""
     out = [Fraction(0)]
-    for (even, odd), coeff in poly.terms.items():
-        assert not odd
+    for coeff, factors in poly.monomials():
+        assert all(v.parity == EVEN for v, _ in factors)
         term = [coeff]
-        for v, e in even:
+        for v, e in factors:
             base = sections[v.symbol]
             for _ in range(len(v.index)):
                 base = _u_diff(base)
