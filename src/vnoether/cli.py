@@ -341,8 +341,9 @@ class _Runner:
         """Split ``result.current`` as W + div U and record the checks
         extract ran (structural equations, verify_split) and d_mu d_nu
         U^{nu mu} = 0.  Under verify (``name`` given) the structural
-        equations get a step of their own and the split step carries only
-        the checks.  A SuperpotentialError is a fail naming its equation."""
+        equations get a step of their own, when they ran, and the split
+        step carries only the checks.  A SuperpotentialError is a fail
+        naming its reason and equation."""
         try:
             split = extract(result, L)
         except SuperpotentialError as exc:
@@ -350,9 +351,8 @@ class _Runner:
             failure = {"reason": str(exc), "equation": exc.tag}
         else:
             checks = split.checks
-        step = "superpotential"
-        if name is not None:
-            step = f"superpotential {name}"
+        step = "superpotential" if name is None else f"superpotential {name}"
+        if name is not None and checks is not None:
             bad = [c.tag for c in checks if not c.ok]
             self.add(f"structural-equations {name}",
                      "fail" if bad else "pass",

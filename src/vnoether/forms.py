@@ -32,7 +32,8 @@ from .algebra import (DEFAULT_JET_CAP, EVEN, ODD, FieldSymbol, GradedPoly,
 
 
 class UnsupportedDerivation(ValueError):
-    """Operation restricted to vertical derivations got a horizontal one."""
+    """A vector field whose components mix parities, or the contact form of
+    a base coordinate."""
 
 
 # ---------------------------------------------------------------------------
@@ -288,20 +289,19 @@ def omega_pair_contracted(dim: int, nu: int, mu: int):
 
 @dataclass(frozen=True)
 class GeneralizedVectorField:
-    """Components of a generalized graded vector field with polynomial
-    coefficients; the symmetry machinery downstream requires the vertical
-    case, horizontal components are supported by prolongation only."""
+    """A vertical generalized graded vector field u = u^A d_A with
+    polynomial components.  The model language and ``gauge.adjoint`` build
+    only these, and a generalized vector field is a variational symmetry
+    exactly when its evolutionary (vertical) representative is one (Olver,
+    *Applications of Lie Groups to Differential Equations*, ch. 5)."""
 
-    vertical: tuple         # tuple of (FieldSymbol, GradedPoly)
-    horizontal: tuple = ()  # tuple of (coordinate index, GradedPoly)
+    vertical: tuple  # tuple of (FieldSymbol, GradedPoly)
 
     @staticmethod
-    def make(vertical: Mapping, horizontal: Optional[Mapping] = None):
-        vert = tuple(sorted(((s, p) for s, p in vertical.items()
-                             if not p.is_zero()), key=lambda it: it[0].sort_key))
-        horiz = tuple(sorted(((i, p) for i, p in (horizontal or {}).items()
-                              if not p.is_zero())))
-        return GeneralizedVectorField(vert, horiz)
+    def make(vertical: Mapping):
+        return GeneralizedVectorField(tuple(sorted(
+            ((s, p) for s, p in vertical.items() if not p.is_zero()),
+            key=lambda it: it[0].sort_key)))
 
     def component(self, sym: FieldSymbol) -> GradedPoly:
         for s, p in self.vertical:
@@ -318,29 +318,16 @@ class GeneralizedVectorField:
                 raise UnsupportedDerivation(
                     f"component for {sym.name} has mixed parity")
             parities.add((p + sym.parity) % 2)
-        for _, poly in self.horizontal:
-            p = poly.parity
-            if p is None:
-                raise UnsupportedDerivation("horizontal component has mixed parity")
-            parities.add(p)
         if not parities:
             return EVEN
         if len(parities) > 1:
             raise UnsupportedDerivation("components of mixed total parity")
         return parities.pop()
 
-    def is_vertical(self) -> bool:
-        return not self.horizontal
-
-    def is_projectable(self) -> bool:
-        """ups^lam may depend on base coordinates only."""
-        return all(all(v.symbol.coord is not None for v in p.variables())
-                   for _, p in self.horizontal)
-
 
 class ContactDerivation:
-    """Jet prolongation of a generalized vector field.  Pairings with the
-    contact basis are memoized per jet variable."""
+    """Jet prolongation pr u: it pairs th^A_I with d_I u^A, memoized per
+    jet variable, and pairs with no dx."""
 
     def __init__(self, source: GeneralizedVectorField, dim: int,
                  cap: int = DEFAULT_JET_CAP):
@@ -348,57 +335,25 @@ class ContactDerivation:
         self.dim = dim
         self.cap = cap
         self.parity = source.parity
-        self._dx = dict(source.horizontal)
-        self._base = {}
         self._memo = {}
 
-    def _base_coefficient(self, sym: FieldSymbol) -> GradedPoly:
-        """ups^A - s^A_mu ups^mu: the order-0 prolongation seed."""
-        cached = self._base.get(sym)
-        if cached is not None:
-            return cached
-        out = GradedPoly.sum([self.source.component(sym)] + [
-            -(GradedPoly.variable(jet(sym, (lam,))) * up)
-            for lam, up in self._dx.items()])
-        self._base[sym] = out
-        return out
-
     def theta_coefficient(self, v: JetVariable) -> GradedPoly:
-        """Pairing with th^A_I: equals d_I of the order-0 seed."""
-        sym = v.symbol
-        if sym.coord is not None:
-            return GradedPoly.zero()
-        if self.source.component(sym).is_zero() and not self._dx:
-            return GradedPoly.zero()
-        cached = self._memo.get(v)
-        if cached is not None:
-            return cached
-        if not v.index:
-            out = self._base_coefficient(sym)
-        else:
-            prev = self.theta_coefficient(jet(sym, v.index[:-1]))
-            out = prev.total_derivative(v.index[-1], self.cap)
-        self._memo[v] = out
+        """Pairing with th^A_I: d_I u^A (zero for a base coordinate, which
+        has no component)."""
+        out = self._memo.get(v)
+        if out is None:
+            out = self.source.component(v.symbol)
+            if v.index and not out.is_zero():
+                out = self.theta_coefficient(jet(v.symbol, v.index[:-1])) \
+                    .total_derivative(v.index[-1], self.cap)
+            self._memo[v] = out
         return out
-
-    def dx_coefficient(self, lam: int) -> GradedPoly:
-        return self._dx.get(lam, GradedPoly.zero())
-
-    def is_vertical(self) -> bool:
-        return not self._dx
 
     def apply_to_poly(self, f: GradedPoly) -> GradedPoly:
         """The derivation applied to a ring element."""
-        terms = [up * f.total_derivative(lam, self.cap)
-                 for lam, up in self._dx.items()]
-        for v, g in f.gradient().items():
-            if v.symbol.coord is not None:
-                continue
-            coeff = self.theta_coefficient(v)
-            if coeff.is_zero():
-                continue
-            terms.append(coeff * g)
-        return GradedPoly.sum(terms)
+        pairs = ((self.theta_coefficient(v), g)
+                 for v, g in f.gradient().items())
+        return GradedPoly.sum(c * g for c, g in pairs if not c.is_zero())
 
 
 def prolong(source: GeneralizedVectorField, dim: int,
@@ -408,7 +363,7 @@ def prolong(source: GeneralizedVectorField, dim: int,
 
 def contract(deriv: ContactDerivation, form: MixedForm) -> MixedForm:
     """Interior product: the graded antiderivation of form degree -1 pairing
-    the derivation with the basis one-forms."""
+    the derivation with the contact one-forms; it pairs with no dx."""
     out = {}
     for (contact, horiz), f in form.components.items():
         # an odd derivation passes f; moving it to a slot and its
@@ -424,12 +379,6 @@ def contract(deriv: ContactDerivation, form: MixedForm) -> MixedForm:
                 accumulate(out, (contact[:i] + contact[i + 1:], horiz),
                            f * coeff * sign)
             labels_par ^= lab.parity
-        for j, lam in enumerate(horiz):
-            coeff = deriv.dx_coefficient(lam)
-            if not coeff.is_zero():
-                sign = -1 if (len(contact) + j) % 2 else 1
-                accumulate(out, (contact, horiz[:j] + horiz[j + 1:]),
-                           f * coeff * sign)
     return MixedForm(form.dim, out)
 
 
@@ -441,10 +390,8 @@ def lie_derivative(deriv: ContactDerivation, form: MixedForm,
 
 
 def is_nilpotent(deriv: ContactDerivation) -> bool:
-    """A vertical derivation squares to zero iff it is odd and annihilates
-    its own coefficients."""
-    if not deriv.is_vertical():
-        raise UnsupportedDerivation("nilpotency test supports vertical derivations")
+    """A derivation squares to zero iff it is odd and annihilates its own
+    coefficients."""
     if deriv.parity != ODD:
         return False
     for _, poly in deriv.source.vertical:

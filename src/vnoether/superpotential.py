@@ -36,8 +36,8 @@ from typing import Dict, List, Optional, Tuple
 
 from .algebra import (DEFAULT_JET_CAP, KIND_GHOST, FieldSymbol, GradedPoly,
                       accumulate, jet, mi_add, mi_permutations, multi_indices)
-from .forms import GeneralizedVectorField, MixedForm, omega_pair_contracted
-from .gauge import GaugeSymmetryResult, collect_ghost_linear
+from .forms import GeneralizedVectorField, MixedForm
+from .gauge import GaugeError, GaugeSymmetryResult, collect_ghost_linear
 from .variational import (NOT_EXACT, Current, EulerLagrange, Lagrangian,
                           Superpotential, expand_witness,
                           horizontal_antiderivative)
@@ -55,9 +55,10 @@ STRUCTURAL_TAGS = (TAG_TOP, TAG_DESCENT, TAG_SYM_SOURCE, TAG_LEAD_SOURCE,
 
 
 class SuperpotentialError(ValueError):
-    """The input current fails a structural requirement: a structural
-    equation, or a ghost-free remainder that is not closed or not exact.
-    ``checks`` holds the structural checks ``extract`` ran before raising."""
+    """The input fails a structural requirement: ghost-linearity, a
+    structural equation, or a ghost-free remainder that is not closed or
+    not exact.  ``checks`` holds the structural checks ``extract`` ran
+    before raising (None if it ran none)."""
 
     def __init__(self, message: str, tag: Optional[str] = None,
                  checks: Optional[list] = None):
@@ -197,29 +198,18 @@ class SuperpotentialSplit:
                                in self.w_table.items() if m == mu}, el, cap)
 
 
-def _superpotential_from_form(form: MixedForm) -> Superpotential:
-    """Read the pair components off a horizontal (n-2)-form."""
-    n = form.dim
-    table: Dict[Tuple[int, int], GradedPoly] = {}
-    for (contact, horiz), poly in form.components.items():
-        if contact or len(horiz) != n - 2:
-            raise ValueError("not a horizontal (n-2)-form")
-        nu, mu = [i for i in range(n) if i not in horiz]
-        _, sign = omega_pair_contracted(n, nu, mu)
-        table[(nu, mu)] = poly * sign
-    return Superpotential(table, n)
-
-
 def extract(result: GaugeSymmetryResult, L: Lagrangian) -> SuperpotentialSplit:
     """Run the constructive decomposition of ``result.current``.
 
     Precondition: ``GaugeSymmetryResult.check`` built ``result`` (as
-    ``gauge_symmetry`` does), so it carries its current's check.  The
-    structural equations are read off that check first and a failure
-    raises with the failing equation tag, as does a ghost-free remainder
-    that is closed but not exact; the error carries the checks.  The
-    returned split is re-verified exactly by ``verify_split`` and carries
-    the checks and that report, so no caller needs to run them again.
+    ``gauge_symmetry`` does), so it carries its current's check.  A
+    symmetry or current that is not linear in the ghost jets raises before
+    any check.  The structural equations are read off that check first and
+    a failure raises with the failing equation tag, as does a ghost-free
+    remainder that is closed but not exact; the error carries the checks.
+    The returned split is re-verified exactly by ``verify_split`` and
+    carries the checks and that report, so no caller needs to run them
+    again.
     """
     el = L.el
     cap = L.jet_cap
@@ -230,15 +220,20 @@ def extract(result: GaugeSymmetryResult, L: Lagrangian) -> SuperpotentialSplit:
     # representation sum s^{A,I} d_I E_A of its divergence, as ghost-jet
     # tables {(ghost, tail): {mu or (A, I): coefficient}}; the checks read
     # the working table before the reduction changes it
-    working, free = collect_ghost_linear(J.components, ghosts)
+    try:
+        working, free = collect_ghost_linear(J.components, ghosts)
+        source, source_free = collect_ghost_linear(
+            {(sym, ()): poly for sym, poly in u.vertical}, ghosts)
+    except GaugeError:
+        raise SuperpotentialError(
+            "not ghost-linear: a monomial of the symmetry or its current "
+            "holds more than one ghost jet") from None
     checks = _structural_checks(result, L, ghosts, working, free)
     failing = [c for c in checks if not c.ok]
     if failing:
         raise SuperpotentialError(
             "input is not the Noether current of the symmetry "
             f"(failing equation: {failing[0].tag})", failing[0].tag, checks)
-    source, source_free = collect_ghost_linear(
-        {(sym, ()): poly for sym, poly in u.vertical}, ghosts)
     w_table: Dict[tuple, GradedPoly] = {}
     w_polys: Dict[int, GradedPoly] = {}
     pair_table: Dict[Tuple[int, int], GradedPoly] = {}
@@ -349,7 +344,8 @@ def extract(result: GaugeSymmetryResult, L: Lagrangian) -> SuperpotentialSplit:
                 "ghost-free remainder is closed but not exact", TAG_GHOST_FREE,
                 checks)
         witness = res.witness
-        for (nu, mu), poly in _superpotential_from_form(witness).components.items():
+        for (nu, mu), poly in Superpotential.from_form(
+                witness).components.items():
             bump_pair(nu, mu, poly)
 
     split = SuperpotentialSplit(w_table, w_polys, Superpotential(pair_table, n),

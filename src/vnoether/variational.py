@@ -12,10 +12,11 @@ bare current, and is the one producer of BOUND_EXHAUSTED).  Every one of
 these decisions returns an ``ExactnessResult``: a status, the witness
 (a form, or a table {(A, I): w}) and, for a failed re-check, the residual.
 
-The Lie derivative of L vol along a vertical prolonged derivation is
-pr u(L) vol (``prolonged_variation``); the symmetry test and the Noether
-current use it.  ``first_variational_residual`` keeps the Cartan formula,
-so the identity that justifies the shortcut stays independent of it.
+Vector fields are vertical, so the Lie derivative of L vol along pr u is
+pr u(L) vol (``prolonged_variation``), which the symmetry test and the
+Noether current use.  ``first_variational_residual`` takes it as i d(L vol)
+instead, independent of that shortcut: d i(L vol) vanishes, since pr u
+pairs only with contact slots and L vol has none.
 A ``Lagrangian`` builds its derived objects once, on first use, and keeps
 them (see the class); every function here reads them from it.
 """
@@ -33,8 +34,7 @@ from .algebra import (DEFAULT_JET_CAP, EVEN, ODD, FieldSymbol, GradedPoly,
                       mi_remove, mi_subtract, multi_indices,
                       multi_indices_up_to, var_key)
 from .forms import (ContactDerivation, GeneralizedVectorField, MixedForm,
-                    UnsupportedDerivation, contract, omega_contracted,
-                    omega_pair_contracted, prolong)
+                    contract, omega_contracted, omega_pair_contracted, prolong)
 from .linsolve import solve_sparse
 
 EXACT = "exact"
@@ -183,6 +183,19 @@ class Superpotential:
                            self.component(nu, mu) * sign)
         return MixedForm(self.dim, out)
 
+    @staticmethod
+    def from_form(form: MixedForm) -> "Superpotential":
+        """Read the pair components off a horizontal (n-2)-form."""
+        n = form.dim
+        table = {}
+        for (contact, horiz), poly in form.components.items():
+            if contact or len(horiz) != n - 2:
+                raise ValueError("not a horizontal (n-2)-form")
+            nu, mu = [i for i in range(n) if i not in horiz]
+            _, sign = omega_pair_contracted(n, nu, mu)
+            table[(nu, mu)] = poly * sign
+        return Superpotential(table, n)
+
     def divergence(self, mu: int, cap: int = DEFAULT_JET_CAP) -> GradedPoly:
         """d_nu U^{nu mu}."""
         return GradedPoly.sum(self.component(nu, mu).total_derivative(nu, cap)
@@ -274,18 +287,16 @@ def check_lepage(L: Lagrangian) -> bool:
 
 def first_variational_residual(ups: GeneralizedVectorField,
                                L: Lagrangian) -> MixedForm:
-    """Difference of the two sides of the first variational formula for a
-    vertical derivation; identically zero when the conventions cohere.
+    """Difference of the two sides of the first variational formula;
+    identically zero when the conventions cohere.
 
-    The left side is the Cartan formula i d(L vol) + d i(L vol), not
+    The left side is the Lie derivative of L vol as i d(L vol), not
     ``prolonged_variation``: this is the executable identity that
-    justifies that shortcut, so it must not use it."""
-    if not ups.is_vertical():
-        raise UnsupportedDerivation(
-            "the horizontal term of the variational formula is out of scope")
+    justifies that shortcut, so it must not use it.  The Cartan formula's
+    other term d i(L vol) is zero: the vertical derivation pairs only with
+    contact slots, and L vol has none."""
     deriv = L.prolongation(ups)
-    lhs = contract(deriv, L.d_form) \
-        + contract(deriv, L.form()).exterior_differential(L.jet_cap)
+    lhs = contract(deriv, L.d_form)
     source = contract(deriv, L.source_form)
     boundary = contract(deriv, L.lepage).horizontal_part()
     return lhs - source - boundary.horizontal_differential(L.jet_cap)
@@ -293,12 +304,10 @@ def first_variational_residual(ups: GeneralizedVectorField,
 
 def prolonged_variation(deriv: ContactDerivation, L: Lagrangian) -> MixedForm:
     """pr u(L) vol: the Lie derivative of the top form L vol along a
-    vertical prolonged derivation.  It has no dx component and the top form
-    no contact slot, so the Cartan formula reduces to the derivation
-    applied to the density (Olver, *Applications of Lie Groups to
-    Differential Equations*, ch. 5)."""
-    if not deriv.is_vertical():
-        raise UnsupportedDerivation("pr u(L) needs a vertical derivation")
+    prolonged derivation.  It has no dx component and the top form no
+    contact slot, so the Cartan formula reduces to the derivation applied
+    to the density (Olver, *Applications of Lie Groups to Differential
+    Equations*, ch. 5)."""
     return MixedForm.density(deriv.apply_to_poly(L.density), L.dim)
 
 
@@ -564,10 +573,8 @@ def horizontal_antiderivative(rho: MixedForm,
 
 def is_variational_symmetry(ups: GeneralizedVectorField,
                             L: Lagrangian) -> ExactnessResult:
-    """A vertical derivation is a variational symmetry iff pr u(L) is a
-    total divergence; returns the homotopy's decision and witness."""
-    if not ups.is_vertical():
-        raise UnsupportedDerivation("variational-symmetry test needs vertical input")
+    """A vector field is a variational symmetry iff pr u(L) is a total
+    divergence; returns the homotopy's decision and witness."""
     return horizontal_antiderivative(
         prolonged_variation(L.prolongation(ups), L), cap=L.jet_cap)
 
@@ -708,16 +715,14 @@ def expand_witness(table: Mapping, el: EulerLagrange,
 def symmetry_witness(ups: GeneralizedVectorField, J: Current,
                      el: EulerLagrange,
                      cap: int = DEFAULT_JET_CAP) -> ExactnessResult:
-    """Weak-conservation witness of the Noether current of a vertical
-    symmetry, read off the first variational formula d_H J = u^A E_A.
+    """Weak-conservation witness of the Noether current of a symmetry,
+    read off the first variational formula d_H J = u^A E_A.
 
     The table {(A, ()): u^A} keeps u^A left of E_A, as ``expand_witness``
     multiplies, so odd components keep their sign.  It is re-checked
     exactly against div J: EXACT when the expansion matches, otherwise
     NOT_EXACT with the nonzero difference as ``residual``.
     """
-    if not ups.is_vertical():
-        raise UnsupportedDerivation("symmetry witness needs vertical input")
     table = {(sym, ()): poly for sym, poly in ups.vertical
              if not poly.is_zero()}
     residual = expand_witness(table, el, cap) - J.divergence(cap)

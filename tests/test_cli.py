@@ -742,6 +742,30 @@ def test_second_ghost_jet_models(capsys, model):
             == [("current", "pass"), ("superpotential", "pass")], name
 
 
+# a symmetry bilinear in the ghosts has no superpotential split: the split
+# step fails with the ghost-linearity reason, in a complete report
+GHOST_BILINEAR_RUNS = {
+    "ghost_bilinear_identity.vln": ("verify",),
+    "ghost_bilinear_symmetry.vln": ("superpotential", "s"),
+}
+
+
+@pytest.mark.parametrize("model", sorted(GHOST_BILINEAR_RUNS))
+def test_ghost_bilinear_split_is_refused(model):
+    command, *name = GHOST_BILINEAR_RUNS[model]
+    res = run_cli(command, str(ROOT / "tests" / "data" / model), *name,
+                  "--format", "json")
+    assert res.returncode == 1
+    assert "Traceback" not in res.stderr
+    steps = json.loads(res.stdout)["steps"]
+    failing = [s for s in steps if s["status"] == "fail"]
+    assert [s["name"] for s in failing] == [
+        "superpotential g1" if command == "verify" else "superpotential"]
+    assert failing[0]["payload"]["reason"].startswith("not ghost-linear")
+    # no structural checks ran on the refused split
+    assert "structural-equations g1" not in [s["name"] for s in steps]
+
+
 def test_long_integers_print_in_full(tmp_path, capsys):
     # coefficients are exact, so a literal or a coefficient past Python's
     # default int/str digit limit is read and printed in full, and the

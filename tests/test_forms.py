@@ -103,13 +103,6 @@ def test_prolongation_coefficients():
     ups2 = GeneralizedVectorField.make({PHI: P(jet(C))})
     deriv2 = prolong(ups2, n)
     assert deriv2.theta_coefficient(jet(PHI, (0,))) == P(jet(C, (0,)))
-    # pure horizontal: the vertical seed is -phi_x
-    ups3 = GeneralizedVectorField.make({}, {0: GradedPoly.constant(1)})
-    deriv3 = prolong(ups3, n)
-    assert deriv3.theta_coefficient(jet(PHI)) == -P(jet(PHI, (0,)))
-    assert ups3.is_projectable()
-    ups4 = GeneralizedVectorField.make({}, {0: P(jet(PHI))})
-    assert not ups4.is_projectable()
 
 
 def test_contract_examples():
@@ -194,10 +187,6 @@ def test_prolonged_variation_equals_cartan_formula():
         parities_seen.add((parity, deriv.parity))
         done += 1
     assert parities_seen == {(0, 0), (0, 1), (1, 0), (1, 1)}
-    horizontal = prolong(GeneralizedVectorField.make(
-        {PHI: P(jet(PHI))}, {0: GradedPoly.constant(1)}), 1)
-    with pytest.raises(UnsupportedDerivation):
-        prolonged_variation(horizontal, Lagrangian(P(jet(PHI)), 1))
 
 
 def _horizontal_differential_unpruned(form):
@@ -288,20 +277,6 @@ def _contract_per_parity(deriv, form):
                         accumulate(out, (contact[:i] + contact[i + 1:], horiz),
                                    value)
                 labels_par = (labels_par + lab.parity) % 2
-            for j, lam in enumerate(horiz):
-                coeff = deriv.dx_coefficient(lam)
-                if coeff.is_zero():
-                    continue
-                deg = len(contact) + j
-                prefix_par = (fp + labels_par) % 2
-                sign = -1 if deg % 2 else 1
-                if prefix_par and deriv.parity:
-                    sign = -sign
-                if deriv.parity and labels_par:
-                    sign = -sign
-                value = (fpart * coeff) * sign
-                if not value.is_zero():
-                    accumulate(out, (contact, horiz[:j] + horiz[j + 1:]), value)
     return MixedForm(form.dim, out)
 
 
@@ -339,30 +314,25 @@ def test_vertical_differential_matches_per_parity_reference():
 
 
 def test_contract_matches_per_parity_reference():
-    # derivations of both parities, with and without a dx component, on
-    # forms whose coefficients mix parities
+    # derivations of both parities on forms whose coefficients mix
+    # parities
     rng = random.Random(32)
     seen = set()
     mixed = 0
     done = 0
     while done < 240:
         dim = rng.choice([1, 2])
-        parity = rng.randint(0, 1)
-        ups = rand_vertical(rng, DEFAULT_SYMBOLS, dim=dim, parity=parity)
-        horizontal = {}
-        if rng.random() < 0.5:
-            horizontal = {rng.randrange(dim): rand_poly(
-                rng, dim=dim, max_order=1, parity=parity)}
-        field = GeneralizedVectorField.make(dict(ups.vertical), horizontal)
-        if not field.vertical and not field.horizontal:
+        ups = rand_vertical(rng, DEFAULT_SYMBOLS, dim=dim,
+                            parity=rng.randint(0, 1))
+        if not ups.vertical:
             continue
-        deriv = prolong(field, dim)
+        deriv = prolong(ups, dim)
         form = rand_form(rng, dim=dim, max_terms=3)
         assert contract(deriv, form) == _contract_per_parity(deriv, form)
-        seen.add((deriv.parity, deriv.is_vertical()))
+        seen.add(deriv.parity)
         mixed += _mixed(form)
         done += 1
-    assert seen == {(0, True), (0, False), (1, True), (1, False)}
+    assert seen == {EVEN, ODD}
     assert mixed >= 40
 
 
@@ -427,9 +397,6 @@ def test_is_nilpotent():
     # c*c_x annihilates itself under the derivation, hence nilpotent
     assert is_nilpotent(prolong(
         GeneralizedVectorField.make({C: P(jet(C)) * P(jet(C, (0,)))}), n)) is True
-    with pytest.raises(UnsupportedDerivation):
-        is_nilpotent(prolong(
-            GeneralizedVectorField.make({}, {0: GradedPoly.constant(1)}), n))
 
 
 def test_nilpotency_matches_squared_action():

@@ -28,6 +28,8 @@ polynomials and forms go through ``GradedPoly.sum``, ``MixedForm.sum`` and
 sum at every step.  Every exactness decision (a d_H-exact form, a variational
 symmetry, a weak-conservation witness) comes back as the one
 ``variational.ExactnessResult``: no other class has a ``status`` field.
+No module but ``__init__.py``, which re-exports, imports a name that it
+never reads.
 """
 
 import ast
@@ -257,3 +259,38 @@ def test_the_check_sees_status_fields():
                        "class C:\n    def f(self, status):\n"
                        "        step = {'status': status}\n")
     assert _status_classes(sample, "s") == ["s:A", "s:B"]
+
+
+def _unused_imports(tree, name: str) -> list:
+    """Names bound by an import (``__future__`` aside) that no ``Name``
+    node of the module reads."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) \
+                and getattr(node, "module", None) != "__future__":
+            for alias in node.names:
+                bound.setdefault((alias.asname or alias.name).split(".")[0],
+                                 node.lineno)
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [f"{name}:{line} {alias}" for alias, line in bound.items()
+            if alias not in read]
+
+
+def test_no_module_imports_an_unread_name():
+    checked = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+    assert len(checked) >= 10
+    offenders = [hit for path in checked
+                 for hit in _unused_imports(_tree(path), path.name)]
+    assert not offenders, offenders
+
+
+def test_the_check_sees_unused_imports():
+    # the re-exporting package module reads none of its imports
+    assert _unused_imports(_tree(SRC / "__init__.py"), "__init__.py")
+    sample = ast.parse("from __future__ import annotations\n"
+                       "import os.path\n"
+                       "from .forms import MixedForm, contract as c\n"
+                       "def f(x: MixedForm):\n"
+                       "    return os.path\n")
+    assert _unused_imports(sample, "s") == ["s:3 c"]

@@ -85,7 +85,8 @@ def test_ghost_table_zero_and_collection():
     table, free = collect_ghost_linear(J.components, {ghost})
     assert table == {(ghost, ()): {0: g}, (ghost, (0, 1)): {0: h}}
     assert not free
-    # quadratic ghost dependence is rejected by the checks and the split
+    # quadratic ghost dependence is rejected by the checks, and the split
+    # refuses it before running any
     A, F, L, c, result = _maxwell(2)
     J = result.current
     bad = Current({0: J.component(0) + P(jet(c)) * P(jet(c, (0,))),
@@ -93,8 +94,9 @@ def test_ghost_table_zero_and_collection():
     bad = GaugeSymmetryResult.check(result.symmetry, bad, L)
     with pytest.raises(GaugeError):
         structural_checks(bad, L)
-    with pytest.raises(GaugeError):
+    with pytest.raises(SuperpotentialError, match="not ghost-linear") as err:
         extract(bad, L)
+    assert err.value.checks is None and err.value.tag is None
 
 
 def test_structural_checks_pass_on_maxwell():
