@@ -19,6 +19,10 @@ Sign conventions, all derived from the bigraded commutation rule
   odd contact slot or block, an odd derivation) it becomes its grade
   involution ``GradedPoly.involution``, its odd part negated.  ``wedge``,
   ``contract`` and ``d_V`` take their coefficient signs from that one rule.
+
+d_H, d_V and the contraction write each component's key and sign straight
+into one dict through ``accumulate`` and wrap it with ``_form``; none of
+them goes through ``wedge``.
 """
 
 from __future__ import annotations
@@ -83,11 +87,7 @@ class MixedForm:
 
     def __init__(self, dim: int, components: Optional[Mapping] = None):
         self.dim = dim
-        self.components = {}
-        if components:
-            for key, poly in components.items():
-                if poly and not poly.is_zero():
-                    self.components[key] = poly
+        self.components = {k: p for k, p in (components or {}).items() if p}
 
     # -- constructors -------------------------------------------------------
 
@@ -126,7 +126,8 @@ class MixedForm:
                 raise ValueError("dimension mismatch")
             for key, poly in form.components.items():
                 parts.setdefault(key, []).append(poly)
-        return MixedForm(dim, {k: GradedPoly.sum(ps) for k, ps in parts.items()})
+        return _form(dim, {k: s for k, ps in parts.items()
+                           if (s := GradedPoly.sum(ps))})
 
     def __add__(self, other):
         if not isinstance(other, MixedForm):
@@ -134,7 +135,7 @@ class MixedForm:
         return MixedForm.sum(self.dim, (self, other))
 
     def __neg__(self):
-        return MixedForm(self.dim, {k: -p for k, p in self.components.items()})
+        return _form(self.dim, {k: -p for k, p in self.components.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -197,7 +198,7 @@ class MixedForm:
                 sign = csign * hsign * (-1 if len(j1) * len(i2) % 2 else 1)
                 accumulate(out, (contact, horiz),
                            p * (q.involution() if odd_i1 else q) * sign)
-        return MixedForm(self.dim, out)
+        return _form(self.dim, out)
 
     # -- differentials ------------------------------------------------------
 
@@ -206,63 +207,72 @@ class MixedForm:
         derivation, so no Leibniz signs appear)."""
         out = {}
         for (contact, horiz), f in self.components.items():
-            df = f.total_derivative(lam, cap)
-            if not df.is_zero():
-                accumulate(out, (contact, horiz), df)
-            for i, lab in enumerate(contact):
-                bumped = bump(lab, lam, cap)
-                cs = _sort_contact(contact[:i] + (bumped,) + contact[i + 1:])
-                if cs is None:
-                    continue
-                newc, sign = cs
-                accumulate(out, (newc, horiz), f * sign)
-        return MixedForm(self.dim, out)
+            for newc, g, sign in _d_lam(contact, f, lam, cap):
+                accumulate(out, (newc, horiz), g * sign)
+        return _form(self.dim, out)
 
     def horizontal_differential(self, cap: int = DEFAULT_JET_CAP) -> "MixedForm":
-        """dx^lam ^ d_lam, with d_lam applied only to the components whose
-        horizontal index lacks lam: dx^lam ^ dx^lam = 0 kills the rest."""
+        """d_H = dx^lam ^ d_lam per component, for each lam not in its dx
+        block (dx^lam ^ dx^lam = 0): dx^lam moves left past the contact
+        slots, (-1)^(contact degree), and sorts into the dx block."""
         out = {}
-        for lam in range(self.dim):
-            live = MixedForm(self.dim, {key: f for key, f
-                                        in self.components.items()
-                                        if lam not in key[1]})
-            for (contact, horiz), f in live.total_derivative(
-                    lam, cap).components.items():
+        for (contact, horiz), f in self.components.items():
+            parity = -1 if len(contact) % 2 else 1
+            for lam in range(self.dim):
+                if lam in horiz:
+                    continue
                 newh, hsign = _sort_horiz((lam,) + horiz)
-                sign = hsign * (-1 if len(contact) % 2 else 1)
-                accumulate(out, (contact, newh), f * sign)
-        return MixedForm(self.dim, out)
+                for newc, g, sign in _d_lam(contact, f, lam, cap):
+                    accumulate(out, (newc, newh), g * (sign * hsign * parity))
+        return _form(self.dim, out)
 
     def vertical_differential(self) -> "MixedForm":
-        return MixedForm.sum(self.dim, (
-            _vertical_differential_poly(f, self.dim).wedge(
-                MixedForm(self.dim, {key: GradedPoly.constant(1)}))
-            for key, f in self.components.items()))
+        """d_V: th^v put in front of each component's contact slots and
+        sorted in, times the left partial along v moved left of th^v (its
+        involution for odd v); an even slot that repeats gives zero."""
+        out = {}
+        for (contact, horiz), f in self.components.items():
+            for v, g in f.gradient().items():
+                cs = v.symbol.coord is None and _sort_contact((v,) + contact)
+                if cs:
+                    accumulate(out, (cs[0], horiz),
+                               (g.involution() if v.parity else g) * cs[1])
+        return _form(self.dim, out)
 
     def exterior_differential(self, cap: int = DEFAULT_JET_CAP) -> "MixedForm":
         return self.horizontal_differential(cap) + self.vertical_differential()
 
     def horizontal_part(self) -> "MixedForm":
         """h0: kill every component of positive contact degree."""
-        return MixedForm(self.dim, {k: p for k, p in self.components.items()
-                                    if len(k[0]) == 0})
+        return _form(self.dim, {k: p for k, p in self.components.items()
+                                if len(k[0]) == 0})
 
     def __repr__(self):
         from .render import form_text
         return f"MixedForm({form_text(self)})"
 
 
-def _vertical_differential_poly(f: GradedPoly, dim: int) -> MixedForm:
-    """d_V of a degree-0 coefficient: sum of th^A_I * (left partial), with
-    the partial moved left of the contact slot: its involution for odd v."""
-    out = {}
-    gradient = f.gradient()
-    for v in sorted(gradient, key=var_key):
-        if v.symbol.coord is not None:
-            continue
-        g = gradient[v]
-        accumulate(out, ((v,), ()), g.involution() if v.parity else g)
-    return MixedForm(dim, out)
+def _form(dim: int, components: dict) -> MixedForm:
+    """Wrap a component dict that holds no zero (from ``accumulate``, a
+    filtered sum or a filter of a form); the public constructor re-filters."""
+    form = object.__new__(MixedForm)
+    form.dim = dim
+    form.components = components
+    return form
+
+
+def _d_lam(contact, f, lam, cap):
+    """d_lam of the component f * th^contact as ``(contact, poly, sign)``
+    triples: d_lam f on the same slots, then f with each slot bumped in
+    turn and re-sorted (dropped when an even slot repeats)."""
+    df = f.total_derivative(lam, cap)
+    if not df.is_zero():
+        yield contact, df, 1
+    for i, lab in enumerate(contact):
+        cs = _sort_contact(contact[:i] + (bump(lab, lam, cap),)
+                           + contact[i + 1:])
+        if cs is not None:
+            yield cs[0], f, cs[1]
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +389,7 @@ def contract(deriv: ContactDerivation, form: MixedForm) -> MixedForm:
                 accumulate(out, (contact[:i] + contact[i + 1:], horiz),
                            f * coeff * sign)
             labels_par ^= lab.parity
-    return MixedForm(form.dim, out)
+    return _form(form.dim, out)
 
 
 def lie_derivative(deriv: ContactDerivation, form: MixedForm,

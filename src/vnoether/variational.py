@@ -34,7 +34,8 @@ from .algebra import (DEFAULT_JET_CAP, EVEN, ODD, FieldSymbol, GradedPoly,
                       mi_remove, mi_subtract, multi_indices,
                       multi_indices_up_to, var_key)
 from .forms import (ContactDerivation, GeneralizedVectorField, MixedForm,
-                    contract, omega_contracted, omega_pair_contracted, prolong)
+                    _form, contract, omega_contracted, omega_pair_contracted,
+                    prolong)
 from .linsolve import solve_sparse
 
 EXACT = "exact"
@@ -207,26 +208,34 @@ class Superpotential:
 
 def euler_lagrange(L: Lagrangian,
                    symbols: Optional[Sequence[FieldSymbol]] = None) -> EulerLagrange:
-    """E_A = sum over multi-indices of (-d)_I applied to the left partial."""
+    """E_A = sum over I of (-d)_I dL/du^A_I (left partials), nested: from
+    the top order down, Q_I = dL/du^A_I - sum over mu >= max I of
+    d_mu Q_{I+mu}, each Q_I summed into its parent (I without its last
+    index), and E_A = Q_().  A Q_I that cancels is never differentiated, so
+    the jet cap counts only the jets this recursion builds."""
     if symbols is None:
         symbols = L.field_symbols()
-    gradient = L.density.gradient()
+    partials: Dict[FieldSymbol, dict] = {}
+    for v, g in L.density.gradient().items():
+        partials.setdefault(v.symbol, {})[v.index] = g
     comps = {}
     for sym in symbols:
-        terms = []
-        for v, g in gradient.items():
-            if v.symbol == sym:
-                term = g.total_derivative_multi(v.index, L.jet_cap)
-                terms.append(-term if len(v.index) % 2 else term)
-        comps[sym] = GradedPoly.sum(terms)
+        q = partials.get(sym, {})
+        for k in range(max(map(len, q), default=0), 0, -1):
+            for index in [i for i in q if len(i) == k]:
+                accumulate(q, index[:-1],
+                           -q[index].total_derivative(index[-1], L.jet_cap))
+        comps[sym] = q.get((), GradedPoly.zero())
     return EulerLagrange(comps)
 
 
 def euler_lagrange_form(L: Lagrangian) -> MixedForm:
-    """The source form: contact slot against each Euler-Lagrange component."""
-    return MixedForm.sum(L.dim, (
-        MixedForm.contact(jet(sym), L.dim).wedge(MixedForm.density(poly, L.dim))
-        for sym, poly in L.el.sorted_items() if not poly.is_zero()))
+    """The source form: E_A moved left of th^A (its involution for an odd
+    field) at ((th^A,), vol), for each nonzero E_A."""
+    vol = tuple(range(L.dim))
+    return _form(L.dim, {
+        ((jet(sym),), vol): poly.involution() if sym.parity else poly
+        for sym, poly in L.el.sorted_items() if not poly.is_zero()})
 
 
 # ---------------------------------------------------------------------------
@@ -259,21 +268,22 @@ def lepage_table(L: Lagrangian) -> dict:
 
 
 def lepage_equivalent(L: Lagrangian) -> MixedForm:
-    """Lepage form: the contact slot at each tail multi-index pairs with the
-    tensor coefficient times the number of orderings of the tail."""
+    """L vol plus, per table entry val at (A, sigma) and distinct lam in
+    sigma, the component th^A_{sigma-lam} ^ omega_lam with coefficient val
+    (its involution for odd A) times the orderings of sigma-lam times the
+    sign of omega_lam; distinct (A, sigma, lam) give distinct keys."""
     table = lepage_table(L)
-    terms = [L.form()]
+    out = dict(L.form().components)
     for (sym, sigma) in sorted(table, key=lambda k: (k[0].sort_key, k[1])):
         val = table[(sym, sigma)]
+        if sym.parity:
+            val = val.involution()
         for lam in sorted(set(sigma)):
             tail = mi_remove(sigma, lam)
-            weight = mi_permutations(tail)
             horiz, sign = omega_contracted(L.dim, lam)
-            omega_lam = MixedForm(L.dim,
-                                  {((), horiz): val * (weight * sign)})
-            terms.append(
-                MixedForm.contact(jet(sym, tail), L.dim).wedge(omega_lam))
-    return MixedForm.sum(L.dim, terms)
+            out[((jet(sym, tail),), horiz)] = \
+                val * (mi_permutations(tail) * sign)
+    return _form(L.dim, out)
 
 
 def check_lepage(L: Lagrangian) -> bool:

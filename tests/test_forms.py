@@ -7,12 +7,11 @@ from vnoether import (EVEN, ODD, GeneralizedVectorField, GradedPoly,
                       Lagrangian, MixedForm, UnsupportedDerivation, contract,
                       is_nilpotent, jet, lie_derivative, prolong,
                       prolonged_variation)
-from vnoether.algebra import accumulate, var_key
-from vnoether.forms import (_parity_sum, _sort_contact, _sort_horiz,
-                            _vertical_differential_poly)
+from vnoether.algebra import DEFAULT_JET_CAP, accumulate, bump, var_key
+from vnoether.forms import _parity_sum, _sort_contact, _sort_horiz
 from vnoether.variational import EXACT, horizontal_antiderivative
 
-from helpers import (CH2 as C, DEFAULT_SYMBOLS, PHI, PSI, rand_form,
+from helpers import (CH1, CH2 as C, DEFAULT_SYMBOLS, PHI, PSI, rand_form,
                      rand_poly, rand_vertical)
 
 P = GradedPoly.variable
@@ -189,13 +188,44 @@ def test_prolonged_variation_equals_cartan_formula():
     assert parities_seen == {(0, 0), (0, 1), (1, 0), (1, 1)}
 
 
+# d_H and d_V write each component's key and sign directly; the references
+# build them from one form per term and take the signs from ``wedge``.
+
+def _total_derivative_reference(form, lam):
+    """d_lam of every coefficient and of every contact slot, one slot at a
+    time, summed into one dict."""
+    out = {}
+    for (contact, horiz), f in form.components.items():
+        accumulate(out, (contact, horiz), f.total_derivative(lam))
+        for i, lab in enumerate(contact):
+            cs = _sort_contact(contact[:i] + (bump(lab, lam, DEFAULT_JET_CAP),)
+                               + contact[i + 1:])
+            if cs is not None:
+                accumulate(out, (cs[0], horiz), f * cs[1])
+    return MixedForm(form.dim, out)
+
+
 def _horizontal_differential_unpruned(form):
     """dx^lam ^ d_lam over every lam; the wedge drops a repeated index."""
     out = MixedForm.zero(form.dim)
     for lam in range(form.dim):
         out = out + MixedForm.dx(lam, form.dim).wedge(
-            form.total_derivative(lam))
+            _total_derivative_reference(form, lam))
     return out
+
+
+def _odd_slot_forms(rng, count):
+    """Random forms on a small pool of labels, so that odd contact slots
+    repeat; returns the forms and how many hold a repeated odd slot."""
+    forms, repeats = [], 0
+    for _ in range(count):
+        dim = rng.choice([1, 2, 3])
+        form = rand_form(rng, symbols=(PHI, CH1, C), dim=dim, max_order=1,
+                         max_contact=3, max_terms=4)
+        repeats += any(a == b for contact, _ in form.components
+                       for a, b in zip(contact, contact[1:]))
+        forms.append(form)
+    return forms, repeats
 
 
 def test_horizontal_differential_matches_unpruned_reference():
@@ -204,6 +234,14 @@ def test_horizontal_differential_matches_unpruned_reference():
         form = rand_form(rng, dim=rng.choice([1, 2, 3]), max_terms=4)
         assert form.horizontal_differential() \
             == _horizontal_differential_unpruned(form)
+    forms, repeats = _odd_slot_forms(rng, 150)
+    assert repeats >= 15
+    for form in forms:
+        assert form.horizontal_differential() \
+            == _horizontal_differential_unpruned(form)
+        for lam in range(form.dim):
+            assert form.total_derivative(lam) \
+                == _total_derivative_reference(form, lam)
 
 
 # The per-parity sign bookkeeping that GradedPoly.involution replaced, kept
@@ -301,15 +339,18 @@ def test_vertical_differential_matches_per_parity_reference():
     for _ in range(200):
         dim = rng.choice([1, 2])
         f = rand_poly(rng, dim=dim, max_order=2, max_terms=4)
-        assert _vertical_differential_poly(f, dim) \
+        assert MixedForm.from_poly(f, dim).vertical_differential() \
             == _vertical_differential_poly_per_parity(f, dim)
-    for _ in range(50):
-        form = rand_form(rng, dim=2, max_terms=2)
-        reference = MixedForm.zero(2)
+    # d_V(f th^I dx^J) = d_V(f) ^ th^I dx^J, also where odd slots repeat
+    forms, repeats = _odd_slot_forms(rng, 200)
+    assert repeats >= 25
+    for form in forms + [rand_form(rng, dim=2, max_terms=2)
+                         for _ in range(50)]:
+        reference = MixedForm.zero(form.dim)
         for key, f in form.components.items():
             reference = reference + _wedge_per_parity(
-                _vertical_differential_poly_per_parity(f, 2),
-                MixedForm(2, {key: GradedPoly.constant(1)}))
+                _vertical_differential_poly_per_parity(f, form.dim),
+                MixedForm(form.dim, {key: GradedPoly.constant(1)}))
         assert form.vertical_differential() == reference
 
 

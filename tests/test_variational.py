@@ -12,10 +12,12 @@ from vnoether import (EVEN, KIND_FIELD, KIND_GHOST, ODD, ConsistencyError,
                       horizontal_antiderivative, is_variational_symmetry,
                       jet, lepage_equivalent, load_model, noether_current,
                       symmetry_witness, weak_conservation_witness)
+from vnoether.algebra import coordinate_symbol, mi_permutations, mi_remove
+from vnoether.forms import omega_contracted
 from vnoether.linsolve import solve_sparse
 from vnoether.variational import BOUND_EXHAUSTED, EXACT, NOT_EXACT, lepage_table
 
-from helpers import (CH2 as C, PHI, PSI, assert_canonical, rand_lagrangian,
+from helpers import (CH1, CH2 as C, PHI, PSI, assert_canonical, rand_lagrangian,
                      rand_poly, rand_vertical)
 
 P = GradedPoly.variable
@@ -518,3 +520,119 @@ def test_euler_lagrange_matches_per_variable_partials_random():
             assert_canonical(el.component(sym))
         for val in lepage_table(L).values():
             assert_canonical(val)
+
+
+# ---------------------------------------------------------------------------
+# references for the operators that build their results by components
+
+GRADED_FIELDS = (PHI, PSI, CH1, C)
+
+
+def _flat_euler_lagrange(density, sym, cap):
+    """sum over the jets u^A_I of (-1)^|I| d_I dL/du^A_I, one total
+    derivative chain per jet variable."""
+    return GradedPoly.sum(
+        g.total_derivative_multi(v.index, cap) * (-1 if len(v.index) % 2 else 1)
+        for v, g in density.gradient().items() if v.symbol == sym)
+
+
+def _graded_density(rng, dim, max_order, parity):
+    """A random density of one parity in even and odd fields, some terms
+    times a base coordinate."""
+    density = rand_poly(rng, GRADED_FIELDS, dim, max_order, max_terms=4,
+                        parity=parity)
+    if rng.random() < 0.5:
+        x = P(jet(coordinate_symbol(rng.randrange(dim))))
+        density = density + x * rand_poly(rng, GRADED_FIELDS, dim, max_order,
+                                          parity=parity)
+    return density
+
+
+def test_nested_euler_lagrange_matches_flat_formula_random():
+    # order-3 densities in dims 1-3, in odd and even fields, odd and even
+    # Lagrangians, with base coordinates; the nested recursion must give
+    # the flat sum exactly
+    rng = random.Random(47)
+    seen = set()
+    done = 0
+    while done < 60:
+        dim, parity = rng.choice([1, 2, 3]), rng.randint(0, 1)
+        density = _graded_density(rng, dim, 3, parity)
+        if density.is_zero():
+            continue
+        L = Lagrangian(density, dim, parity)
+        el = euler_lagrange(L)
+        for sym in L.field_symbols():
+            assert el.component(sym) == _flat_euler_lagrange(
+                density, sym, L.jet_cap)
+            assert_canonical(el.component(sym))
+            if not el.component(sym).is_zero():
+                seen.add((parity, sym.parity))
+        seen.add(("coords", any(s.coord is not None
+                                for s in density.symbols())))
+        seen.add(("order", density.jet_order()))
+        done += 1
+    assert seen >= {(0, 0), (0, 1), (1, 0), (1, 1), ("coords", True),
+                    ("order", 3)}
+
+
+def test_nested_euler_lagrange_kills_total_divergences():
+    rng = random.Random(48)
+    for _ in range(60):
+        dim, parity = rng.choice([1, 2, 3]), rng.randint(0, 1)
+        comps = {mu: _graded_density(rng, dim, 2, parity)
+                 for mu in rng.sample(range(dim), rng.randint(1, dim))}
+        density = Current(comps, dim).divergence()
+        if density.is_zero():
+            continue
+        assert Lagrangian(density, dim, parity).el.is_zero()
+
+
+def _lepage_wedged(L):
+    """The Lepage form as a sum of one-term forms, each contact slot wedged
+    onto val * perm(tail) * omega_lam."""
+    table = lepage_table(L)
+    terms = [L.form()]
+    for (sym, sigma), val in table.items():
+        for lam in set(sigma):
+            tail = mi_remove(sigma, lam)
+            horiz, sign = omega_contracted(L.dim, lam)
+            omega_lam = MixedForm(L.dim, {
+                ((), horiz): val * (mi_permutations(tail) * sign)})
+            terms.append(
+                MixedForm.contact(jet(sym, tail), L.dim).wedge(omega_lam))
+    return MixedForm.sum(L.dim, terms)
+
+
+def _source_form_wedged(L):
+    return MixedForm.sum(L.dim, (
+        MixedForm.contact(jet(sym), L.dim).wedge(
+            MixedForm.density(poly, L.dim))
+        for sym, poly in L.el.components.items()))
+
+
+def test_component_built_forms_match_wedged_references():
+    # odd and even fields and Lagrangians; densities of order 3 in dims 2
+    # and 3 give tails with two distinct indices, where the weight
+    # perm(tail) is 2
+    rng = random.Random(49)
+    seen = set()
+    done = 0
+    while done < 40:
+        dim, parity = rng.choice([1, 2, 3]), rng.randint(0, 1)
+        density = _graded_density(rng, dim, rng.choice([2, 3]), parity)
+        if density.is_zero():
+            continue
+        L = Lagrangian(density, dim, parity)
+        assert L.lepage == _lepage_wedged(L)
+        assert L.source_form == _source_form_wedged(L)
+        assert check_lepage(L), density
+        for contact, _ in L.lepage.components:
+            if contact:
+                seen.add(("odd slot", contact[0].parity))
+                seen.add(("weight", mi_permutations(contact[0].index)))
+        seen.update(("odd E", sym.parity) for sym, p
+                    in L.el.components.items() if not p.is_zero())
+        done += 1
+    assert seen >= {("odd slot", 1), ("odd slot", 0), ("weight", 2),
+                    ("odd E", 1), ("odd E", 0)}
