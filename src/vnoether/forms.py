@@ -202,15 +202,6 @@ class MixedForm:
 
     # -- differentials ------------------------------------------------------
 
-    def total_derivative(self, lam: int, cap: int = DEFAULT_JET_CAP) -> "MixedForm":
-        """d_lam acting on coefficients and contact labels (an even
-        derivation, so no Leibniz signs appear)."""
-        out = {}
-        for (contact, horiz), f in self.components.items():
-            for newc, g, sign in _d_lam(contact, f, lam, cap):
-                accumulate(out, (newc, horiz), g * sign)
-        return _form(self.dim, out)
-
     def horizontal_differential(self, cap: int = DEFAULT_JET_CAP) -> "MixedForm":
         """d_H = dx^lam ^ d_lam per component, for each lam not in its dx
         block (dx^lam ^ dx^lam = 0): dx^lam moves left past the contact
@@ -222,8 +213,17 @@ class MixedForm:
                 if lam in horiz:
                     continue
                 newh, hsign = _sort_horiz((lam,) + horiz)
-                for newc, g, sign in _d_lam(contact, f, lam, cap):
-                    accumulate(out, (newc, newh), g * (sign * hsign * parity))
+                sign = hsign * parity
+                # d_lam of the coefficient, then of each slot in turn,
+                # re-sorted (dropped when an even slot repeats)
+                df = f.total_derivative(lam, cap)
+                if not df.is_zero():
+                    accumulate(out, (contact, newh), df * sign)
+                for i, lab in enumerate(contact):
+                    cs = _sort_contact(contact[:i] + (bump(lab, lam, cap),)
+                                       + contact[i + 1:])
+                    if cs is not None:
+                        accumulate(out, (cs[0], newh), f * (cs[1] * sign))
         return _form(self.dim, out)
 
     def vertical_differential(self) -> "MixedForm":
@@ -260,19 +260,6 @@ def _form(dim: int, components: dict) -> MixedForm:
     form.components = components
     return form
 
-
-def _d_lam(contact, f, lam, cap):
-    """d_lam of the component f * th^contact as ``(contact, poly, sign)``
-    triples: d_lam f on the same slots, then f with each slot bumped in
-    turn and re-sorted (dropped when an even slot repeats)."""
-    df = f.total_derivative(lam, cap)
-    if not df.is_zero():
-        yield contact, df, 1
-    for i, lab in enumerate(contact):
-        cs = _sort_contact(contact[:i] + (bump(lab, lam, cap),)
-                           + contact[i + 1:])
-        if cs is not None:
-            yield cs[0], f, cs[1]
 
 
 # ---------------------------------------------------------------------------

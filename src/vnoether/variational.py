@@ -34,8 +34,7 @@ from .algebra import (DEFAULT_JET_CAP, EVEN, ODD, FieldSymbol, GradedPoly,
                       mi_remove, mi_subtract, multi_indices,
                       multi_indices_up_to, var_key)
 from .forms import (ContactDerivation, GeneralizedVectorField, MixedForm,
-                    _form, contract, omega_contracted, omega_pair_contracted,
-                    prolong)
+                    contract, omega_contracted, omega_pair_contracted, prolong)
 from .linsolve import solve_sparse
 
 EXACT = "exact"
@@ -233,9 +232,9 @@ def euler_lagrange_form(L: Lagrangian) -> MixedForm:
     """The source form: E_A moved left of th^A (its involution for an odd
     field) at ((th^A,), vol), for each nonzero E_A."""
     vol = tuple(range(L.dim))
-    return _form(L.dim, {
+    return MixedForm(L.dim, {
         ((jet(sym),), vol): poly.involution() if sym.parity else poly
-        for sym, poly in L.el.sorted_items() if not poly.is_zero()})
+        for sym, poly in L.el.sorted_items()})
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +282,7 @@ def lepage_equivalent(L: Lagrangian) -> MixedForm:
             horiz, sign = omega_contracted(L.dim, lam)
             out[((jet(sym, tail),), horiz)] = \
                 val * (mi_permutations(tail) * sign)
-    return _form(L.dim, out)
+    return MixedForm(L.dim, out)
 
 
 def check_lepage(L: Lagrangian) -> bool:

@@ -2,7 +2,7 @@
 
 Usage (from the repository root)::
 
-    python3 tests/mutate.py src/vnoether/forms.py MixedForm.horizontal_differential _d_lam
+    python3 tests/mutate.py src/vnoether/forms.py MixedForm.horizontal_differential
     python3 tests/mutate.py src/vnoether/variational.py euler_lagrange \\
         --equivalent LINE:COL:END -- tests/test_variational.py
 
@@ -14,7 +14,7 @@ where the operation starts and the column where it ends.  Each mutant is
 written into a temporary copy of the repository (under ``$TMPDIR``), where
 ``python -X dev -W error -m pytest -x -q`` runs on the paths after ``--``,
 else on the whole suite.  A failing run kills the mutant; a run past
-``--timeout`` seconds kills it too.  A mutant that passes survives, unless
+``TIMEOUT`` seconds kills it too.  A mutant that passes survives, unless
 its site was listed with ``--equivalent`` as a change that cannot alter
 any result: then it is reported as equivalent.  One line per site is
 printed, then the score.  The exit code is 1 when a mutant survives, else
@@ -37,6 +37,7 @@ ROOT = Path(__file__).resolve().parent.parent
 IGNORED = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache",
                                  "*.egg-info", "out", "build")
 SWAP = {ast.Add: ast.Sub, ast.Sub: ast.Add}
+TIMEOUT = 600.0  # seconds; a mutant that loops forever is killed
 
 
 def _functions(tree, names):
@@ -111,14 +112,14 @@ def mutant(source: str, where: tuple) -> str:
     return ast.unparse(out)
 
 
-def run_suite(copy: Path, tests, timeout: float) -> str:
+def run_suite(copy: Path, tests) -> str:
     env = dict(os.environ, PYTHONPATH=str(copy / "src"))
     try:
         run = subprocess.run(
             [sys.executable, "-X", "dev", "-W", "error", "-m", "pytest",
              "-x", "-q", "-p", "no:cacheprovider", *tests],
             cwd=copy, env=env, stdout=subprocess.DEVNULL,
-            stderr=subprocess.DEVNULL, timeout=timeout)
+            stderr=subprocess.DEVNULL, timeout=TIMEOUT)
     except subprocess.TimeoutExpired:
         return "killed (timeout)"
     return "survived" if run.returncode == 0 else "killed"
@@ -133,7 +134,6 @@ def main(argv=None) -> int:
     parser.add_argument("--equivalent", action="append", default=[],
                         metavar="LINE:COL:END",
                         help="a site whose mutant cannot change a result")
-    parser.add_argument("--timeout", type=float, default=600.0)
     argv = sys.argv[1:] if argv is None else list(argv)
     tests = argv[argv.index("--") + 1:] if "--" in argv else []
     args = parser.parse_args(argv[:len(argv) - len(tests)])
@@ -148,12 +148,12 @@ def main(argv=None) -> int:
         copy = Path(tmp) / "repo"
         shutil.copytree(ROOT, copy, ignore=IGNORED)
         target = copy / rel
-        if run_suite(copy, tests, args.timeout) != "survived":
+        if run_suite(copy, tests) != "survived":
             raise SystemExit("the unmutated suite fails")
         for fn, where, text in found:
             target.write_text(mutant(source, where), encoding="utf-8")
             start = time.perf_counter()
-            status = run_suite(copy, tests, args.timeout)
+            status = run_suite(copy, tests)
             if status == "survived" and where in equivalent:
                 status = "equivalent"
             counts[status.split()[0]] = counts.get(status.split()[0], 0) + 1

@@ -59,18 +59,27 @@ def run_command(argv):
     return {"sha256": digest, "exit": code}
 
 
-def test_corpus_reports_match_golden_digests():
-    golden = json.loads(DIGESTS.read_text())
-    commands = corpus_commands()
+def mismatches(commands, digests: Path):
+    """The commands whose outcome differs from the golden file
+    ``digests``, which must pin exactly these commands."""
+    golden = json.loads(digests.read_text())
     assert sorted(" ".join(argv) for argv in commands) == sorted(golden)
-    mismatched = [" ".join(argv) for argv in commands
-                  if run_command(argv) != golden[" ".join(argv)]]
-    assert not mismatched
+    return [" ".join(argv) for argv in commands
+            if run_command(argv) != golden[" ".join(argv)]]
+
+
+def record(commands, digests: Path):
+    """Run ``commands`` and write their outcomes to ``digests``."""
+    table = {" ".join(argv): run_command(argv) for argv in commands}
+    digests.parent.mkdir(exist_ok=True)
+    digests.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
+    print(f"{len(table)} digests written to {digests.relative_to(ROOT)}",
+          file=sys.stderr)
+
+
+def test_corpus_reports_match_golden_digests():
+    assert not mismatches(corpus_commands(), DIGESTS)
 
 
 if __name__ == "__main__":
-    table = {" ".join(argv): run_command(argv) for argv in corpus_commands()}
-    DIGESTS.parent.mkdir(exist_ok=True)
-    DIGESTS.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
-    print(f"{len(table)} digests written to {DIGESTS.relative_to(ROOT)}",
-          file=sys.stderr)
+    record(corpus_commands(), DIGESTS)

@@ -239,9 +239,6 @@ def test_horizontal_differential_matches_unpruned_reference():
     for form in forms:
         assert form.horizontal_differential() \
             == _horizontal_differential_unpruned(form)
-        for lam in range(form.dim):
-            assert form.total_derivative(lam) \
-                == _total_derivative_reference(form, lam)
 
 
 # The per-parity sign bookkeeping that GradedPoly.involution replaced, kept

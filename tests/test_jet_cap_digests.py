@@ -13,10 +13,9 @@ so instead of re-recording.
 """
 
 import json
-import sys
 from pathlib import Path
 
-from test_corpus_digests import ROOT, run_command
+from test_corpus_digests import ROOT, mismatches, record
 
 DIGESTS = Path(__file__).resolve().parent / "data" / "jet_cap_digests.json"
 MODEL_DIRS = ("models", "tests/data", "perfbench/models")
@@ -32,12 +31,7 @@ def jet_cap_commands():
 
 
 def test_low_jet_cap_outcomes_match_golden_digests():
-    golden = json.loads(DIGESTS.read_text())
-    commands = jet_cap_commands()
-    assert sorted(" ".join(argv) for argv in commands) == sorted(golden)
-    mismatched = [" ".join(argv) for argv in commands
-                  if run_command(argv) != golden[" ".join(argv)]]
-    assert not mismatched
+    assert not mismatches(jet_cap_commands(), DIGESTS)
 
 
 def test_the_pins_cover_both_outcomes():
@@ -48,7 +42,4 @@ def test_the_pins_cover_both_outcomes():
 
 
 if __name__ == "__main__":
-    table = {" ".join(argv): run_command(argv) for argv in jet_cap_commands()}
-    DIGESTS.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
-    print(f"{len(table)} digests written to {DIGESTS.relative_to(ROOT)}",
-          file=sys.stderr)
+    record(jet_cap_commands(), DIGESTS)
