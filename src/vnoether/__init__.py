@@ -8,8 +8,8 @@ superpotential, all over exact rational arithmetic.
 
 from .algebra import (DEFAULT_JET_CAP, EVEN, KIND_ANTIFIELD, KIND_FIELD,
                       KIND_GHOST, ODD, DeclarationError, EvaluationError,
-                      FieldSymbol, GradedPoly, JetVariable, JetCapError,
-                      coordinate_symbol, jet, multi_index, poly_from_data,
+                      FieldSymbol, GradedPoly, InternalError, JetVariable,
+                      JetCapError, jet, multi_index, poly_from_data,
                       poly_to_data)
 from .grassmann import GrassmannAlgebra, GrassmannElement
 from .forms import (ContactDerivation, GeneralizedVectorField, MixedForm,

@@ -15,9 +15,8 @@ Products, sums and derivatives do only ``int`` arithmetic; a result whose
 ``monomials``, ``constant_term``, ``poly_to_data`` and ``evaluate``, each
 in lowest terms (``int`` when integral).
 
-Base coordinates themselves may enter coefficients: a symbol carrying a
-``coord`` index is an even order-0 generator whose total derivative is the
-Kronecker delta instead of a jet bump.
+Every generator is a field, ghost or antifield; base coordinates x^i do
+not enter coefficients, so a total derivative only bumps jets.
 
 Jet variables are interned: ``jet`` returns one object per symbol and
 multi-index, and variables hash and compare by identity.
@@ -64,8 +63,7 @@ MultiIndex = tuple  # sorted tuple of coordinate indices
 
 
 class DeclarationError(ValueError):
-    """A symbol is declared with a bad kind, parity or base link, or a
-    coordinate is asked for a jet."""
+    """A symbol is declared with a bad kind, parity or base link."""
 
 
 class EvaluationError(ValueError):
@@ -79,6 +77,12 @@ class JetCapError(RuntimeError):
         super().__init__(f"jet order {order} exceeds cap {cap}")
         self.order = order
         self.cap = cap
+
+
+class InternalError(AssertionError):
+    """A constructed object failed the exact re-check that its builder
+    runs on it: a fault in the program, not in the model.  The message
+    names the check."""
 
 
 # ---------------------------------------------------------------------------
@@ -141,19 +145,18 @@ class FieldSymbol:
     """A declared generator: field, ghost or antifield.
 
     Antifields link back to the field they pair with and carry opposite
-    parity.  A symbol with ``coord`` set models a base coordinate x^i.
+    parity.
     """
 
     name: str
     kind: str = KIND_FIELD
     parity: int = EVEN
     base: Optional["FieldSymbol"] = None
-    coord: Optional[int] = None
 
     def __post_init__(self):
         # the generated frozen-dataclass hash rebuilds a field tuple per call
         object.__setattr__(self, "_hash", hash(
-            (self.name, self.kind, self.parity, self.base, self.coord)))
+            (self.name, self.kind, self.parity, self.base)))
         if self.kind not in _KIND_RANK:
             raise DeclarationError(f"unknown symbol kind {self.kind!r}")
         if self.parity not in (EVEN, ODD):
@@ -166,12 +169,9 @@ class FieldSymbol:
                     f"antifield {self.name!r} parity must be opposite to its base")
         elif self.base is not None:
             raise DeclarationError(f"{self.kind} {self.name!r} cannot carry a base link")
-        if self.coord is not None and (self.kind != KIND_FIELD or self.parity != EVEN):
-            raise DeclarationError("coordinate symbols are even and of kind 'field'")
         # orders distinct symbols that share kind and name (see var_key)
         object.__setattr__(self, "_tie", (
-            -1 if self.coord is None else self.coord, self.parity,
-            () if self.base is None else
+            self.parity, () if self.base is None else
             (_KIND_RANK[self.base.kind], self.base.name, self.base._tie)))
 
     def __hash__(self):
@@ -184,7 +184,7 @@ class FieldSymbol:
             return NotImplemented
         return (self._hash == other._hash and self.name == other.name
                 and self.kind == other.kind and self.parity == other.parity
-                and self.base == other.base and self.coord == other.coord)
+                and self.base == other.base)
 
     @property
     def sort_key(self):
@@ -237,20 +237,12 @@ class JetVariable:
 
 
 def jet(symbol: FieldSymbol, index: Iterable[int] = ()) -> JetVariable:
-    index = multi_index(index)
-    if symbol.coord is not None and index:
-        raise DeclarationError(f"coordinate {symbol.name!r} has no jets")
-    return JetVariable(symbol, index)
-
-
-def coordinate_symbol(i: int, name: Optional[str] = None) -> FieldSymbol:
-    return FieldSymbol(name if name is not None else f"x{i}", KIND_FIELD, EVEN, coord=i)
+    return JetVariable(symbol, multi_index(index))
 
 
 def var_key(v: JetVariable):
     """Global variable order: (kind, name, multi-index lexicographic), then
-    coordinate index (none first), parity and base, so that distinct
-    variables never share a key."""
+    parity and base, so that distinct variables never share a key."""
     return v.key
 
 
@@ -662,17 +654,13 @@ class GradedPoly:
         return {w: _reduced(out, den) for w, out in table.items()}
 
     def total_derivative(self, lam: int, cap: int = DEFAULT_JET_CAP) -> "GradedPoly":
-        """Total derivative d_lam: jets are bumped, coordinates give deltas."""
+        """Total derivative d_lam: each factor's jet is bumped (Leibniz)."""
         out = {}
         for (even, odd), c in self.terms.items():
             for i, (v, e) in enumerate(even):
-                rest = _lowered(even, i)
-                if v.symbol.coord is not None:
-                    if v.symbol.coord == lam:
-                        _put(out, (rest, odd), c * e)
-                    continue
                 bumped = bump(v, lam, cap)
-                _put(out, (_merge_even(rest, (bumped._factor,)), odd), c * e)
+                _put(out, (_merge_even(_lowered(even, i), (bumped._factor,)),
+                           odd), c * e)
             for i, v in enumerate(odd):
                 bumped = bump(v, lam, cap)
                 ins = _sort_odd(odd[:i] + (bumped,) + odd[i + 1:])

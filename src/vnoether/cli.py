@@ -7,8 +7,11 @@ report).  Exit codes: 0 all checks passed (or ``--help``), 1 mathematical
 failure, 2 usage, parse or model error (a ``--jet-cap`` or
 ``VNOETHER_JET_CAP`` that is not a non-negative integer, a model file that
 is not UTF-8, or a declared symmetry of mixed parity, too), 3 a jet
-variable above ``--jet-cap``, 141 stdout closed before the report or help
-text was written (a reader such as ``head`` quit; no traceback).
+variable above ``--jet-cap``, 4 an internal self-check failed (an
+``InternalError``: a constructed object failed its own exact re-check,
+a fault in the program; stderr names the check, no traceback), 141 stdout
+closed before the report or help text was written (a reader such as
+``head`` quit; no traceback).
 
 ``getopt.gnu_getopt`` reads the command line against one table of
 commands (no argparse); a usage error writes ``USAGE`` and the error to
@@ -41,7 +44,8 @@ import time
 from json.encoder import encode_basestring_ascii as _quote
 from types import SimpleNamespace
 
-from .algebra import GradedPoly, JetCapError, jet, poly_to_data
+from .algebra import (GradedPoly, InternalError, JetCapError, jet,
+                      poly_to_data)
 from .forms import UnsupportedDerivation
 from .gauge import GaugeError, GaugeSymmetryResult, gauge_symmetry
 from .model import ElaborationError, ParseError, load_model
@@ -55,6 +59,7 @@ EXIT_OK = 0
 EXIT_MATH = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
+EXIT_INTERNAL = 4
 EXIT_PIPE = 141   # 128 + SIGPIPE, what a shell reports for a closed pipe
 
 
@@ -402,6 +407,9 @@ def _main(argv) -> int:
     except JetCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
+    except InternalError as exc:
+        print(f"error: internal check failed: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     elapsed = time.monotonic() - start
     report = {
         "command": args.command,

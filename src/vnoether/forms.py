@@ -8,6 +8,8 @@ meaning ``f * th^A_{I1} ^ ... ^ th^A_{Ik} ^ dx^{j1} ^ ... ^ dx^{jr}``
 with the coefficient on the left.  Contact slots are labels (symbol,
 multi-index); they are never expanded except inside the exterior
 differential, where ``d s^A_I = th^A_I + s^A_{I+lam} dx^lam``.
+Every ring variable is such a jet (there are no base-coordinate
+symbols), so each has a contact form and ``d_V`` differentiates along all.
 
 Sign conventions, all derived from the bigraded commutation rule
 ``a^b = (-1)^(|a||b| + [a][b]) b^a`` with form degree |.| and parity [.]:
@@ -36,8 +38,7 @@ from .algebra import (DEFAULT_JET_CAP, EVEN, ODD, FieldSymbol, GradedPoly,
 
 
 class UnsupportedDerivation(ValueError):
-    """A vector field whose components mix parities, or the contact form of
-    a base coordinate."""
+    """A vector field whose components mix parities."""
 
 
 # ---------------------------------------------------------------------------
@@ -110,8 +111,6 @@ class MixedForm:
 
     @staticmethod
     def contact(v: JetVariable, dim: int) -> "MixedForm":
-        if v.symbol.coord is not None:
-            raise UnsupportedDerivation("base coordinates have no contact form")
         return MixedForm(dim, {((v,), ()): GradedPoly.constant(1)})
 
     # -- linear structure ---------------------------------------------------
@@ -233,8 +232,8 @@ class MixedForm:
         out = {}
         for (contact, horiz), f in self.components.items():
             for v, g in f.gradient().items():
-                cs = v.symbol.coord is None and _sort_contact((v,) + contact)
-                if cs:
+                cs = _sort_contact((v,) + contact)
+                if cs is not None:
                     accumulate(out, (cs[0], horiz),
                                (g.involution() if v.parity else g) * cs[1])
         return _form(self.dim, out)
@@ -335,8 +334,7 @@ class ContactDerivation:
         self._memo = {}
 
     def theta_coefficient(self, v: JetVariable) -> GradedPoly:
-        """Pairing with th^A_I: d_I u^A (zero for a base coordinate, which
-        has no component)."""
+        """Pairing with th^A_I: d_I u^A."""
         out = self._memo.get(v)
         if out is None:
             out = self.source.component(v.symbol)

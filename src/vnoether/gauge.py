@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from .algebra import (DEFAULT_JET_CAP, KIND_ANTIFIELD, KIND_GHOST, ODD,
-                      FieldSymbol, GradedPoly, JetCapError, accumulate, jet,
-                      var_key)
+                      FieldSymbol, GradedPoly, InternalError, JetCapError,
+                      accumulate, jet, var_key)
 from .forms import GeneralizedVectorField, contract
 from .variational import (Current, EulerLagrange, ExactnessResult, Lagrangian,
                           expand_witness, prolonged_variation,
@@ -162,7 +162,7 @@ def adjoint(op: NoetherOperator, ghost: FieldSymbol,
         raise GaugeError("ghost parity must match the identity parity")
     eta = adjoint_table(op, cap)
     if transfer_derivatives(eta.items(), cap) != op.coefficients:
-        raise AssertionError("adjoint involution failed")
+        raise InternalError("adjoint involution failed")
     comps: Dict[FieldSymbol, GradedPoly] = {}
     for (sym, sub), coeff in eta.items():
         if len(sub) > cap:
@@ -280,11 +280,11 @@ def gauge_symmetry(op: NoetherOperator, ghost: FieldSymbol,
         current = _by_parts_current(op, ghost, el, L.dim, L.jet_cap)
         witness = current.form() + boundary
         if not (witness.horizontal_differential(L.jet_cap) - lie).is_zero():
-            raise AssertionError("gauge witness failed its re-check")
+            raise InternalError("gauge witness failed its re-check")
     # J must be an antiderivative of the contracted source term
     result = GaugeSymmetryResult.check(u, current, L)
     if not result.conservation:
-        raise AssertionError("gauge witness failed its re-check")
+        raise InternalError("gauge current failed its conservation check")
     return result
 
 

@@ -14,6 +14,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, List, Optional
 
+from .algebra import InternalError
+
 
 def solve_sparse(rows: List[Dict[int, Fraction]], rhs: List[Fraction],
                  ncols: int) -> Optional[List[Fraction]]:
@@ -64,7 +66,7 @@ def solve_sparse(rows: List[Dict[int, Fraction]], rhs: List[Fraction],
         if ri not in used_rows and rows[ri]:
             # row was never chosen as pivot but still has entries: that can
             # only happen if all its columns were eliminated, i.e. never
-            raise AssertionError("elimination left a dangling row")
+            raise InternalError("elimination left a dangling row")
 
     solution = [Fraction(0)] * ncols
     # back substitution in decreasing column order

@@ -35,7 +35,8 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .algebra import (DEFAULT_JET_CAP, KIND_GHOST, FieldSymbol, GradedPoly,
-                      accumulate, jet, mi_add, mi_permutations, multi_indices)
+                      InternalError, accumulate, jet, mi_add, mi_permutations,
+                      multi_indices)
 from .forms import GeneralizedVectorField, MixedForm
 from .gauge import GaugeError, GaugeSymmetryResult, collect_ghost_linear
 from .variational import (NOT_EXACT, Current, EulerLagrange, Lagrangian,
@@ -236,14 +237,7 @@ def extract(result: GaugeSymmetryResult, L: Lagrangian) -> SuperpotentialSplit:
             f"(failing equation: {failing[0].tag})", failing[0].tag, checks)
     w_table: Dict[tuple, GradedPoly] = {}
     w_polys: Dict[int, GradedPoly] = {}
-    pair_table: Dict[Tuple[int, int], GradedPoly] = {}
-
-    def bump_pair(nu, mu, poly):
-        if nu == mu or poly.is_zero():
-            return
-        if nu > mu:
-            nu, mu, poly = mu, nu, -poly
-        accumulate(pair_table, (nu, mu), poly)
+    pair_table: Dict[Tuple[int, int], GradedPoly] = {}  # keys nu < mu
 
     def apply_w_increment(increments, subtract_from_working):
         """Record increments {(ghost, tail, A, I, mu): a}, the W term
@@ -301,7 +295,8 @@ def extract(result: GaugeSymmetryResult, L: Lagrangian) -> SuperpotentialSplit:
                             * Fraction(1, 2)
                         if anti.is_zero():
                             continue
-                        bump_pair(nu, mu, -(scale * perm) * (anti * ghost_t))
+                        accumulate(pair_table, (nu, mu),
+                                   -(scale * perm) * (anti * ghost_t))
                         _bump(working, (ghost, t), mu,
                               (scale * perm) * anti.total_derivative(nu, cap))
                         _bump(working, (ghost, t), nu,
@@ -324,7 +319,7 @@ def extract(result: GaugeSymmetryResult, L: Lagrangian) -> SuperpotentialSplit:
         # exact invariant: div(working) equals the updated source
         if Current(_compose(working, free), n).divergence(cap) \
                 != expand_witness(_compose(source, source_free), el, cap):
-            raise AssertionError("reduction lost the conservation invariant")
+            raise InternalError("reduction lost the conservation invariant")
 
     # ghost-linear order-0 terms are source coefficients directly
     apply_w_increment({(ghost, (), sym, index, mu): a
@@ -333,7 +328,7 @@ def extract(result: GaugeSymmetryResult, L: Lagrangian) -> SuperpotentialSplit:
                        in source.get((ghost, (mu,)), {}).items()},
                       subtract_from_working=True)
     if working:
-        raise AssertionError("ghost-linear terms survived the reduction")
+        raise InternalError("ghost-linear terms survived the reduction")
     # closed, by the ghost-free-closed check above
     remainder = Current({mu: free[mu] for mu in range(n) if mu in free}, n)
     witness = MixedForm.zero(n)
@@ -344,15 +339,15 @@ def extract(result: GaugeSymmetryResult, L: Lagrangian) -> SuperpotentialSplit:
                 "ghost-free remainder is closed but not exact", TAG_GHOST_FREE,
                 checks)
         witness = res.witness
-        for (nu, mu), poly in Superpotential.from_form(
+        for pair, poly in Superpotential.from_form(
                 witness).components.items():
-            bump_pair(nu, mu, poly)
+            accumulate(pair_table, pair, poly)
 
     split = SuperpotentialSplit(w_table, w_polys, Superpotential(pair_table, n),
                                 witness, n, checks)
     ok, split.report = verify_split(J, split, el, cap)
     if not ok:
-        raise AssertionError(
+        raise InternalError(
             f"split failed its own verification: {split.report}")
     return split
 

@@ -11,6 +11,9 @@ known; ``weak_conservation_witness`` keeps a bounded ansatz search for a
 bare current, and is the one producer of BOUND_EXHAUSTED).  Every one of
 these decisions returns an ``ExactnessResult``: a status, the witness
 (a form, or a table {(A, I): w}) and, for a failed re-check, the residual.
+Coefficients are polynomials in the jets alone, with no base coordinate
+x^i, so the homotopy weighs a monomial by its degree in all jets and a
+nonzero constant term is not exact.
 
 Vector fields are vertical, so the Lie derivative of L vol along pr u is
 pr u(L) vol (``prolonged_variation``), which the symmetry test and the
@@ -30,8 +33,8 @@ from itertools import combinations, combinations_with_replacement
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .algebra import (DEFAULT_JET_CAP, EVEN, ODD, FieldSymbol, GradedPoly,
-                      accumulate, jet, mi_add, mi_binomial, mi_permutations,
-                      mi_remove, mi_subtract, multi_indices,
+                      InternalError, accumulate, jet, mi_add, mi_binomial,
+                      mi_permutations, mi_remove, mi_subtract, multi_indices,
                       multi_indices_up_to, var_key)
 from .forms import (ContactDerivation, GeneralizedVectorField, MixedForm,
                     contract, omega_contracted, omega_pair_contracted, prolong)
@@ -68,8 +71,7 @@ class Lagrangian:
         return MixedForm.density(self.density, self.dim)
 
     def field_symbols(self) -> list:
-        return sorted((s for s in self.density.symbols() if s.coord is None),
-                      key=lambda s: s.sort_key)
+        return sorted(self.density.symbols(), key=lambda s: s.sort_key)
 
     @cached_property
     def el(self) -> EulerLagrange:
@@ -323,16 +325,11 @@ def prolonged_variation(deriv: ContactDerivation, L: Lagrangian) -> MixedForm:
 # ---------------------------------------------------------------------------
 # monomial ansatz machinery
 
-def _is_coord(v) -> bool:
-    return v.symbol.coord is not None
-
-
-def _class_vector(factors, include_coords: bool):
+def _class_vector(factors):
     """Per-symbol degree vector of a monomial, sorted by symbol."""
     counts: Dict[FieldSymbol, int] = {}
     for v, e in factors:
-        if include_coords or v.symbol.coord is None:
-            counts[v.symbol] = counts.get(v.symbol, 0) + e
+        counts[v.symbol] = counts.get(v.symbol, 0) + e
     return tuple(sorted(counts.items(), key=lambda it: it[0].sort_key))
 
 
@@ -353,37 +350,20 @@ def _symbol_monomials(sym: FieldSymbol, degree: int, dim: int, max_order: int):
     return out
 
 
-def _coordinate_monomials(coords: Sequence[FieldSymbol], max_degree: int):
-    out = [GradedPoly.constant(1)]
-    if not coords or max_degree <= 0:
-        return out
-    variables = [jet(s) for s in coords]
-    for d in range(1, max_degree + 1):
-        for combo in combinations_with_replacement(variables, d):
-            p = GradedPoly.constant(1)
-            for v in combo:
-                p = p * GradedPoly.variable(v)
-            out.append(p)
-    return out
-
-
-def _class_monomials(cls, dim: int, order_caps: Mapping[FieldSymbol, int],
-                     coords: Sequence[FieldSymbol], x_degree: int) -> list:
+def _class_monomials(cls, dim: int,
+                     order_caps: Mapping[FieldSymbol, int]) -> list:
     """Deterministically ordered candidate monomials of an exact per-symbol
-    degree vector, times coordinate monomials."""
+    degree vector."""
     parts = [GradedPoly.constant(1)]
     for sym, degree in cls:
         cap = order_caps.get(sym, 0)
         sym_monos = _symbol_monomials(sym, degree, dim, cap)
         parts = [p * m for p in parts for m in sym_monos]
-    xparts = _coordinate_monomials(coords, x_degree)
     # dedupe by monomial, keeping the first occurrence
     uniq = {}
     for p in parts:
-        for x in xparts:
-            m = p * x
-            for _, factors in m.monomials():
-                uniq.setdefault(factors, m)
+        for _, factors in p.monomials():
+            uniq.setdefault(factors, p)
     return [uniq[f] for f in sorted(uniq, key=_mono_sort)]
 
 
@@ -447,18 +427,13 @@ def _monomial(c, factors) -> GradedPoly:
     return term
 
 
-def _weighted(poly: GradedPoly):
-    """(P-hat, free monomials): each monomial of field degree k >= 1 weighted
-    by 1/k, and the ``(coefficient, factors)`` of field degree 0.  Field and
-    ghost jets count toward k, base coordinates do not."""
-    weighted, free = [], []
-    for c, factors in poly.monomials():
-        k = sum(e for v, e in factors if not _is_coord(v))
-        if k:
-            weighted.append(_monomial(Fraction(c, k), factors))
-        else:
-            free.append((c, factors))
-    return GradedPoly.sum(weighted), free
+def _weighted(poly: GradedPoly) -> GradedPoly:
+    """P-hat: each monomial of degree k >= 1 weighted by 1/k, every jet
+    counting toward k.  The constant term, of degree 0, has no weight and
+    is left out: the caller refuses it."""
+    return GradedPoly.sum(
+        _monomial(Fraction(c, k), factors) for c, factors in poly.monomials()
+        if (k := sum(e for _, e in factors)))
 
 
 def transfer_derivatives(items, cap: int, skip_empty: bool = False) -> dict:
@@ -483,8 +458,8 @@ def _higher_euler(poly: GradedPoly, cap: int) -> dict:
     E_A^K(P) = sum over M containing K of binom(M, K) (-d)_{M-K} dP/du^A_M
     and u^A stands to the left: (-1)^|K| times the transferred partials."""
     table = transfer_derivatives(
-        (((v.symbol, v.index), g) for v, g in poly.gradient().items()
-         if not _is_coord(v)), cap, skip_empty=True)
+        (((v.symbol, v.index), g) for v, g in poly.gradient().items()),
+        cap, skip_empty=True)
     return {(sym, sub): GradedPoly.variable(jet(sym))
             * (-e if len(sub) % 2 else e) for (sym, sub), e in table.items()}
 
@@ -499,22 +474,20 @@ def _homotopy(euler: Mapping, j: int, c: int, cap: int) -> GradedPoly:
 
 
 def horizontal_antiderivative(rho: MixedForm,
-                              coords: Sequence[FieldSymbol] = (),
                               cap: int = DEFAULT_JET_CAP) -> ExactnessResult:
     """Decide d_H-exactness of a horizontal form of degree n or n-1 and
     produce an antiderivative.
 
     The obstructions decide NOT_EXACT: nonzero Euler-Lagrange expressions
-    for a density, n = 1 or a nonzero d_H for an (n-1)-form.  Otherwise the
-    homotopy operator of the variational bicomplex (Anderson, *The
-    Variational Bicomplex*, ch. 4-5; Hereman et al., "Continuous and
-    discrete homotopy operators", 2005) builds the witness from P-hat, the
-    input with each monomial of field degree k divided by k:
-    sigma^j = h_j^0(rho-hat) for a density, and
+    for a density, n = 1 or a nonzero d_H for an (n-1)-form, and a nonzero
+    constant term, which has no antiderivative without base coordinates
+    in the ring.  Otherwise the homotopy operator of the variational
+    bicomplex (Anderson, *The Variational Bicomplex*, ch. 4-5; Hereman et
+    al., "Continuous and discrete homotopy operators", 2005) builds the
+    witness from P-hat, the input with each monomial of degree k in the
+    jets divided by k: sigma^j = h_j^0(rho-hat) for a density, and
     U^{nu mu} = h_nu^1(J-hat^mu) - h_mu^1(J-hat^nu) for a current.  The
-    field-free part of a density is integrated along the lowest-index base
-    coordinate in ``coords`` or the input; without one it is a nonzero
-    constant and not exact.  The witness is re-checked exactly.
+    witness is re-checked exactly.
 
     The operator differentiates to jet order 2k - 1 for an input of order
     k: one less than the Euler-Lagrange check of a density already needs,
@@ -529,29 +502,16 @@ def horizontal_antiderivative(rho: MixedForm,
     if len(degrees) > 1:
         raise ValueError("input must have homogeneous horizontal degree")
     degree = degrees.pop()
-    xs = set(coords)
-    for poly in rho.components.values():
-        xs.update(poly.symbols())
-    xs = sorted((s for s in xs if s.coord is not None and s.coord < n),
-                key=lambda s: (s.coord, s.name))
     if degree == n:
         # a density d_mu sigma^mu: its Euler-Lagrange expressions vanish
         density = rho.coefficient(horiz=tuple(range(n)))
         parity = density.parity if density.parity is not None else EVEN
-        if not Lagrangian(density, n, parity, cap).el.is_zero():
+        if (not Lagrangian(density, n, parity, cap).el.is_zero()
+                or density.constant_term()):
             return ExactnessResult(NOT_EXACT)
-        hat, free = _weighted(density)
-        euler = _higher_euler(hat, cap)
-        table = {j: _homotopy(euler, j, 0, cap) for j in range(n)}
-        if free:
-            if not xs:
-                return ExactnessResult(NOT_EXACT)
-            x = jet(xs[0])
-            mu = x.symbol.coord
-            table[mu] = GradedPoly.sum([table[mu]] + [
-                _monomial(Fraction(c, dict(factors).get(x, 0) + 1), factors)
-                * GradedPoly.variable(x) for c, factors in free])
-        witness = Current(table, n).form()
+        euler = _higher_euler(_weighted(density), cap)
+        witness = Current({j: _homotopy(euler, j, 0, cap)
+                           for j in range(n)}, n).form()
     elif degree == n - 1:
         # a current d_nu U^{nu mu}: closed, and a 0-form has no antiderivative
         if n == 1 or not rho.horizontal_differential(cap).is_zero():
@@ -559,13 +519,10 @@ def horizontal_antiderivative(rho: MixedForm,
         current = Current.from_form(rho)
         euler = {}
         for mu in range(n):
-            hat, free = _weighted(current.component(mu))
-            if free:
-                if xs:
-                    raise ValueError("a field-free current with base "
-                                     "coordinates is not supported")
+            poly = current.component(mu)
+            if poly.constant_term():
                 return ExactnessResult(NOT_EXACT)
-            euler[mu] = _higher_euler(hat, cap)
+            euler[mu] = _higher_euler(_weighted(poly), cap)
         witness = Superpotential(
             {(nu, mu): _homotopy(euler[mu], nu, 1, cap)
              - _homotopy(euler[nu], mu, 1, cap)
@@ -573,7 +530,7 @@ def horizontal_antiderivative(rho: MixedForm,
     else:
         raise ValueError("only degrees n and n-1 are supported")
     if not (witness.horizontal_differential(cap) - rho).is_zero():
-        raise AssertionError("antiderivative failed its own re-check")
+        raise InternalError("antiderivative failed its own re-check")
     return ExactnessResult(EXACT, witness)
 
 
@@ -641,13 +598,13 @@ def weak_conservation_witness(J: Current, el: EulerLagrange,
         base_order = comp.jet_order()
         for index in multi_indices_up_to(J.dim, max(0, order - base_order)):
             de = comp.total_derivative_multi(index, cap)
-            ecls = {_class_vector(f, True) for _, f in de.monomials()}
+            ecls = {_class_vector(f) for _, f in de.monomials()}
             basis.append((sym, tuple(index), de, ecls))
     # provable obstruction: a divergence monomial no product can equal
     all_ecls = set()
     for _, _, _, ecls in basis:
         all_ecls.update(ecls)
-    target_cls = [_class_vector(f, True) for _, f in target.monomials()]
+    target_cls = [_class_vector(f) for _, f in target.monomials()]
     for tcls in target_cls:
         tdict = dict(tcls)
         if not any(all(tdict.get(s, 0) >= v for s, v in ec) for ec in all_ecls):
@@ -688,18 +645,13 @@ def weak_conservation_witness(J: Current, el: EulerLagrange,
     caps_map = {}
     for _, _, de, _ in basis:
         for v in list(target.variables()) + list(de.variables()):
-            if v.symbol.coord is None:
-                caps_map[v.symbol] = order
+            caps_map[v.symbol] = order
     unknowns = []
     for bi, (sym, index, de, _) in enumerate(basis):
         classes = sorted((mcls for (b, mcls) in chosen if b == bi), key=str)
         for mcls in classes:
-            coords = [s for s, _ in mcls if s.coord is not None]
-            jet_cls = tuple((s, v) for s, v in mcls if s.coord is None)
-            xdeg = sum(v for s, v in mcls if s.coord is not None)
-            for m in _class_monomials(jet_cls, J.dim, caps_map, coords, xdeg):
-                if m.degree_in(_is_coord) == xdeg:
-                    unknowns.append((sym, index, m, de))
+            for m in _class_monomials(mcls, J.dim, caps_map):
+                unknowns.append((sym, index, m, de))
     if not unknowns:
         return ExactnessResult(BOUND_EXHAUSTED)
     sol = _solve_columns([{None: m * de} for _, _, m, de in unknowns],

@@ -11,8 +11,7 @@ import pytest
 from vnoether import (EVEN, KIND_ANTIFIELD, KIND_FIELD, KIND_GHOST, ODD,
                       DeclarationError, EvaluationError, FieldSymbol,
                       GradedPoly, GrassmannAlgebra, JetCapError, antifield,
-                      coordinate_symbol, jet, poly_from_data, poly_text,
-                      poly_to_data)
+                      jet, poly_from_data, poly_text, poly_to_data)
 from vnoether.algebra import (bump, mi_binomial, mi_permutations,
                               multi_index, var_key)
 
@@ -144,17 +143,6 @@ def test_total_derivatives_commute_random():
         assert a == b
 
 
-def test_coordinate_symbols():
-    x0, x1 = coordinate_symbol(0), coordinate_symbol(1)
-    p = P(jet(x0)) ** 2 * P(jet(PHI))
-    dp = p.total_derivative(0)
-    assert dp == 2 * P(jet(x0)) * P(jet(PHI)) + P(jet(x0)) ** 2 * P(jet(PHI, (0,)))
-    assert P(jet(x0)).total_derivative(1).is_zero()
-    assert P(jet(x1)).total_derivative(1) == GradedPoly.constant(1)
-    with pytest.raises(DeclarationError):
-        jet(x0, (0,))
-
-
 def test_jet_cap():
     p = P(jet(PHI, (0,) * 6))
     with pytest.raises(JetCapError):
@@ -268,8 +256,6 @@ def test_equal_symbols_built_apart_are_equal_and_hash_equal():
     assert a == b and hash(a) == hash(b)
     assert jet(a, (0,)) == jet(b, (0,))
     assert hash(jet(a, (0,))) == hash(jet(b, (0,)))
-    assert coordinate_symbol(1) == coordinate_symbol(1)
-    assert hash(coordinate_symbol(1)) == hash(coordinate_symbol(1))
     assert P(jet(a)) + P(jet(b)) == 2 * P(jet(a))
 
 
@@ -277,14 +263,14 @@ def test_symbols_differing_in_one_field_are_unequal():
     assert FieldSymbol("c", KIND_FIELD) != FieldSymbol("c", KIND_GHOST)
     assert FieldSymbol("c", KIND_GHOST, EVEN) != FieldSymbol("c", KIND_GHOST, ODD)
     assert antifield(PHI) != antifield(FieldSymbol("phi", KIND_GHOST))
-    assert coordinate_symbol(0, "x") != coordinate_symbol(1, "x")
-    assert coordinate_symbol(0, "phi") != PHI
     assert PHI != "phi"
     # distinct symbols sharing kind and name keep distinct variable keys:
     # their even product commutes, their odd product anticommutes
-    x0 = P(jet(coordinate_symbol(0, "x")))
-    x1 = P(jet(coordinate_symbol(1, "x")))
-    assert x0 * x1 == x1 * x0
+    s = antifield(FieldSymbol("phi", KIND_FIELD, ODD))
+    t = antifield(FieldSymbol("phi", KIND_GHOST, ODD))
+    assert s != t and s.name == t.name == "phi~" and s.parity == EVEN
+    x0, x1 = P(jet(s)), P(jet(t))
+    assert not (x0 * x1).is_zero() and x0 * x1 == x1 * x0
     a = P(jet(antifield(PHI)))
     b = P(jet(antifield(FieldSymbol("phi", KIND_GHOST))))
     assert not (a * b).is_zero() and a * b == -(b * a)
@@ -303,7 +289,6 @@ def test_jet_variables_are_interned():
     assert jet(PHI, (1, 0)) is jet(PHI, (0, 1))
     a, b = antifield(PHI), antifield(PHI)
     assert a is not b and jet(a, (0,)) is jet(b, (0,))
-    assert jet(coordinate_symbol(0)) is jet(coordinate_symbol(0))
     assert jet(PHI) is not jet(PSI) and jet(PHI) is not jet(PHI, (0,))
     v = jet(C, (2,))
     assert pickle.loads(pickle.dumps(v)) is v
@@ -324,11 +309,9 @@ def test_memoized_successor_still_meets_the_cap():
 def test_stored_key_sorts_like_the_built_key():
     syms = [PHI, PSI, C, antifield(PHI), antifield(C),
             antifield(FieldSymbol("phi", KIND_GHOST)),
-            coordinate_symbol(0, "x"), coordinate_symbol(1, "x"),
             FieldSymbol("x"), FieldSymbol("c", KIND_GHOST, EVEN)]
     variables = [jet(s, i) for s in syms
-                 for i in ((), (0,), (1,), (0, 1), (1, 1))
-                 if s.coord is None or not i]
+                 for i in ((), (0,), (1,), (0, 1), (1, 1))]
     random.Random(7).shuffle(variables)
     rank = {KIND_FIELD: 0, KIND_GHOST: 1, KIND_ANTIFIELD: 2}
 

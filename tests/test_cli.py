@@ -10,6 +10,7 @@ import pytest
 
 from vnoether import (KIND_GHOST, ODD, Current, FieldSymbol, GradedPoly,
                       NoetherOperator, cli, jet, load_model, print_elaborated)
+from vnoether import gauge
 
 ROOT = Path(__file__).resolve().parent.parent
 MODELS = ROOT / "models"
@@ -330,6 +331,32 @@ def test_verify_weak_conservation_failure_reports_residual(monkeypatch,
     step = {s["name"]: s for s in report["steps"]}["weak-conservation shift"]
     assert step["status"] == "fail"
     assert step["payload"]["residual"]["text"] == "-c_{,0}"
+
+
+def test_failed_self_check_exits_4_without_traceback(monkeypatch, capsys):
+    # a constructed object that fails its own re-check is a fault in the
+    # program, not in the model: exit 4 and the check's name on stderr,
+    # with no traceback; here the adjoint's second transfer, the one that
+    # moves the derivatives back, is corrupted
+    real = gauge.transfer_derivatives
+
+    def corrupted(items, cap, *rest):
+        out = real(items, cap, *rest)
+        if sys._getframe(1).f_code.co_name == "adjoint":
+            key = min(out, key=repr)
+            out[key] = out[key] * 2
+        return out
+
+    monkeypatch.setattr(gauge, "transfer_derivatives", corrupted)
+    for argv in (["gauge-symmetry", "stueck"], ["verify"]):
+        code = cli.main([argv[0], str(MODELS / "scalar_shift.vln"),
+                         *argv[1:], "--format", "json"])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_INTERNAL == 4
+        assert captured.out == ""
+        assert captured.err == ("error: internal check failed: "
+                                "adjoint involution failed\n")
+        assert "Traceback" not in captured.err
 
 
 def test_verify_decides_each_symmetry_without_bound(tmp_path, capsys):

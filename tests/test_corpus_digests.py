@@ -2,7 +2,9 @@
 
 For every command over ``models/*.vln`` -- ``el`` and ``verify`` per model,
 ``check-identity``, ``gauge-symmetry`` and ``superpotential`` per identity,
-``superpotential`` per symmetry -- ``data/corpus_digests.json`` holds the
+``superpotential`` per symmetry -- and for ``verify`` and every
+``superpotential`` run over the higher-order ghost models of
+``DATA_MODELS`` in ``tests/data/``, ``data/corpus_digests.json`` holds the
 SHA-256 of the stdout and the exit code.  The test re-runs each command
 in-process and compares, so a change that must not alter any output is
 checked byte for byte.  A change that alters a report on purpose re-records
@@ -23,6 +25,11 @@ from vnoether.model import parse
 
 ROOT = Path(__file__).resolve().parent.parent
 DIGESTS = Path(__file__).resolve().parent / "data" / "corpus_digests.json"
+# a mixed ghost jet d[0,1] with pr u(L) and U nonzero, and its flipped
+# control; a level-2 gauge symmetry of a two-slot field; one symmetry that
+# carries two ghosts
+DATA_MODELS = ("stueck_mixed", "stueck_mixed_flipped", "tensor_gauge2",
+               "two_ghosts")
 
 
 def corpus_commands():
@@ -39,6 +46,12 @@ def corpus_commands():
                             "superpotential"):
                 out.append([command, model, name])
         for name in sorted(declared.symmetries):
+            out.append(["superpotential", model, name])
+    for stem in DATA_MODELS:
+        model = f"tests/data/{stem}.vln"
+        declared = parse((ROOT / model).read_text())
+        out.append(["verify", model])
+        for name in sorted({*declared.identities, *declared.symmetries}):
             out.append(["superpotential", model, name])
     return out
 

@@ -277,8 +277,6 @@ def _vertical_differential_poly_per_parity(f, dim):
     out = {}
     gradient = f.gradient()
     for v in sorted(gradient, key=var_key):
-        if v.symbol.coord is not None:
-            continue
         g = gradient[v]
         for gp in (EVEN, ODD):
             part = g.parity_part(gp)

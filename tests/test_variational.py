@@ -12,7 +12,7 @@ from vnoether import (EVEN, KIND_FIELD, KIND_GHOST, ODD, ConsistencyError,
                       horizontal_antiderivative, is_variational_symmetry,
                       jet, lepage_equivalent, load_model, noether_current,
                       symmetry_witness, weak_conservation_witness)
-from vnoether.algebra import coordinate_symbol, mi_permutations, mi_remove
+from vnoether.algebra import mi_permutations, mi_remove
 from vnoether.forms import omega_contracted
 from vnoether.linsolve import solve_sparse
 from vnoether.variational import BOUND_EXHAUSTED, EXACT, NOT_EXACT, lepage_table
@@ -312,15 +312,24 @@ def test_antiderivative_bound_exhaustion_is_distinct():
     assert res.witness.coefficient() == Fraction(1, 2) * P(jet(PHI, (0,))) ** 2
 
 
-def test_antiderivative_with_coordinates():
-    from vnoether import coordinate_symbol
-    x = coordinate_symbol(0)
-    rho = MixedForm.density(GradedPoly.constant(1), 1)
-    res = horizontal_antiderivative(rho, coords=[x])
-    assert res.status == EXACT
-    assert res.witness.coefficient() == P(jet(x))
-    res2 = horizontal_antiderivative(rho)
-    assert res2.status == NOT_EXACT
+def test_constant_term_is_not_exact():
+    # with no base coordinate in the ring, a nonzero constant has no
+    # antiderivative, in a density or in a closed current; the same input
+    # without it is exact
+    exact = P(jet(PHI, (0,))) * P(jet(PHI, (1,)))
+    assert horizontal_antiderivative(
+        MixedForm.density(exact.total_derivative(0), 2)).status == EXACT
+    for rho in (MixedForm.density(GradedPoly.constant(1), 1),
+                MixedForm.density(exact.total_derivative(0) + 3, 2)):
+        assert horizontal_antiderivative(rho).status == NOT_EXACT
+    for mu in (0, 1):
+        tail = {nu: exact.total_derivative(1 - nu) * (1 - 2 * nu)
+                for nu in (0, 1)}
+        res = horizontal_antiderivative(Current(tail, 2).form())
+        assert res.status == EXACT
+        tail[mu] = tail[mu] + Fraction(-2, 3)
+        res = horizontal_antiderivative(Current(tail, 2).form())
+        assert res.status == NOT_EXACT and res.witness is None
 
 
 def test_variational_symmetry_examples():
@@ -537,20 +546,14 @@ def _flat_euler_lagrange(density, sym, cap):
 
 
 def _graded_density(rng, dim, max_order, parity):
-    """A random density of one parity in even and odd fields, some terms
-    times a base coordinate."""
-    density = rand_poly(rng, GRADED_FIELDS, dim, max_order, max_terms=4,
-                        parity=parity)
-    if rng.random() < 0.5:
-        x = P(jet(coordinate_symbol(rng.randrange(dim))))
-        density = density + x * rand_poly(rng, GRADED_FIELDS, dim, max_order,
-                                          parity=parity)
-    return density
+    """A random density of one parity in even and odd fields."""
+    return rand_poly(rng, GRADED_FIELDS, dim, max_order, max_terms=4,
+                     parity=parity)
 
 
 def test_nested_euler_lagrange_matches_flat_formula_random():
     # order-3 densities in dims 1-3, in odd and even fields, odd and even
-    # Lagrangians, with base coordinates; the nested recursion must give
+    # Lagrangians; the nested recursion must give
     # the flat sum exactly
     rng = random.Random(47)
     seen = set()
@@ -568,12 +571,9 @@ def test_nested_euler_lagrange_matches_flat_formula_random():
             assert_canonical(el.component(sym))
             if not el.component(sym).is_zero():
                 seen.add((parity, sym.parity))
-        seen.add(("coords", any(s.coord is not None
-                                for s in density.symbols())))
         seen.add(("order", density.jet_order()))
         done += 1
-    assert seen >= {(0, 0), (0, 1), (1, 0), (1, 1), ("coords", True),
-                    ("order", 3)}
+    assert seen >= {(0, 0), (0, 1), (1, 0), (1, 1), ("order", 3)}
 
 
 def test_nested_euler_lagrange_kills_total_divergences():
