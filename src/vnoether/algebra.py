@@ -44,7 +44,6 @@ part is negated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
@@ -140,39 +139,51 @@ def multi_indices_up_to(dim: int, order: int) -> Iterator[MultiIndex]:
 # ---------------------------------------------------------------------------
 # symbols and jet variables
 
-@dataclass(frozen=True)
 class FieldSymbol:
     """A declared generator: field, ghost or antifield.
 
     Antifields link back to the field they pair with and carry opposite
-    parity.
+    parity.  Instances are immutable, compare and hash by value, and
+    pickle by value.
     """
 
-    name: str
-    kind: str = KIND_FIELD
-    parity: int = EVEN
-    base: Optional["FieldSymbol"] = None
+    __slots__ = ("name", "kind", "parity", "base", "_hash", "_tie")
 
-    def __post_init__(self):
-        # the generated frozen-dataclass hash rebuilds a field tuple per call
-        object.__setattr__(self, "_hash", hash(
-            (self.name, self.kind, self.parity, self.base)))
-        if self.kind not in _KIND_RANK:
-            raise DeclarationError(f"unknown symbol kind {self.kind!r}")
-        if self.parity not in (EVEN, ODD):
-            raise DeclarationError(f"parity must be 0 or 1, got {self.parity!r}")
-        if self.kind == KIND_ANTIFIELD:
-            if self.base is None:
-                raise DeclarationError(f"antifield {self.name!r} needs a base field")
-            if self.parity != (self.base.parity + 1) % 2:
+    def __init__(self, name: str, kind: str = KIND_FIELD, parity: int = EVEN,
+                 base: Optional["FieldSymbol"] = None):
+        if kind not in _KIND_RANK:
+            raise DeclarationError(f"unknown symbol kind {kind!r}")
+        if parity not in (EVEN, ODD):
+            raise DeclarationError(f"parity must be 0 or 1, got {parity!r}")
+        if kind == KIND_ANTIFIELD:
+            if base is None:
+                raise DeclarationError(f"antifield {name!r} needs a base field")
+            if parity != (base.parity + 1) % 2:
                 raise DeclarationError(
-                    f"antifield {self.name!r} parity must be opposite to its base")
-        elif self.base is not None:
-            raise DeclarationError(f"{self.kind} {self.name!r} cannot carry a base link")
+                    f"antifield {name!r} parity must be opposite to its base")
+        elif base is not None:
+            raise DeclarationError(f"{kind} {name!r} cannot carry a base link")
+        init = object.__setattr__
+        init(self, "name", name)
+        init(self, "kind", kind)
+        init(self, "parity", parity)
+        init(self, "base", base)
+        init(self, "_hash", hash((name, kind, parity, base)))
         # orders distinct symbols that share kind and name (see var_key)
-        object.__setattr__(self, "_tie", (
-            self.parity, () if self.base is None else
-            (_KIND_RANK[self.base.kind], self.base.name, self.base._tie)))
+        init(self, "_tie", (parity, () if base is None else
+                            (_KIND_RANK[base.kind], base.name, base._tie)))
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError("FieldSymbol is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return FieldSymbol, (self.name, self.kind, self.parity, self.base)
+
+    def __repr__(self):
+        return (f"FieldSymbol(name={self.name!r}, kind={self.kind!r}, "
+                f"parity={self.parity!r}, base={self.base!r})")
 
     def __hash__(self):
         return self._hash

@@ -29,9 +29,8 @@ them goes through ``wedge``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional
+from typing import Mapping, NamedTuple, Optional
 
 from .algebra import (DEFAULT_JET_CAP, EVEN, ODD, FieldSymbol, GradedPoly,
                       JetVariable, accumulate, bump, jet, var_key)
@@ -283,8 +282,7 @@ def omega_pair_contracted(dim: int, nu: int, mu: int):
 # ---------------------------------------------------------------------------
 # generalized vector fields and their prolongations
 
-@dataclass(frozen=True)
-class GeneralizedVectorField:
+class GeneralizedVectorField(NamedTuple):
     """A vertical generalized graded vector field u = u^A d_A with
     polynomial components.  The model language and ``gauge.adjoint`` build
     only these, and a generalized vector field is a variational symmetry
@@ -346,8 +344,13 @@ class ContactDerivation:
 
     def apply_to_poly(self, f: GradedPoly) -> GradedPoly:
         """The derivation applied to a ring element."""
+        return self.apply_to_gradient(f.gradient())
+
+    def apply_to_gradient(self, gradient: Mapping) -> GradedPoly:
+        """The derivation applied to the ring element whose
+        ``GradedPoly.gradient`` is ``gradient``."""
         pairs = ((self.theta_coefficient(v), g)
-                 for v, g in f.gradient().items())
+                 for v, g in gradient.items())
         return GradedPoly.sum(c * g for c, g in pairs if not c.is_zero())
 
 

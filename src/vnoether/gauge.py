@@ -16,8 +16,7 @@ involution of the left partial (``GradedPoly.involution``) for odd a.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .algebra import (DEFAULT_JET_CAP, KIND_ANTIFIELD, KIND_GHOST, ODD,
                       FieldSymbol, GradedPoly, InternalError, JetCapError,
@@ -72,17 +71,25 @@ def koszul_tate(p: GradedPoly, el: EulerLagrange,
 # ---------------------------------------------------------------------------
 # Noether operators
 
-@dataclass
 class NoetherOperator:
     """Coefficient family of one differential identity between the
-    Euler-Lagrange expressions: sum of Delta^{A,I} d_I E_A = 0."""
+    Euler-Lagrange expressions: sum of Delta^{A,I} d_I E_A = 0.  Zero
+    coefficients are dropped; operators compare by value."""
 
-    name: str
-    coefficients: dict  # (FieldSymbol, MultiIndex) -> GradedPoly
-
-    def __post_init__(self):
-        self.coefficients = {k: p for k, p in self.coefficients.items()
+    def __init__(self, name: str, coefficients: dict):
+        self.name = name
+        # (FieldSymbol, MultiIndex) -> GradedPoly
+        self.coefficients = {k: p for k, p in coefficients.items()
                              if not p.is_zero()}
+
+    def __eq__(self, other):
+        if other.__class__ is not NoetherOperator:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __repr__(self):
+        return (f"NoetherOperator(name={self.name!r}, "
+                f"coefficients={self.coefficients!r})")
 
     def sorted_items(self):
         return sorted(self.coefficients.items(),
@@ -208,8 +215,7 @@ def recover_identity(u: GeneralizedVectorField, ghost: FieldSymbol,
          for sym, eta in row.items()), L.jet_cap))
 
 
-@dataclass
-class GaugeSymmetryResult:
+class GaugeSymmetryResult(NamedTuple):
     """A symmetry u, its current J and J's check; ``check`` builds it."""
     symmetry: GeneralizedVectorField
     current: Current

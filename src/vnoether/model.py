@@ -20,9 +20,9 @@ expression, with the antifield jet ``Ebar[A]`` of the flat symbol as the
 value of ``EL(A[..])``: its value is the antifield density sum
 Delta^{A,I} Ebar[A]_{,I}, and ``noether_operator_from_density`` reads
 the operator back.  The summands of a sum must leave the same letters
-open.  A symmetry's left-side letters take each component's values in
-the environment every row starts from, so they are never counted, summed
-or open on the right side.
+open.  A symmetry's left-side letters take each component's values,
+which every row carries, so they are never counted, summed or open on
+the right side.
 
 A ``let F[i,j] = body`` is a table evaluated once, where it is defined:
 the body must leave open exactly its parameters, each once, and the table
@@ -53,9 +53,8 @@ Grammar sketch (``#`` starts a comment, files use extension ``.vln``)::
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .algebra import (DEFAULT_JET_CAP, EVEN, KIND_GHOST, ODD, FieldSymbol,
                       GradedPoly, accumulate, jet)
@@ -83,8 +82,7 @@ class ElaborationError(ValueError):
 # ---------------------------------------------------------------------------
 # tokens
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str   # NAME INT PUNCT EOF
     text: str
     line: int
@@ -152,19 +150,21 @@ def tokenize(text: str) -> List[Token]:
 Idx = Tuple[str, object]   # ("letter", str) or ("lit", int)
 
 
-@dataclass
 class ModelSource:
-    dim: int = 1
-    metric: str = "euclidean"
-    signature: Optional[str] = None
-    fields: List[tuple] = field(default_factory=list)   # (name, arity, parity)
-    ghosts: List[tuple] = field(default_factory=list)   # (name, arity, parity, for)
-    lets: List[tuple] = field(default_factory=list)     # (name, params, body)
-    lagrangian: Optional[tuple] = None
-    lagrangian_line: int = 0
-    identities: Dict[str, tuple] = field(default_factory=dict)  # name -> expr
-    identity_lines: Dict[str, int] = field(default_factory=dict)
-    symmetries: Dict[str, list] = field(default_factory=dict)
+    """A parsed model file: its declarations, before elaboration."""
+
+    def __init__(self):
+        self.dim = 1
+        self.metric = "euclidean"
+        self.signature: Optional[str] = None
+        self.fields: List[tuple] = []   # (name, arity, parity)
+        self.ghosts: List[tuple] = []   # (name, arity, parity, for)
+        self.lets: List[tuple] = []     # (name, params, body)
+        self.lagrangian: Optional[tuple] = None
+        self.lagrangian_line = 0
+        self.identities: Dict[str, tuple] = {}   # name -> expr
+        self.identity_lines: Dict[str, int] = {}
+        self.symmetries: Dict[str, list] = {}
 
 
 # Deepest nesting of "(", "d[..](" and prefix "-" in one expression.  The
@@ -504,8 +504,7 @@ def parse(text: str) -> ModelSource:
 # ---------------------------------------------------------------------------
 # elaboration
 
-@dataclass
-class ElaboratedModel:
+class ElaboratedModel(NamedTuple):
     dim: int
     metric: str
     signature: str
@@ -554,7 +553,7 @@ class _Elaborator:
         self.fields: List[FieldSymbol] = []
         self.ghost_info: Dict[str, tuple] = {}
         self.lets: Dict[str, tuple] = {}      # name -> (arity, table)
-        self.antifields: Dict[FieldSymbol, GradedPoly] = {}
+        self.variables: Dict[tuple, GradedPoly] = {}  # see _variable
         # letter -> value of a symmetry's left side, for the component
         # being evaluated
         self.fixed: Dict[str, int] = {}
@@ -651,35 +650,40 @@ class _Elaborator:
     def _lookup(self, name: str, values: tuple) -> GradedPoly:
         """A let's component or a family component's variable."""
         if name not in self.lets:
-            return GradedPoly.variable(jet(self._family_symbol(name, values)))
+            return self._variable(name, values)
         arity, table = self.lets[name]
         if len(values) != arity:
             raise ElaborationError(
                 f"let {name!r} expects {arity} indices, got {len(values)}")
         return table[values]
 
-    def _antifield(self, name: str, values: tuple) -> GradedPoly:
-        """The antifield jet ``Ebar[A]`` of a family component, the value of
-        ``EL(A[..])`` in an identity; built once per component."""
-        sym = self._family_symbol(name, values)
-        if sym not in self.antifields:
-            self.antifields[sym] = GradedPoly.variable(jet(antifield(sym)))
-        return self.antifields[sym]
+    def _variable(self, name: str, values: tuple, anti: bool = False):
+        """A family component's variable, or with ``anti`` its antifield
+        jet ``Ebar[A]``, the value of ``EL(A[..])`` in an identity; built
+        once per component."""
+        var = self.variables.get((name, values, anti))
+        if var is None:
+            sym = self._family_symbol(name, values)
+            var = self.variables[(name, values, anti)] = GradedPoly.variable(
+                jet(antifield(sym) if anti else sym))
+        return var
 
     # -- evaluation ----------------------------------------------------------
 
-    def _level(self, own, factors):
-        """The contraction rule of one product level.
+    def _level(self, own, factors, literals):
+        """The contraction rule of one product level, and its rows.
 
         ``own`` are the node's own (letter, covariant) occurrences and
         ``factors`` the evaluated children, each ``(open, table)``.  A letter
         seen once among all of them stays open, twice is summed over
         ``0..n-1`` with the metric sign when both occurrences have the same
         variance, three or more times is an error.  A letter of
-        ``self.fixed`` is not counted: every row's environment starts from
-        its value.  Returns the open occurrences sorted by letter and one
-        row per assignment: ``(open values, letter -> value, sign, factor
-        values)``."""
+        ``self.fixed`` is not counted.  A row's values are the open
+        letters', the summed ones', the fixed ones' and the node's
+        ``literals``; where each of them, and each factor's key, sits is
+        worked out once.  Returns the open occurrences sorted by letter,
+        the position of each letter and literal, and one row per
+        assignment: ``(values, sign, factor values)``."""
         fixed = self.fixed
         seen: Dict[str, list] = {}
         for letter, cov in own + [o for occ, _ in factors for o in occ]:
@@ -698,19 +702,22 @@ class _Elaborator:
             raise ElaborationError(
                 f"indices [{', '.join(letters)}] in one term would enumerate "
                 f"{self.dim}^{len(letters)} assignments, more than {MAX_ROWS}")
+        tail = (*fixed.values(), *literals)
+        where = {l: i for i, l in enumerate([*letters, *fixed, *literals])}
+        keys = [[where[l] for l, _ in occ] for occ, _ in factors]
+        signed = [where[l] for l, same in pairs if same]
+        signs = self.signs
         rows = []
         for values in itertools.product(range(self.dim), repeat=len(letters)):
-            env = dict(zip(letters, values))
-            if fixed:
-                env.update(fixed)
+            if tail:
+                values += tail
             sign = 1
-            for (_, same), v in zip(pairs, values[len(open_):]):
-                if same:
-                    sign *= self.signs[v]
-            vals = [table[tuple(env[l] for l, _ in occ)]
-                    for occ, table in factors]
-            rows.append((values[:len(open_)], env, sign, vals))
-        return open_, rows
+            for p in signed:
+                sign *= signs[values[p]]
+            rows.append((values, sign, [
+                table[tuple([values[p] for p in key])]
+                for key, (_, table) in zip(keys, factors)]))
+        return open_, where, rows
 
     def _eval(self, expr):
         """Evaluate ``expr`` bottom-up, visiting each node once.  Returns its
@@ -732,34 +739,49 @@ class _Elaborator:
                 raise ElaborationError("summands expose different free indices")
             return occ, {k: GradedPoly.sum(more[k] for _, more in parts)
                          for k in table}
-        if tag in ("sym", "antifield"):
-            own, factors = _occurrences(expr[2], tag == "sym"), []
-        elif tag == "d":
-            own, factors = _occurrences(expr[1], True), [self._eval(expr[2])]
+        # the index slots of a symbol or a derivative, up to the first
+        # literal outside 0..n-1 (bad); a row meets it after the derivatives
+        # by the slots before it, so a jet cap they exceed is reported first
+        slots, bad = (), None
+        if tag in ("sym", "antifield", "d"):
+            slots = expr[1] if tag == "d" else expr[2]
+            own = _occurrences(slots, tag != "antifield")
+            for n, (kind, val) in enumerate(slots):
+                if kind == "lit" and not 0 <= val < self.dim:
+                    slots, bad = slots[:n], val
+                    break
+            factors = [self._eval(expr[2])] if tag == "d" else []
         elif tag == "pow":
             own, factors = [], [self._eval(expr[1])] * expr[2]
         else:
             own, factors = [], [self._eval(e) for e in expr[1]]
-        open_, rows = self._level(own, factors)
+        open_, where, rows = self._level(
+            own, factors, [val for kind, val in slots if kind == "lit"])
+        at = [where[val] for _, val in slots]
+        k = len(open_)
         terms: Dict[tuple, list] = {}
-        for key, env, sign, vals in rows:
-            if tag in ("sym", "antifield"):
-                lookup = self._lookup if tag == "sym" else self._antifield
-                value = lookup(
-                    expr[1], tuple(self._idx_value(i, env) for i in expr[2]))
-            elif tag == "d":
+        for values, sign, vals in rows:
+            if tag == "d":
                 value = vals[0]
-                for i in expr[1]:
-                    value = value.total_derivative(self._idx_value(i, env),
-                                                   self.cap)
-            else:
-                value = GradedPoly.constant(1)
-                for v in vals:
+                for p in at:
+                    value = value.total_derivative(values[p], self.cap)
+            if bad is not None:
+                raise ElaborationError(f"index {bad} out of range")
+            if tag == "sym":
+                value = self._lookup(expr[1], tuple([values[p] for p in at]))
+            elif tag == "antifield":
+                value = self._variable(expr[1],
+                                       tuple([values[p] for p in at]), True)
+            elif tag != "d":
+                value = vals[0] if vals else GradedPoly.constant(1)
+                for v in vals[1:]:
                     value = value * v
-            terms.setdefault(key, []).append(value * sign)
+            terms.setdefault(values[:k], []).append(
+                -value if sign < 0 else value)
         # a key whose sum is zero stays: lets and _closed index the table
-        return open_, {key: GradedPoly.sum(values)
-                       for key, values in terms.items()}
+        return open_, {key: parts[0] if len(parts) == 1
+                       else GradedPoly.sum(parts)
+                       for key, parts in terms.items()}
 
     def _closed(self, expr, where: str) -> GradedPoly:
         occ, table = self._eval(expr)
@@ -780,8 +802,8 @@ class _Elaborator:
 
     def _eval_symmetry(self, name: str, assigns) -> GeneralizedVectorField:
         """The left side's letters take each component's values in
-        ``self.fixed``, the environment every row starts from, so they are
-        never summed and never open on the right side."""
+        ``self.fixed``, which every row carries, so they are never summed
+        and never open on the right side."""
         comps: Dict[FieldSymbol, GradedPoly] = {}
         for (target, slots, expr) in assigns:
             letters = [i[1] for i in slots if i[0] == "letter"]

@@ -30,9 +30,8 @@ adds its antiderivative to the superpotential.  No step searches.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .algebra import (DEFAULT_JET_CAP, KIND_GHOST, FieldSymbol, GradedPoly,
                       InternalError, accumulate, jet, mi_add, mi_permutations,
@@ -96,8 +95,7 @@ def _bump(table: dict, row: tuple, key, poly: GradedPoly) -> None:
 # ---------------------------------------------------------------------------
 # structural equations
 
-@dataclass
-class StructuralCheck:
+class StructuralCheck(NamedTuple):
     tag: str
     ghost: Optional[str]
     level: int
@@ -175,20 +173,23 @@ def _structural_checks(result: GaugeSymmetryResult, L: Lagrangian,
 # ---------------------------------------------------------------------------
 # the split
 
-@dataclass
 class SuperpotentialSplit:
     """W as an explicit Euler-Lagrange combination, the antisymmetric
     superpotential, and the exactness witness for the ghost-free part.
     ``extract`` also hands back the results of the checks it ran: the
     structural ``checks`` and the ``verify_split`` ``report``."""
 
-    w_table: dict                 # (FieldSymbol, multi-index, mu) -> GradedPoly
-    w_polys: dict                 # mu -> GradedPoly (the claimed W^mu)
-    superpotential: Superpotential
-    remainder_witness: MixedForm  # (n-2)-form absorbing the ghost-free part
-    dim: int
-    checks: list = field(default_factory=list)   # StructuralCheck, in order
-    report: dict = field(default_factory=dict)   # verify_split's report
+    def __init__(self, w_table: dict, w_polys: dict,
+                 superpotential: Superpotential, remainder_witness: MixedForm,
+                 dim: int, checks: Optional[list] = None):
+        self.w_table = w_table   # (FieldSymbol, multi-index, mu) -> GradedPoly
+        self.w_polys = w_polys   # mu -> GradedPoly (the claimed W^mu)
+        self.superpotential = superpotential
+        # the (n-2)-form absorbing the ghost-free part
+        self.remainder_witness = remainder_witness
+        self.dim = dim
+        self.checks = checks or []   # StructuralCheck, in order
+        self.report = {}             # verify_split's report
 
     def w_component(self, mu: int) -> GradedPoly:
         return self.w_polys.get(mu, GradedPoly.zero())

@@ -26,11 +26,11 @@ them (see the class); every function here reads them from it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (Dict, List, Mapping, NamedTuple, Optional, Sequence,
+                    Tuple, Union)
 
 from .algebra import (DEFAULT_JET_CAP, EVEN, ODD, FieldSymbol, GradedPoly,
                       InternalError, accumulate, jet, mi_add, mi_binomial,
@@ -49,29 +49,58 @@ class ConsistencyError(ValueError):
     """A supplied witness does not satisfy the identity it claims to."""
 
 
-@dataclass(frozen=True)
 class Lagrangian:
-    """The density of L vol.  Its derived objects (``el``, ``lepage``,
-    ``source_form``, ``d_form``, ``prolongation``) are built on first use
-    and kept on the instance, outside equality and hashing."""
+    """The density of L vol.  Immutable; equal and hash-equal to a twin
+    built apart, and pickled by value.  Its derived objects (``gradient``,
+    ``el``, ``lepage``, ``source_form``, ``d_form``, ``prolongation``) are
+    built on first use and kept on the instance, outside equality and
+    hashing."""
 
-    density: GradedPoly
-    dim: int
-    parity: int = EVEN
-    jet_cap: int = DEFAULT_JET_CAP
-
-    def __post_init__(self):
-        if self.density.jet_order() > self.jet_cap:
+    def __init__(self, density: GradedPoly, dim: int, parity: int = EVEN,
+                 jet_cap: int = DEFAULT_JET_CAP):
+        if density.jet_order() > jet_cap:
             raise ValueError("Lagrangian exceeds the jet cap")
-        p = self.density.parity
-        if p is not None and p != self.parity:
+        p = density.parity
+        if p is not None and p != parity:
             raise ValueError("declared parity does not match the density")
+        self.__dict__.update(density=density, dim=dim, parity=parity,
+                             jet_cap=jet_cap)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError("Lagrangian is immutable")
+
+    __delattr__ = __setattr__
+
+    def _key(self) -> tuple:
+        return self.density, self.dim, self.parity, self.jet_cap
+
+    def __eq__(self, other):
+        if other.__class__ is not Lagrangian:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __reduce__(self):
+        return Lagrangian, self._key()
+
+    def __repr__(self):
+        return ("Lagrangian(density={!r}, dim={!r}, parity={!r}, "
+                "jet_cap={!r})".format(*self._key()))
 
     def form(self) -> MixedForm:
         return MixedForm.density(self.density, self.dim)
 
     def field_symbols(self) -> list:
         return sorted(self.density.symbols(), key=lambda s: s.sort_key)
+
+    @cached_property
+    def gradient(self) -> dict:
+        """``density.gradient()``, shared and never changed: the
+        Euler-Lagrange operator, the Lepage table and pr u(L) read it;
+        ``d_form`` takes its own."""
+        return self.density.gradient()
 
     @cached_property
     def el(self) -> EulerLagrange:
@@ -103,8 +132,7 @@ class Lagrangian:
         return deriv
 
 
-@dataclass
-class EulerLagrange:
+class EulerLagrange(NamedTuple):
     components: dict  # FieldSymbol -> GradedPoly
 
     def component(self, sym: FieldSymbol) -> GradedPoly:
@@ -117,8 +145,7 @@ class EulerLagrange:
         return sorted(self.components.items(), key=lambda it: it[0].sort_key)
 
 
-@dataclass
-class Current:
+class Current(NamedTuple):
     components: dict  # coordinate index -> GradedPoly
     dim: int
 
@@ -149,8 +176,7 @@ class Current:
         return Current(comps, form.dim)
 
 
-@dataclass
-class Superpotential:
+class Superpotential(NamedTuple):
     """Antisymmetric pair table; the (n-2)-form is half the trace against
     omega_{nu mu}."""
     components: dict  # (nu, mu) -> GradedPoly, antisymmetric
@@ -217,7 +243,7 @@ def euler_lagrange(L: Lagrangian,
     if symbols is None:
         symbols = L.field_symbols()
     partials: Dict[FieldSymbol, dict] = {}
-    for v, g in L.density.gradient().items():
+    for v, g in L.gradient.items():
         partials.setdefault(v.symbol, {})[v.index] = g
     comps = {}
     for sym in symbols:
@@ -247,9 +273,8 @@ def lepage_table(L: Lagrangian) -> dict:
     set to zero; totally symmetric in all indices, keyed by (symbol,
     multi-index).  Division by the permutation count converts the multiset
     partial derivative into the symmetric tensor component."""
-    density = L.density
-    order = density.jet_order()
-    gradient = density.gradient()
+    order = L.density.jet_order()
+    gradient = L.gradient
     syms = L.field_symbols()
     table: Dict[Tuple[FieldSymbol, tuple], GradedPoly] = {}
     for k in range(order, 0, -1):
@@ -319,7 +344,7 @@ def prolonged_variation(deriv: ContactDerivation, L: Lagrangian) -> MixedForm:
     contact slot, so the Cartan formula reduces to the derivation applied
     to the density (Olver, *Applications of Lie Groups to Differential
     Equations*, ch. 5)."""
-    return MixedForm.density(deriv.apply_to_poly(L.density), L.dim)
+    return MixedForm.density(deriv.apply_to_gradient(L.gradient), L.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -373,8 +398,7 @@ def _mono_sort(factors):
     return (sum(e for _, e in seq), tuple(seq))
 
 
-@dataclass
-class ExactnessResult:
+class ExactnessResult(NamedTuple):
     """An exactness decision: d_H-exactness of a horizontal form (witness
     its antiderivative form), or membership of div J in the Euler-Lagrange
     ideal (witness the table {(A, I): w} with div J = sum w^{A,I} d_I E_A).

@@ -296,6 +296,30 @@ def test_jet_variables_are_interned():
         v.index = (3,)
 
 
+def test_field_symbols_are_immutable_values_that_pickle_by_value():
+    a = antifield(FieldSymbol("chi", KIND_GHOST, ODD))
+    twin = antifield(FieldSymbol("chi", KIND_GHOST, ODD))
+    assert a is not twin and a == twin and hash(a) == hash(twin)
+    for attr, value in (("name", "x"), ("parity", ODD), ("base", None),
+                        ("_hash", 0)):
+        with pytest.raises(AttributeError):
+            setattr(a, attr, value)
+    with pytest.raises(AttributeError):
+        del a.name
+    assert a.name == "chi~" and a.parity == EVEN and a._hash == hash(twin)
+    back = pickle.loads(pickle.dumps(a))
+    assert back is not a and back == a and hash(back) == hash(a)
+    assert back.base == a.base and back.base is not a.base
+    # a pickled jet variable comes back as the interned one
+    v = jet(a, (0, 1))
+    assert pickle.loads(pickle.dumps(v)) is v
+    assert pickle.loads(pickle.dumps(jet(back, (1, 0)))) is v
+    # JetVariable's repr embeds the symbol's
+    assert repr(jet(PHI, (0,))) == (
+        "JetVariable(symbol=FieldSymbol(name='phi', kind='field', parity=0, "
+        "base=None), index=(0,))")
+
+
 def test_memoized_successor_still_meets_the_cap():
     # d_1 of phi_{,0} is memoized under cap 6; cap 1 must still refuse it
     v = jet(PHI, (0,))

@@ -3,7 +3,6 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -486,6 +485,26 @@ def test_each_identity_is_evaluated_once(monkeypatch, capsys):
                           "noether_current": currents}, argv
 
 
+def test_the_density_gradient_is_taken_once(monkeypatch, capsys):
+    # the Euler-Lagrange operator, the Lepage table and pr u(L) of every
+    # identity and declared symmetry read the Lagrangian's one gradient;
+    # verify also takes d(L vol), which keeps its own, so that the first
+    # variational formula's left side does not share pr u(L)'s input
+    path = MODELS / "maxwell4.vln"
+    density = load_model(path.read_text()).lagrangian.density
+    real = GradedPoly.gradient
+    for argv, want in ((["gauge-symmetry", str(path), "gauge"], 1),
+                       (["superpotential", str(path), "gauge"], 1),
+                       (["verify", str(path)], 2)):
+        taken = []
+        with monkeypatch.context() as patch:
+            patch.setattr(GradedPoly, "gradient",
+                          lambda p: taken.append(p == density) or real(p))
+            assert cli.main([*argv, "--format", "json"]) == 0
+        capsys.readouterr()
+        assert sum(taken) == want, argv
+
+
 def test_structural_checks_read_the_conservation_residual(monkeypatch,
                                                          capsys):
     # the split reads its structural equations off the residual of the
@@ -850,7 +869,7 @@ def test_every_single_sign_mutant_fails_check_identity(tmp_path, capsys):
         for name, op in sorted(model.identities.items()):
             for key, delta in op.sorted_items():
                 flipped = {**op.coefficients, key: -delta}
-                mutant = replace(model, identities={
+                mutant = model._replace(identities={
                     **model.identities, name: NoetherOperator(name, flipped)})
                 path.write_text(print_elaborated(mutant), encoding="utf-8")
                 code, step = _check_identity_json(capsys, path, name)
@@ -858,7 +877,7 @@ def test_every_single_sign_mutant_fails_check_identity(tmp_path, capsys):
                 assert code == 1 and step["status"] == "fail", where
                 assert step["payload"]["residual"]["monomials"], where
                 mutants += 1
-    assert mutants == 133
+    assert mutants == 144
 
 
 def test_the_true_sign_mutant_passes_check_identity(tmp_path, capsys):
@@ -872,7 +891,7 @@ def test_the_true_sign_mutant_passes_check_identity(tmp_path, capsys):
                for (sym, index), delta in op.coefficients.items()}
     assert flipped == {key: -delta for key, delta in right.coefficients.items()}
     path = tmp_path / "mutant.vln"
-    path.write_text(print_elaborated(replace(
-        wrong, identities={"ga": NoetherOperator("ga", flipped)})))
+    path.write_text(print_elaborated(wrong._replace(
+        identities={"ga": NoetherOperator("ga", flipped)})))
     assert _check_identity_json(capsys, path, "ga") \
         == (0, {"name": "identity ga", "status": "pass"})

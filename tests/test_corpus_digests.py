@@ -27,9 +27,9 @@ ROOT = Path(__file__).resolve().parent.parent
 DIGESTS = Path(__file__).resolve().parent / "data" / "corpus_digests.json"
 # a mixed ghost jet d[0,1] with pr u(L) and U nonzero, and its flipped
 # control; a level-2 gauge symmetry of a two-slot field; one symmetry that
-# carries two ghosts
+# carries two ghosts; the flipped controls of the U(1) odd-matter models
 DATA_MODELS = ("stueck_mixed", "stueck_mixed_flipped", "tensor_gauge2",
-               "two_ghosts")
+               "two_ghosts", "u1_odd2_flipped", "u1_odd3_flipped")
 
 
 def corpus_commands():

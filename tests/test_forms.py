@@ -1,3 +1,4 @@
+import pickle
 import random
 from fractions import Fraction
 
@@ -15,6 +16,17 @@ from helpers import (CH1, CH2 as C, DEFAULT_SYMBOLS, PHI, PSI, rand_form,
                      rand_poly, rand_vertical)
 
 P = GradedPoly.variable
+
+
+def test_vector_fields_are_immutable_values():
+    u = GeneralizedVectorField.make({PHI: P(jet(C)), PSI: P(jet(C, (0,)))})
+    twin = GeneralizedVectorField.make({PSI: P(jet(C, (0,))), PHI: P(jet(C))})
+    assert u is not twin and u == twin and hash(u) == hash(twin)
+    with pytest.raises(AttributeError):
+        u.vertical = ()
+    assert u.component(PHI) == P(jet(C))
+    back = pickle.loads(pickle.dumps(u))
+    assert back == u and hash(back) == hash(u)
 
 
 def test_horizontal_differential_definition():

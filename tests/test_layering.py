@@ -29,10 +29,15 @@ sum at every step.  Every exactness decision (a d_H-exact form, a variational
 symmetry, a weak-conservation witness) comes back as the one
 ``variational.ExactnessResult``: no other class has a ``status`` field.
 No module but ``__init__.py``, which re-exports, imports a name that it
-never reads.
+never reads.  No module imports ``dataclasses``, and importing
+``vnoether.cli`` loads neither it nor the Grassmann oracle: every command
+would pay for them at start-up.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "vnoether"
@@ -294,3 +299,40 @@ def test_the_check_sees_unused_imports():
                        "def f(x: MixedForm):\n"
                        "    return os.path\n")
     assert _unused_imports(sample, "s") == ["s:3 c"]
+
+
+def _imports_of(tree, module: str) -> list:
+    return [node.lineno for node in ast.walk(tree)
+            if (isinstance(node, ast.Import)
+                and any(a.name.split(".")[0] == module for a in node.names))
+            or (isinstance(node, ast.ImportFrom) and node.level == 0
+                and node.module.split(".")[0] == module)]
+
+
+def test_no_module_imports_dataclasses():
+    checked = sorted(SRC.glob("*.py"))
+    assert len(checked) >= 10
+    offenders = [f"{path.name}:{line}" for path in checked
+                 for line in _imports_of(_tree(path), "dataclasses")]
+    assert not offenders, offenders
+
+
+def test_the_check_sees_dataclass_imports():
+    sample = ast.parse("import dataclasses\nfrom dataclasses import field\n"
+                       "from .dataclasses import x\nimport os\n")
+    assert _imports_of(sample, "dataclasses") == [1, 2]
+
+
+def test_the_cli_loads_neither_dataclasses_nor_the_oracle():
+    # a fresh interpreter without site hooks, so that only the package's
+    # own imports count; the oracle still loads on first use
+    code = ("import sys, vnoether.cli\n"
+            "print(sorted({'dataclasses', 'vnoether.grassmann'}"
+            " & set(sys.modules)))\n"
+            "from vnoether import GrassmannAlgebra, GrassmannElement\n"
+            "print(GrassmannAlgebra.__module__, GrassmannElement.__module__)\n")
+    run = subprocess.run([sys.executable, "-S", "-c", code],
+                         capture_output=True, text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=str(SRC.parent)))
+    assert run.stdout.splitlines() == [
+        "[]", "vnoether.grassmann vnoether.grassmann"]

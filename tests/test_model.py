@@ -480,6 +480,13 @@ def test_long_literal_is_a_parse_error_in_the_library(template, where):
     assert (err.value.line, err.value.col) == where
 
 
+def test_parse_error_column_counts_every_token_before_it():
+    # "<-", a number and a name each move the column by their length
+    with pytest.raises(ParseError, match="expected a statement") as err:
+        parse("dim 1\nfield phi even\nsymmetry s: phi <- 12*phi )\n")
+    assert (err.value.line, err.value.col) == (3, 27)
+
+
 def test_index_enumeration_is_bounded(tmp_path, capsys):
     # dim^k rows for k letters at one product level, dim^arity symbols for
     # a family: both are refused before anything is allocated

@@ -1,3 +1,4 @@
+import pickle
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -5,13 +6,14 @@ from pathlib import Path
 import pytest
 
 from vnoether import (EVEN, KIND_FIELD, KIND_GHOST, ODD, ConsistencyError,
-                      Current, FieldSymbol, GeneralizedVectorField, GradedPoly,
-                      Lagrangian, MixedForm, Superpotential, check_lepage,
+                      Current, ExactnessResult, FieldSymbol,
+                      GeneralizedVectorField, GradedPoly, Lagrangian, MixedForm, Superpotential, check_lepage,
                       euler_lagrange, euler_lagrange_form, expand_witness,
                       first_variational_residual, gauge_symmetry,
                       horizontal_antiderivative, is_variational_symmetry,
                       jet, lepage_equivalent, load_model, noether_current,
                       symmetry_witness, weak_conservation_witness)
+from vnoether import variational
 from vnoether.algebra import mi_permutations, mi_remove
 from vnoether.forms import omega_contracted
 from vnoether.linsolve import solve_sparse
@@ -210,6 +212,44 @@ def test_lagrangian_keeps_its_derived_objects():
     again = GeneralizedVectorField.make({PHI: P(jet(C))})
     assert L.prolongation(shift) is L.prolongation(again)
     assert L.prolongation(shift) is not twin.prolongation(shift)
+
+
+def test_lagrangian_is_an_immutable_value(monkeypatch):
+    # the derived objects are built once, on first use; assignment and
+    # deletion are refused, cached names too; a pickle carries the value
+    # and none of the kept objects
+    density = Fraction(1, 2) * P(jet(PHI, (0,))) ** 2 + P(jet(PSI)) * P(jet(PHI))
+    L = Lagrangian(density, 1)
+    builds = {"euler_lagrange": 0, "lepage_equivalent": 0}
+    for name in builds:
+        def counted(*args, _name=name, _real=getattr(variational, name)):
+            builds[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(variational, name, counted)
+    for _ in range(3):
+        assert L.el.components and L.lepage.components
+    assert builds == {"euler_lagrange": 1, "lepage_equivalent": 1}
+    for attr in ("density", "dim", "el", "gradient"):
+        with pytest.raises(AttributeError):
+            setattr(L, attr, None)
+        with pytest.raises(AttributeError):
+            delattr(L, attr)
+    assert L.density == density and L.dim == 1
+    back = pickle.loads(pickle.dumps(L))
+    assert back is not L and back == L and hash(back) == hash(L)
+    assert "el" in vars(L) and "el" not in vars(back)
+    assert repr(L) == (f"Lagrangian(density={density!r}, dim=1, parity=0, "
+                       "jet_cap=6)")
+    assert L != Lagrangian(density, 1, jet_cap=5)
+    assert L != Lagrangian(density, 2)
+
+
+def test_exactness_result_is_truthy_exactly_when_exact():
+    assert ExactnessResult(EXACT)
+    assert ExactnessResult(EXACT, {}, None)
+    for status in (NOT_EXACT, BOUND_EXHAUSTED):
+        assert not ExactnessResult(status)
+        assert not ExactnessResult(status, {}, P(jet(PHI)))
 
 
 def test_check_lepage_fixtures():
@@ -452,7 +492,9 @@ def _corpus_currents():
 
 def test_symmetry_witness_corpus():
     cases = _corpus_currents()
-    assert len(cases) == 12  # one identity and one symmetry per model
+    # one identity and one symmetry for each of six models, one identity
+    # for each of even_ghost, u1_odd2 and u1_odd3
+    assert len(cases) == 15
     for label, u, J, el, cap, _ in cases:
         res = symmetry_witness(u, J, el, cap)
         assert res.status == EXACT, label
