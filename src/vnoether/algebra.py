@@ -12,8 +12,9 @@ denominator ``den >= 1``, with ``gcd(den, every numerator) == 1`` and
 Products, sums and derivatives do only ``int`` arithmetic; a result whose
 ``den`` exceeds 1 is reduced by one ``math.gcd`` over its numerators.  A
 ``Fraction`` is built only where a coefficient leaves the ring:
-``monomials``, ``constant_term``, ``poly_to_data`` and ``evaluate``, each
-in lowest terms (``int`` when integral).
+``monomials``, ``constant_term`` and ``poly_to_data``, each in lowest terms
+(``int`` when integral).  ``evaluate`` hands the Grassmann oracle ``int``
+numerators and denominators only.
 
 Every generator is a field, ghost or antifield; base coordinates x^i do
 not enter coefficients, so a total derivative only bumps jets.
@@ -695,21 +696,41 @@ class GradedPoly:
 
         Even variables may be assigned rationals or even algebra elements,
         odd variables odd algebra elements (typically distinct generators).
-        The numerators are summed and the total is divided by ``den`` once.
+        Each monomial's rational values are folded into one ``int``
+        numerator and denominator, so no ``Fraction`` is built, and its
+        element values are multiplied in factor order.  The monomials, over
+        the lcm of their denominators, are summed with ``algebra.sum`` and
+        divided by that lcm times ``den`` once.  The first unassigned
+        variable in factor order raises ``EvaluationError``.
         """
-        total = algebra.zero()
+        rows = []
         for (even, odd), c in self.terms.items():
-            val = algebra.scalar(c)
+            num, den, val = c, 1, None
             for v, e in even:
                 if v not in assignment:
                     raise EvaluationError(f"no value assigned to {v.symbol.name}{v.index}")
-                val = val * (algebra.lift(assignment[v]) ** e)
+                x = assignment[v]
+                if x.__class__ is int:
+                    num *= x ** e
+                elif x.__class__ is Fraction:
+                    num *= x.numerator ** e
+                    den *= x.denominator ** e
+                else:
+                    x = algebra.lift(x) ** e
+                    val = x if val is None else val * x
             for v in odd:
                 if v not in assignment:
                     raise EvaluationError(f"no value assigned to {v.symbol.name}{v.index}")
-                val = val * algebra.lift(assignment[v])
-            total = total + val
-        return total * Fraction(1, self.den) if self.den > 1 else total
+                x = algebra.lift(assignment[v])
+                val = x if val is None else val * x
+            if num:
+                rows.append((num, den, val))
+        scale = math.lcm(*[den for _, den, _ in rows])
+        total = algebra.sum([algebra.scalar(num * (scale // den)) if val is None
+                             else val * (num * (scale // den))
+                             for num, den, val in rows])
+        scale *= self.den
+        return total / scale if scale > 1 else total
 
     def __repr__(self):
         from .render import poly_text

@@ -2,35 +2,32 @@
 
 Used as the target of numeric cross-checks: even jets are assigned
 rationals, odd jets distinct generators, and symbolic identities are
-re-evaluated exactly.  Coefficients are ``int`` when integral, else
-``Fraction``; the oracle keeps this rule itself and shares no arithmetic
-with the ring it checks.
+re-evaluated exactly.
+
+An element is fraction-free: a dict ``num`` from sorted generator tuples to
+nonzero integer numerators, over one common denominator ``den >= 1``, with
+``gcd(den, every numerator) == 1`` and ``den == 1`` for zero, so equal
+elements have equal ``(num, den)`` and equal hashes.  Products, sums and
+scalar multiples do only ``int`` arithmetic, with one ``math.gcd``
+reduction per result.  ``terms`` is a read-only view of the coefficients,
+each ``int`` when integral, else ``Fraction``.  The oracle keeps this
+layout itself and shares no arithmetic with the ring it checks.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from typing import Mapping, Optional
+from typing import Iterable, Mapping, Optional
 
 
-def _canon(c):
-    """Any rational as ``int`` when integral, else as ``Fraction``."""
-    if c.__class__ is not Fraction:
-        if c.__class__ is int:
-            return c
-        c = Fraction(c)
-    return c.numerator if c.denominator == 1 else c
-
-
-def _put(out: dict, key, c) -> None:
-    """out[key] += c for a nonzero c, keeping the rule, dropping zeros."""
+def _put(out: dict, key, c: int) -> None:
+    """out[key] += c for a nonzero int c, dropping a zero sum."""
     s = out.get(key, 0) + c
-    if not s:
-        del out[key]
-    elif s.__class__ is Fraction and s.denominator == 1:
-        out[key] = s.numerator
-    else:
+    if s:
         out[key] = s
+    else:
+        del out[key]
 
 
 class GrassmannAlgebra:
@@ -42,19 +39,24 @@ class GrassmannAlgebra:
         self.ngen = ngen
 
     def zero(self) -> "GrassmannElement":
-        return GrassmannElement(self, {})
+        return _element(self, {})
 
     def one(self) -> "GrassmannElement":
-        return self.scalar(1)
+        return _element(self, {(): 1})
 
     def scalar(self, c) -> "GrassmannElement":
-        c = _canon(c)
-        return GrassmannElement(self, {(): c} if c else {})
+        """The scalar c, any rational; an ``int`` or a ``Fraction`` is read
+        as its numerator and denominator."""
+        if c.__class__ is int:
+            return _element(self, {(): c} if c else {})
+        if c.__class__ is not Fraction:
+            c = Fraction(c)
+        return _element(self, {(): c.numerator} if c else {}, c.denominator)
 
     def generator(self, i: int) -> "GrassmannElement":
         if not 0 <= i < self.ngen:
             raise ValueError(f"generator index {i} out of range")
-        return GrassmannElement(self, {(i,): 1})
+        return _element(self, {(i,): 1})
 
     def lift(self, x) -> "GrassmannElement":
         if isinstance(x, GrassmannElement):
@@ -62,6 +64,23 @@ class GrassmannAlgebra:
                 raise ValueError("element belongs to a different algebra")
             return x
         return self.scalar(x)
+
+    def sum(self, elements: Iterable) -> "GrassmannElement":
+        """The sum of ``elements`` in one term dict, over the lcm of the
+        denominators seen so far.  No operand changes; the empty sum is
+        zero."""
+        out, den = {}, 1
+        for e in elements:
+            if e.algebra is not self:
+                raise ValueError("element belongs to a different algebra")
+            if den % e.den:
+                grown = math.lcm(den, e.den)
+                out = {k: c * (grown // den) for k, c in out.items()}
+                den = grown
+            scale = den // e.den
+            for k, c in e.num.items():
+                _put(out, k, c * scale)
+        return _reduced(self, out, den)
 
 
 def _merge_gens(a, b):
@@ -87,23 +106,40 @@ def _merge_gens(a, b):
 
 
 class GrassmannElement:
-    __slots__ = ("algebra", "terms")
+    """Integer numerators ``num`` over the common denominator ``den``."""
+
+    __slots__ = ("algebra", "num", "den")
 
     def __init__(self, algebra: GrassmannAlgebra, terms: Mapping):
+        """Takes ``{generators: rational}``, ``int`` and ``Fraction`` values
+        mixed; zeros are dropped and ``den`` is the lcm of the
+        denominators."""
+        coeffs = {k: c if c.__class__ is int else Fraction(c)
+                  for k, c in terms.items() if c != 0}
+        den = math.lcm(*[c.denominator for c in coeffs.values()])
         self.algebra = algebra
-        self.terms = {k: _canon(c) for k, c in terms.items() if c != 0}
+        self.num = {k: c.numerator * (den // c.denominator)
+                    for k, c in coeffs.items()}
+        self.den = den
+
+    @property
+    def terms(self) -> dict:
+        """``{generators: coefficient}``, each ``int`` when integral, else
+        ``Fraction``; a fresh dict."""
+        den = self.den
+        if den == 1:
+            return dict(self.num)
+        return {k: Fraction(c, den) if c % den else c // den
+                for k, c in self.num.items()}
 
     def __add__(self, other):
-        other = self.algebra.lift(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            _put(out, k, c)
-        return _element(self.algebra, out)
+        return self.algebra.sum((self, self.algebra.lift(other)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _element(self.algebra, {k: -c for k, c in self.terms.items()})
+        return _element(self.algebra, {k: -c for k, c in self.num.items()},
+                        self.den)
 
     def __sub__(self, other):
         return self + (-self.algebra.lift(other))
@@ -114,23 +150,40 @@ class GrassmannElement:
     def __mul__(self, other):
         if (other.__class__ is not GrassmannElement
                 and isinstance(other, (int, Fraction))):
-            return GrassmannElement(self.algebra,
-                                    {k: c * other for k, c in self.terms.items()})
+            num = other.numerator
+            if not num:
+                return _element(self.algebra, {})
+            return _reduced(self.algebra,
+                            {k: c * num for k, c in self.num.items()},
+                            self.den * other.denominator)
         other = self.algebra.lift(other)
         out = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
+        for k1, c1 in self.num.items():
+            for k2, c2 in other.num.items():
                 merged = _merge_gens(k1, k2)
                 if merged is None:
                     continue
                 key, sign = merged
                 _put(out, key, c1 * c2 if sign == 1 else -c1 * c2)
-        return _element(self.algebra, out)
+        return _reduced(self.algebra, out, self.den * other.den)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self * other
         return self.algebra.lift(other) * self
+
+    def __truediv__(self, other):
+        """Division by a nonzero ``int`` or ``Fraction``."""
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        num, den = other.denominator, other.numerator
+        if not den:
+            raise ZeroDivisionError("division of an element by zero")
+        if den < 0:
+            num, den = -num, -den
+        return _reduced(self.algebra,
+                        {k: c * num for k, c in self.num.items()},
+                        self.den * den)
 
     def __pow__(self, k: int):
         out = self.algebra.one()
@@ -143,39 +196,53 @@ class GrassmannElement:
             other = self.algebra.scalar(other)
         if not isinstance(other, GrassmannElement):
             return NotImplemented
-        return self.terms == other.terms
+        return self.den == other.den and self.num == other.num
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return hash((frozenset(self.num.items()), self.den))
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.num
 
     @property
     def parity(self) -> Optional[int]:
-        parities = {len(k) % 2 for k in self.terms}
+        parities = {len(k) % 2 for k in self.num}
         if not parities:
             return None
         return parities.pop() if len(parities) == 1 else None
 
     def __repr__(self):
-        if not self.terms:
+        if not self.num:
             return "GrassmannElement(0)"
+        terms = self.terms
         bits = []
-        for k in sorted(self.terms, key=lambda t: (len(t), t)):
-            c = self.terms[k]
+        for k in sorted(terms, key=lambda t: (len(t), t)):
             mono = "*".join(f"e{i}" for i in k) or "1"
-            bits.append(f"{c}*{mono}")
+            bits.append(f"{terms[k]}*{mono}")
         return f"GrassmannElement({' + '.join(bits)})"
 
 
 _new = object.__new__
 
 
-def _element(algebra: GrassmannAlgebra, terms: dict) -> GrassmannElement:
-    """Wrap a term dict that already holds no zero and keeps the coefficient
-    rule; the public constructor re-filters."""
+def _element(algebra: GrassmannAlgebra, num: dict,
+             den: int = 1) -> GrassmannElement:
+    """Wrap a dict of nonzero int numerators that is already reduced over
+    ``den``; the public constructor converts and re-filters."""
     e = _new(GrassmannElement)
     e.algebra = algebra
-    e.terms = terms
+    e.num = num
+    e.den = den
     return e
+
+
+def _reduced(algebra: GrassmannAlgebra, num: dict,
+             den: int) -> GrassmannElement:
+    """Wrap a dict of nonzero int numerators over ``den``, dividing out the
+    gcd of ``den`` and the numerators (all of ``den`` for zero)."""
+    if den > 1:
+        g = math.gcd(den, *num.values())
+        if g > 1:
+            den //= g
+            num = {k: c // g for k, c in num.items()}
+    return _element(algebra, num, den)

@@ -1,9 +1,11 @@
 """Shared random generators for the test suite (seeded, deterministic)."""
 
+import math
 from fractions import Fraction
 
-from vnoether import (KIND_GHOST, ODD, FieldSymbol, GeneralizedVectorField,
-                      GradedPoly, Lagrangian, MixedForm, jet)
+from vnoether import (KIND_GHOST, ODD, EvaluationError, FieldSymbol,
+                      GeneralizedVectorField, GradedPoly, GrassmannElement,
+                      Lagrangian, MixedForm, jet)
 from vnoether.algebra import multi_indices_up_to
 from vnoether.forms import _sort_contact
 
@@ -93,3 +95,78 @@ def assert_canonical(p):
     for c, _ in p.monomials():
         assert c != 0
         assert type(c) is int or (type(c) is Fraction and c.denominator > 1), c
+
+
+# ---------------------------------------------------------------------------
+# a Fraction-dict reference for the Grassmann oracle: an element is a dict
+# {sorted generator tuple: nonzero Fraction}, with none of the oracle's code
+
+def ref_mul(a, b):
+    """The product of two reference elements; each pair of monomials takes
+    the sign of the inversions that sort its concatenated generators."""
+    out = {}
+    for k1, c1 in a.items():
+        for k2, c2 in b.items():
+            gens = k1 + k2
+            if len(set(gens)) < len(gens):
+                continue
+            inversions = sum(1 for i, g in enumerate(gens)
+                             for h in gens[i + 1:] if g > h)
+            key = tuple(sorted(gens))
+            out[key] = out.get(key, 0) + (-1) ** inversions * c1 * c2
+    return {k: Fraction(c) for k, c in out.items() if c}
+
+
+def ref_add(a, b):
+    out = dict(a)
+    for k, c in b.items():
+        out[k] = out.get(k, 0) + c
+    return {k: Fraction(c) for k, c in out.items() if c}
+
+
+def ref_evaluate(poly, assignment, algebra):
+    """``poly.evaluate`` by the per-factor algorithm, over reference
+    elements: each monomial starts as its coefficient, every factor's value
+    is lifted and multiplied in once per power, in the factor order of
+    ``monomials()``, and the monomials are added one at a time.  Raises
+    ``EvaluationError`` for the first unassigned variable and ValueError
+    for an element of another algebra, as ``evaluate`` does."""
+    total = {}
+    for c, factors in poly.monomials():
+        val = {(): Fraction(c)}
+        for v, e in factors:
+            if v not in assignment:
+                raise EvaluationError(
+                    f"no value assigned to {v.symbol.name}{v.index}")
+            x = assignment[v]
+            if isinstance(x, GrassmannElement):
+                if x.algebra is not algebra:
+                    raise ValueError("element belongs to a different algebra")
+                x = {k: Fraction(c) for k, c in x.terms.items()}
+            else:
+                x = {(): Fraction(x)} if x else {}
+            for _ in range(e):
+                val = ref_mul(val, x)
+        total = ref_add(total, val)
+    return total
+
+
+def rand_element(rng, algebra, parity=None, max_terms=4, den=6):
+    """Random element with rational coefficients; ``parity`` keeps only
+    monomials of that generator-count parity."""
+    terms = {}
+    for _ in range(rng.randint(1, max_terms)):
+        k = rng.randint(0, min(3, algebra.ngen))
+        if parity is not None and k % 2 != parity:
+            k = k + 1 if k < algebra.ngen else k - 1
+        key = tuple(sorted(rng.sample(range(algebra.ngen), k)))
+        terms[key] = Fraction(rng.randint(-9, 9), rng.randint(1, den))
+    return GrassmannElement(algebra, terms)
+
+
+def assert_reduced_element(x):
+    """The oracle's layout: nonzero int numerators over an int den >= 1,
+    gcd(den, every numerator) == 1, and den == 1 for zero."""
+    assert all(type(c) is int and c for c in x.num.values()), x.num
+    assert type(x.den) is int and x.den >= 1
+    assert math.gcd(x.den, *x.num.values()) == 1 if x.num else x.den == 1

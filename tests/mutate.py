@@ -13,12 +13,16 @@ function around them.  A site is named LINE:COL:END: the line and column
 where the operation starts and the column where it ends.  Each mutant is
 written into a temporary copy of the repository (under ``$TMPDIR``), where
 ``python -X dev -W error -m pytest -x -q`` runs on the paths after ``--``,
-else on the whole suite.  A failing run kills the mutant; a run past
-``TIMEOUT`` seconds kills it too.  A mutant that passes survives, unless
+else on the whole suite.  The unmutated suite runs first, in the same
+copy: it must pass within ``TIMEOUT`` seconds, else the exit code is 2.  A
+failing run kills a mutant; a run past ``SLACK`` times the unmutated
+suite's time (and at least ``MIN_TIMEOUT`` seconds) kills it too, reported
+as "killed (timeout)", so a mutant that stops a loop advancing costs a few
+suite runs, not ``TIMEOUT``.  A mutant that passes survives, unless
 its site was listed with ``--equivalent`` as a change that cannot alter
 any result: then it is reported as equivalent.  One line per site is
 printed, then the score.  The exit code is 1 when a mutant survives, else
-0.  Not part of the Tier-1 suite.
+0 (2 when the unmutated suite fails).  Not part of the Tier-1 suite.
 """
 
 from __future__ import annotations
@@ -37,7 +41,9 @@ ROOT = Path(__file__).resolve().parent.parent
 IGNORED = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache",
                                  "*.egg-info", "out", "build")
 SWAP = {ast.Add: ast.Sub, ast.Sub: ast.Add}
-TIMEOUT = 600.0  # seconds; a mutant that loops forever is killed
+TIMEOUT = 600.0     # seconds allowed to the unmutated suite
+SLACK = 5           # a mutant may take this many times the unmutated suite
+MIN_TIMEOUT = 30.0  # seconds: the least time a mutant is given
 
 
 def _functions(tree, names):
@@ -112,14 +118,14 @@ def mutant(source: str, where: tuple) -> str:
     return ast.unparse(out)
 
 
-def run_suite(copy: Path, tests) -> str:
+def run_suite(copy: Path, tests, timeout: float) -> str:
     env = dict(os.environ, PYTHONPATH=str(copy / "src"))
     try:
         run = subprocess.run(
             [sys.executable, "-X", "dev", "-W", "error", "-m", "pytest",
              "-x", "-q", "-p", "no:cacheprovider", *tests],
             cwd=copy, env=env, stdout=subprocess.DEVNULL,
-            stderr=subprocess.DEVNULL, timeout=TIMEOUT)
+            stderr=subprocess.DEVNULL, timeout=timeout)
     except subprocess.TimeoutExpired:
         return "killed (timeout)"
     return "survived" if run.returncode == 0 else "killed"
@@ -148,12 +154,20 @@ def main(argv=None) -> int:
         copy = Path(tmp) / "repo"
         shutil.copytree(ROOT, copy, ignore=IGNORED)
         target = copy / rel
-        if run_suite(copy, tests) != "survived":
-            raise SystemExit("the unmutated suite fails")
+        start = time.perf_counter()
+        status = run_suite(copy, tests, TIMEOUT)
+        elapsed = time.perf_counter() - start
+        if status != "survived":
+            print(f"the unmutated suite fails: {status} ({elapsed:.1f} s)",
+                  file=sys.stderr)
+            return 2
+        timeout = max(SLACK * elapsed, MIN_TIMEOUT)
+        print(f"unmutated suite: {elapsed:.1f} s; a mutant is killed after "
+              f"{timeout:.1f} s", flush=True)
         for fn, where, text in found:
             target.write_text(mutant(source, where), encoding="utf-8")
             start = time.perf_counter()
-            status = run_suite(copy, tests)
+            status = run_suite(copy, tests, timeout)
             if status == "survived" and where in equivalent:
                 status = "equivalent"
             counts[status.split()[0]] = counts.get(status.split()[0], 0) + 1

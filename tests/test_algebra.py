@@ -10,12 +10,14 @@ import pytest
 
 from vnoether import (EVEN, KIND_ANTIFIELD, KIND_FIELD, KIND_GHOST, ODD,
                       DeclarationError, EvaluationError, FieldSymbol,
-                      GradedPoly, GrassmannAlgebra, JetCapError, antifield,
-                      jet, poly_from_data, poly_text, poly_to_data)
+                      GradedPoly, GrassmannAlgebra, GrassmannElement,
+                      JetCapError, antifield, jet, poly_from_data, poly_text,
+                      poly_to_data)
 from vnoether.algebra import (bump, mi_binomial, mi_permutations,
                               multi_index, var_key)
 
-from helpers import CH2 as C, PHI, PSI, assert_canonical, rand_poly
+from helpers import (CH2 as C, PHI, PSI, assert_canonical, rand_element,
+                     rand_poly, ref_evaluate)
 
 P = GradedPoly.variable
 
@@ -549,3 +551,115 @@ def test_ring_arithmetic_builds_no_fraction(monkeypatch):
     assert [list(p.monomials()) for p in got] \
         == [list(p.monomials()) for p in expected]
     assert any(type(c) is Fraction for p in got for c, _ in p.monomials())
+
+
+# ---------------------------------------------------------------------------
+# evaluation in the Grassmann oracle against the per-factor reference
+
+def _evaluation_point(rng, variables, alg):
+    """Odd variables get distinct generators or odd elements, even ones
+    ints, Fractions or even elements; None when the generators run out."""
+    point, gens = {}, list(range(alg.ngen))
+    rng.shuffle(gens)
+    for v in sorted(variables, key=var_key):
+        kind = rng.randint(0, 2)
+        if v.parity == ODD:
+            if not gens:
+                return None
+            point[v] = (alg.generator(gens.pop()) if kind
+                        else rand_element(rng, alg, ODD, max_terms=2))
+        elif kind == 0:
+            point[v] = rng.randint(-4, 4)
+        elif kind == 1:
+            point[v] = Fraction(rng.randint(-4, 4), rng.randint(1, 6))
+        else:
+            point[v] = rand_element(rng, alg, EVEN, max_terms=3)
+    return point
+
+
+def test_evaluate_matches_the_per_factor_reference_random():
+    rng = random.Random(2705)
+    alg = GrassmannAlgebra(6)
+    done = 0
+    while done < 300:
+        p = (_rational_poly(rng) if rng.random() < 0.5 else
+             rand_poly(rng, dim=2, max_factors=4, max_terms=5))
+        point = _evaluation_point(rng, p.variables(), alg)
+        if point is None:
+            continue
+        got = p.evaluate(point, alg)
+        want = ref_evaluate(p, point, alg)
+        assert got.terms == want, (p, point)
+        assert got == GrassmannElement(alg, want)
+        assert math.gcd(got.den, *got.num.values()) == 1 \
+            if got.num else got.den == 1
+        done += 1
+    # an even variable to a power, the value an even element
+    phi, c = jet(PHI), jet(C)
+    x = alg.scalar(Fraction(1, 2)) + alg.generator(0) * alg.generator(1)
+    p = P(phi) ** 3 * P(c) * Fraction(2, 3)
+    point = {phi: x, c: alg.generator(2)}
+    assert p.evaluate(point, alg).terms == ref_evaluate(p, point, alg)
+    assert p.evaluate(point, alg) \
+        == x * x * x * alg.generator(2) * Fraction(2, 3)
+    # the factor order holds even for odd values given to even variables
+    psi = jet(PSI)
+    g0, g1 = alg.generator(0), alg.generator(1)
+    point = {phi: g0, psi: g1}
+    assert (P(phi) * P(psi)).evaluate(point, alg) == g0 * g1 \
+        == GrassmannElement(alg, ref_evaluate(P(phi) * P(psi), point, alg))
+
+
+def test_evaluate_names_the_first_missing_variable_random():
+    rng = random.Random(2706)
+    alg, other = GrassmannAlgebra(6), GrassmannAlgebra(6)
+    raised = 0
+    for _ in range(300):
+        p = rand_poly(rng, dim=2, max_factors=4, max_terms=4)
+        point = _evaluation_point(rng, p.variables(), alg)
+        if point is None:
+            continue
+        for v in list(point):
+            if rng.random() < 0.3:
+                del point[v]
+            elif rng.random() < 0.1:
+                point[v] = other.scalar(1) if v.parity == EVEN \
+                    else other.generator(0)
+        errors = []
+        for run in (lambda: p.evaluate(point, alg),
+                    lambda: ref_evaluate(p, point, alg)):
+            try:
+                run()
+                errors.append(None)
+            except (EvaluationError, ValueError) as exc:
+                errors.append((type(exc), str(exc)))
+        assert errors[0] == errors[1], (p, errors)
+        raised += errors[0] is not None
+    assert raised > 100
+
+
+def test_evaluate_builds_no_fraction(monkeypatch):
+    # rational values are read as numerator and denominator, so with
+    # Fraction construction and arithmetic refused the evaluation is the same
+    rng = random.Random(2707)
+    alg = GrassmannAlgebra(6)
+    cases = []
+    while len(cases) < 40:
+        p = _rational_poly(rng)
+        point = _evaluation_point(rng, p.variables(), alg)
+        if point is not None:
+            cases.append((p, point))
+    expected = [p.evaluate(point, alg) for p, point in cases]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("Fraction built or used in evaluate")
+
+    with monkeypatch.context() as patch:
+        for name in ("__new__", "__add__", "__radd__", "__sub__", "__rsub__",
+                     "__mul__", "__rmul__", "__truediv__", "__rtruediv__",
+                     "__neg__", "__pow__", "__eq__", "__hash__"):
+            patch.setattr(Fraction, name, refuse)
+        got = [p.evaluate(point, alg) for p, point in cases]
+    assert [(x.num, x.den) for x in got] \
+        == [(x.num, x.den) for x in expected]
+    assert any(x.den > 1 for x in got)

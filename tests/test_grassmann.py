@@ -1,8 +1,11 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from vnoether import GrassmannAlgebra
+from vnoether import GrassmannAlgebra, GrassmannElement
+
+from helpers import assert_reduced_element, rand_element, ref_add, ref_mul
 
 
 def test_generators_anticommute():
@@ -18,6 +21,9 @@ def test_scalar_arithmetic():
     y = x - alg.generator(0) * 3
     assert y == alg.scalar(Fraction(1, 2))
     assert (x * 0).is_zero()
+    # a rational on the left of + and -
+    assert 1 + x == x + 1 and 1 - x == -(x - 1)
+    assert Fraction(1, 2) - x == alg.generator(0) * -3
 
 
 def test_parity():
@@ -52,3 +58,131 @@ def test_int_and_integral_fraction_build_equal_elements():
     ga, gb = alg.generator(1) * 2, alg.generator(1) * Fraction(2)
     assert ga == gb and hash(ga) == hash(gb)
     assert a.terms == {(): 2} and type(b.terms[()]) is int
+
+
+# ---------------------------------------------------------------------------
+# the fraction-free layout: int numerators over one reduced denominator
+
+def test_one_rational_has_one_layout():
+    alg = GrassmannAlgebra(3)
+    e0, e1 = alg.generator(0), alg.generator(1)
+    half = [GrassmannElement(alg, {(0,): Fraction(2, 4)}),
+            GrassmannElement(alg, {(0,): Fraction(1, 2), (1,): 0}),
+            e0 * Fraction(1, 2), Fraction(3, 6) * e0, (e0 + e0) * Fraction(1, 4),
+            e0 / 2, e0 * 3 / 6, e0 / Fraction(-2, -1), alg.scalar(Fraction(1, 2)) * e0,
+            alg.scalar(Fraction(2, 9)) * e0 * 9 / 4,
+            alg.sum([e0 * Fraction(3, 2), -e0, e1, -e1])]
+    for x in half:
+        assert_reduced_element(x)
+        assert (x.num, x.den) == ({(0,): 1}, 2)
+        assert x == half[0] and hash(x) == hash(half[0])
+    y = e0 * Fraction(1, 2) + e1 * Fraction(3, 4)
+    assert (y.num, y.den) == ({(0,): 2, (1,): 3}, 4)
+    assert y * 4 == e0 * 2 + e1 * 3 and (y * 4).den == 1
+    assert hash(y * 4) == hash(e0 * 2 + e1 * 3)
+    assert y / Fraction(-3, 4) == e0 * Fraction(-2, 3) - e1
+    # every zero is one layout
+    zeros = [y - y, y * 0, y / 3 * 0, alg.scalar(Fraction(0)),
+             alg.sum([]), alg.sum([y, -y]), e0 * e0 * Fraction(1, 3),
+             GrassmannElement(alg, {(0,): Fraction(0, 5)}), alg.zero()]
+    for z in zeros:
+        assert_reduced_element(z)
+        assert (z.num, z.den) == ({}, 1) and hash(z) == hash(alg.zero())
+    assert alg.scalar(Fraction(4, 6)) == alg.scalar(4) / 6
+    assert alg.scalar(Fraction(1, 2)).terms == {(): Fraction(1, 2)}
+    assert alg.scalar(0.5) == alg.one() / 2
+
+
+def test_the_terms_view_keeps_the_coefficient_rule():
+    alg = GrassmannAlgebra(2)
+    x = alg.generator(0) * Fraction(3, 2) + alg.generator(1) * 2
+    assert x.terms == {(0,): Fraction(3, 2), (1,): 2}
+    assert type(x.terms[(1,)]) is int and type(x.terms[(0,)]) is Fraction
+    assert x.terms[(0,)].denominator == 2
+    view = x.terms
+    view[(0,)] = 7
+    assert x.terms[(0,)] == Fraction(3, 2)
+    assert repr(x) == "GrassmannElement(3/2*e0 + 2*e1)"
+
+
+def test_division_by_a_rational():
+    alg = GrassmannAlgebra(2)
+    x = alg.generator(0) * Fraction(3, 2) + alg.scalar(2)
+    for q in (1, -1, 3, -4, Fraction(2, 3), Fraction(-5, 7)):
+        got = x / q
+        assert_reduced_element(got)
+        assert got == x * (1 / Fraction(q))
+    with pytest.raises(ZeroDivisionError):
+        x / 0
+    with pytest.raises(ZeroDivisionError):
+        x / Fraction(0)
+    with pytest.raises(TypeError):
+        x / x
+    assert x ** 0 == alg.one() and x ** 1 == x
+    assert x ** 3 == x * x * x
+
+
+def test_sum_refuses_an_element_of_another_algebra():
+    alg, other = GrassmannAlgebra(2), GrassmannAlgebra(2)
+    with pytest.raises(ValueError):
+        alg.sum([alg.generator(0), other.generator(0)])
+    with pytest.raises(ValueError):
+        alg.generator(0) + other.generator(0)
+
+
+def test_ring_laws_against_a_fraction_reference_random():
+    rng = random.Random(2701)
+    alg = GrassmannAlgebra(5)
+    for _ in range(200):
+        pa, pb = rng.randint(0, 1), rng.randint(0, 1)
+        a = rand_element(rng, alg, pa)
+        b = rand_element(rng, alg, pb)
+        c = rand_element(rng, alg, rng.choice((0, 1, None)))
+        assert (a * b).terms == ref_mul(a.terms, b.terms)
+        assert (a + c).terms == ref_add(a.terms, c.terms)
+        assert alg.sum([a, b, c]).terms \
+            == ref_add(ref_add(a.terms, b.terms), c.terms)
+        assert (a * b) * c == a * (b * c)
+        assert a * (b + c) == a * b + a * c
+        assert (a + b) * c == a * c + b * c
+        if not (a.is_zero() or b.is_zero()):
+            assert a * b == b * a * (-1 if pa and pb else 1)
+        q = Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 6))
+        results = [a * b, a + c, a - a, -a, a * q, q * a, a / q, a ** 2,
+                   alg.sum([a, b, c]), alg.sum([a, -a, b])]
+        for res in results:
+            assert_reduced_element(res)
+        assert (a * q).terms == ref_mul(a.terms, {(): q})
+
+
+def test_oracle_arithmetic_builds_no_fraction(monkeypatch):
+    # products, sums, scalar multiples and quotients of rational elements
+    # run on int numerators: with Fraction construction and arithmetic
+    # refused they give the same elements, read only afterwards
+    rng = random.Random(2702)
+    alg = GrassmannAlgebra(4)
+    triples = [(rand_element(rng, alg), rand_element(rng, alg),
+                Fraction(rng.randint(1, 9), rng.randint(2, 6)))
+               for _ in range(30)]
+
+    def run():
+        out = []
+        for a, b, q in triples:
+            out += [a * b, a + b, a - b, -a, a * q, b * q, a / q, a / 3,
+                    alg.sum([a, b, a]), a ** 2, alg.scalar(q), alg.scalar(5) / 15]
+        return out
+
+    expected = run()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("Fraction built or used in the oracle")
+
+    with monkeypatch.context() as patch:
+        for name in ("__new__", "__add__", "__radd__", "__sub__", "__rsub__",
+                     "__mul__", "__rmul__", "__truediv__", "__rtruediv__",
+                     "__neg__", "__eq__", "__hash__"):
+            patch.setattr(Fraction, name, refuse)
+        got = run()
+    assert got == expected
+    assert [(x.num, x.den) for x in got] == [(x.num, x.den) for x in expected]
+    assert any(x.den > 1 for x in got)

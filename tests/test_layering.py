@@ -19,13 +19,13 @@ as well as the Lagrangian, lets and symmetries.  Outside ``algebra.py``,
 ``split_linear`` has two callers: ``gauge.collect_ghost_linear``, the one
 ghost-jet split of the gauge and superpotential code, and
 ``noether_operator_from_density``, which reads an operator off its
-antifield density.  Outside ``algebra.py`` (the ring and Grassmann
-evaluation) and ``linsolve.py`` (``Fraction`` row operations), no code folds
-a value into itself with ``+`` or ``-``: no ``x = x + ...`` (also as the
-body of a conditional expression) and no ``t[k] += ...``.  Sums of
-polynomials and forms go through ``GradedPoly.sum``, ``MixedForm.sum`` and
-``accumulate``, which build one term dict instead of copying the growing
-sum at every step.  Every exactness decision (a d_H-exact form, a variational
+antifield density.  Outside ``linsolve.py`` (``Fraction`` row operations),
+no code folds a value into itself with ``+`` or ``-``: no ``x = x + ...``
+(also as the body of a conditional expression) and no ``t[k] += ...``.
+Sums of polynomials, forms and Grassmann elements go through
+``GradedPoly.sum``, ``MixedForm.sum``, ``accumulate`` and
+``GrassmannAlgebra.sum``, which build one term dict instead of copying the
+growing sum at every step.  Every exactness decision (a d_H-exact form, a variational
 symmetry, a weak-conservation witness) comes back as the one
 ``variational.ExactnessResult``: no other class has a ``status`` field.
 No module but ``__init__.py``, which re-exports, imports a name that it
@@ -184,7 +184,7 @@ def test_one_ghost_jet_split():
                                "gauge.py:noether_operator_from_density"]
 
 
-FOLD_EXEMPT = {"algebra.py", "linsolve.py"}
+FOLD_EXEMPT = {"linsolve.py"}
 
 
 def _self_folds(tree, name: str) -> list:
@@ -215,8 +215,7 @@ def test_polynomials_are_summed_by_the_one_fold():
 
 
 def test_the_check_sees_self_folds():
-    # the exempt modules fold, and each of the three shapes is seen
-    assert _self_folds(_tree(SRC / "algebra.py"), "algebra.py")
+    # the exempt module folds, and each of the three shapes is seen
     assert _self_folds(_tree(SRC / "linsolve.py"), "linsolve.py")
     sample = ast.parse("out = out - p * q\n"
                        "t[k] = t[k] + v if k in t else v\n"
