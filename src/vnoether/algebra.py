@@ -13,7 +13,8 @@ Products, sums and derivatives do only ``int`` arithmetic; a result whose
 ``den`` exceeds 1 is reduced by one ``math.gcd`` over its numerators.  A
 ``Fraction`` is built only where a coefficient leaves the ring:
 ``monomials``, ``constant_term`` and ``poly_to_data``, each in lowest terms
-(``int`` when integral).  ``evaluate`` hands the Grassmann oracle ``int``
+(``int`` when integral); ``poly_to_json`` writes that data's JSON text
+straight from the terms.  ``evaluate`` hands the Grassmann oracle ``int``
 numerators and denominators only.
 
 Every generator is a field, ghost or antifield; base coordinates x^i do
@@ -47,6 +48,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 EVEN = 0
@@ -797,17 +799,48 @@ def int_text(n: int) -> str:
     return sign + str(n) + "".join(reversed(chunks))
 
 
+def coeff_text(c) -> str:
+    """A rational ``int`` or ``Fraction`` as ``p`` or ``p/q``, every digit."""
+    return int_text(c.numerator) + (
+        f"/{int_text(c.denominator)}" if c.denominator != 1 else "")
+
+
 def poly_to_data(p: GradedPoly) -> list:
     out = []
     for (even, odd), c in p.sorted_terms():
-        c = _coeff(c, p.den)
         out.append({
-            "coeff": int_text(c.numerator) + (
-                f"/{int_text(c.denominator)}" if c.denominator != 1 else ""),
+            "coeff": coeff_text(_coeff(c, p.den)),
             "even": [[v.symbol.name, list(v.index), e] for v, e in even],
             "odd": [[v.symbol.name, list(v.index)] for v in odd],
         })
     return out
+
+
+def poly_to_json(p: GradedPoly, indent: str = "\n") -> str:
+    """The text of ``json.dumps(poly_to_data(p), sort_keys=True, indent=2)``
+    nested at ``indent`` (a newline and the enclosing indentation), written
+    as one string straight from the sorted terms: no monomial dict or list
+    is built, and each variable's name and index are written once."""
+    if not p.terms:
+        return "[]"
+    mono, key, factors, entry, digit = (indent + "  " * k for k in range(1, 6))
+    heads = {}   # variable -> its factor list up to the exponent
+    for v in p.variables():
+        index = (f"[{digit}{(',' + digit).join(map(str, v.index))}{entry}]"
+                 if v.index else "[]")
+        heads[v] = f"[{entry}{_quote(v.symbol.name)},{entry}{index}"
+    sep = "," + factors
+    den, out = p.den, []
+    for (even, odd), c in p.sorted_terms():
+        even = (f"[{factors}"
+                + sep.join([f"{heads[v]},{entry}{e}{factors}]"
+                            for v, e in even]) + f"{key}]") if even else "[]"
+        odd = (f"[{factors}"
+               + sep.join([f"{heads[v]}{factors}]" for v in odd])
+               + f"{key}]") if odd else "[]"
+        out.append(f'{{{key}"coeff": "{coeff_text(_coeff(c, den))}",'
+                   f'{key}"even": {even},{key}"odd": {odd}{mono}}}')
+    return f"[{mono}" + f",{mono}".join(out) + f"{indent}]"
 
 
 def poly_from_data(data: Sequence, symbols: Mapping[str, FieldSymbol]) -> GradedPoly:

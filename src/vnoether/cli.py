@@ -10,15 +10,22 @@ is not UTF-8, or a declared symmetry of mixed parity, too), 3 a jet
 variable above ``--jet-cap``, 4 an internal self-check failed (an
 ``InternalError``: a constructed object failed its own exact re-check,
 a fault in the program; stderr names the check, no traceback), 141 stdout
-closed before the report or help text was written (a reader such as
-``head`` quit; no traceback).
+closed before the whole report or help text was written (a reader such as
+``head`` quit, before the report or in the middle of it, with stdout
+buffered or not; no traceback).
 
 ``getopt.gnu_getopt`` reads the command line against one table of
 commands (no argparse); a usage error writes ``USAGE`` and the error to
-stderr and returns 2.  ``_json`` writes the report byte for byte as
+stderr and returns 2.  A payload holds each polynomial as the
+``GradedPoly`` itself.  ``_json`` writes the report byte for byte as
 ``json.dumps(report, sort_keys=True, indent=2)`` would for dicts with str
-keys, lists, tuples, str, int, bool and None; any other value is a
-TypeError.
+keys, lists, tuples, str, int, bool and None, with each ``GradedPoly`` as
+``{"monomials": poly_to_data(p), "text": poly_text(p)}``; any other value
+is a TypeError.  That polynomial text is one string, which
+``algebra.poly_to_json`` writes straight from the terms, so no monomial
+tree is built; text mode renders the same payload with ``poly_text``.  The
+report's pieces are written to stdout one by one, never joined into one
+copy.
 
 Each exact check runs once per command, in the function that builds the
 object it checks, and the CLI reports the results that come back:
@@ -38,6 +45,7 @@ stays so that reports keep their bytes.
 from __future__ import annotations
 
 import getopt
+import io
 import os
 import sys
 import time
@@ -45,7 +53,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from types import SimpleNamespace
 
 from .algebra import (GradedPoly, InternalError, JetCapError, jet,
-                      poly_to_data)
+                      poly_to_json)
 from .forms import UnsupportedDerivation
 from .gauge import GaugeError, GaugeSymmetryResult, gauge_symmetry
 from .model import ElaborationError, ParseError, load_model
@@ -143,13 +151,8 @@ def _parse(argv):
         debug_corrupt_current="--debug-corrupt-current" in given)
 
 
-def _poly_payload(p: GradedPoly) -> dict:
-    return {"text": poly_text(p), "monomials": poly_to_data(p)}
-
-
 def _field_payload(items) -> list:
-    return [{"field": sym.name, "expression": _poly_payload(poly)}
-            for sym, poly in items]
+    return [{"field": sym.name, "expression": poly} for sym, poly in items]
 
 
 def _el_payload(L, symbols) -> list:
@@ -159,8 +162,7 @@ def _el_payload(L, symbols) -> list:
 
 
 def _current_payload(J: Current) -> list:
-    return [{"mu": mu, "expression": _poly_payload(J.component(mu))}
-            for mu in range(J.dim)]
+    return [{"mu": mu, "expression": J.component(mu)} for mu in range(J.dim)]
 
 
 def _split_payload(split) -> dict:
@@ -169,17 +171,16 @@ def _split_payload(split) -> dict:
             split.w_table.items(),
             key=lambda it: (it[0][0].sort_key, it[0][1], it[0][2])):
         w_rows.append({"field": sym.name, "index": list(index), "mu": mu,
-                       "coefficient": _poly_payload(w)})
+                       "coefficient": w})
     u_rows = []
     for (nu, mu), poly in sorted(split.superpotential.components.items()):
-        u_rows.append({"nu": nu, "mu": mu, "component": _poly_payload(poly)})
+        u_rows.append({"nu": nu, "mu": mu, "component": poly})
     witness_rows = []
     for (contact, horiz), poly in split.remainder_witness.sorted_components():
-        witness_rows.append({"horizontal": list(horiz),
-                             "component": _poly_payload(poly)})
+        witness_rows.append({"horizontal": list(horiz), "component": poly})
     return {"W": w_rows, "U": u_rows,
             "W_components": [{"mu": mu, "label": "W",
-                              "expression": _poly_payload(split.w_component(mu))}
+                              "expression": split.w_component(mu)}
                              for mu in range(split.dim)],
             "remainder_witness": witness_rows}
 
@@ -242,7 +243,7 @@ class _Runner:
         if residual is None or residual.is_zero():
             self.add(step, "pass")
         else:
-            self.add(step, "fail", {"residual": _poly_payload(residual)})
+            self.add(step, "fail", {"residual": residual})
 
     def _gauge(self, model, name):
         """gauge_symmetry on identity ``name``, which evaluates the identity
@@ -393,7 +394,7 @@ def _main(argv) -> int:
         sys.stderr.write(f"{USAGE}\nerror: {exc}\n")
         return EXIT_USAGE
     if args is None:
-        return _emit(USAGE, EXIT_OK)
+        return _emit([USAGE], EXIT_OK)
     runner = _Runner(args)
     start = time.monotonic()
     try:
@@ -418,26 +419,36 @@ def _main(argv) -> int:
         "steps": runner.steps,
         "bound_exhausted": False,
     }
-    chunks = []
     if args.format == "json":
+        chunks = []
         _json(report, chunks)
         chunks.append("\n")
     else:
-        for step in runner.steps:
-            chunks.append(f"{step['name']}: {step['status']}\n")
-            payload = step.get("payload")
-            if payload:
-                chunks.extend(f"  {text}\n" for text in _payload_lines(payload))
+        chunks = _text_lines(runner.steps)
         print(f"elapsed: {elapsed:.3f}s", file=sys.stderr)
-    return _emit("".join(chunks), runner.exit_code())
+    return _emit(chunks, runner.exit_code())
 
 
-def _emit(text: str, code: int) -> int:
-    """Write ``text`` to stdout and return ``code``, or EXIT_PIPE when the
-    reader has closed stdout."""
+def _emit(chunks, code: int) -> int:
+    """Write the strings ``chunks`` to stdout one by one, never joined, and
+    return ``code``, or EXIT_PIPE when the reader has closed stdout.  An
+    unbuffered stdout (``python -u``) is written below its text layer,
+    which would drop the rest of a short write: the bytes are written
+    until all are taken, so a reader that quits mid-report meets EPIPE in
+    both buffering modes."""
+    out = sys.stdout
+    raw = getattr(out, "buffer", None)
     try:
-        sys.stdout.write(text)
-        sys.stdout.flush()
+        if isinstance(raw, io.RawIOBase):
+            out.flush()
+            for chunk in chunks:
+                data = memoryview(chunk.encode(out.encoding, out.errors))
+                while data:
+                    data = data[raw.write(data):]
+        else:
+            for chunk in chunks:
+                out.write(chunk)
+            out.flush()
     except BrokenPipeError:
         # point stdout at devnull so that the flush at interpreter exit
         # cannot fail again (Python docs, "Note on SIGPIPE")
@@ -449,10 +460,16 @@ def _emit(text: str, code: int) -> int:
 def _json(value, out, indent="\n"):
     """Append the text of ``json.dumps(value, sort_keys=True, indent=2)``
     to the list ``out``, nested at ``indent``.  Only dicts with str keys,
-    lists, tuples, str, int, True, False and None are written; any other
-    value raises TypeError."""
+    lists, tuples, str, int, True, False, None and ``GradedPoly`` are
+    written; any other value raises TypeError.  A ``GradedPoly`` is one
+    string, the text of ``{"monomials": poly_to_data(p), "text":
+    poly_text(p)}``."""
     if isinstance(value, str):
         out.append(_quote(value))
+    elif isinstance(value, GradedPoly):
+        inner = indent + "  "
+        out.append(f'{{{inner}"monomials": {poly_to_json(value, inner)},'
+                   f'{inner}"text": {_quote(poly_text(value))}{indent}}}')
     elif isinstance(value, dict):
         inner = indent + "  "
         sep = "{" + inner
@@ -483,14 +500,23 @@ def _json(value, out, indent="\n"):
         raise TypeError(f"{type(value).__name__} is not a report value")
 
 
+def _text_lines(steps):
+    """The text report of ``steps``, one line at a time."""
+    for step in steps:
+        yield f"{step['name']}: {step['status']}\n"
+        payload = step.get("payload")
+        if payload:
+            for text in _payload_lines(payload):
+                yield f"  {text}\n"
+
+
 def _payload_lines(payload, prefix=""):
-    if isinstance(payload, dict):
-        if set(payload) == {"text", "monomials"}:
-            yield prefix + payload["text"]
-            return
+    if isinstance(payload, GradedPoly):
+        yield prefix + poly_text(payload)
+    elif isinstance(payload, dict):
         for key in payload:
             value = payload[key]
-            if isinstance(value, (dict, list)):
+            if isinstance(value, (dict, list, GradedPoly)):
                 yield f"{prefix}{key}:"
                 yield from _payload_lines(value, prefix + "  ")
             else:
@@ -502,17 +528,18 @@ def _payload_lines(payload, prefix=""):
                          if k not in ("field", "expression")}
                 desc = " ".join(f"{k}={v}" for k, v in sorted(extra.items()))
                 label = item["field"] + (f" {desc}" if desc else "")
-                yield f"{prefix}{label}: {item['expression']['text']}"
+                yield f"{prefix}{label}: {poly_text(item['expression'])}"
             elif isinstance(item, dict) and "mu" in item and "expression" in item:
                 label = item.get("label", "J")
-                yield f"{prefix}{label}^{item['mu']}: {item['expression']['text']}"
+                yield (f"{prefix}{label}^{item['mu']}: "
+                       f"{poly_text(item['expression'])}")
             elif isinstance(item, dict) and "nu" in item and "component" in item:
                 yield (f"{prefix}U^{item['nu']}{item['mu']}: "
-                       f"{item['component']['text']}")
+                       f"{poly_text(item['component'])}")
             elif isinstance(item, dict) and "coefficient" in item:
                 idx = "".join(str(i) for i in item.get("index", []))
                 yield (f"{prefix}w[{item['field']},({idx}),mu={item['mu']}]: "
-                       f"{item['coefficient']['text']}")
+                       f"{poly_text(item['coefficient'])}")
             else:
                 yield from _payload_lines(item, prefix)
     else:

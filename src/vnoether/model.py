@@ -57,7 +57,7 @@ from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .algebra import (DEFAULT_JET_CAP, EVEN, KIND_GHOST, ODD, FieldSymbol,
-                      GradedPoly, accumulate, jet)
+                      GradedPoly, accumulate, coeff_text, jet)
 from .forms import GeneralizedVectorField
 from .gauge import GaugeError, antifield, noether_operator_from_density
 from .variational import Lagrangian
@@ -840,7 +840,6 @@ def load_model(text: str, jet_cap: int = DEFAULT_JET_CAP) -> ElaboratedModel:
 # canonical printing of an elaborated model (flat components)
 
 def _poly_to_dsl(p: GradedPoly) -> str:
-    from .render import coeff_text
     if p.is_zero():
         return "0"
     parts = []

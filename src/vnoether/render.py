@@ -7,9 +7,7 @@ order, so equal polynomials always render to identical strings.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .algebra import GradedPoly, JetVariable, KIND_ANTIFIELD, int_text
+from .algebra import GradedPoly, JetVariable, KIND_ANTIFIELD, coeff_text
 
 
 def var_text(v: JetVariable) -> str:
@@ -20,11 +18,6 @@ def var_text(v: JetVariable) -> str:
     if v.index:
         return base + "_{," + "".join(str(i) for i in v.index) + "}"
     return base
-
-
-def coeff_text(c: Fraction) -> str:
-    return int_text(c.numerator) + (
-        f"/{int_text(c.denominator)}" if c.denominator != 1 else "")
 
 
 def poly_text(p: GradedPoly) -> str:

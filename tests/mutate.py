@@ -1,4 +1,4 @@
-"""Sign mutants of named functions, judged by the Tier-1 suite.
+"""Operator mutants of named functions, judged by the Tier-1 suite.
 
 Usage (from the repository root)::
 
@@ -6,10 +6,11 @@ Usage (from the repository root)::
     python3 tests/mutate.py src/vnoether/variational.py euler_lagrange \\
         --equivalent LINE:COL:END -- tests/test_variational.py
 
-Every ``+`` and ``-`` (also ``+=`` and ``-=``) inside the named functions
-is swapped for the other, and every unary ``-`` is dropped, one site per
-mutant.  A method is named ``Class.method``; nested functions belong to the
-function around them.  A site is named LINE:COL:END: the line and column
+Inside the named functions every ``+`` and ``-`` is swapped for the other,
+and so is every ``*`` and ``//`` (also as ``+=``, ``-=``, ``*=`` and
+``//=``); every ``a ** e`` becomes ``a`` and every unary ``-`` is dropped,
+one site per mutant.  A method is named ``Class.method``; nested functions
+belong to the function around them.  A site is named LINE:COL:END: the line and column
 where the operation starts and the column where it ends.  Each mutant is
 written into a temporary copy of the repository (under ``$TMPDIR``), where
 ``python -X dev -W error -m pytest -x -q`` runs on the paths after ``--``,
@@ -22,7 +23,8 @@ suite runs, not ``TIMEOUT``.  A mutant that passes survives, unless
 its site was listed with ``--equivalent`` as a change that cannot alter
 any result: then it is reported as equivalent.  One line per site is
 printed, then the score.  The exit code is 1 when a mutant survives, else
-0 (2 when the unmutated suite fails).  Not part of the Tier-1 suite.
+0 (2 when the unmutated suite fails, 3 when the functions hold no site).
+Not part of the Tier-1 suite.
 """
 
 from __future__ import annotations
@@ -40,7 +42,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 IGNORED = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache",
                                  "*.egg-info", "out", "build")
-SWAP = {ast.Add: ast.Sub, ast.Sub: ast.Add}
+SWAP = {ast.Add: ast.Sub, ast.Sub: ast.Add,
+        ast.Mult: ast.FloorDiv, ast.FloorDiv: ast.Mult}
 TIMEOUT = 600.0     # seconds allowed to the unmutated suite
 SLACK = 5           # a mutant may take this many times the unmutated suite
 MIN_TIMEOUT = 30.0  # seconds: the least time a mutant is given
@@ -63,6 +66,8 @@ def _functions(tree, names):
 
 
 def _is_site(node) -> bool:
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+        return True
     if isinstance(node, (ast.BinOp, ast.AugAssign)):
         return type(node.op) in SWAP
     return isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub)
@@ -96,8 +101,10 @@ class _Mutate(ast.NodeTransformer):
     def visit_BinOp(self, node):
         self.generic_visit(node)
         if self._hit(node):
-            node.op = SWAP[type(node.op)]()
             self.done = True
+            if isinstance(node.op, ast.Pow):
+                return node.left
+            node.op = SWAP[type(node.op)]()
         return node
 
     visit_AugAssign = visit_BinOp
@@ -133,7 +140,7 @@ def run_suite(copy: Path, tests, timeout: float) -> str:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        description="Sign mutants of named functions, judged by Tier-1.")
+        description="Operator mutants of named functions, judged by Tier-1.")
     parser.add_argument("module", help="path of the module, e.g. "
                         "src/vnoether/forms.py")
     parser.add_argument("functions", nargs="+")
@@ -148,6 +155,10 @@ def main(argv=None) -> int:
     equivalent = {tuple(int(x) for x in site.split(":"))
                   for site in args.equivalent}
     found = sites(source, args.functions)
+    if not found:
+        print(f"no mutation site in {', '.join(args.functions)}",
+              file=sys.stderr)
+        return 3
     rel = module.relative_to(ROOT)
     counts = {}
     with tempfile.TemporaryDirectory(prefix="mutate-") as tmp:

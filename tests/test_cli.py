@@ -1,8 +1,13 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
+import random
 import subprocess
 import sys
+import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -10,6 +15,10 @@ import pytest
 from vnoether import (KIND_GHOST, ODD, Current, FieldSymbol, GradedPoly,
                       NoetherOperator, cli, jet, load_model, print_elaborated)
 from vnoether import gauge
+from vnoether.algebra import poly_to_data, poly_to_json
+from vnoether.render import poly_text
+
+from helpers import CH1, PHI, rand_poly
 
 ROOT = Path(__file__).resolve().parent.parent
 MODELS = ROOT / "models"
@@ -50,15 +59,19 @@ def test_el_single_field_and_missing_field():
     assert ghost.stdout == ""
 
 
+def _pipe_env(unbuffered: bool) -> dict:
+    env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
 def test_closed_stdout_exits_141_without_traceback():
     # the read end is closed before the child starts, so writing or
     # flushing the report meets EPIPE whether or not stdout is buffered
     for args in (("--format", "text"), ("--format", "json"), ("--help",)):
         for unbuffered in (False, True):
-            env = dict(os.environ)
-            env.pop("PYTHONUNBUFFERED", None)
-            if unbuffered:
-                env["PYTHONUNBUFFERED"] = "1"
             read_end, write_end = os.pipe()
             os.close(read_end)
             try:
@@ -66,12 +79,50 @@ def test_closed_stdout_exits_141_without_traceback():
                     [sys.executable, "-m", "vnoether.cli", "verify",
                      str(MODELS / "maxwell2.vln"), *args],
                     stdout=write_end, stderr=subprocess.PIPE, text=True,
-                    cwd=ROOT, env=env)
+                    cwd=ROOT, env=_pipe_env(unbuffered))
             finally:
                 os.close(write_end)
             assert res.returncode == cli.EXIT_PIPE == 141, (args, unbuffered)
             assert "Traceback" not in res.stderr
             assert "Exception ignored" not in res.stderr
+    # a reader that takes a few bytes of a report larger than a pipe buffer
+    # and quits: an unbuffered write then comes back short, and the rest of
+    # the report must still meet EPIPE
+    argv = ["superpotential", "tests/data/tensor_gauge2.vln", "g",
+            "--format", "json"]
+    for unbuffered in (False, True):
+        read_end, write_end = os.pipe()
+        try:
+            child = subprocess.Popen(
+                [sys.executable, "-m", "vnoether.cli", *argv],
+                stdout=write_end, stderr=subprocess.PIPE, text=True,
+                cwd=ROOT, env=_pipe_env(unbuffered))
+        finally:
+            os.close(write_end)
+        try:
+            assert os.read(read_end, 10) == b'{\n  "bound'
+        finally:
+            os.close(read_end)
+        stderr = child.communicate()[1]
+        assert child.returncode == cli.EXIT_PIPE, unbuffered
+        assert "Traceback" not in stderr
+        assert "Exception ignored" not in stderr
+
+
+def test_unbuffered_stdout_writes_the_same_report():
+    # under python -u the report is written below the text layer; it comes
+    # out whole in both formats, the JSON one larger than a pipe buffer
+    sizes = {}
+    for fmt in ("json", "text"):
+        runs = [subprocess.run(
+            [sys.executable, "-m", "vnoether.cli", "superpotential",
+             "tests/data/tensor_gauge2.vln", "g", "--format", fmt],
+            capture_output=True, cwd=ROOT, env=_pipe_env(unbuffered))
+            for unbuffered in (False, True)]
+        assert [run.returncode for run in runs] == [0, 0]
+        assert runs[1].stdout == runs[0].stdout, fmt
+        sizes[fmt] = len(runs[0].stdout)
+    assert sizes["json"] > 300_000 and sizes["text"] > 10_000
 
 
 def test_parse_error_exit_code():
@@ -637,6 +688,93 @@ def test_json_writer_matches_json_dumps():
     for value in cases:
         assert _written(value) == json.dumps(value, sort_keys=True,
                                              indent=2), value
+
+
+def _nested(value, depth: int) -> str:
+    out = []
+    cli._json(value, out, "\n" + "  " * depth)
+    return "".join(out)
+
+
+def test_poly_payload_writer_matches_the_data_tree():
+    # poly_to_json writes, at any depth, the bytes that _json writes for the
+    # poly_to_data tree, and _json writes a GradedPoly payload as that tree
+    # next to its poly_text: both parities, multi-indices up to order 3,
+    # rational coefficients, one past the int/str digit limit, a non-ASCII
+    # field name and zero
+    rng = random.Random(29)
+    eta = FieldSymbol("\u03b7")
+    ghost = FieldSymbol("c\u00e9", KIND_GHOST, ODD)
+    polys = [GradedPoly.zero(),
+             GradedPoly.constant(Fraction(10 ** 4400 + 1, 3))
+             * GradedPoly.variable(jet(eta, (0, 1, 2)))]
+    for parity in (0, 1, None):
+        for _ in range(20):
+            p = rand_poly(rng, (PHI, eta, CH1, ghost), dim=3, max_order=3,
+                          parity=parity)
+            polys.append(p * Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(4300)   # the default limit
+    try:
+        for p in polys:
+            data = poly_to_data(p)
+            for depth in range(1, 7):
+                assert poly_to_json(p, "\n" + "  " * depth) \
+                    == _nested(data, depth)
+                assert _nested(p, depth) == _nested(
+                    {"monomials": data, "text": poly_text(p)}, depth)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+    assert any(len(p.variables()) > 3 for p in polys)
+
+
+def test_reports_build_no_monomial_data(monkeypatch):
+    # every polynomial payload is written from the ring's terms, in both
+    # formats; poly_to_data stays the data API and the writer's reference
+    from vnoether import algebra
+    from test_corpus_digests import corpus_commands, run_command
+    counts = _count_calls(monkeypatch, algebra, ("poly_to_data",))
+    for fmt in ("json", "text"):
+        for argv in corpus_commands():
+            run_command(argv, fmt)
+    assert counts == {"poly_to_data": 0}
+    algebra.poly_to_data(GradedPoly.constant(1))
+    assert counts == {"poly_to_data": 1}
+
+
+class _Sink:
+    """A stdout that keeps only the number of characters written."""
+
+    length = 0
+
+    def write(self, text):
+        self.length += len(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.skipif(tracemalloc.is_tracing(),
+                    reason="memory is already traced")
+def test_json_report_peak_memory_stays_near_its_length(monkeypatch):
+    # no payload is held as a data tree and the report is never joined:
+    # the traced peak of a 349 KB report stays under 4 times its length
+    monkeypatch.chdir(ROOT)
+    sink = _Sink()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(sink), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(["superpotential", "tests/data/tensor_gauge2.vln",
+                             "g", "--format", "json"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and sink.length > 300_000
+    assert peak < 4 * sink.length, (peak, sink.length)
 
 
 def test_json_writer_refuses_other_types():
