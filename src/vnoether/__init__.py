@@ -9,11 +9,9 @@ superpotential, all over exact rational arithmetic.
 from .algebra import (DEFAULT_JET_CAP, EVEN, KIND_ANTIFIELD, KIND_FIELD,
                       KIND_GHOST, ODD, DeclarationError, EvaluationError,
                       FieldSymbol, GradedPoly, InternalError, JetVariable,
-                      JetCapError, jet, multi_index, poly_from_data,
-                      poly_to_data)
+                      JetCapError, jet, multi_index, poly_to_data)
 from .forms import (ContactDerivation, GeneralizedVectorField, MixedForm,
-                    UnsupportedDerivation, contract, is_nilpotent,
-                    lie_derivative, prolong)
+                    UnsupportedDerivation, contract, lie_derivative, prolong)
 from .variational import (BOUND_EXHAUSTED, EXACT, NOT_EXACT, ConsistencyError,
                           Current, EulerLagrange, ExactnessResult, Lagrangian,
                           Superpotential, check_lepage, euler_lagrange,
@@ -24,7 +22,7 @@ from .variational import (BOUND_EXHAUSTED, EXACT, NOT_EXACT, ConsistencyError,
                           prolonged_variation, symmetry_witness,
                           weak_conservation_witness)
 from .gauge import (GaugeError, GaugeSymmetryResult, NoetherOperator,
-                    adjoint, adjoint_table, antifield, antifield_number,
+                    adjoint, adjoint_table, antifield,
                     check_noether_identity, extended_lagrangian, ghost_for,
                     gauge_symmetry, koszul_tate, noether_operator_from_density,
                     recover_identity)
@@ -32,9 +30,8 @@ from .superpotential import (STRUCTURAL_TAGS, StructuralCheck,
                              SuperpotentialError, SuperpotentialSplit, extract,
                              structural_checks, verify_split)
 from .model import (ElaboratedModel, ElaborationError, ModelSource,
-                    ParseError, elaborate, load_model, parse,
-                    print_elaborated)
-from .render import form_text, poly_text
+                    ParseError, elaborate, load_model, parse)
+from .render import poly_text
 
 __version__ = "0.1.0"
 

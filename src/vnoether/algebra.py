@@ -24,13 +24,11 @@ Jet variables are interned: ``jet`` returns one object per symbol and
 multi-index, and variables hash and compare by identity.
 
 The monomial-key layout is private to this module.  Other modules read a
-polynomial through three accessors and may hold what they return only as
+polynomial through two accessors and may hold what they return only as
 an opaque dictionary key:
 
 * ``GradedPoly.monomials`` -- each monomial as its coefficient and its
   ordered ``(JetVariable, exponent)`` factors;
-* ``GradedPoly.degree_in`` -- the degree in the variables matching a
-  predicate;
 * ``GradedPoly.split_linear`` -- the unique matching variable of each
   monomial factored out to the left or right end, with its graded sign.
 
@@ -49,7 +47,7 @@ import math
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional
 
 EVEN = 0
 ODD = 1
@@ -244,10 +242,6 @@ class JetVariable:
 
     def __repr__(self):
         return f"JetVariable(symbol={self.symbol!r}, index={self.index!r})"
-
-    @property
-    def order(self) -> int:
-        return len(self.index)
 
 
 def jet(symbol: FieldSymbol, index: Iterable[int] = ()) -> JetVariable:
@@ -600,16 +594,6 @@ class GradedPoly:
             yield (_coeff(c, den),
                    even + tuple(v._factor for v in odd) if odd else even)
 
-    def degree_in(self, match) -> int:
-        """Largest per-monomial degree in the variables satisfying match."""
-        best = 0
-        for even, odd in self.terms:
-            d = sum(e for v, e in even if match(v))
-            d += sum(1 for v in odd if match(v))
-            if d > best:
-                best = d
-        return best
-
     def split_linear(self, match, side: str = "right"):
         """Factor out the one variable v of each monomial satisfying match:
         monomial = coefficient * v (side 'right') or v * coefficient (side
@@ -841,15 +825,3 @@ def poly_to_json(p: GradedPoly, indent: str = "\n") -> str:
         out.append(f'{{{key}"coeff": "{coeff_text(_coeff(c, den))}",'
                    f'{key}"even": {even},{key}"odd": {odd}{mono}}}')
     return f"[{mono}" + f",{mono}".join(out) + f"{indent}]"
-
-
-def poly_from_data(data: Sequence, symbols: Mapping[str, FieldSymbol]) -> GradedPoly:
-    monomials = []
-    for mono in data:
-        p = GradedPoly.constant(Fraction(mono["coeff"]))
-        for name, index, e in mono["even"]:
-            p = p * GradedPoly.variable(jet(symbols[name], index)) ** e
-        for name, index in mono["odd"]:
-            p = p * GradedPoly.variable(jet(symbols[name], index))
-        monomials.append(p)
-    return GradedPoly.sum(monomials)

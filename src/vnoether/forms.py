@@ -32,7 +32,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, NamedTuple, Optional
 
-from .algebra import (DEFAULT_JET_CAP, EVEN, ODD, FieldSymbol, GradedPoly,
+from .algebra import (DEFAULT_JET_CAP, EVEN, FieldSymbol, GradedPoly,
                       JetVariable, accumulate, bump, jet, var_key)
 
 
@@ -246,8 +246,7 @@ class MixedForm:
                                 if len(k[0]) == 0})
 
     def __repr__(self):
-        from .render import form_text
-        return f"MixedForm({form_text(self)})"
+        return f"MixedForm({self.dim}, {dict(self.sorted_components())!r})"
 
 
 def _form(dim: int, components: dict) -> MixedForm:
@@ -342,10 +341,6 @@ class ContactDerivation:
             self._memo[v] = out
         return out
 
-    def apply_to_poly(self, f: GradedPoly) -> GradedPoly:
-        """The derivation applied to a ring element."""
-        return self.apply_to_gradient(f.gradient())
-
     def apply_to_gradient(self, gradient: Mapping) -> GradedPoly:
         """The derivation applied to the ring element whose
         ``GradedPoly.gradient`` is ``gradient``."""
@@ -385,14 +380,3 @@ def lie_derivative(deriv: ContactDerivation, form: MixedForm,
     """Cartan formula: contract after d plus d after contract."""
     return (contract(deriv, form.exterior_differential(cap))
             + contract(deriv, form).exterior_differential(cap))
-
-
-def is_nilpotent(deriv: ContactDerivation) -> bool:
-    """A derivation squares to zero iff it is odd and annihilates its own
-    coefficients."""
-    if deriv.parity != ODD:
-        return False
-    for _, poly in deriv.source.vertical:
-        if not deriv.apply_to_poly(poly).is_zero():
-            return False
-    return True

@@ -48,11 +48,6 @@ def _is_antifield(v) -> bool:
     return v.symbol.kind == KIND_ANTIFIELD
 
 
-def antifield_number(p: GradedPoly) -> int:
-    """Largest per-monomial count of antifield factors."""
-    return p.degree_in(_is_antifield)
-
-
 def koszul_tate(p: GradedPoly, el: EulerLagrange,
                 cap: int = DEFAULT_JET_CAP) -> GradedPoly:
     """Right derivation replacing each antifield jet by the prolonged

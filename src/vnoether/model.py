@@ -57,7 +57,7 @@ from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .algebra import (DEFAULT_JET_CAP, EVEN, KIND_GHOST, ODD, FieldSymbol,
-                      GradedPoly, accumulate, coeff_text, jet)
+                      GradedPoly, accumulate, jet)
 from .forms import GeneralizedVectorField
 from .gauge import GaugeError, antifield, noether_operator_from_density
 from .variational import Lagrangian
@@ -834,59 +834,3 @@ def elaborate(src: ModelSource, jet_cap: int = DEFAULT_JET_CAP) -> ElaboratedMod
 
 def load_model(text: str, jet_cap: int = DEFAULT_JET_CAP) -> ElaboratedModel:
     return elaborate(parse(text), jet_cap)
-
-
-# ---------------------------------------------------------------------------
-# canonical printing of an elaborated model (flat components)
-
-def _poly_to_dsl(p: GradedPoly) -> str:
-    if p.is_zero():
-        return "0"
-    parts = []
-    for c, factors in p.monomials(ordered=True):
-        parts.append("*".join([f"({coeff_text(c)})"]
-                              + [_var_to_dsl(v) + (f"^{e}" if e > 1 else "")
-                                 for v, e in factors]))
-    return " + ".join(parts)
-
-
-def _var_to_dsl(v) -> str:
-    out = v.symbol.name
-    for i in reversed(v.index):
-        out = f"d[{i}]({out})"
-    return out
-
-
-def print_elaborated(model: ElaboratedModel) -> str:
-    """Render the flat elaboration back to canonical source; re-parsing and
-    re-elaborating reproduces the same structures."""
-    lines = [f"dim {model.dim}"]
-    if model.metric == "euclidean":
-        lines.append("metric euclidean")
-    else:
-        lines.append(f"metric minkowski {model.signature}")
-    for sym in model.fields:
-        lines.append(f"field {sym.name} {'odd' if sym.parity else 'even'}")
-    for gname, (sym, target) in sorted(model.ghosts.items()):
-        lines.append(f"ghost {sym.name} {'odd' if sym.parity else 'even'} "
-                     f"for {target}")
-    if not model.lagrangian.density.is_zero():
-        lines.append(f"lagrangian {_poly_to_dsl(model.lagrangian.density)}")
-    for name, op in sorted(model.identities.items()):
-        terms = []
-        for (sym, index), poly in op.sorted_items():
-            coeff = f"({_poly_to_dsl(poly)})"
-            if index:
-                idxs = ",".join(str(i) for i in index)
-                terms.append(f"{coeff}*d[{idxs}](EL({sym.name}))")
-            else:
-                terms.append(f"{coeff}*EL({sym.name})")
-        if terms:
-            lines.append(f"identity {name}: " + " + ".join(terms))
-    for name, ups in sorted(model.symmetries.items()):
-        assigns = []
-        for sym, poly in ups.vertical:
-            assigns.append(f"{sym.name} <- {_poly_to_dsl(poly)}")
-        if assigns:
-            lines.append(f"symmetry {name}: " + " ; ".join(assigns))
-    return "\n".join(lines) + "\n"

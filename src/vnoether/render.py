@@ -1,4 +1,4 @@
-"""Deterministic linear text notation for ring elements and forms.
+"""Deterministic linear text notation for ring elements.
 
 Jet variables print as ``A1_{,01}``, antifields as ``Ebar[A1]``, the
 constant monomial as ``1``.  Monomials appear in the canonical graded-lex
@@ -43,22 +43,3 @@ def poly_text(p: GradedPoly) -> str:
         else:
             out += " + " + part
     return out
-
-
-def form_text(form) -> str:
-    """Render a mixed form; contact slots as th[A_{,..}], horizontal as dx0."""
-    comps = form.sorted_components()
-    if not comps:
-        return "0"
-    parts = []
-    for (contact, horiz), poly in comps:
-        basis = [f"th[{var_text(v)}]" for v in contact]
-        basis.extend(f"dx{i}" for i in horiz)
-        body = poly_text(poly)
-        if basis:
-            if ("+" in body[1:]) or (" - " in body):
-                body = f"({body})"
-            parts.append(body + "*" + "^".join(basis))
-        else:
-            parts.append(body)
-    return " + ".join(parts)

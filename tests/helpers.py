@@ -1,12 +1,16 @@
-"""Shared random generators for the test suite (seeded, deterministic)."""
+"""Shared helpers of the test suite: seeded random generators, a reference
+Grassmann arithmetic, and the round-trip oracles ``print_elaborated`` (an
+elaborated model back to canonical source) and ``poly_from_data`` (the
+inverse of ``algebra.poly_to_data``), which no command needs."""
 
 import math
 from fractions import Fraction
+from typing import Mapping, Sequence
 
-from vnoether import (KIND_GHOST, ODD, EvaluationError, FieldSymbol,
-                      GeneralizedVectorField, GradedPoly, GrassmannElement,
-                      Lagrangian, MixedForm, jet)
-from vnoether.algebra import multi_indices_up_to
+from vnoether import (KIND_GHOST, ODD, ElaboratedModel, EvaluationError,
+                      FieldSymbol, GeneralizedVectorField, GradedPoly,
+                      GrassmannElement, Lagrangian, MixedForm, jet)
+from vnoether.algebra import coeff_text, multi_indices_up_to
 from vnoether.forms import _sort_contact
 
 P = GradedPoly.variable
@@ -170,3 +174,72 @@ def assert_reduced_element(x):
     assert all(type(c) is int and c for c in x.num.values()), x.num
     assert type(x.den) is int and x.den >= 1
     assert math.gcd(x.den, *x.num.values()) == 1 if x.num else x.den == 1
+
+
+# ---------------------------------------------------------------------------
+# round-trip oracles: canonical model source from an elaborated model (flat
+# components), and a polynomial from its ``poly_to_data`` form
+
+def _poly_to_dsl(p: GradedPoly) -> str:
+    if p.is_zero():
+        return "0"
+    parts = []
+    for c, factors in p.monomials(ordered=True):
+        parts.append("*".join([f"({coeff_text(c)})"]
+                              + [_var_to_dsl(v) + (f"^{e}" if e > 1 else "")
+                                 for v, e in factors]))
+    return " + ".join(parts)
+
+
+def _var_to_dsl(v) -> str:
+    out = v.symbol.name
+    for i in reversed(v.index):
+        out = f"d[{i}]({out})"
+    return out
+
+
+def print_elaborated(model: ElaboratedModel) -> str:
+    """Render the flat elaboration back to canonical source; re-parsing and
+    re-elaborating reproduces the same structures."""
+    lines = [f"dim {model.dim}"]
+    if model.metric == "euclidean":
+        lines.append("metric euclidean")
+    else:
+        lines.append(f"metric minkowski {model.signature}")
+    for sym in model.fields:
+        lines.append(f"field {sym.name} {'odd' if sym.parity else 'even'}")
+    for gname, (sym, target) in sorted(model.ghosts.items()):
+        lines.append(f"ghost {sym.name} {'odd' if sym.parity else 'even'} "
+                     f"for {target}")
+    if not model.lagrangian.density.is_zero():
+        lines.append(f"lagrangian {_poly_to_dsl(model.lagrangian.density)}")
+    for name, op in sorted(model.identities.items()):
+        terms = []
+        for (sym, index), poly in op.sorted_items():
+            coeff = f"({_poly_to_dsl(poly)})"
+            if index:
+                idxs = ",".join(str(i) for i in index)
+                terms.append(f"{coeff}*d[{idxs}](EL({sym.name}))")
+            else:
+                terms.append(f"{coeff}*EL({sym.name})")
+        if terms:
+            lines.append(f"identity {name}: " + " + ".join(terms))
+    for name, ups in sorted(model.symmetries.items()):
+        assigns = []
+        for sym, poly in ups.vertical:
+            assigns.append(f"{sym.name} <- {_poly_to_dsl(poly)}")
+        if assigns:
+            lines.append(f"symmetry {name}: " + " ; ".join(assigns))
+    return "\n".join(lines) + "\n"
+
+
+def poly_from_data(data: Sequence, symbols: Mapping[str, FieldSymbol]) -> GradedPoly:
+    monomials = []
+    for mono in data:
+        p = GradedPoly.constant(Fraction(mono["coeff"]))
+        for name, index, e in mono["even"]:
+            p = p * GradedPoly.variable(jet(symbols[name], index)) ** e
+        for name, index in mono["odd"]:
+            p = p * GradedPoly.variable(jet(symbols[name], index))
+        monomials.append(p)
+    return GradedPoly.sum(monomials)

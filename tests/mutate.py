@@ -8,11 +8,15 @@ Usage (from the repository root)::
 
 Inside the named functions every ``+`` and ``-`` is swapped for the other,
 and so is every ``*`` and ``//`` (also as ``+=``, ``-=``, ``*=`` and
-``//=``); every ``a ** e`` becomes ``a`` and every unary ``-`` is dropped,
-one site per mutant.  A method is named ``Class.method``; nested functions
-belong to the function around them.  A site is named LINE:COL:END: the line and column
-where the operation starts and the column where it ends.  Each mutant is
-written into a temporary copy of the repository (under ``$TMPDIR``), where
+``//=``); every ``a ** e`` becomes ``a`` and every unary ``-`` is dropped;
+every condition -- the test of an ``if``, a ``while`` or a conditional
+expression, and each ``if`` filter of a comprehension -- becomes ``not
+(...)``; one site per mutant.  A method is named ``Class.method``; nested
+functions belong to the function around them.  An operator site is named
+LINE:COL:END: the line and column where the operation starts and the
+column where it ends; a condition site is named LINE:COL:END:not, after
+the condition it negates.  Each mutant is written into a temporary copy
+of the repository (under ``$TMPDIR``), where
 ``python -X dev -W error -m pytest -x -q`` runs on the paths after ``--``,
 else on the whole suite.  The unmutated suite runs first, in the same
 copy: it must pass within ``TIMEOUT`` seconds, else the exit code is 2.  A
@@ -77,16 +81,31 @@ def _where(node) -> tuple:
     return node.lineno, node.col_offset, node.end_col_offset
 
 
+def _conditions(node) -> list:
+    """The conditions that ``node`` holds: its test, or a comprehension's
+    filters."""
+    if isinstance(node, (ast.If, ast.While, ast.IfExp)):
+        return [node.test]
+    return list(node.ifs) if isinstance(node, ast.comprehension) else []
+
+
+def _negated(where: tuple) -> tuple:
+    return (*where, "not")
+
+
 def sites(source: str, names) -> list:
-    """``(function, (line, col, end), text)`` of every site, in source
-    order."""
+    """``(function, where, text)`` of every site, in source order; ``where``
+    is ``(line, col, end)`` for an operator and ``(line, col, end, "not")``
+    for a condition."""
     out = []
     for fn in _functions(ast.parse(source), names):
         for node in ast.walk(fn):
-            if _is_site(node):
-                text = ast.get_source_segment(source, node) or "?"
-                out.append((fn.name, _where(node),
-                            " ".join(text.split())[:60]))
+            found = [(node, _where(node))] if _is_site(node) else []
+            found += [(test, _negated(_where(test)))
+                      for test in _conditions(node)]
+            for site, where in found:
+                text = ast.get_source_segment(source, site) or "?"
+                out.append((fn.name, where, " ".join(text.split())[:60]))
     return sorted(set(out), key=lambda s: s[1])
 
 
@@ -114,6 +133,24 @@ class _Mutate(ast.NodeTransformer):
         if self._hit(node):
             self.done = True
             return node.operand
+        return node
+
+    def _negate(self, test):
+        if _negated(_where(test)) != self.where:
+            return test
+        self.done = True
+        return ast.UnaryOp(ast.Not(), test)
+
+    def visit_If(self, node):
+        self.generic_visit(node)
+        node.test = self._negate(node.test)
+        return node
+
+    visit_While = visit_IfExp = visit_If
+
+    def visit_comprehension(self, node):
+        self.generic_visit(node)
+        node.ifs = [self._negate(test) for test in node.ifs]
         return node
 
 
@@ -145,14 +182,15 @@ def main(argv=None) -> int:
                         "src/vnoether/forms.py")
     parser.add_argument("functions", nargs="+")
     parser.add_argument("--equivalent", action="append", default=[],
-                        metavar="LINE:COL:END",
+                        metavar="LINE:COL:END[:not]",
                         help="a site whose mutant cannot change a result")
     argv = sys.argv[1:] if argv is None else list(argv)
     tests = argv[argv.index("--") + 1:] if "--" in argv else []
     args = parser.parse_args(argv[:len(argv) - len(tests)])
     module = Path(args.module).resolve()
     source = module.read_text(encoding="utf-8")
-    equivalent = {tuple(int(x) for x in site.split(":"))
+    equivalent = {tuple(int(x) if x.isdigit() else x
+                        for x in site.split(":"))
                   for site in args.equivalent}
     found = sites(source, args.functions)
     if not found:
@@ -182,8 +220,8 @@ def main(argv=None) -> int:
             if status == "survived" and where in equivalent:
                 status = "equivalent"
             counts[status.split()[0]] = counts.get(status.split()[0], 0) + 1
-            line, col, end = where
-            print(f"{rel}:{line}:{col}:{end} {fn}: {text!r} -> {status} "
+            name = ":".join(map(str, where))
+            print(f"{rel}:{name} {fn}: {text!r} -> {status} "
                   f"({time.perf_counter() - start:.1f} s)", flush=True)
         target.write_text(source, encoding="utf-8")
     killed = counts.get("killed", 0)

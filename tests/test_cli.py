@@ -13,12 +13,12 @@ from pathlib import Path
 import pytest
 
 from vnoether import (KIND_GHOST, ODD, Current, FieldSymbol, GradedPoly,
-                      NoetherOperator, cli, jet, load_model, print_elaborated)
+                      NoetherOperator, cli, jet, load_model)
 from vnoether import gauge
 from vnoether.algebra import poly_to_data, poly_to_json
 from vnoether.render import poly_text
 
-from helpers import CH1, PHI, rand_poly
+from helpers import CH1, PHI, print_elaborated, rand_poly
 
 ROOT = Path(__file__).resolve().parent.parent
 MODELS = ROOT / "models"

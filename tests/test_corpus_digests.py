@@ -29,9 +29,12 @@ DIGESTS = Path(__file__).resolve().parent / "data" / "corpus_digests.json"
 TEXT_DIGESTS = DIGESTS.with_name("corpus_text_digests.json")
 # a mixed ghost jet d[0,1] with pr u(L) and U nonzero, and its flipped
 # control; a level-2 gauge symmetry of a two-slot field; one symmetry that
-# carries two ghosts; the flipped controls of the U(1) odd-matter models
+# carries two ghosts; the flipped controls of the U(1) odd-matter models; a
+# trivial symmetry (u^A E_A = 0), whose split reaches the ghost-free
+# remainder, and its flipped control
 DATA_MODELS = ("stueck_mixed", "stueck_mixed_flipped", "tensor_gauge2",
-               "two_ghosts", "u1_odd2_flipped", "u1_odd3_flipped")
+               "two_ghosts", "u1_odd2_flipped", "u1_odd3_flipped",
+               "trivial_symmetry", "trivial_symmetry_flipped")
 
 
 def corpus_commands():

@@ -5,9 +5,8 @@ from fractions import Fraction
 import pytest
 
 from vnoether import (EVEN, ODD, GeneralizedVectorField, GradedPoly,
-                      Lagrangian, MixedForm, UnsupportedDerivation, contract,
-                      is_nilpotent, jet, lie_derivative, prolong,
-                      prolonged_variation)
+                      Lagrangian, MixedForm, contract, jet, lie_derivative,
+                      prolong, prolonged_variation)
 from vnoether.algebra import DEFAULT_JET_CAP, accumulate, bump, var_key
 from vnoether.forms import _parity_sum, _sort_contact, _sort_horiz
 from vnoether.variational import EXACT, horizontal_antiderivative
@@ -169,10 +168,10 @@ def test_cartan_identity_against_direct_derivation():
         deriv = prolong(ups, dim)
         f = rand_poly(rng, dim=dim, max_order=2)
         lhs = lie_derivative(deriv, MixedForm.density(f, dim))
-        assert lhs == MixedForm.density(deriv.apply_to_poly(f), dim)
+        applied = deriv.apply_to_gradient(f.gradient())
+        assert lhs == MixedForm.density(applied, dim)
         lhs0 = lie_derivative(deriv, MixedForm.from_poly(f, dim))
-        assert lhs0.horizontal_part() == MixedForm.from_poly(
-            deriv.apply_to_poly(f), dim)
+        assert lhs0.horizontal_part() == MixedForm.from_poly(applied, dim)
         done += 1
 
 
@@ -430,50 +429,6 @@ def test_exact_lagrangians_stay_exact_under_symmetries():
         moved = lie_derivative(deriv, L)
         res = horizontal_antiderivative(moved.horizontal_part())
         assert res.status == EXACT
-        done += 1
-
-
-def test_is_nilpotent():
-    n = 1
-    assert is_nilpotent(prolong(
-        GeneralizedVectorField.make({PHI: P(jet(C))}), n)) is True
-    assert is_nilpotent(prolong(
-        GeneralizedVectorField.make({PHI: P(jet(PHI))}), n)) is False
-    # odd derivation that fails the coefficient criterion
-    assert is_nilpotent(prolong(
-        GeneralizedVectorField.make({C: P(jet(C, (0,)))}), n)) is False
-    # c*c_x annihilates itself under the derivation, hence nilpotent
-    assert is_nilpotent(prolong(
-        GeneralizedVectorField.make({C: P(jet(C)) * P(jet(C, (0,)))}), n)) is True
-
-
-def test_nilpotency_matches_squared_action():
-    # the criterion agrees with literally applying the derivation twice
-    rng = random.Random(27)
-    done = 0
-    while done < 40:
-        ups = rand_vertical(rng, (PHI, C), dim=1, parity=rng.randint(0, 1))
-        if not ups.vertical:
-            continue
-        deriv = prolong(ups, 1)
-        try:
-            verdict = is_nilpotent(deriv)
-        except UnsupportedDerivation:
-            continue
-        squared_zero = True
-        for sym in (PHI, C):
-            for index in ((), (0,)):
-                f = P(jet(sym, index))
-                ff = deriv.apply_to_poly(deriv.apply_to_poly(f))
-                if deriv.parity == ODD:
-                    if not ff.is_zero():
-                        squared_zero = False
-                else:
-                    squared_zero = None
-        if deriv.parity == ODD:
-            assert verdict == squared_zero
-        else:
-            assert verdict is False
         done += 1
 
 

@@ -1,8 +1,8 @@
 """The monomial-key layout and jet-variable construction are private to
 ``algebra.py``.
 
-Every other module reads a polynomial through ``monomials``, ``degree_in``
-and ``split_linear``; none may reach into ``GradedPoly.terms`` or its
+Every other module reads a polynomial through ``monomials`` and
+``split_linear``; none may reach into ``GradedPoly.terms`` or its
 canonical ``sorted_terms()``.  ``grassmann.py`` is exempt: its ``.terms``
 belong to its own ``GrassmannElement``.  No module imports a private
 (``_``-prefixed) name from ``algebra.py``: the Grassmann oracle keeps its
@@ -31,16 +31,23 @@ symmetry, a weak-conservation witness) comes back as the one
 No module but ``__init__.py``, which re-exports, imports a name that it
 never reads.  No module imports ``dataclasses``, and importing
 ``vnoether.cli`` loads neither it nor the Grassmann oracle: every command
-would pay for them at start-up.
+would pay for them at start-up.  ``src/`` holds no test-only surface:
+every public function, class and method of ``src/vnoether`` is read
+somewhere outside ``tests/`` -- in ``src/`` outside its own definition and
+the ``__init__`` re-export, in ``demos/``, in ``perfbench/*.py`` or as a
+``perfbench/layers.json`` target.  A test oracle lives in
+``tests/helpers.py``.
 """
 
 import ast
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "vnoether"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "vnoether"
 EXEMPT = {"algebra.py", "grassmann.py"}
 PRIVATE = {"terms", "sorted_terms"}
 
@@ -335,3 +342,126 @@ def test_the_cli_loads_neither_dataclasses_nor_the_oracle():
                          env=dict(os.environ, PYTHONPATH=str(SRC.parent)))
     assert run.stdout.splitlines() == [
         "[]", "vnoether.grassmann vnoether.grassmann"]
+
+
+def _public_definitions(tree) -> list:
+    """``(qualified name, first line, last line, is a method)`` of every
+    function, class and method at module level or in a class body whose
+    name has no leading underscore (so no dunder either); nested functions
+    belong to their function."""
+    out = []
+
+    def visit(body, prefix, in_class):
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                first = min([node.lineno]
+                            + [d.lineno for d in node.decorator_list])
+                if not node.name.startswith("_"):
+                    out.append((prefix + node.name, first, node.end_lineno,
+                                in_class))
+                if isinstance(node, ast.ClassDef):
+                    visit(node.body, f"{prefix}{node.name}.", True)
+
+    visit(tree.body, "", False)
+    return out
+
+
+def _reads(tree) -> list:
+    """``(name, line, through an attribute)`` of every name the module
+    loads, every attribute it reads and every name it imports.  The keys of
+    a ``_COMMANDS`` table are read as the ``cmd_*`` methods the CLI looks
+    up by name."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.append((node.id, node.lineno, False))
+        elif isinstance(node, ast.Attribute) \
+                and isinstance(node.ctx, ast.Load):
+            out.append((node.attr, node.lineno, True))
+        elif isinstance(node, ast.ImportFrom):
+            out += [(alias.name, node.lineno, False) for alias in node.names]
+        elif isinstance(node, ast.Assign) \
+                and getattr(node.targets[0], "id", None) == "_COMMANDS":
+            out += [("cmd_" + key.value.replace("-", "_"), node.lineno, True)
+                    for key in node.value.keys]
+    return out
+
+
+def _outside_reads() -> set:
+    """``(name, through an attribute)`` read by the demos and the benchmark:
+    its scripts and the functions ``layers.json`` traces."""
+    paths = sorted((ROOT / "demos").glob("*.py")) \
+        + sorted((ROOT / "perfbench").glob("*.py"))
+    out = {(name, attr) for path in paths
+           for name, _, attr in _reads(_tree(path))}
+    layers = json.loads((ROOT / "perfbench" / "layers.json").read_text())
+    for layer in layers["layers"]:
+        for target in layer["spans"].values():
+            for part in target.split(":")[1].split("."):
+                out |= {(part, False), (part, True)}
+    return out
+
+
+def _test_only_names(trees: dict, outside: set) -> list:
+    """``module:qualified name`` of each public definition in ``trees``
+    (module name -> tree) that nothing reads: no read in ``outside`` and
+    none in a module of ``trees`` other than ``__init__.py``, outside the
+    definition's own lines.  A method counts as read only through an
+    attribute."""
+    reads = [(name, module, line, attr)
+             for module, tree in trees.items() if module != "__init__.py"
+             for name, line, attr in _reads(tree)]
+    out = []
+    for module, tree in trees.items():
+        for qualname, first, last, method in _public_definitions(tree):
+            name = qualname.rsplit(".", 1)[-1]
+            kinds = (True,) if method else (False, True)
+            if any((name, kind) in outside for kind in kinds):
+                continue
+            if not any(read == name and attr in kinds
+                       and not (where == module and first <= line <= last)
+                       for read, where, line, attr in reads):
+                out.append(f"{module}:{qualname}")
+    return out
+
+
+def _src_trees() -> dict:
+    return {path.name: _tree(path) for path in sorted(SRC.glob("*.py"))}
+
+
+def test_src_defines_no_test_only_name():
+    trees = _src_trees()
+    assert len(trees) >= 11
+    offenders = _test_only_names(trees, _outside_reads())
+    assert not offenders, offenders
+
+
+def test_the_check_sees_test_only_names():
+    # planted names that only tests could read: a function that calls only
+    # itself, a method that reads only itself and a function whose only
+    # read is the package re-export; a private name and a dunder are not
+    # surface, and a method read by another one of its class is read
+    trees = _src_trees()
+    trees["planted.py"] = ast.parse(
+        "def planted(n):\n"
+        "    return planted(n - 1) if n else 0\n"
+        "class Planted:\n"
+        "    def kept(self):\n"
+        "        return 1\n"
+        "    def own(self):\n"
+        "        return self.own\n"
+        "    def __repr__(self):\n"
+        "        return repr(self.kept())\n"
+        "def _private():\n"
+        "    return Planted()\n"
+        "def exported():\n"
+        "    return 1\n")
+    trees["__init__.py"] = ast.parse(
+        "from .planted import exported\n"
+        + ast.unparse(trees["__init__.py"]))
+    assert _test_only_names(trees, _outside_reads()) == [
+        "planted.py:planted", "planted.py:Planted.own",
+        "planted.py:exported"]
+    # the CLI's commands are read through _COMMANDS only
+    assert "cmd_verify" in {name for name, _, _ in _reads(trees["cli.py"])}

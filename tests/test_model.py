@@ -6,10 +6,11 @@ import pytest
 
 from vnoether import (EVEN, ODD, GradedPoly, NoetherOperator,
                       check_noether_identity, euler_lagrange, jet, load_model,
-                      noether_operator_from_density, poly_to_data,
-                      print_elaborated)
+                      noether_operator_from_density, poly_to_data)
 from vnoether.cli import EXIT_USAGE, main
 from vnoether.model import ElaborationError, ParseError, _Elaborator, parse
+
+from helpers import print_elaborated
 
 P = GradedPoly.variable
 MODELS = Path(__file__).resolve().parent.parent / "models"

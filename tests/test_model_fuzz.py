@@ -3,7 +3,7 @@
 ``data/model_fuzz.json`` holds a snapshot of source texts (``models/*.vln``
 and the inline model sources of ``tests/test_model.py``), a seed, and the
 outcome of every mutant drawn from them: the SHA-256 prefix of
-``print_elaborated`` when the mutant parses and elaborates, else the
+``helpers.print_elaborated`` when the mutant parses and elaborates, else the
 rejection class (``ParseError`` or ``ElaborationError``).  A mutant deletes
 or inserts a character, renames an index letter, duplicates a span or
 shuffles the lines, once or twice.  The test re-draws the mutants, checks
@@ -24,8 +24,10 @@ import re
 import sys
 from pathlib import Path
 
-from vnoether import load_model, print_elaborated
+from vnoether import load_model
 from vnoether.model import ElaborationError, ParseError
+
+from helpers import print_elaborated
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = Path(__file__).resolve().parent / "data" / "model_fuzz.json"
