@@ -116,9 +116,6 @@ class NoetherOperator:
                     cap: int = DEFAULT_JET_CAP) -> GradedPoly:
         return expand_witness(self.coefficients, el, cap)
 
-    def is_zero(self) -> bool:
-        return not self.coefficients
-
 
 def noether_operator_from_density(p: GradedPoly, name: str = "") -> NoetherOperator:
     """Read the coefficient family off an antifield-linear density."""

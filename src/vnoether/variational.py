@@ -19,7 +19,10 @@ Vector fields are vertical, so the Lie derivative of L vol along pr u is
 pr u(L) vol (``prolonged_variation``), which the symmetry test and the
 Noether current use.  ``first_variational_residual`` takes it as i d(L vol)
 instead, independent of that shortcut: d i(L vol) vanishes, since pr u
-pairs only with contact slots and L vol has none.
+pairs only with contact slots and L vol has none.  Each term is linear in
+the d_I u^A, and xi^A_I -> d_I u^A keeps parity and commutes with each d_mu,
+so it carries the residual at fresh generators u^A = xi^A to that of any u
+of the same parity (naturality): ``universal_residual`` checks them all.
 A ``Lagrangian`` builds its derived objects once, on first use, and keeps
 them (see the class); every function here reads them from it.
 """
@@ -336,6 +339,14 @@ def first_variational_residual(ups: GeneralizedVectorField,
     source = contract(deriv, L.source_form)
     boundary = contract(deriv, L.lepage).horizontal_part()
     return lhs - source - boundary.horizontal_differential(L.jet_cap)
+
+
+def universal_residual(L: Lagrangian, parity: int) -> MixedForm:
+    """The residual at fresh generators xi^A of parity [A] + ``parity``."""
+    return first_variational_residual(GeneralizedVectorField.make({
+        sym: GradedPoly.variable(jet(FieldSymbol(  # no model name has a ':'
+            f"xi:{n}", parity=(sym.parity + parity) % 2)))
+        for n, sym in enumerate(L.field_symbols())}), L)
 
 
 def prolonged_variation(deriv: ContactDerivation, L: Lagrangian) -> MixedForm:

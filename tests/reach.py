@@ -20,7 +20,10 @@ It then prints each function (methods and nested functions included) that
 never ran, with its line count, and the total.  A function is matched to
 its code object by ``co_firstlineno``, which is the line of its first
 decorator, so a function's lines run from its first decorator to its last
-line.  Not part of the Tier-1 suite.
+line.  The exit code is 1 when more than ``BOUND`` functions are
+unreached, else 0: CI runs this script, so new code that nothing runs
+fails there.  Lower ``BOUND`` when a change deletes unreached code.  Not
+part of the Tier-1 suite.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ SRC = ROOT / "src" / "vnoether"
 MODEL_DIRS = ("models", "tests/data", "perfbench/models")
 FORMATS = ("json", "text")
 CAPS = ((), ("--jet-cap", "2"))
+BOUND = 47  # the most unreached functions allowed
 
 
 def functions() -> dict:
@@ -131,6 +135,9 @@ def main() -> int:
     print(f"{runs} runs in {time.perf_counter() - start:.0f} s: "
           f"{len(unreached)} of {len(table)} functions unreached, "
           f"{total} lines")
+    if len(unreached) > BOUND:
+        print(f"more than {BOUND} functions unreached")
+        return 1
     return 0
 
 

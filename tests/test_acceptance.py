@@ -190,7 +190,7 @@ def test_criterion_5_adjoint_involution():
                 continue
             coeffs[key] = coeffs.get(key, GradedPoly.zero()) + poly
         op = NoetherOperator(f"r{done}", coeffs)
-        if op.is_zero():
+        if not op.coefficients:
             continue
         ghost = ghost_for(op, "cg")
         u = adjoint(op, ghost)

@@ -505,9 +505,49 @@ def test_each_command_builds_derived_objects_once(monkeypatch, capsys):
                      if s["name"].startswith("variational-formula ")]
     assert len(formula_steps) == 2
     # the declared gauge_sym equals the gauge symmetry of 'gauge', so the
-    # two formula steps share one prolongation
+    # routes share one prolongation; both are odd, so the two formula steps
+    # read one check at the odd universal field, the other prolongation
     assert counts == {"euler_lagrange": 1, "lepage_table": 1,
-                      "lie_derivative": 0, "prolong": 1, "d_form": 1}
+                      "lie_derivative": 0, "prolong": 2, "d_form": 1}
+
+
+def test_verify_contracts_once_per_product(monkeypatch, capsys):
+    # the first variational formula is checked once per parity, at the
+    # universal field: three contractions (with d(L vol), the source form
+    # and the Lepage form) for the one odd check, and one per route, whose
+    # current contracts its own pr u with the Lepage form.  maxwell4 has two
+    # routes (gauge, gauge_sym) and su2_d4 three (ga, gb, gc)
+    from vnoether import forms
+    for path, want in ((MODELS / "maxwell4.vln", 5),
+                       (ROOT / "perfbench" / "models" / "su2_d4.vln", 6)):
+        with monkeypatch.context() as patch:
+            counts = _count_calls(patch, forms, ("contract",))
+            code, _ = _verify_in_process(capsys, path)
+        assert code == 0
+        assert counts == {"contract": want}, path.name
+
+
+def test_a_broken_source_form_fails_every_formula_step(monkeypatch, capsys):
+    # the single check at the universal field is not vacuous: with the
+    # source form doubled it reads nonzero for both parities, and every
+    # variational-formula step of verify fails, odd (the gauge routes) and
+    # even (the translation) alike, with no payload and exit 1
+    from vnoether import EVEN, Lagrangian
+    from vnoether.variational import universal_residual
+    prop = Lagrangian.__dict__["source_form"]
+    real = prop.func
+    monkeypatch.setattr(prop, "func", lambda L: real(L) * 2)
+    for path in (MODELS / "maxwell4.vln",
+                 ROOT / "perfbench" / "models" / "maxwell3_translation.vln"):
+        L = load_model(path.read_text(encoding="utf-8")).lagrangian
+        for parity in (EVEN, ODD):
+            assert not universal_residual(L, parity).is_zero(), (path, parity)
+        code, report = _verify_in_process(capsys, path)
+        assert code == 1
+        steps = [s for s in report["steps"]
+                 if s["name"].startswith("variational-formula ")]
+        assert len(steps) == 2
+        assert all(s == {"name": s["name"], "status": "fail"} for s in steps)
 
 
 def test_each_identity_is_evaluated_once(monkeypatch, capsys):

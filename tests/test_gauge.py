@@ -252,7 +252,7 @@ def test_adjoint_involution_random():
                 continue
             coeffs[key] = coeffs.get(key, GradedPoly.zero()) + poly
         op = NoetherOperator(f"r{done}", coeffs)
-        if op.is_zero():
+        if not op.coefficients:
             continue
         ghost = ghost_for(op, "cg")
         u = adjoint(op, ghost)
@@ -268,7 +268,7 @@ def test_recover_identity_examples():
     recovered = recover_identity(u, ghost, LM, "rec")
     assert recovered.coefficients == op.coefficients
     zero = recover_identity(GeneralizedVectorField.make({}), ghost, LM)
-    assert zero.is_zero()
+    assert not zero.coefficients
     with pytest.raises(GaugeError):
         recover_identity(GeneralizedVectorField.make(
             {PHI: P(jet(PHI))}), ghost, LM)
@@ -341,7 +341,7 @@ def test_second_noether_round_trip_random():
         if image.is_zero():
             continue
         op = noether_operator_from_density(image, "bnd")
-        if op.is_zero():
+        if not op.coefficients:
             continue
         ghost = ghost_for(op, "cg")
         result = gauge_symmetry(op, ghost, L)

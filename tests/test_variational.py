@@ -17,7 +17,8 @@ from vnoether import variational
 from vnoether.algebra import mi_permutations, mi_remove
 from vnoether.forms import omega_contracted
 from vnoether.linsolve import solve_sparse
-from vnoether.variational import BOUND_EXHAUSTED, EXACT, NOT_EXACT, lepage_table
+from vnoether.variational import (BOUND_EXHAUSTED, EXACT, NOT_EXACT,
+                                  lepage_table, universal_residual)
 
 from helpers import (CH1, CH2 as C, PHI, PSI, assert_canonical, rand_lagrangian,
                      rand_poly, rand_vertical)
@@ -309,6 +310,19 @@ def test_first_variational_residual_random():
             continue
         assert first_variational_residual(ups, L).is_zero()
         done += 1
+
+
+def test_universal_residual_vanishes_on_every_corpus_lagrangian():
+    # verify checks the formula once per parity, at u^A = xi^A; it must hold
+    # there, for both parities, on the Lagrangian of every model
+    root = Path(__file__).resolve().parent.parent
+    paths = [path for folder in ("models", "tests/data", "perfbench/models")
+             for path in sorted((root / folder).glob("*.vln"))]
+    assert len(paths) == 38
+    for path in paths:
+        L = load_model(path.read_text(encoding="utf-8")).lagrangian
+        for parity in (EVEN, ODD):
+            assert universal_residual(L, parity).is_zero(), (path.name, parity)
 
 
 def test_antiderivative_examples():
