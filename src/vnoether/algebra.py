@@ -21,7 +21,10 @@ Every generator is a field, ghost or antifield; base coordinates x^i do
 not enter coefficients, so a total derivative only bumps jets.
 
 Jet variables are interned: ``jet`` returns one object per symbol and
-multi-index, and variables hash and compare by identity.
+multi-index, and variables hash and compare by identity.  A monomial key
+holds its even variables as a sorted multiset, each repeated once per unit
+of exponent, so an even product is one sort; ``(variable, exponent)``
+pairs are built only where a key leaves the ring.
 
 The monomial-key layout is private to this module.  Other modules read a
 polynomial through two accessors and may hold what they return only as
@@ -45,8 +48,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, groupby
 from json.encoder import encode_basestring_ascii as _quote
+from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, Optional
 
 EVEN = 0
@@ -209,14 +213,12 @@ class JetVariable:
     Variables are interned (hash-consed): equal ``(symbol, index)`` pairs
     give one object, so hashing and equality are by identity.  ``key`` is
     the ``var_key`` tuple, built once; ``_next`` maps a base coordinate to
-    the variable one derivative higher (see ``bump``); ``_factor`` is the
-    monomial-key factor ``(v, 1)``, shared by every key that holds v to the
-    first power.  Instances are
+    the variable one derivative higher (see ``bump``).  Instances are
     immutable; build them with ``jet``.  The table lives as long as the
     process: one entry per distinct symbol and multi-index built, so it is
     bounded by the symbols times their multi-indices up to the jet cap."""
 
-    __slots__ = ("symbol", "index", "parity", "key", "_next", "_factor")
+    __slots__ = ("symbol", "index", "parity", "key", "_next")
     _table: dict = {}
 
     def __new__(cls, symbol: FieldSymbol, index: MultiIndex):
@@ -230,7 +232,6 @@ class JetVariable:
             init(v, "key", (_KIND_RANK[symbol.kind], symbol.name, index,
                             symbol._tie))
             init(v, "_next", {})
-            init(v, "_factor", (v, 1))
             cls._table[(symbol, index)] = v
         return v
 
@@ -268,37 +269,15 @@ def bump(v: JetVariable, lam: int, cap: int) -> JetVariable:
 # ---------------------------------------------------------------------------
 # monomial keys
 #
-# A term key is a pair (even, odd):
-#   even: tuple of (JetVariable, exponent), sorted by var_key, exponents > 0
-#   odd:  tuple of distinct odd JetVariables, sorted by var_key
+# A term key is a pair (even, odd) of variable tuples sorted by var_key:
+#   even: the even JetVariables, each repeated once per unit of exponent
+#         (a sorted multiset, so a product of two is one C-level sort);
+#   odd:  distinct odd JetVariables (odd squares vanish).
 # The monomial value is coeff * prod(even factors) * prod(odd factors).
+# ``_pairs`` builds (variable, exponent) pairs only where a key leaves the
+# ring.
 
-def _merge_even(a, b):
-    """Merge two sorted even tuples, adding the exponents of a shared
-    variable."""
-    if not a:
-        return b
-    if not b:
-        return a
-    out = []
-    i = j = 0
-    na, nb = len(a), len(b)
-    while i < na and j < nb:
-        va, ea = a[i]
-        vb, eb = b[j]
-        if va is vb:
-            out.append((va, ea + eb))
-            i += 1
-            j += 1
-        elif va.key < vb.key:
-            out.append(a[i])
-            i += 1
-        else:
-            out.append(b[j])
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return tuple(out)
+_by_key = attrgetter("key")
 
 
 def _merge_odd(a, b):
@@ -329,29 +308,9 @@ def _merge_odd(a, b):
     return tuple(out), sign
 
 
-def _sort_odd(seq):
-    """Sort a sequence of odd variables by transpositions; returns
-    (tuple, sign) or None when a variable repeats."""
-    seq = list(seq)
-    sign = 1
-    for i in range(1, len(seq)):
-        j = i
-        while j > 0 and seq[j - 1].key > seq[j].key:
-            sign = -sign
-            seq[j - 1], seq[j] = seq[j], seq[j - 1]
-            j -= 1
-    for a, b in zip(seq, seq[1:]):
-        if a is b:
-            return None
-    return tuple(seq), sign
-
-
-def _lowered(even, i):
-    """The even tuple with the exponent of its i-th factor lowered by one."""
-    v, e = even[i]
-    if e == 1:
-        return even[:i] + even[i + 1:]
-    return even[:i] + (v._factor if e == 2 else (v, e - 1),) + even[i + 1:]
+def _pairs(even) -> tuple:
+    """The sorted even multiset as ``(JetVariable, exponent)`` pairs."""
+    return tuple((v, len(list(run))) for v, run in groupby(even))
 
 
 def _key_parity(key) -> int:
@@ -360,19 +319,18 @@ def _key_parity(key) -> int:
 
 def _key_degree(key) -> int:
     even, odd = key
-    return sum(e for _, e in even) + len(odd)
+    return len(even) + len(odd)
 
 
 def _key_order(key) -> int:
     even, odd = key
-    orders = [len(v.index) for v, _ in even] + [len(v.index) for v in odd]
-    return max(orders, default=0)
+    return max([len(v.index) for v in even + odd], default=0)
 
 
 def _key_sort(key):
     """Graded-lexicographic monomial order (degree, then variable sequence)."""
     even, odd = key
-    seq = [(v.key, e) for v, e in even] + [(v.key, 1) for v in odd]
+    seq = [(v.key, e) for v, e in _pairs(even)] + [(v.key, 1) for v in odd]
     seq.sort()
     return (_key_degree(key), tuple(seq))
 
@@ -432,7 +390,7 @@ class GradedPoly:
     def variable(v: JetVariable) -> "GradedPoly":
         if v.parity == ODD:
             return _poly({((), (v,)): 1})
-        return _poly({((v._factor,), ()): 1})
+        return _poly({((v,), ()): 1})
 
     # -- ring structure -----------------------------------------------------
 
@@ -503,7 +461,7 @@ class GradedPoly:
                 if merged is None:
                     continue
                 odd, sign = merged
-                _put(out, (_merge_even(e1, e2), odd),
+                _put(out, (tuple(sorted(e1 + e2, key=_by_key)), odd),
                      c1 * c2 if sign == 1 else -c1 * c2)
         return _reduced(out, self.den * other.den)
 
@@ -567,7 +525,7 @@ class GradedPoly:
     def variables(self) -> set:
         out = set()
         for even, odd in self.terms:
-            out.update(v for v, _ in even)
+            out.update(even)
             out.update(odd)
         return out
 
@@ -591,8 +549,7 @@ class GradedPoly:
         den = self.den
         for (even, odd), c in (self.sorted_terms() if ordered
                                else self.terms.items()):
-            yield (_coeff(c, den),
-                   even + tuple(v._factor for v in odd) if odd else even)
+            yield _coeff(c, den), _pairs(even) + tuple((v, 1) for v in odd)
 
     def split_linear(self, match, side: str = "right"):
         """Factor out the one variable v of each monomial satisfying match:
@@ -604,16 +561,16 @@ class GradedPoly:
         table = {}
         remainder = {}
         for (even, odd), c in self.terms.items():
-            hits = [i for i, (v, _) in enumerate(even) if match(v)]
+            hits = [i for i, v in enumerate(even) if match(v)]
             odd_hits = [i for i, v in enumerate(odd) if match(v)]
             if not hits and not odd_hits:
                 remainder[(even, odd)] = c
                 continue
-            if len(hits) + len(odd_hits) > 1 or (hits and even[hits[0]][1] > 1):
+            if len(hits) + len(odd_hits) > 1:
                 raise ValueError("monomial is not linear in the matched variables")
             if hits:
                 i = hits[0]
-                v = even[i][0]
+                v = even[i]
                 rest, sign = (even[:i] + even[i + 1:], odd), 1
             else:
                 i = odd_hits[0]
@@ -639,13 +596,15 @@ class GradedPoly:
     def _partials(self, only: Optional[JetVariable]) -> dict:
         # Removing one factor v is injective on the monomials that hold v,
         # so the keys of one partial never collide and need no collecting.
+        # An even v^e is taken once, at the start of its run, times e.
         table = {}
         for (even, odd), c in self.terms.items():
-            for i, (w, e) in enumerate(even):
-                if only is None or w == only:
-                    table.setdefault(w, {})[(_lowered(even, i), odd)] = c * e
+            for i, w in enumerate(even):
+                if (only is None or w is only) and not (i and even[i - 1] is w):
+                    rest = (even[:i] + even[i + 1:], odd)
+                    table.setdefault(w, {})[rest] = c * even.count(w)
             for i, w in enumerate(odd):
-                if only is None or w == only:
+                if only is None or w is only:
                     rest = odd[:i] + odd[i + 1:]
                     table.setdefault(w, {})[(even, rest)] = -c if i % 2 else c
         den = self.den
@@ -655,17 +614,18 @@ class GradedPoly:
         """Total derivative d_lam: each factor's jet is bumped (Leibniz)."""
         out = {}
         for (even, odd), c in self.terms.items():
-            for i, (v, e) in enumerate(even):
-                bumped = bump(v, lam, cap)
-                _put(out, (_merge_even(_lowered(even, i), (bumped._factor,)),
-                           odd), c * e)
+            for i, v in enumerate(even):
+                if i and even[i - 1] is v:
+                    continue   # v^e is bumped once, at the start of its run
+                rest = even[:i] + (bump(v, lam, cap),) + even[i + 1:]
+                _put(out, (tuple(sorted(rest, key=_by_key)), odd),
+                     c * even.count(v))
             for i, v in enumerate(odd):
-                bumped = bump(v, lam, cap)
-                ins = _sort_odd(odd[:i] + (bumped,) + odd[i + 1:])
-                if ins is None:
-                    continue
-                new_odd, sign = ins
-                _put(out, (even, new_odd), c * sign)
+                merged = _merge_odd((bump(v, lam, cap),),
+                                    odd[:i] + odd[i + 1:])
+                if merged is not None:   # the bumped jet moved past i jets
+                    new_odd, sign = merged
+                    _put(out, (even, new_odd), -c * sign if i % 2 else c * sign)
         return _reduced(out, self.den)
 
     def total_derivative_multi(self, index: MultiIndex,
@@ -692,7 +652,7 @@ class GradedPoly:
         rows = []
         for (even, odd), c in self.terms.items():
             num, den, val = c, 1, None
-            for v, e in even:
+            for v, e in _pairs(even):
                 if v not in assignment:
                     raise EvaluationError(f"no value assigned to {v.symbol.name}{v.index}")
                 x = assignment[v]
@@ -794,7 +754,8 @@ def poly_to_data(p: GradedPoly) -> list:
     for (even, odd), c in p.sorted_terms():
         out.append({
             "coeff": coeff_text(_coeff(c, p.den)),
-            "even": [[v.symbol.name, list(v.index), e] for v, e in even],
+            "even": [[v.symbol.name, list(v.index), e]
+                     for v, e in _pairs(even)],
             "odd": [[v.symbol.name, list(v.index)] for v in odd],
         })
     return out
@@ -818,7 +779,8 @@ def poly_to_json(p: GradedPoly, indent: str = "\n") -> str:
     for (even, odd), c in p.sorted_terms():
         even = (f"[{factors}"
                 + sep.join([f"{heads[v]},{entry}{e}{factors}]"
-                            for v, e in even]) + f"{key}]") if even else "[]"
+                            for v, e in _pairs(even)])
+                + f"{key}]") if even else "[]"
         odd = (f"[{factors}"
                + sep.join([f"{heads[v]}{factors}]" for v in odd])
                + f"{key}]") if odd else "[]"

@@ -33,6 +33,9 @@ object it checks, and the CLI reports the results that come back:
 ``SuperpotentialSplit.checks`` and ``.report``,
 ``SuperpotentialError.checks``.  A declared symmetry's current, or a
 corrupted one, is checked by ``GaugeSymmetryResult.check`` before a split.
+An identity that holds for want of content (Euler-Lagrange expressions
+that vanish identically, or a zero Noether operator) is a failing
+``nontrivial NAME`` step with a ``reason``, and its route stops there.
 
 No command searches.  ``verify`` builds each weak-conservation witness from
 the first variational formula, d_H J = u^A E_A; the divergence witness of a
@@ -237,8 +240,24 @@ class _Runner:
         name = self.args.name
         if name not in model.identities:
             raise _Usage(f"unknown identity {name!r}")
+        if self._vacuous(model, name):
+            return
         self._residual(f"identity {name}", model.identities[name].contraction(
             model.lagrangian.el, model.jet_cap))
+
+    def _vacuous(self, model, name) -> bool:
+        """Record ``nontrivial NAME: fail`` and give True when identity
+        ``name`` holds for want of content: the Euler-Lagrange expressions
+        vanish identically, or its Noether operator is zero, the only way
+        to a zero gauge symmetry (``adjoint`` re-checks its involution)."""
+        if model.lagrangian.el.is_zero():
+            reason = "the Euler-Lagrange expressions vanish identically"
+        elif not model.identities[name].coefficients:
+            reason = "the Noether operator is zero"
+        else:
+            return False
+        self.add(f"nontrivial {name}", "fail", {"reason": reason})
+        return True
 
     def _residual(self, step, residual):
         """Record ``step`` from the residual of a check made elsewhere: it
@@ -250,10 +269,12 @@ class _Runner:
 
     def _gauge(self, model, name):
         """gauge_symmetry on identity ``name``, which evaluates the identity
-        once (op.contraction does for a ghost-less one).  A failing identity
-        records a refusal and gives None; a ghost-less identity that holds
-        is a usage error."""
+        once (op.contraction does for a ghost-less one).  A vacuous or
+        failing identity records its step and gives None; a ghost-less
+        identity that holds is a usage error."""
         op, ghost = model.identities[name], model.ghost_of(name)
+        if self._vacuous(model, name):
+            return None
         if ghost is not None:
             try:
                 return gauge_symmetry(op, ghost, model.lagrangian)
@@ -317,6 +338,8 @@ class _Runner:
             lambda parity: universal_residual(L, parity).is_zero())
         for name, op in sorted(model.identities.items()):
             ghost = model.ghost_of(name)
+            if self._vacuous(model, name):
+                continue
             if ghost is None:
                 self._residual(f"identity {name}",
                                op.contraction(L.el, model.jet_cap))

@@ -11,11 +11,14 @@ and so is every ``*`` and ``//`` (also as ``+=``, ``-=``, ``*=`` and
 ``//=``); every ``a ** e`` becomes ``a`` and every unary ``-`` is dropped;
 every condition -- the test of an ``if``, a ``while`` or a conditional
 expression, and each ``if`` filter of a comprehension -- becomes ``not
-(...)``; one site per mutant.  A method is named ``Class.method``; nested
-functions belong to the function around them.  An operator site is named
-LINE:COL:END: the line and column where the operation starts and the
-column where it ends; a condition site is named LINE:COL:END:not, after
-the condition it negates.  Each mutant is written into a temporary copy
+(...)``; every ``math.gcd`` or ``math.lcm`` call with two or more
+arguments loses one of them; one site per mutant.  A method is named
+``Class.method``; nested functions belong to the function around them.
+An operator site is named LINE:COL:END: the line and column where the
+operation starts and the column where it ends; a condition site is named
+LINE:COL:END:not, after the condition it negates, and an argument site
+LINE:COL:END:dropK, after the call and the position K of the argument it
+drops.  Each mutant is written into a temporary copy
 of the repository (under ``$TMPDIR``), where
 ``python -X dev -W error -m pytest -x -q`` runs on the paths after ``--``,
 else on the whole suite.  The unmutated suite runs first, in the same
@@ -93,6 +96,17 @@ def _negated(where: tuple) -> tuple:
     return (*where, "not")
 
 
+def _dropped(call) -> list:
+    """The argument sites of a ``math.gcd`` or ``math.lcm`` call with two
+    or more arguments, one per argument, else none."""
+    func = call.func if isinstance(call, ast.Call) else None
+    if not (isinstance(func, ast.Attribute) and func.attr in ("gcd", "lcm")
+            and isinstance(func.value, ast.Name) and func.value.id == "math"
+            and len(call.args) > 1):
+        return []
+    return [(*_where(call), f"drop{k}") for k in range(len(call.args))]
+
+
 def sites(source: str, names) -> list:
     """``(function, where, text)`` of every site, in source order; ``where``
     is ``(line, col, end)`` for an operator and ``(line, col, end, "not")``
@@ -103,8 +117,12 @@ def sites(source: str, names) -> list:
             found = [(node, _where(node))] if _is_site(node) else []
             found += [(test, _negated(_where(test)))
                       for test in _conditions(node)]
+            found += [(node.args[int(where[3][4:])], where)
+                      for where in _dropped(node)]
             for site, where in found:
                 text = ast.get_source_segment(source, site) or "?"
+                if str(where[-1]).startswith("drop"):
+                    text = f"drop {text}"
                 out.append((fn.name, where, " ".join(text.split())[:60]))
     return sorted(set(out), key=lambda s: s[1])
 
@@ -148,6 +166,13 @@ class _Mutate(ast.NodeTransformer):
 
     visit_While = visit_IfExp = visit_If
 
+    def visit_Call(self, node):
+        self.generic_visit(node)
+        if self.where in _dropped(node):
+            self.done = True
+            del node.args[int(self.where[3][4:])]
+        return node
+
     def visit_comprehension(self, node):
         self.generic_visit(node)
         node.ifs = [self._negate(test) for test in node.ifs]
@@ -182,7 +207,7 @@ def main(argv=None) -> int:
                         "src/vnoether/forms.py")
     parser.add_argument("functions", nargs="+")
     parser.add_argument("--equivalent", action="append", default=[],
-                        metavar="LINE:COL:END[:not]",
+                        metavar="LINE:COL:END[:not|:dropK]",
                         help="a site whose mutant cannot change a result")
     argv = sys.argv[1:] if argv is None else list(argv)
     tests = argv[argv.index("--") + 1:] if "--" in argv else []

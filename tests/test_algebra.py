@@ -383,6 +383,62 @@ def test_split_linear_round_trip():
                 bad.split_linear(lambda v: v.symbol in ghosts, side)
 
 
+def _product(coeff, factors):
+    """coeff times the factors in order, each to its exponent."""
+    return functools.reduce(operator.mul, (P(v) ** e for v, e in factors),
+                            GradedPoly.constant(coeff))
+
+
+def test_derivations_match_products_of_monomials_random():
+    # monomials with exponents up to 4 on two or three even variables and
+    # up to two odd ones: partial, gradient, total_derivative and
+    # split_linear against sums of products built from monomials()
+    even = [jet(s, i) for s in (PHI, PSI) for i in ((), (0,), (1,))]
+    odd = [jet(C, i) for i in ((), (0,), (1,))]
+    rng = random.Random(61)
+    for _ in range(25):
+        p = GradedPoly.sum(
+            _product(rng.randint(-4, 4) or 1,
+                     [(v, rng.randint(1, 4))
+                      for v in rng.sample(even, rng.randint(2, 3))]
+                     + [(v, 1) for v in rng.sample(odd, rng.randint(0, 2))])
+            for _ in range(rng.randint(1, 3)))
+        monomials = list(p.monomials())
+        lam = rng.choice((0, 1))
+        # Leibniz: factor j to e - 1, times its bump, in its place
+        assert p.total_derivative(lam) == GradedPoly.sum(
+            e * _product(c, factors[:j] + ((v, e - 1), (bump(v, lam, 6), 1))
+                         + factors[j + 1:])
+            for c, factors in monomials
+            for j, (v, e) in enumerate(factors))
+        gradient = p.gradient()
+        assert set(gradient) == p.variables()
+        for v in even + odd:
+            # the left partial: v moved to the front past the odd factors
+            want = GradedPoly.sum(
+                (-1) ** sum(w.parity for w, _ in factors[:j]) * e
+                * _product(c, factors[:j] + ((v, e - 1),) + factors[j + 1:])
+                for c, factors in monomials
+                for j, (w, e) in enumerate(factors) if w is v)
+            assert p.partial(v) == want == gradient.get(v, GradedPoly()), v
+            # one variable factored out to the right end, or refused when
+            # it occurs squared
+            if any(e > 1 for _, factors in monomials
+                   for w, e in factors if w is v):
+                with pytest.raises(ValueError):
+                    p.split_linear(lambda w: w is v)
+                continue
+            table, free = p.split_linear(lambda w: w is v)
+            assert free == GradedPoly.sum(
+                _product(c, factors) for c, factors in monomials
+                if v not in dict(factors))
+            assert table.get(v, GradedPoly()) == GradedPoly.sum(
+                (-1) ** (v.parity * sum(w.parity for w, _ in factors[j + 1:]))
+                * _product(c, factors[:j] + factors[j + 1:])
+                for c, factors in monomials
+                for j, (w, _) in enumerate(factors) if w is v)
+
+
 def test_sum_is_the_fold_of_add():
     # the one fold agrees with adding one operand at a time, odd ghosts
     # included, and leaves its operands as they were

@@ -687,7 +687,11 @@ def test_verify_ghost_in_lagrangian(tmp_path, capsys):
     assert [item["field"] for item in steps["euler-lagrange"]["payload"]] \
         == ["phi", "psi"]
     assert steps["euler-lagrange"]["payload"][1]["expression"]["text"] == "0"
-    assert code == 0, report
+    # the identity 0*EL(phi) is vacuous, so its route stops at a failing
+    # nontrivial step, and that is the only step that fails
+    assert code == 1, report
+    assert [name for name, s in steps.items() if s["status"] == "fail"] \
+        == ["nontrivial g"], report
 
 
 def test_weak_conservation_is_checked_once_per_current(monkeypatch, capsys):
@@ -988,6 +992,36 @@ def test_ghost_bilinear_split_is_refused(model):
     assert failing[0]["payload"]["reason"].startswith("not ghost-linear")
     # no structural checks ran on the refused split
     assert "structural-equations g1" not in [s["name"] for s in steps]
+
+
+# identities that hold for want of content: a zero Noether operator, and
+# any operator on a null Lagrangian (EL vanishes identically); each command
+# on the identity fails one nontrivial step and runs nothing after it.
+# They sit in tests/data/vacuous/, apart from the models whose low jet-cap
+# outcomes are pinned.
+VACUOUS_MODELS = {
+    "zero_identity.vln": "the Noether operator is zero",
+    "null_lagrangian.vln": "the Euler-Lagrange expressions vanish identically",
+}
+
+
+@pytest.mark.parametrize("command", ["verify", "check-identity",
+                                     "gauge-symmetry", "superpotential"])
+@pytest.mark.parametrize("model", sorted(VACUOUS_MODELS))
+def test_vacuous_identity_is_refused(capsys, model, command):
+    path = str(ROOT / "tests" / "data" / "vacuous" / model)
+    name = [] if command == "verify" else ["g"]
+    assert cli.main([command, path, *name, "--format", "json"]) == 1
+    steps = json.loads(capsys.readouterr().out)["steps"]
+    prefix = [("lepage", "pass"), ("euler-lagrange", "pass")] \
+        if command == "verify" else []
+    assert [(s["name"], s["status"]) for s in steps] \
+        == prefix + [("nontrivial g", "fail")]
+    assert steps[-1]["payload"] == {"reason": VACUOUS_MODELS[model]}
+    if command == "verify":   # the text report, through a fresh process
+        res = run_cli(command, path)
+        assert res.returncode == 1 and "Traceback" not in res.stderr
+        assert f"  reason: {VACUOUS_MODELS[model]}\n" in res.stdout
 
 
 def test_long_integers_print_in_full(tmp_path, capsys):
